@@ -16,8 +16,10 @@
 //	             stream (integers)
 //	-profile     with -run (required), print observed branch probabilities
 //	             next to the predictions
-//	-trace FILE  run with telemetry and write a Chrome trace_event JSON
-//	             file (open in chrome://tracing or Perfetto)
+//	-trace FILE  write the span tree of compilation and analysis (parse,
+//	             ssa, callgraph, passes, waves, engine runs) as a Chrome
+//	             trace_event JSON file (open in chrome://tracing or
+//	             Perfetto)
 //	-telemetry   run with telemetry and print the run summary (engine
 //	             steps, worklist peaks, widenings, histograms) to stderr
 //	-explain F   explain one branch prediction: F is func:line (or just
@@ -40,19 +42,20 @@ import (
 
 	"vrp"
 	"vrp/internal/ir"
+	"vrp/internal/telemetry"
 )
 
 func main() {
 	var (
-		dumpIR     = flag.Bool("ir", false, "dump the SSA IR")
-		dumpDot    = flag.Bool("dot", false, "dump the CFG in Graphviz DOT format (edges labelled with predicted frequencies)")
-		dumpRanges = flag.Bool("ranges", false, "dump final value ranges of named variables")
-		numeric    = flag.Bool("numeric", false, "disable symbolic ranges")
-		run        = flag.Bool("run", false, "execute the program on the inputs given after the file name")
-		profile    = flag.Bool("profile", false, "with -run, print observed branch probabilities")
-		traceOut   = flag.String("trace", "", "write a Chrome trace_event JSON file of the analysis run")
-		telemetry  = flag.Bool("telemetry", false, "print the telemetry summary of the analysis run to stderr")
-		explain    = flag.String("explain", "", "explain the branch at func:line (func alone if it has one branch)")
+		dumpIR        = flag.Bool("ir", false, "dump the SSA IR")
+		dumpDot       = flag.Bool("dot", false, "dump the CFG in Graphviz DOT format (edges labelled with predicted frequencies)")
+		dumpRanges    = flag.Bool("ranges", false, "dump final value ranges of named variables")
+		numeric       = flag.Bool("numeric", false, "disable symbolic ranges")
+		run           = flag.Bool("run", false, "execute the program on the inputs given after the file name")
+		profile       = flag.Bool("profile", false, "with -run, print observed branch probabilities")
+		traceOut      = flag.String("trace", "", "write a Chrome trace_event JSON file of compilation and analysis")
+		showTelemetry = flag.Bool("telemetry", false, "print the telemetry summary of the analysis run to stderr")
+		explain       = flag.String("explain", "", "explain the branch at func:line (func alone if it has one branch)")
 	)
 	flag.Parse()
 	if flag.NArg() < 1 {
@@ -69,7 +72,16 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	prog, err := vrp.Compile(name, string(src))
+	// With -trace, compilation and analysis run under one span tree,
+	// shaped like a vrpd request's: a root span with parse and ssa phases
+	// and a vrp phase holding the driver's spans.
+	var tr *vrp.RequestTrace
+	root, vrpSpan := vrp.NoTraceSpan, vrp.NoTraceSpan
+	if *traceOut != "" {
+		tr = telemetry.NewTrace()
+		root = tr.Start(vrp.NoTraceSpan, "request", "vrpc "+name)
+	}
+	prog, err := vrp.CompileWith(name, string(src), vrp.CompileOptions{Trace: tr, TraceParent: root})
 	if err != nil {
 		fatal(err)
 	}
@@ -81,12 +93,32 @@ func main() {
 	if *numeric {
 		opts = append(opts, vrp.NumericOnly())
 	}
-	if *traceOut != "" || *telemetry {
+	if *showTelemetry {
 		opts = append(opts, vrp.WithTelemetry())
+	}
+	if tr != nil {
+		vrpSpan = tr.Start(root, "phase", "vrp")
+		opts = append(opts, vrp.WithTrace(tr, vrpSpan))
 	}
 	analysis, err := prog.Analyze(opts...)
 	if err != nil {
 		fatal(err)
+	}
+	if tr != nil {
+		tr.End(vrpSpan)
+		tr.End(root)
+		spans := tr.Spans()
+		f, err := os.Create(*traceOut)
+		if err != nil {
+			fatal(err)
+		}
+		if err := telemetry.WriteSpanChromeTrace(f, spans); err != nil {
+			fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			fatal(err)
+		}
+		fmt.Fprintf(os.Stderr, "vrpc: wrote %d trace spans to %s\n", len(spans), *traceOut)
 	}
 	for _, d := range analysis.Diagnostics() {
 		fmt.Fprintln(os.Stderr, "vrpc: diagnostic:", d)
@@ -95,22 +127,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "vrpc: warning: analysis did not converge; optimistic ranges were demoted to ⊥")
 	}
 	if snap := analysis.Telemetry(); snap != nil {
-		if *traceOut != "" {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				fatal(err)
-			}
-			if err := snap.WriteChromeTrace(f); err != nil {
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "vrpc: wrote %d trace events to %s\n", len(snap.Events), *traceOut)
-		}
-		if *telemetry {
-			fmt.Fprint(os.Stderr, snap.Summary())
-		}
+		fmt.Fprint(os.Stderr, snap.Summary())
 	}
 	if *explain != "" {
 		fn, line := *explain, 0

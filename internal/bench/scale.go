@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"time"
 
 	"vrp"
@@ -134,7 +135,7 @@ type DriverPoint struct {
 	// Telemetry totals from a separate instrumented run of the same
 	// program (telemetry stays off during the timed runs, so the ns/op
 	// columns measure the disabled path). PassWallNs is the wall clock of
-	// each interprocedural pass of that run.
+	// each interprocedural pass of that run, read from its "pass N" spans.
 	EngineSteps   int64   `json:"engine_steps"`
 	FlowPeak      int64   `json:"flow_peak"`
 	SSAPeak       int64   `json:"ssa_peak"`
@@ -176,6 +177,7 @@ func DriverScaling(sizes []int, iters int) ([]DriverPoint, error) {
 		}
 		telCfg := parCfg
 		telCfg.Telemetry = telemetry.New()
+		telCfg.Trace = telemetry.NewTrace()
 		res, err := corevrp.Analyze(mp, telCfg)
 		if err != nil {
 			return nil, err
@@ -200,7 +202,11 @@ func DriverScaling(sizes []int, iters int) ([]DriverPoint, error) {
 			pt.SSAPeak = snap.Totals.SSAPeak
 			pt.Widens = snap.Totals.Widens
 			pt.BoundaryDrops = snap.BoundaryDrops
-			pt.PassWallNs = snap.PassWallNs
+		}
+		for _, sp := range telCfg.Trace.Spans() {
+			if sp.Parent == telemetry.NoSpan && strings.HasPrefix(sp.Name, "pass ") {
+				pt.PassWallNs = append(pt.PassWallNs, sp.Dur)
+			}
 		}
 		pts = append(pts, pt)
 		if k == len(all) {

@@ -103,7 +103,7 @@ type serverMetrics struct {
 
 // phaseNames is the fixed request-phase vocabulary: the direct children
 // the handler hangs off the root span. The driver's own sub-spans
-// (callgraph, passes, waves, engine runs, splices) nest under "vrp".
+// (callgraph, passes, waves, engine runs, skips, splices) nest under "vrp".
 var phaseNames = []string{"validate", "cache_probe", "parse", "ssa", "vrp", "render", "write"}
 
 // sloWindow tracks request latencies against a target in a ring of
@@ -344,7 +344,6 @@ func (m *serverMetrics) observeSnapshot(s *telemetry.Snapshot) {
 	m.internLive.Set(float64(s.InternLive))
 	m.internArena.Set(float64(s.InternArenaBytes))
 	m.internEvictions.Set(float64(s.InternEvictions))
-	m.passes.Observe(float64(s.Passes))
 
 	if q := s.Quality; q != nil {
 		m.qBranches.Add(q.Branches)

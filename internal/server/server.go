@@ -6,8 +6,9 @@
 //	POST /v1/analyze   Mini source in the body → branch predictions,
 //	                   diagnostics and engine stats as JSON.
 //	                   ?explain=func:line adds the provenance chain of
-//	                   one branch; ?telemetry=1 attaches the run's full
-//	                   telemetry snapshot. Both bypass the result cache.
+//	                   one branch; ?telemetry=1 attaches the run's
+//	                   counters snapshot and the request's span tree.
+//	                   Both bypass the result cache.
 //	POST /v1/analyze-batch
 //	                   {"programs": ["src", ...]} → {"results": [{"status",
 //	                   "body"}, ...]}, one entry per program in order; each
@@ -364,13 +365,21 @@ type AnalyzeResponse struct {
 
 	// Explanation is the rendered provenance chain for ?explain=.
 	Explanation string `json:"explanation,omitempty"`
-	// Telemetry is the run's full snapshot for ?telemetry=1.
-	Telemetry *telemetry.Snapshot `json:"telemetry,omitempty"`
+	// Telemetry is the ?telemetry=1 payload.
+	Telemetry *TelemetryJSON `json:"telemetry,omitempty"`
 
 	// quality is the run's prediction-quality digest, carried to the
 	// flight recorder (unexported: not part of the response body, which
 	// must stay byte-identical between fresh analyses and cache hits).
 	quality *telemetry.Quality
+}
+
+// TelemetryJSON is the ?telemetry=1 payload: the run's counters
+// snapshot, plus the request's span tree (creation order, parents by
+// index) as of the end of the analysis.
+type TelemetryJSON struct {
+	*telemetry.Snapshot
+	Spans []telemetry.Span `json:"spans"`
 }
 
 // PredictionJSON is one conditional branch's prediction.
@@ -675,9 +684,9 @@ func (s *Server) analyzeCompiled(ctx context.Context, prog *vrp.Program, explain
 	}
 	vrpSpan := tr.Start(parent, "phase", "vrp")
 	opts := []vrp.Option{vrp.WithTelemetry(), vrp.WithWorkers(s.cfg.Workers), vrp.WithTrace(tr, vrpSpan)}
-	// Telemetry snapshots include per-function run events, which a store
-	// splice deliberately does not replay — so telemetry requests skip
-	// the store to keep their snapshots faithful to a real full run.
+	// A store splice replays a function's results but not its engine
+	// counters, so telemetry requests skip the store to keep their
+	// snapshots faithful to a real full run.
 	if s.fstore != nil && !wantTelemetry {
 		opts = append(opts, vrp.WithFuncStore(s.fstore))
 	}
@@ -693,6 +702,7 @@ func (s *Server) analyzeCompiled(ctx context.Context, prog *vrp.Program, explain
 
 	snap := analysis.Telemetry()
 	s.m.observeSnapshot(snap)
+	s.m.passes.Observe(float64(analysis.Result.Stats.Passes))
 	if analysis.Converged() {
 		s.m.converged.Inc()
 	} else {
@@ -749,7 +759,7 @@ func (s *Server) analyzeCompiled(ctx context.Context, prog *vrp.Program, explain
 		resp.Explanation = be.String()
 	}
 	if wantTelemetry {
-		resp.Telemetry = snap
+		resp.Telemetry = &TelemetryJSON{Snapshot: snap, Spans: tr.Spans()}
 	}
 	return resp, http.StatusOK, "ok", nil
 }

@@ -280,8 +280,9 @@ func TestCacheEviction(t *testing.T) {
 	}
 }
 
-// TestTelemetryAndExplainQueries: ?telemetry=1 attaches the snapshot,
-// ?explain=main:5 the provenance chain; both bypass the cache.
+// TestTelemetryAndExplainQueries: ?telemetry=1 attaches the counters
+// snapshot and the request's span list, ?explain=main:5 the provenance
+// chain; both bypass the cache.
 func TestTelemetryAndExplainQueries(t *testing.T) {
 	srv, _ := newTestServer(t, nil)
 	src := exampleSource(t)
@@ -294,8 +295,15 @@ func TestTelemetryAndExplainQueries(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &tresp); err != nil {
 		t.Fatal(err)
 	}
-	if tresp.Telemetry == nil || tresp.Telemetry.Totals.Steps == 0 {
-		t.Error("telemetry=1 returned no snapshot or an empty one")
+	if tresp.Telemetry == nil || tresp.Telemetry.Snapshot == nil || tresp.Telemetry.Totals.Steps == 0 {
+		t.Fatal("telemetry=1 returned no snapshot or an empty one")
+	}
+	pass0 := false
+	for _, sp := range tresp.Telemetry.Spans {
+		pass0 = pass0 || sp.Name == "pass 0"
+	}
+	if !pass0 {
+		t.Errorf("telemetry=1 span list has no pass 0 span: %+v", tresp.Telemetry.Spans)
 	}
 
 	rec = postAnalyze(t, srv.Handler(), "/v1/analyze?explain=main:5", src)

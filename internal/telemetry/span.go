@@ -12,8 +12,10 @@ import (
 // one request end to end: the server opens the root over the whole
 // handler, hangs one phase span per pipeline stage off it (validate,
 // cache probe, parse, SSA, render), and the analysis driver fills the
-// "vrp" phase with callgraph/pass/wave/engine/splice children — so a
-// single artifact answers "which phase ate the time" for any request.
+// "vrp" phase with callgraph/pass/wave/engine/skip/splice children — so
+// a single artifact answers "which phase ate the time" for any request.
+// The span tree is the pipeline's only timeline: the Recorder keeps
+// counters, never timings.
 //
 // The same two properties that shape RunMetrics shape Trace:
 //
@@ -23,9 +25,9 @@ import (
 //     so an untraced analysis compiles down to compare-and-skip.
 //   - Enabled tracing never perturbs analysis results. Spans carry only
 //     wall-clock timings and small label payloads; nothing in the lattice
-//     reads them back. Span *timings* are inherently nondeterministic
-//     (like Event.Start/Dur, which Snapshot.Canon zeroes), so tests
-//     assert on the tree structure and names, never on durations.
+//     reads them back. Span *timings* and lanes are inherently
+//     nondeterministic, so tests assert on the tree structure, names and
+//     labels, never on durations.
 //
 // Concurrency: Start/End/Annotate take an internal mutex, so driver
 // workers can open engine spans from concurrent goroutines. The mutex is
@@ -178,15 +180,34 @@ func PhaseDurations(spans []Span, root SpanID) map[string]int64 {
 	return out
 }
 
+// chromeEvent is one trace_event record. ts and dur are microseconds.
+type chromeEvent struct {
+	Name string            `json:"name"`
+	Cat  string            `json:"cat,omitempty"`
+	Ph   string            `json:"ph"`
+	Ts   float64           `json:"ts"`
+	Dur  float64           `json:"dur,omitempty"`
+	Pid  int               `json:"pid"`
+	Tid  int               `json:"tid"`
+	Args map[string]string `json:"args,omitempty"`
+}
+
+type chromeTrace struct {
+	TraceEvents     []chromeEvent `json:"traceEvents"`
+	DisplayTimeUnit string        `json:"displayTimeUnit"`
+}
+
 // WriteSpanChromeTrace serializes a span tree as Chrome trace_event JSON
-// (the same JSON Object Format trace.go emits for Snapshot events), so
-// request traces open directly in chrome://tracing and Perfetto. Each
-// lane becomes one thread row; spans are complete ("X") events whose
-// nesting Perfetto reconstructs from time containment within a lane.
+// in the JSON Object Format
+// (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU),
+// so traces open directly in chrome://tracing and Perfetto. Each lane
+// becomes one thread row; spans are complete ("X") events whose nesting
+// Perfetto reconstructs from time containment within a lane. An empty
+// span list still yields a loadable trace: traceEvents is always an
+// array.
 func WriteSpanChromeTrace(w io.Writer, spans []Span) error {
 	const pid = 1
-	var out chromeTrace
-	out.DisplayTimeUnit = "ms"
+	out := chromeTrace{TraceEvents: []chromeEvent{}, DisplayTimeUnit: "ms"}
 
 	lanes := map[int32]bool{}
 	for _, sp := range spans {

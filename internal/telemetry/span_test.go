@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"sync"
 	"testing"
 )
@@ -215,5 +216,41 @@ func TestWriteSpanChromeTraceGolden(t *testing.T) {
 	}
 	if len(parsed.TraceEvents) != 5 {
 		t.Fatalf("got %d trace events, want 5", len(parsed.TraceEvents))
+	}
+}
+
+// errWriter fails every write.
+type errWriter struct{ err error }
+
+func (w errWriter) Write([]byte) (int, error) { return 0, w.err }
+
+// TestWriteSpanChromeTraceSinkError: a failing writer must surface its
+// error, not panic or silently truncate the trace. (json.Encoder
+// buffers the whole document into one Write, so a sink that fails at
+// all fails that write.)
+func TestWriteSpanChromeTraceSinkError(t *testing.T) {
+	sinkErr := errors.New("disk full")
+	spans := []Span{{Name: "vrp", Cat: "phase", Parent: NoSpan, Dur: 1000}}
+	if err := WriteSpanChromeTrace(errWriter{sinkErr}, spans); !errors.Is(err, sinkErr) {
+		t.Errorf("err = %v, want %v", err, sinkErr)
+	}
+}
+
+// TestWriteSpanChromeTraceEmpty: an empty span list (a disabled trace)
+// still writes a loadable trace. The trace_event format requires
+// traceEvents to be an array, so it must be [] and never null.
+func TestWriteSpanChromeTraceEmpty(t *testing.T) {
+	for _, spans := range [][]Span{nil, {}} {
+		var buf bytes.Buffer
+		if err := WriteSpanChromeTrace(&buf, spans); err != nil {
+			t.Fatal(err)
+		}
+		var parsed map[string]any
+		if err := json.Unmarshal(buf.Bytes(), &parsed); err != nil {
+			t.Fatalf("invalid JSON for an empty span list: %v", err)
+		}
+		if evs, ok := parsed["traceEvents"].([]any); !ok || len(evs) != 0 {
+			t.Errorf("traceEvents = %#v, want an empty array:\n%s", parsed["traceEvents"], buf.String())
+		}
 	}
 }

@@ -1,7 +1,8 @@
 // Package telemetry is the instrumentation layer of the analysis
-// pipeline: per-function and per-wave counters, span events exportable as
-// Chrome trace_event JSON, and the aggregation into a deterministic
-// Snapshot.
+// pipeline: deterministic per-function counters, histograms and the
+// prediction-quality digest aggregated into a Snapshot (this file and
+// quality.go), and the request-scoped span tree that is the pipeline's
+// only timeline, exportable as Chrome trace_event JSON (span.go).
 //
 // Two properties shape the design:
 //
@@ -11,14 +12,14 @@
 //     small enough to inline, so the disabled path compiles down to a
 //     compare-and-skip (TestDisabledRunMetricsZeroAlloc pins this).
 //   - Enabled telemetry is bit-identical across worker counts. Counters
-//     and events are written into per-function slots owned by the task
-//     analyzing that function (the same discipline the driver uses for
-//     results and diagnostics) and flattened in (pass, wave, function
-//     index) order, never in completion order. The nondeterministic data
-//     are the wall-clock fields and the lattice table-warmth counters
+//     are written into per-function slots owned by the task analyzing
+//     that function (the same discipline the driver uses for results and
+//     diagnostics), so completion order never shows. The one
+//     nondeterministic part is the lattice table-warmth counters
 //     (per-worker intern tables make hit/miss traffic depend on the
-//     work-stealing schedule); Snapshot.Canon zeroes both so tests can
-//     compare everything else with reflect.DeepEqual.
+//     work-stealing schedule); Snapshot.Canon zeroes them so tests can
+//     compare everything else with reflect.DeepEqual. Wall-clock time
+//     lives only on spans.
 //
 // The package deliberately depends on the standard library only: the
 // driver translates IR-level observations (range widths, diagnostics)
@@ -27,9 +28,7 @@ package telemetry
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"time"
 )
 
 // RunMetrics counts the work of one engine run. The engine increments it
@@ -232,57 +231,6 @@ func (f *FuncMetrics) addTotals(o *FuncMetrics) {
 	f.MergeMemoMiss += o.MergeMemoMiss
 }
 
-// Event is one span or instant on the analysis timeline. Start and Dur are
-// nanoseconds relative to Recorder.Begin and are the only nondeterministic
-// fields; everything else is identical across worker counts.
-type Event struct {
-	Name string            `json:"name"`
-	Cat  string            `json:"cat"`            // "pass", "wave", "scc", "engine", "skip", "diag"
-	Ph   string            `json:"ph"`             // "X" complete span, "i" instant
-	Pass int               `json:"pass"`           // 0-based fixpoint pass; -1 if not applicable
-	Wave int               `json:"wave"`           // wave index within the pass; -1 for pass-level events
-	Func int               `json:"func"`           // function index; -1 for driver-level events
-	Args map[string]string `json:"args,omitempty"` // small deterministic payload
-
-	Start int64 `json:"start_ns"` // ns since Recorder.Begin (wall; zeroed by Canon)
-	Dur   int64 `json:"dur_ns"`   // span duration in ns (wall; zeroed by Canon)
-}
-
-// Key renders the deterministic identity of the event — everything except
-// the wall-clock fields — for sequence comparisons in tests.
-func (e Event) Key() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s/%s/%s p%d w%d f%d", e.Cat, e.Ph, e.Name, e.Pass, e.Wave, e.Func)
-	if len(e.Args) > 0 {
-		keys := make([]string, 0, len(e.Args))
-		for k := range e.Args {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(&b, " %s=%s", k, e.Args[k])
-		}
-	}
-	return b.String()
-}
-
-// catRank orders event categories within one (pass, wave, func) group so
-// the flattened stream is stable: enclosing spans before their children.
-func catRank(cat string) int {
-	switch cat {
-	case "pass":
-		return 0
-	case "wave":
-		return 1
-	case "scc":
-		return 2
-	case "engine", "skip":
-		return 3
-	default: // "diag" and anything future
-		return 4
-	}
-}
-
 // Histogram is a labelled counter vector. Labels are fixed at creation;
 // Add is bounds-clamped into the last bucket so callers can use open-ended
 // top buckets ("8+").
@@ -333,24 +281,15 @@ func (h *Histogram) String() string {
 	return b.String()
 }
 
-// funcSlot is the per-function storage one analysis task owns. During a
-// parallel wave each slot is touched only by the task analyzing that
-// function, so no synchronization is needed — the same discipline the
-// driver uses for results and diagnostics.
-type funcSlot struct {
-	m      FuncMetrics
-	events []Event
-}
-
-// Recorder collects one analysis run's telemetry. A nil *Recorder is the
-// disabled state: the driver never calls into it and hands the engine a
-// nil *RunMetrics. A Recorder must not be shared between concurrent
-// analysis runs; Begin resets it.
+// Recorder collects one analysis run's counters into per-function
+// slots. During a parallel wave each slot is touched only by the task
+// analyzing that function, so no synchronization is needed — the same
+// discipline the driver uses for results and diagnostics. A nil
+// *Recorder is the disabled state: the driver never calls into it and
+// hands the engine a nil *RunMetrics. A Recorder must not be shared
+// between concurrent analysis runs; Begin resets it.
 type Recorder struct {
-	start  time.Time
-	funcs  []funcSlot
-	driver []Event // pass/wave spans, emitted by the single-threaded driver loop
-	passNs []int64 // wall time per pass
+	funcs []FuncMetrics
 }
 
 // New returns an empty enabled Recorder.
@@ -359,86 +298,33 @@ func New() *Recorder { return &Recorder{} }
 // Begin (re)initializes the recorder for a run over the named functions,
 // indexed by call-graph function index.
 func (r *Recorder) Begin(funcNames []string) {
-	r.start = time.Now()
-	r.funcs = make([]funcSlot, len(funcNames))
+	r.funcs = make([]FuncMetrics, len(funcNames))
 	for i, n := range funcNames {
-		r.funcs[i].m.Func = n
+		r.funcs[i].Func = n
 	}
-	r.driver = r.driver[:0]
-	r.passNs = r.passNs[:0]
 }
 
-// Now returns nanoseconds since Begin.
-func (r *Recorder) Now() int64 { return int64(time.Since(r.start)) }
-
-// EmitDriver appends a driver-level event (pass or wave span). Only the
-// single-threaded driver loop may call it.
-func (r *Recorder) EmitDriver(ev Event) { r.driver = append(r.driver, ev) }
-
-// EmitFunc appends an event to a function's slot. Only the task that owns
-// the function during the current wave may call it.
-func (r *Recorder) EmitFunc(fi int, ev Event) {
-	r.funcs[fi].events = append(r.funcs[fi].events, ev)
-}
-
-// StartRun returns a fresh RunMetrics for one engine run of function fi.
-func (r *Recorder) StartRun() *RunMetrics { return &RunMetrics{} }
-
-// EndRun folds a completed engine run into the function's slot and records
-// its span. outcome is "ok", "degraded:panic", "degraded:step-budget" or
-// "cancelled".
-func (r *Recorder) EndRun(fi, pass, wave int, m *RunMetrics, startNs int64, outcome string) {
-	slot := &r.funcs[fi]
-	slot.m.fold(m)
+// EndRun folds a completed engine run into function fi's slot. outcome
+// is "ok", "degraded:panic", "degraded:step-budget" or "cancelled".
+func (r *Recorder) EndRun(fi int, m *RunMetrics, outcome string) {
+	r.funcs[fi].fold(m)
 	if strings.HasPrefix(outcome, "degraded") {
-		slot.m.Degraded++
+		r.funcs[fi].Degraded++
 	}
-	slot.events = append(slot.events, Event{
-		Name:  "engine " + slot.m.Func,
-		Cat:   "engine",
-		Ph:    "X",
-		Pass:  pass,
-		Wave:  wave,
-		Func:  fi,
-		Args:  map[string]string{"steps": fmt.Sprint(m.Steps), "outcome": outcome},
-		Start: startNs,
-		Dur:   r.Now() - startNs,
-	})
 }
 
 // Skip records a cache-skip hit: the function's interprocedural inputs
 // were bit-identical to its previous run, so the engine was not re-run.
-func (r *Recorder) Skip(fi, pass, wave int) {
-	slot := &r.funcs[fi]
-	slot.m.Skips++
-	slot.events = append(slot.events, Event{
-		Name: "skip " + slot.m.Func,
-		Cat:  "skip",
-		Ph:   "i",
-		Pass: pass, Wave: wave, Func: fi,
-		Start: r.Now(),
-	})
-}
-
-// EndPass records one fixpoint pass's wall time.
-func (r *Recorder) EndPass(startNs int64) {
-	r.passNs = append(r.passNs, r.Now()-startNs)
-}
+func (r *Recorder) Skip(fi int) { r.funcs[fi].Skips++ }
 
 // Snapshot is the aggregated result of a run. All fields except the
-// wall-clock ones (WallNs, PassWallNs, Event.Start/Dur) are deterministic:
-// identical for every worker count.
+// interner gauges and table-warmth counters (see Canon) are
+// deterministic: identical for every worker count.
 type Snapshot struct {
 	// Funcs holds per-function aggregates in call-graph index order.
 	Funcs []FuncMetrics `json:"funcs"`
 	// Totals sums Funcs (peaks: maxima). Totals.Func is "".
 	Totals FuncMetrics `json:"totals"`
-
-	// Passes is the number of fixpoint passes executed; PassWallNs the
-	// wall time of each (nondeterministic).
-	Passes     int     `json:"passes"`
-	PassWallNs []int64 `json:"pass_wall_ns"`
-	WallNs     int64   `json:"wall_ns"`
 
 	// BoundaryDrops counts symbolic values collapsed to ⊥ while crossing
 	// a function boundary (interprocedural sanitization) — lattice
@@ -467,57 +353,24 @@ type Snapshot struct {
 	// per-function scores), built by the driver from the final results.
 	// Fully deterministic — Canon clones it unchanged.
 	Quality *Quality `json:"quality,omitempty"`
-
-	// Events is the flattened trace in deterministic (pass, wave,
-	// category, function index, slot order) order.
-	Events []Event `json:"events"`
 }
 
-// Snapshot flattens the recorder into its deterministic aggregate. The
-// driver fills the histogram and BoundaryDrops fields afterwards (they
-// need IR-level context this package does not depend on).
+// Snapshot copies the recorder's slots into its deterministic aggregate.
+// The driver fills the histogram and BoundaryDrops fields afterwards
+// (they need IR-level context this package does not depend on).
 func (r *Recorder) Snapshot() *Snapshot {
-	s := &Snapshot{
-		Funcs:      make([]FuncMetrics, len(r.funcs)),
-		Passes:     len(r.passNs),
-		PassWallNs: append([]int64(nil), r.passNs...),
-		WallNs:     r.Now(),
+	s := &Snapshot{Funcs: append([]FuncMetrics(nil), r.funcs...)}
+	for i := range s.Funcs {
+		s.Totals.addTotals(&s.Funcs[i])
 	}
-	s.Totals.Func = ""
-	for i := range r.funcs {
-		s.Funcs[i] = r.funcs[i].m
-		s.Totals.addTotals(&r.funcs[i].m)
-	}
-	var evs []Event
-	evs = append(evs, r.driver...)
-	for i := range r.funcs {
-		evs = append(evs, r.funcs[i].events...)
-	}
-	// Deterministic order: pass, then wave (-1 first: the pass span
-	// encloses its waves), then category rank, then function index, then
-	// original slot order (SliceStable preserves it).
-	sort.SliceStable(evs, func(a, b int) bool {
-		x, y := evs[a], evs[b]
-		if x.Pass != y.Pass {
-			return x.Pass < y.Pass
-		}
-		if x.Wave != y.Wave {
-			return x.Wave < y.Wave
-		}
-		if cr, cs := catRank(x.Cat), catRank(y.Cat); cr != cs {
-			return cr < cs
-		}
-		return x.Func < y.Func
-	})
-	s.Events = evs
 	return s
 }
 
 // Canon returns a deep copy with every schedule-dependent field zeroed,
 // leaving exactly the data that must be bit-identical across worker
-// counts: the wall-clock fields, and the lattice table-warmth counters
+// counts. The zeroed fields are the lattice table-warmth counters
 // (intern/memo hit-miss traffic, confirm skips, merge-memo traffic, and
-// the end-of-run interner state). The latter became schedule-dependent
+// the end-of-run interner state), which became schedule-dependent
 // when intern tables moved from per-SCC to per-worker ownership: with
 // work stealing, which table serves a lookup — and therefore whether it
 // hits — depends on the schedule. Analysis results, Stats, and every
@@ -533,17 +386,10 @@ func (s *Snapshot) Canon() *Snapshot {
 	c.InternLive = 0
 	c.InternArenaBytes = 0
 	c.InternEvictions = 0
-	c.WallNs = 0
-	c.PassWallNs = make([]int64, len(s.PassWallNs))
 	c.RangeSetSize = s.RangeSetSize.clone()
 	c.RangeSpan = s.RangeSpan.clone()
 	c.PassRuns = s.PassRuns.clone()
 	c.Quality = s.Quality.clone()
-	c.Events = make([]Event, len(s.Events))
-	for i, ev := range s.Events {
-		ev.Start, ev.Dur = 0, 0
-		c.Events[i] = ev
-	}
 	return &c
 }
 
@@ -569,21 +415,11 @@ func (h *Histogram) clone() *Histogram {
 	}
 }
 
-// EventKeys returns the deterministic identity sequence of the trace.
-func (s *Snapshot) EventKeys() []string {
-	keys := make([]string, len(s.Events))
-	for i, ev := range s.Events {
-		keys[i] = ev.Key()
-	}
-	return keys
-}
-
 // Summary renders a compact human-readable digest of the snapshot.
 func (s *Snapshot) Summary() string {
 	var b strings.Builder
 	t := &s.Totals
-	fmt.Fprintf(&b, "telemetry: %d funcs, %d passes, wall %s\n",
-		len(s.Funcs), s.Passes, time.Duration(s.WallNs))
+	fmt.Fprintf(&b, "telemetry: %d funcs\n", len(s.Funcs))
 	fmt.Fprintf(&b, "  engine: steps=%d flow-pushes=%d (peak %d) ssa-pushes=%d (peak %d)\n",
 		t.Steps, t.FlowPushes, t.FlowPeak, t.SSAPushes, t.SSAPeak)
 	fmt.Fprintf(&b, "  lattice: phi-merges=%d widens=%d asserts=%d derive-hits=%d derive-misses=%d boundary-drops=%d\n",

@@ -165,10 +165,10 @@ type driver struct {
 	configFP uint64
 
 	// rec is the run's telemetry recorder, nil when disabled. Counters
-	// and events go into per-function slots (owned by the task analyzing
-	// the function, like results and diags), so enabled telemetry is
-	// bit-identical across worker counts; wall-clock durations are the
-	// only nondeterministic fields.
+	// go into per-function slots (owned by the task analyzing the
+	// function, like results and diags), so enabled telemetry is
+	// bit-identical across worker counts. Timing lives only on the
+	// cfg.Trace spans.
 	rec *telemetry.Recorder
 
 	// Non-convergence demotion accounting (filled single-threaded by
@@ -264,10 +264,6 @@ func (d *driver) run(ctx context.Context) (*Result, error) {
 		d.ip.beginPass(pass)
 		res.Stats.Passes++
 		d.changed.Store(false)
-		var passStart int64
-		if d.rec != nil {
-			passStart = d.rec.Now()
-		}
 		var passSpan telemetry.SpanID = telemetry.NoSpan
 		if d.cfg.Trace != nil {
 			passSpan = d.cfg.Trace.Start(d.cfg.TraceParent, "driver", "pass "+strconv.Itoa(pass))
@@ -277,37 +273,16 @@ func (d *driver) run(ctx context.Context) (*Result, error) {
 				d.cancelled.Store(true)
 				break
 			}
-			var waveStart int64
-			if d.rec != nil {
-				waveStart = d.rec.Now()
-			}
 			var waveSpan telemetry.SpanID = telemetry.NoSpan
 			if d.cfg.Trace != nil {
 				waveSpan = d.cfg.Trace.Start(passSpan, "driver", "wave "+strconv.Itoa(wi))
 			}
-			d.runWave(wi, wave, waveSpan)
+			d.runWave(wave, waveSpan)
 			d.cfg.Trace.End(waveSpan)
-			if d.rec != nil {
-				d.rec.EmitDriver(telemetry.Event{
-					Name: "wave " + strconv.Itoa(wi), Cat: "wave", Ph: "X",
-					Pass: pass, Wave: wi, Func: -1,
-					Args:  map[string]string{"sccs": strconv.Itoa(len(wave))},
-					Start: waveStart, Dur: d.rec.Now() - waveStart,
-				})
-			}
 		}
 		if d.cfg.Trace != nil {
 			d.cfg.Trace.Annotate(passSpan, "changed", strconv.FormatBool(d.changed.Load()))
 			d.cfg.Trace.End(passSpan)
-		}
-		if d.rec != nil {
-			d.rec.EmitDriver(telemetry.Event{
-				Name: "pass " + strconv.Itoa(pass), Cat: "pass", Ph: "X",
-				Pass: pass, Wave: -1, Func: -1,
-				Args:  map[string]string{"changed": strconv.FormatBool(d.changed.Load())},
-				Start: passStart, Dur: d.rec.Now() - passStart,
-			})
-			d.rec.EndPass(passStart)
 		}
 		if d.cancelled.Load() || !d.changed.Load() {
 			break
@@ -337,23 +312,15 @@ func (d *driver) run(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// finishTelemetry attaches the aggregated snapshot to the result: diag
-// instant events, the interprocedural boundary-drop count, and the three
+// finishTelemetry attaches the aggregated snapshot to the result: the
+// interprocedural boundary-drop count, the interner gauges, and the three
 // histograms (range-set size, range span, per-function pass counts) that
 // need IR-level context the telemetry package does not depend on.
+// Diagnostics are not repeated here: Result.Diagnostics and the engine
+// spans' outcome labels carry them.
 func (d *driver) finishTelemetry(res *Result, maxPasses int) {
 	if d.rec == nil {
 		return
-	}
-	for fi, ds := range d.diags {
-		for _, dg := range ds {
-			d.rec.EmitFunc(fi, telemetry.Event{
-				Name: "diag " + dg.Kind.String(), Cat: "diag", Ph: "i",
-				Pass: dg.Pass, Wave: -1, Func: fi,
-				Args:  map[string]string{"kind": dg.Kind.String()},
-				Start: d.rec.Now(),
-			})
-		}
 	}
 	snap := d.rec.Snapshot()
 	snap.BoundaryDrops = d.ip.drops.Load()
@@ -690,7 +657,7 @@ func (d *driver) redoStalePredictions(fi int, fr *FuncResult) int {
 // the wave allow it. waveSpan parents the per-SCC engine/splice spans;
 // each worker slot draws its own trace lane so concurrent engine runs
 // render on separate rows.
-func (d *driver) runWave(wi int, wave []int, waveSpan telemetry.SpanID) {
+func (d *driver) runWave(wave []int, waveSpan telemetry.SpanID) {
 	nw := d.workers
 	if nw > len(wave) {
 		nw = len(wave)
@@ -701,7 +668,7 @@ func (d *driver) runWave(wi int, wave []int, waveSpan telemetry.SpanID) {
 			if d.cancelled.Load() {
 				return
 			}
-			d.runSCC(wi, scc, it, waveSpan, 1)
+			d.runSCC(scc, it, waveSpan, 1)
 		}
 		return
 	}
@@ -720,7 +687,7 @@ func (d *driver) runWave(wi int, wave []int, waveSpan telemetry.SpanID) {
 				if i >= len(wave) || d.cancelled.Load() {
 					return
 				}
-				d.runSCC(wi, wave[i], it, waveSpan, lane)
+				d.runSCC(wave[i], it, waveSpan, lane)
 			}
 		}()
 	}
@@ -805,7 +772,7 @@ func (d *driver) releaseTables() {
 // run is panic-isolated: a panic (or an exhausted step budget) degrades
 // that one function to the ⊥/heuristic fallback and quarantines it,
 // instead of killing the process from a worker goroutine.
-func (d *driver) runSCC(wi, scc int, it *vrange.Interner, waveSpan telemetry.SpanID, lane int32) {
+func (d *driver) runSCC(scc int, it *vrange.Interner, waveSpan telemetry.SpanID, lane int32) {
 	var local statCounters
 	changed := false
 	for _, fi := range d.sccFuncs[scc] {
@@ -828,7 +795,10 @@ func (d *driver) runSCC(wi, scc int, it *vrange.Interner, waveSpan telemetry.Spa
 			local.funcsSkipped++
 			local.subOps += calc.SubOps
 			if d.rec != nil {
-				d.rec.Skip(fi, d.pass, wi)
+				d.rec.Skip(fi)
+			}
+			if d.cfg.Trace != nil {
+				d.cfg.Trace.End(d.cfg.Trace.StartLane(waveSpan, lane, "skip", d.cg.Funcs[fi].Name))
 			}
 			continue
 		}
@@ -873,10 +843,8 @@ func (d *driver) runSCC(wi, scc int, it *vrange.Interner, waveSpan telemetry.Spa
 		}
 		subOps0 := calc.SubOps
 		var rm *telemetry.RunMetrics
-		var t0 int64
 		if d.rec != nil {
-			rm = d.rec.StartRun()
-			t0 = d.rec.Now()
+			rm = &telemetry.RunMetrics{}
 		}
 		var engSpan telemetry.SpanID = telemetry.NoSpan
 		if d.cfg.Trace != nil {
@@ -909,7 +877,7 @@ func (d *driver) runSCC(wi, scc int, it *vrange.Interner, waveSpan telemetry.Spa
 				MergeMemoHits: calc.MergeMemoHits,
 				MergeMemoMiss: calc.MergeMemoMisses,
 			})
-			d.rec.EndRun(fi, d.pass, wi, rm, t0, outcome)
+			d.rec.EndRun(fi, rm, outcome)
 		}
 		if panicked != nil {
 			d.degradeFunc(fi, calc, &local, &changed, Diagnostic{
@@ -984,8 +952,9 @@ func (d *driver) runSCC(wi, scc int, it *vrange.Interner, waveSpan telemetry.Spa
 // runEngine runs one function's engine inside a recover barrier. On panic
 // it returns (nil, recovered-value); the partially mutated engine is
 // discarded (rm keeps whatever the run recorded up to the panic). When
-// telemetry is on, the run carries pprof goroutine labels so CPU profiles
-// attribute samples to the function/pass/wave under analysis.
+// telemetry is on, the run carries the pprof goroutine labels vrp_func
+// and vrp_pass so CPU profiles attribute samples to the function and
+// pass under analysis.
 func (d *driver) runEngine(fi int, calc *vrange.Calc, in *funcInputs, rm *telemetry.RunMetrics) (eng *engine, panicked any) {
 	defer func() {
 		if r := recover(); r != nil {

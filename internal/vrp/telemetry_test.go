@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
+	"vrp/internal/genprog"
 	"vrp/internal/telemetry"
 )
 
@@ -29,12 +32,15 @@ func main() {
 }
 `
 
-func telemetrySnapshot(t *testing.T, workers int) (*Result, *telemetry.Snapshot) {
+// tracedRun analyzes telemetrySrc with telemetry and tracing both on and
+// returns the result (its Telemetry snapshot set) and the span tree.
+func tracedRun(t *testing.T, workers int) (*Result, []telemetry.Span) {
 	t.Helper()
 	p := compile(t, telemetrySrc)
 	cfg := DefaultConfig()
 	cfg.Workers = workers
 	cfg.Telemetry = telemetry.New()
+	cfg.Trace = telemetry.NewTrace()
 	res, err := Analyze(p, cfg)
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
@@ -42,32 +48,109 @@ func telemetrySnapshot(t *testing.T, workers int) (*Result, *telemetry.Snapshot)
 	if res.Telemetry == nil {
 		t.Fatal("Result.Telemetry is nil with telemetry enabled")
 	}
-	return res, res.Telemetry
+	return res, cfg.Trace.Spans()
 }
 
 // TestTelemetryDeterministicAcrossWorkers is the telemetry half of the
 // driver's bit-identity contract: the aggregated snapshot — counters,
-// histograms, and the full trace event sequence — must be identical for
-// the sequential and the maximally parallel schedule, once wall-clock
-// fields are canonicalized away. Run under -race this also shakes out
-// unsynchronized slot access.
+// histograms and the quality digest — must be identical for the
+// sequential and the maximally parallel schedule, once the
+// schedule-dependent table-warmth counters are canonicalized away. Run
+// under -race this also shakes out unsynchronized slot access. The
+// timeline half is TestSpanTreeDeterministicAcrossWorkers.
 func TestTelemetryDeterministicAcrossWorkers(t *testing.T) {
-	_, seq := telemetrySnapshot(t, 1)
-	_, par := telemetrySnapshot(t, 8)
-	a, b := seq.Canon(), par.Canon()
+	seq, _ := tracedRun(t, 1)
+	par, _ := tracedRun(t, 8)
+	a, b := seq.Telemetry.Canon(), par.Telemetry.Canon()
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("snapshots differ between Workers=1 and Workers=8:\n%v\nvs\n%v", a.Summary(), b.Summary())
 	}
-	if !reflect.DeepEqual(seq.EventKeys(), par.EventKeys()) {
-		t.Errorf("trace event sequences differ:\nseq: %v\npar: %v", seq.EventKeys(), par.EventKeys())
+}
+
+// spanKeys reduces a span tree to the sorted multiset of its
+// deterministic identities: ancestor path, category and name, and the
+// sorted labels. Lanes and timings depend on the schedule and are
+// dropped.
+func spanKeys(spans []telemetry.Span) []string {
+	paths := make([]string, len(spans))
+	keys := make([]string, len(spans))
+	for i, sp := range spans {
+		// Parents are created before their children, so the parent's
+		// path is already known.
+		paths[i] = sp.Cat + ":" + sp.Name
+		if sp.Parent != telemetry.NoSpan {
+			paths[i] = paths[sp.Parent] + "/" + paths[i]
+		}
+		args := make([]string, 0, len(sp.Args))
+		for k, v := range sp.Args {
+			args = append(args, k+"="+v)
+		}
+		sort.Strings(args)
+		keys[i] = strings.Join(append([]string{paths[i]}, args...), " ")
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// countCat counts the span keys of category cat below a wave.
+func countCat(keys []string, cat string) int {
+	n := 0
+	for _, k := range keys {
+		if strings.Contains(k, "/"+cat+":") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestSpanTreeDeterministicAcrossWorkers is the timeline half of the
+// bit-identity contract: the span tree — every pass, wave, engine run,
+// skip and splice with its labels — must be the same multiset for
+// Workers 1 and 8, both cold and against a warm FuncStore (so splice
+// spans are covered). Each worker count warms its own store with the
+// base program, then analyzes a one-function edit of it.
+func TestSpanTreeDeterministicAcrossWorkers(t *testing.T) {
+	gcfg := genprog.Config{Seed: 7, Funcs: 12, Diamonds: 2, LoopDepth: 2}
+	base := genprog.Source(gcfg)
+	edited, ok := genprog.EditFunc(base, 5, 123)
+	if !ok {
+		t.Fatal("EditFunc failed on generated source")
+	}
+	run := func(workers int, warm bool) []string {
+		cfg := DefaultConfig()
+		cfg.Workers = workers
+		if warm {
+			cfg.FuncStore = newMemStore()
+			if _, err := Analyze(compileSrc(t, "spans.mini", base), cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cfg.Trace = telemetry.NewTrace()
+		if _, err := Analyze(compileSrc(t, "spans.mini", edited), cfg); err != nil {
+			t.Fatal(err)
+		}
+		return spanKeys(cfg.Trace.Spans())
+	}
+	for _, warm := range []bool{false, true} {
+		seq, par := run(1, warm), run(8, warm)
+		if !reflect.DeepEqual(seq, par) {
+			t.Errorf("warm=%v: span trees differ between Workers=1 and Workers=8:\nseq: %q\npar: %q", warm, seq, par)
+		}
+		if countCat(seq, "engine") == 0 || countCat(seq, "skip") == 0 {
+			t.Errorf("warm=%v: want engine and skip spans, got %q", warm, seq)
+		}
+		if got := countCat(seq, "splice"); (got > 0) != warm {
+			t.Errorf("warm=%v: %d splice spans", warm, got)
+		}
 	}
 }
 
-// TestTelemetryMatchesStats cross-checks the snapshot against the
-// independently counted Stats: runs and skips must agree exactly, and the
-// pass count and wall-clock slots must line up.
+// TestTelemetryMatchesStats cross-checks the snapshot and the span tree
+// against the independently counted Stats: runs and skips must agree
+// exactly, and there is one "pass N" span per pass.
 func TestTelemetryMatchesStats(t *testing.T) {
-	res, snap := telemetrySnapshot(t, 1)
+	res, spans := tracedRun(t, 1)
+	snap := res.Telemetry
 	if snap.Totals.Runs != res.Stats.FuncsAnalyzed {
 		t.Errorf("telemetry runs = %d, stats FuncsAnalyzed = %d", snap.Totals.Runs, res.Stats.FuncsAnalyzed)
 	}
@@ -77,8 +160,14 @@ func TestTelemetryMatchesStats(t *testing.T) {
 	if snap.Totals.DeriveHits != res.Stats.DerivedLoops {
 		t.Errorf("telemetry derive hits = %d, stats DerivedLoops = %d", snap.Totals.DeriveHits, res.Stats.DerivedLoops)
 	}
-	if snap.Passes != res.Stats.Passes || len(snap.PassWallNs) != snap.Passes {
-		t.Errorf("passes: snapshot %d (%d wall slots), stats %d", snap.Passes, len(snap.PassWallNs), res.Stats.Passes)
+	passes := 0
+	for _, sp := range spans {
+		if sp.Cat == "driver" && strings.HasPrefix(sp.Name, "pass ") {
+			passes++
+		}
+	}
+	if passes != res.Stats.Passes {
+		t.Errorf("%d pass spans, stats Passes = %d", passes, res.Stats.Passes)
 	}
 	if snap.Totals.Steps <= 0 {
 		t.Error("no engine steps recorded")
@@ -117,54 +206,67 @@ func TestTelemetryDisabledIsFree(t *testing.T) {
 	}
 }
 
-// TestTelemetryDegradedRun verifies the failure paths surface in the
-// snapshot: a step-budget degradation shows up as a degraded run in the
-// function's slot and as a diag event in the flattened stream.
+// TestTelemetryDegradedRun verifies the failure paths surface in both
+// views: a step-budget degradation shows up as a degraded run in the
+// function's counter slot and as the outcome label of its engine span.
 func TestTelemetryDegradedRun(t *testing.T) {
 	p := compile(t, telemetrySrc)
 	cfg := DefaultConfig()
 	cfg.MaxEngineSteps = 1
 	cfg.Telemetry = telemetry.New()
+	cfg.Trace = telemetry.NewTrace()
 	res, err := Analyze(p, cfg)
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
-	snap := res.Telemetry
-	if snap.Totals.Degraded == 0 {
+	if res.Telemetry.Totals.Degraded == 0 {
 		t.Error("no degraded runs recorded")
 	}
-	foundDiag := false
-	for _, ev := range snap.Events {
-		if ev.Cat == "diag" {
-			foundDiag = true
+	found := false
+	for _, sp := range cfg.Trace.Spans() {
+		if sp.Cat == "engine" && sp.Args["outcome"] == "degraded:step-budget" {
+			found = true
 			break
 		}
 	}
-	if !foundDiag {
-		t.Error("no diag event in the flattened stream")
+	if !found {
+		t.Error("no engine span with outcome degraded:step-budget")
 	}
 }
 
-// TestTelemetryTraceExport round-trips a real analysis through the Chrome
-// trace writer: the JSON must parse and contain every snapshot event plus
-// the thread-name metadata rows.
+// TestTelemetryTraceExport round-trips a real traced analysis through
+// the Chrome trace writer: the JSON must parse and hold one complete
+// event per span, covering the pass and engine layers.
 func TestTelemetryTraceExport(t *testing.T) {
-	_, snap := telemetrySnapshot(t, 0)
+	_, spans := tracedRun(t, 0)
 	var buf bytes.Buffer
-	if err := snap.WriteChromeTrace(&buf); err != nil {
-		t.Fatalf("WriteChromeTrace: %v", err)
+	if err := telemetry.WriteSpanChromeTrace(&buf, spans); err != nil {
+		t.Fatalf("WriteSpanChromeTrace: %v", err)
 	}
 	var parsed struct {
 		TraceEvents []struct {
 			Name string `json:"name"`
+			Cat  string `json:"cat"`
 			Ph   string `json:"ph"`
 		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &parsed); err != nil {
 		t.Fatalf("trace is not valid JSON: %v", err)
 	}
-	want := len(snap.Events) + len(snap.Funcs) + 1
-	if len(parsed.TraceEvents) != want {
-		t.Errorf("trace has %d events, want %d", len(parsed.TraceEvents), want)
+	complete, pass0, engines := 0, 0, 0
+	for _, ev := range parsed.TraceEvents {
+		if ev.Ph != "X" {
+			continue
+		}
+		complete++
+		if ev.Name == "pass 0" {
+			pass0++
+		}
+		if ev.Cat == "engine" {
+			engines++
+		}
+	}
+	if complete != len(spans) || pass0 != 1 || engines == 0 {
+		t.Errorf("trace has %d complete events (want %d), %d pass 0, %d engine", complete, len(spans), pass0, engines)
 	}
 }

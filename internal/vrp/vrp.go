@@ -124,17 +124,19 @@ type Config struct {
 	// shared between runs with an identical Config.
 	FuncStore FuncStore
 
-	// Telemetry, when non-nil, collects per-function metrics, trace
-	// spans and histograms for the run; the aggregated snapshot is
-	// attached to Result.Telemetry. A Recorder serves one analysis run
+	// Telemetry, when non-nil, collects per-function counters,
+	// histograms and the quality digest for the run (timings are on
+	// Trace); the aggregated snapshot is attached to
+	// Result.Telemetry. A Recorder serves one analysis run
 	// at a time (the driver resets it via Begin). nil — the default —
 	// disables collection at zero cost on the engine hot path.
 	Telemetry *telemetry.Recorder
 
 	// Trace, when non-nil, receives the run's request-scoped span tree:
 	// a "callgraph" span for condensation, one span per fixpoint pass
-	// and wave, one per engine run (on the worker's lane) and one per
-	// store splice, all parented under TraceParent. Unlike Telemetry,
+	// and wave, and one per engine run, fingerprint skip and store
+	// splice (on the worker's lane), all parented under TraceParent.
+	// It is the run's only timeline. Unlike Telemetry,
 	// spans carry only wall-clock timings and labels — nothing reads
 	// them back, so tracing can never perturb analysis results. nil —
 	// the default — disables tracing at zero cost on the hot path.
@@ -280,9 +282,9 @@ type Result struct {
 	// deterministic order: function index, then pass.
 	Diagnostics []Diagnostic
 
-	// Telemetry is the aggregated instrumentation snapshot when
-	// Config.Telemetry was set, nil otherwise. Everything in it except
-	// wall-clock durations is bit-identical across worker counts.
+	// Telemetry is the aggregated counters snapshot when
+	// Config.Telemetry was set, nil otherwise. Its Canon is
+	// bit-identical across worker counts.
 	Telemetry *telemetry.Snapshot
 
 	// Quality is the prediction-quality digest (the same object as

@@ -226,17 +226,19 @@ func WithConfig(cfg corevrp.Config) Option {
 	return func(c *corevrp.Config) { *c = cfg }
 }
 
-// TelemetrySnapshot is the aggregated instrumentation record of one
-// analysis run: per-function counters, pass timings, histograms and trace
-// events. See Analysis.Telemetry and internal/telemetry.
+// TelemetrySnapshot is the aggregated counters record of one analysis
+// run: per-function counters, histograms and the quality digest. It
+// holds no timings; those are on the WithTrace span tree. See
+// Analysis.Telemetry and internal/telemetry.
 type TelemetrySnapshot = telemetry.Snapshot
 
 // TraceSpanID names one span within a Trace; see telemetry.SpanID.
 type TraceSpanID = telemetry.SpanID
 
 // RequestTrace is the request-scoped span tree: a timed tree of phases
-// (parse, SSA, driver passes/waves, per-function engine runs, store
-// splices) exportable as a Chrome trace. See telemetry.Trace.
+// (parse, SSA, driver passes/waves, per-function engine runs, skips and
+// store splices) exportable as a Chrome trace. It is the pipeline's only
+// timeline. See telemetry.Trace.
 type RequestTrace = telemetry.Trace
 
 // NoTraceSpan is the absent parent span (roots the tree).
@@ -244,11 +246,12 @@ const NoTraceSpan = telemetry.NoSpan
 
 // WithTrace attaches a request-scoped span tree to the analysis: the
 // driver records callgraph condensation, every fixpoint pass and wave,
-// every per-function engine run (on its worker's lane) and every store
-// splice as spans under parent. Unlike WithTelemetry the spans carry
-// only wall-clock timings and labels — nothing reads them back, so
-// tracing never perturbs analysis results — and a nil tr is the
-// disabled state at zero hot-path cost.
+// and every per-function engine run, fingerprint skip and store splice
+// (on its worker's lane) as spans under parent. The span tree is the
+// run's only timeline. Unlike WithTelemetry the spans carry only
+// wall-clock timings and labels — nothing reads them back, so tracing
+// never perturbs analysis results — and a nil tr is the disabled state
+// at zero hot-path cost.
 func WithTrace(tr *RequestTrace, parent TraceSpanID) Option {
 	return func(c *corevrp.Config) {
 		c.Trace = tr
@@ -256,13 +259,13 @@ func WithTrace(tr *RequestTrace, parent TraceSpanID) Option {
 	}
 }
 
-// WithTelemetry enables instrumentation for the run: engine counters
-// (worklist pushes and peaks, φ-merges, widenings, assertion
-// applications), driver spans (passes, waves, engine runs, skips), and
-// range histograms. The aggregated snapshot is available from
-// Analysis.Telemetry; everything in it except wall-clock durations is
-// bit-identical across worker counts. Disabled (the default) it costs
-// nothing on the engine hot path.
+// WithTelemetry enables counters for the run: engine counters (worklist
+// pushes and peaks, φ-merges, widenings, assertion applications), driver
+// counters (runs, skips, degraded runs), range histograms and the
+// quality digest. The aggregated snapshot is available from
+// Analysis.Telemetry; after Snapshot.Canon it is bit-identical across
+// worker counts. Timings are not counters: use WithTrace. Disabled (the
+// default) it costs nothing on the engine hot path.
 func WithTelemetry() Option {
 	return func(c *corevrp.Config) { c.Telemetry = telemetry.New() }
 }
