@@ -5,7 +5,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test vet race fmt check bench bench-gate bench-scale accuracy quality-gate serve loadtest
+.PHONY: build test vet race fmt check bench bench-gate bench-scale quality-gate serve loadtest
 
 build:
 	$(GO) build ./...
@@ -46,13 +46,10 @@ bench-gate:
 bench-scale:
 	$(GO) run ./cmd/vrpbench -scale -gate
 
-# Per-predictor miss rates and errors: writes BENCH_accuracy.json.
-accuracy:
-	$(GO) run ./cmd/vrpbench -accuracy
-
-# Prediction-quality gate: rewrite BENCH_quality.json and fail if
-# interpreter direction agreement or the range-certain fraction regresses
-# below the committed baseline on any suite (DESIGN.md §3.12).
+# Prediction-quality gate: rewrite BENCH_quality.json and fail if VRP's
+# mean absolute probability error (weighted or unweighted), hit rate,
+# certain fraction, ⊥ fraction or stale-certain count is worse than the
+# committed baseline by more than its bound on any suite (DESIGN.md §3.12).
 quality-gate:
 	$(GO) run ./cmd/vrpbench -quality -gate
 

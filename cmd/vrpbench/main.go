@@ -9,13 +9,12 @@
 //	vrpbench -fig 6     evaluation sub-operations vs program size
 //	vrpbench -fig 7     int suite error distributions (unweighted + weighted)
 //	vrpbench -fig 8     fp suite error distributions
-//	vrpbench -summary   §5 headline numbers
+//	vrpbench -summary   §5 headline numbers: mean errors, hit rates, range share
 //	vrpbench -apps      §6 applications
 //	vrpbench -ablations DESIGN.md §5 ablation table
 //	vrpbench -bench     machine-readable driver benchmark (BENCH_driver.json)
-//	vrpbench -accuracy  per-predictor miss rates and errors (BENCH_accuracy.json)
 //	vrpbench -scale     mega-scale pipeline benchmark over generated 10k/100k/1M-instruction tiers (BENCH_scale.json)
-//	vrpbench -quality   prediction-quality evaluation vs the interpreter (BENCH_quality.json)
+//	vrpbench -quality   per-suite predictor errors and VRP quality digests (BENCH_quality.json)
 package main
 
 import (
@@ -43,13 +42,11 @@ func main() {
 		benchIter   = flag.Int("benchiter", 5, "timing iterations per -bench point")
 		latticeRun  = flag.Bool("lattice", false, "benchmark interning on vs off, emit JSON")
 		latticeOut  = flag.String("latticeout", "BENCH_lattice.json", "output path for -lattice")
-		latticeGate = flag.Bool("gate", false, "with -lattice, exit nonzero if interning is slower than no-interning on any point; with -scale, exit nonzero if the 100k tier's ns/instr exceeds 2x the 10k tier's; with -quality, exit nonzero if agreement or certain fraction regresses below the committed baseline")
-		accuracy    = flag.Bool("accuracy", false, "score every predictor's miss rate and mean error, emit JSON")
-		accOut      = flag.String("accuracyout", "BENCH_accuracy.json", "output path for -accuracy")
+		latticeGate = flag.Bool("gate", false, "with -lattice, exit nonzero if interning is slower than no-interning on any point; with -scale, exit nonzero if the 100k tier's ns/instr exceeds 2x the 10k tier's; with -quality, exit nonzero if a gated VRP metric (err_w_pp, err_u_pp, hit_pct, certain_fraction, bottom_fraction, stale_certain) is worse than the committed baseline by more than its bound, or a baseline suite is missing")
 		scaleRun    = flag.Bool("scale", false, "run the mega-scale pipeline benchmark over the generated 10k/100k/1M tiers, emit JSON")
 		scaleOut    = flag.String("scaleout", "BENCH_scale.json", "output path for -scale")
 		scaleMax    = flag.String("scalemax", "", "with -scale, largest tier to run (e.g. 100k for CI smoke; empty = all)")
-		qualityRun  = flag.Bool("quality", false, "evaluate prediction quality (corpus + genprog presets vs the interpreter), emit JSON")
+		qualityRun  = flag.Bool("quality", false, "score every predictor on the corpus suites and genprog presets, with VRP quality digests, emit JSON")
 		qualityOut  = flag.String("qualityout", "BENCH_quality.json", "output path for -quality")
 		qualityBase = flag.String("qualitybase", "", "with -quality -gate, baseline report to gate against (default: the -qualityout path before it is overwritten)")
 		maxEvals    = flag.Int("maxevals", 0, "with -quality, override the engine's per-instruction evaluation budget (synthetic precision-regression knob for gate tests; 0 = default)")
@@ -81,13 +78,8 @@ func main() {
 		err = runScaleBench(w, *scaleOut, *scaleMax, *latticeGate)
 	case *qualityRun:
 		err = runQuality(w, *qualityOut, *qualityBase, *latticeGate, *maxEvals)
-	case *accuracy:
-		err = runAccuracy(w, *accOut)
 	case *summary:
 		err = bench.PrintSummary(w)
-		if err == nil {
-			err = bench.PrintHitRates(w)
-		}
 	case *apps:
 		err = bench.PrintApplications(w)
 	case *ablations:
@@ -116,7 +108,6 @@ func main() {
 			func() error { return bench.PrintFigure(w, corpus.IntSuite) },
 			func() error { return bench.PrintFigure(w, corpus.FPSuite) },
 			func() error { return bench.PrintSummary(w) },
-			func() error { return bench.PrintHitRates(w) },
 			func() error { return bench.PrintApplications(w) },
 			func() error { return bench.PrintAblations(w) },
 		}
@@ -318,27 +309,6 @@ func runScaleBench(w *os.File, outPath, maxTier string, gate bool) error {
 		}
 		fmt.Fprintln(w, "scale gate: ok (gen-100k ns/instr within 2x gen-10k)")
 	}
-	return nil
-}
-
-// runAccuracy emits BENCH_accuracy.json (schema in EXPERIMENTS.md):
-// per-suite, per-predictor taken/not-taken miss rates and mean absolute
-// probability errors, so prediction *quality* is a tracked artifact
-// like driver and lattice perf.
-func runAccuracy(w *os.File, outPath string) error {
-	rep, err := bench.Accuracy()
-	if err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	bench.PrintAccuracy(w, rep)
-	fmt.Fprintf(w, "wrote %s\n", outPath)
 	return nil
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"vrp"
 	"vrp/internal/corpus"
-	"vrp/internal/ir"
 	corevrp "vrp/internal/vrp"
 )
 
@@ -57,8 +56,7 @@ func RunAblations() ([]AblationRow, error) {
 	var rows []AblationRow
 	for _, v := range Variants() {
 		row := AblationRow{Name: v.Name}
-		var sumUnw, sumW, share float64
-		var nProgs int
+		var evals []*ProgramEval
 		for _, cp := range corpus.All() {
 			p, err := vrp.CompileWith(cp.Name+".mini", cp.Source, vrp.CompileOptions{NoAssertions: v.NoAssertions})
 			if err != nil {
@@ -75,47 +73,19 @@ func RunAblations() ([]AblationRow, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", v.Name, cp.Name, err)
 			}
-			pm := predictionMap(a)
-
-			var unw, w, totalW float64
-			var nBr, nRange int
-			for _, f := range p.IR.Funcs {
-				for _, b := range f.Blocks {
-					t := b.Terminator()
-					if t == nil || t.Op != ir.OpBr {
-						continue
-					}
-					actual, ran := refProf.BranchProb(f, t)
-					if !ran {
-						continue
-					}
-					ec := refProf.EdgeCount[f]
-					weight := float64(ec[b.Succs[0].ID] + ec[b.Succs[1].ID])
-					pi := pm[t]
-					e := 100 * abs(pi.prob-actual)
-					unw += e
-					w += weight * e
-					totalW += weight
-					nBr++
-					if pi.source == "range" {
-						nRange++
-					}
-				}
-			}
-			if nBr == 0 {
+			ev := scoreBranches(p, refProf, a, nil)
+			if len(ev.Records) == 0 {
 				continue
 			}
-			nProgs++
-			sumUnw += unw / float64(nBr)
-			sumW += w / totalW
-			share += float64(nRange) / float64(nBr)
-			row.ExprEvals += a.Result.Stats.ExprEvals + a.Result.Stats.PhiEvals
-			row.SubOps += a.Result.Stats.SubOps
+			evals = append(evals, ev)
+			row.RangeShare += ev.VRPShare
+			row.ExprEvals += ev.Stats.ExprEvals + ev.Stats.PhiEvals
+			row.SubOps += ev.Stats.SubOps
 		}
-		if nProgs > 0 {
-			row.MeanErrUnw = sumUnw / float64(nProgs)
-			row.MeanErrW = sumW / float64(nProgs)
-			row.RangeShare = share / float64(nProgs)
+		if len(evals) > 0 {
+			row.MeanErrUnw = MeanError(evals, false)[PredVRP]
+			row.MeanErrW = MeanError(evals, true)[PredVRP]
+			row.RangeShare /= float64(len(evals))
 		}
 		rows = append(rows, row)
 	}

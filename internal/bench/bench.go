@@ -23,6 +23,7 @@ import (
 	"vrp"
 	"vrp/internal/corpus"
 	"vrp/internal/heuristics"
+	"vrp/internal/interp"
 	"vrp/internal/ir"
 	corevrp "vrp/internal/vrp"
 )
@@ -61,15 +62,23 @@ type ProgramEval struct {
 	Stats    corevrp.Stats // engine instrumentation (Figures 5–6 y-axes)
 	RefSteps int64
 	VRPShare float64 // fraction of executed branches predicted from ranges
+
+	// Quality is the VRP analysis's prediction-quality digest (nil when
+	// the analysis ran without telemetry).
+	Quality *vrp.QualitySnapshot
 }
 
 // EvalProgram compiles and scores one benchmark under every predictor.
 func EvalProgram(cp *corpus.Program) (*ProgramEval, error) {
+	return evalCorpusProgram(cp)
+}
+
+// evalCorpusProgram is EvalProgram with opts added to both VRP analyses.
+func evalCorpusProgram(cp *corpus.Program, opts ...vrp.Option) (*ProgramEval, error) {
 	p, err := vrp.Compile(cp.Name+".mini", cp.Source)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", cp.Name, err)
 	}
-
 	refProf, err := p.Run(cp.Ref)
 	if err != nil {
 		return nil, fmt.Errorf("%s ref run: %w", cp.Name, err)
@@ -78,71 +87,90 @@ func EvalProgram(cp *corpus.Program) (*ProgramEval, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s train run: %w", cp.Name, err)
 	}
-
-	full, err := p.Analyze()
+	ev, err := evalProgram(p, refProf, trainProf, opts...)
 	if err != nil {
-		return nil, fmt.Errorf("%s vrp: %w", cp.Name, err)
+		return nil, fmt.Errorf("%s: %w", cp.Name, err)
 	}
-	numeric, err := p.Analyze(vrp.NumericOnly())
-	if err != nil {
-		return nil, fmt.Errorf("%s vrp-numeric: %w", cp.Name, err)
-	}
-	bl := heuristics.NewBallLarus(p.IR)
+	ev.Name, ev.Suite = cp.Name, cp.Suite
+	return ev, nil
+}
 
-	fullPred := predictionMap(full)
+// evalProgram scores a compiled program under every predictor: the
+// profiling predictor is trained on train and every predictor is scored
+// against ref. opts are added to both VRP analyses.
+func evalProgram(p *vrp.Program, ref, train *interp.Profile, opts ...vrp.Option) (*ProgramEval, error) {
+	full, err := p.Analyze(append([]vrp.Option{vrp.WithTelemetry()}, opts...)...)
+	if err != nil {
+		return nil, fmt.Errorf("vrp: %w", err)
+	}
+	numeric, err := p.Analyze(append([]vrp.Option{vrp.NumericOnly()}, opts...)...)
+	if err != nil {
+		return nil, fmt.Errorf("vrp-numeric: %w", err)
+	}
 	numPred := predictionMap(numeric)
+	return scoreBranches(p, ref, full, map[string]predictor{
+		PredProfile: func(f *ir.Func, br *ir.Instr) float64 {
+			if tp, ok := train.BranchProb(f, br); ok {
+				return tp
+			}
+			return 0.5 // never seen during training
+		},
+		PredVRPNumeric: func(_ *ir.Func, br *ir.Instr) float64 { return numPred[br].prob },
+		PredBallLarus:  heuristics.NewBallLarus(p.IR).Prob,
+		Pred9050:       heuristics.NinetyFifty,
+		PredRandom:     heuristics.Random,
+	}), nil
+}
 
+// predictor maps a conditional branch to its predicted true-edge
+// probability.
+type predictor func(f *ir.Func, br *ir.Instr) float64
+
+// scoreBranches is the one branch-scoring walk: it records every
+// conditional branch of p that executed under ref, with its observed
+// probability and execution count, the prediction of analysis a (the
+// PredVRP column), and the prediction of each entry of others.
+func scoreBranches(p *vrp.Program, ref *interp.Profile, a *vrp.Analysis, others map[string]predictor) *ProgramEval {
 	ev := &ProgramEval{
-		Name:     cp.Name,
-		Suite:    cp.Suite,
 		Instrs:   p.IR.NumInstrs(),
-		Stats:    full.Result.Stats,
-		RefSteps: refProf.Steps,
+		Stats:    a.Result.Stats,
+		RefSteps: ref.Steps,
+		Quality:  a.Quality(),
 	}
-
-	rangePredicted, executed := 0, 0
+	vrpPred := predictionMap(a)
+	rangePredicted := 0
 	for _, f := range p.IR.Funcs {
 		for _, b := range f.Blocks {
 			t := b.Terminator()
 			if t == nil || t.Op != ir.OpBr {
 				continue
 			}
-			actual, ran := refProf.BranchProb(f, t)
+			actual, ran := ref.BranchProb(f, t)
 			if !ran {
 				continue // never executed on the reference input
 			}
-			executed++
-			ec := refProf.EdgeCount[f]
-			weight := float64(ec[b.Succs[0].ID] + ec[b.Succs[1].ID])
-
+			ec := ref.EdgeCount[f]
+			vp := vrpPred[t]
 			rec := BranchRecord{
 				Func:   f.Name,
 				Actual: actual,
-				Weight: weight,
-				Pred:   map[string]float64{},
+				Weight: float64(ec[b.Succs[0].ID] + ec[b.Succs[1].ID]),
+				Pred:   map[string]float64{PredVRP: vp.prob},
+				Source: vp.source,
 			}
-			if tp, ok := trainProf.BranchProb(f, t); ok {
-				rec.Pred[PredProfile] = tp
-			} else {
-				rec.Pred[PredProfile] = 0.5 // never seen during training
+			for name, pred := range others {
+				rec.Pred[name] = pred(f, t)
 			}
-			fp := fullPred[t]
-			rec.Pred[PredVRP] = fp.prob
-			rec.Source = fp.source
-			if fp.source == "range" {
+			if vp.source == "range" {
 				rangePredicted++
 			}
-			rec.Pred[PredVRPNumeric] = numPred[t].prob
-			rec.Pred[PredBallLarus] = bl.Prob(f, t)
-			rec.Pred[Pred9050] = heuristics.NinetyFifty(f, t)
-			rec.Pred[PredRandom] = heuristics.Random(f, t)
 			ev.Records = append(ev.Records, rec)
 		}
 	}
-	if executed > 0 {
-		ev.VRPShare = float64(rangePredicted) / float64(executed)
+	if len(ev.Records) > 0 {
+		ev.VRPShare = float64(rangePredicted) / float64(len(ev.Records))
 	}
-	return ev, nil
+	return ev
 }
 
 type predInfo struct {
@@ -267,6 +295,44 @@ func MeanError(evals []*ProgramEval, weighted bool) map[string]float64 {
 		}
 		if nProgs > 0 {
 			out[pred] = sum / float64(nProgs)
+		}
+	}
+	return out
+}
+
+// HitRates computes the dynamic taken/not-taken hit rate per predictor
+// over a set of evaluated programs (program-equal weighting): predict the
+// likelier direction of each branch and count the fraction of executions
+// that went that way. It is the metric of the studies the paper positions
+// itself against (Smith 81, Ball–Larus 93, Fisher–Freudenberger 92); the
+// paper argues probabilities are strictly more informative.
+func HitRates(evals []*ProgramEval) map[string]float64 {
+	out := map[string]float64{}
+	for _, pred := range Predictors() {
+		sum, n := 0.0, 0
+		for _, ev := range evals {
+			var hits, total float64
+			for _, rec := range ev.Records {
+				if rec.Weight <= 0 {
+					continue
+				}
+				// Predicting the likelier direction: if p >= 0.5 predict
+				// taken; the hit fraction is then `actual`, else 1-actual.
+				p := rec.Pred[pred]
+				frac := rec.Actual
+				if p < 0.5 {
+					frac = 1 - rec.Actual
+				}
+				hits += rec.Weight * frac
+				total += rec.Weight
+			}
+			if total > 0 {
+				sum += hits / total
+				n++
+			}
+		}
+		if n > 0 {
+			out[pred] = 100 * sum / float64(n)
 		}
 	}
 	return out

@@ -80,6 +80,38 @@ func TestMeanErrorMath(t *testing.T) {
 	}
 }
 
+func TestHitRatesMath(t *testing.T) {
+	evals := []*ProgramEval{{
+		Name: "p",
+		Records: []BranchRecord{
+			// Predicted taken (0.9), actually taken 80% of 100 execs.
+			{Actual: 0.8, Weight: 100, Pred: map[string]float64{PredVRP: 0.9}},
+			// Predicted not-taken (0.2), actually taken 10% of 300 execs:
+			// hit fraction 0.9.
+			{Actual: 0.1, Weight: 300, Pred: map[string]float64{PredVRP: 0.2}},
+		},
+	}}
+	hr := HitRates(evals)
+	want := 100 * (100*0.8 + 300*0.9) / 400
+	if math.Abs(hr[PredVRP]-want) > 1e-9 {
+		t.Errorf("hit rate = %f, want %f", hr[PredVRP], want)
+	}
+}
+
+func TestHitRatesPerfectPredictor(t *testing.T) {
+	evals := []*ProgramEval{{
+		Name: "p",
+		Records: []BranchRecord{
+			{Actual: 1, Weight: 50, Pred: map[string]float64{PredProfile: 1}},
+			{Actual: 0, Weight: 50, Pred: map[string]float64{PredProfile: 0}},
+		},
+	}}
+	hr := HitRates(evals)
+	if hr[PredProfile] != 100 {
+		t.Errorf("perfect predictor hit rate = %f", hr[PredProfile])
+	}
+}
+
 func TestFitLinear(t *testing.T) {
 	pts := []Point{{Instrs: 100, Y: 200}, {Instrs: 200, Y: 400}, {Instrs: 400, Y: 800}}
 	fit := FitLinear(pts)

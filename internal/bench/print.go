@@ -78,8 +78,9 @@ func PrintLinearity(w io.Writer, subOps bool) error {
 }
 
 // PrintSummary prints the §5 headline comparison: mean absolute error per
-// predictor per suite, plus the share of branches VRP predicted from
-// ranges (versus heuristic fallback).
+// predictor per suite, the taken/not-taken hit rate (the coarse metric of
+// prior studies), and the share of branches VRP predicted from ranges
+// (versus heuristic fallback).
 func PrintSummary(w io.Writer) error {
 	for _, s := range []corpus.Suite{corpus.IntSuite, corpus.FPSuite} {
 		evals, err := EvalSuite(s)
@@ -99,6 +100,12 @@ func PrintSummary(w io.Writer) error {
 			}
 			fmt.Fprintln(w)
 		}
+		hr := HitRates(evals)
+		fmt.Fprintf(w, "  %-10s", "hit rate")
+		for _, pred := range Predictors() {
+			fmt.Fprintf(w, "  %s=%.1f%%", pred, hr[pred])
+		}
+		fmt.Fprintln(w)
 		share, n := 0.0, 0
 		for _, ev := range evals {
 			share += ev.VRPShare

@@ -3,36 +3,42 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"vrp"
 	"vrp/internal/corpus"
 	"vrp/internal/genprog"
-	"vrp/internal/heuristics"
 	"vrp/internal/interp"
-	"vrp/internal/ir"
 	"vrp/internal/telemetry"
 )
 
 // Prediction quality as a gated artifact (BENCH_quality.json): for every
-// suite, how much of the branch surface VRP predicts with certainty, how
-// wide the surviving ranges are, and — against the step-bounded
-// interpreter as ground truth — how often each predictor calls the
-// branch direction right. Unlike BENCH_accuracy.json (probability-error
-// curves on the paper corpus), this artifact is a regression *gate*:
-// `vrpbench -quality -gate` fails CI when direction agreement or the
-// certain fraction drops below the committed baseline, or when any
-// stale range-certain prediction survives a demotion.
+// suite, each predictor's score on the paper's metric — mean absolute
+// probability error, execution-weighted and unweighted — plus the
+// taken/not-taken hit rate, and from the VRP analyses' quality digests
+// how much of the branch surface is range-certain and how much of the
+// lattice ended at ⊥. `vrpbench -quality -gate` fails CI when any gated
+// VRP metric is worse than the committed baseline by more than its
+// bound (qualityGateRows).
 
 // QualitySchema identifies the BENCH_quality.json format (EXPERIMENTS.md).
-const QualitySchema = "vrp-quality/v1"
+const QualitySchema = "vrp-quality/v2"
+
+// PredictorScore is one predictor's score over one suite, computed by
+// MeanError and HitRates (program-equal weighting).
+type PredictorScore struct {
+	ErrWPP float64 `json:"err_w_pp"` // mean abs error, execution-weighted, pp
+	ErrUPP float64 `json:"err_u_pp"` // mean abs error, each branch once, pp
+	HitPct float64 `json:"hit_pct"`  // dynamic taken/not-taken hit rate, %
+}
 
 // QualitySuite is one suite's quality row.
 type QualitySuite struct {
 	Suite    string `json:"suite"`
 	Programs int    `json:"programs"`
-	Branches int64  `json:"branches"` // emitted predictions across the suite
+	Branches int    `json:"branches"` // scored (executed) conditional branches
+
+	Predictors map[string]PredictorScore `json:"predictors"`
 
 	// CertainFraction is the share of emitted predictions that are
 	// range-certain (P ∈ {0, 1}); MeanLog2Width the program-equal mean of
@@ -43,17 +49,9 @@ type QualitySuite struct {
 	StaleCertain    int64   `json:"stale_certain"`
 
 	// Cells is the total final-lattice cell count across the suite and
-	// BottomFraction the share demoted to ⊥ — the axis that craters
-	// first when the evaluator is starved (forced early widening), even
-	// while heuristic fallbacks keep direction agreement afloat.
+	// BottomFraction the share demoted to ⊥.
 	Cells          int64   `json:"cells"`
 	BottomFraction float64 `json:"bottom_fraction"`
-
-	// AgreementPct is VRP's direction-agreement rate with the
-	// interpreter over executed branches, in percent; PredictorHitPct
-	// the same rate per comparison predictor.
-	AgreementPct    float64            `json:"agreement_pct"`
-	PredictorHitPct map[string]float64 `json:"predictor_hit_pct"`
 }
 
 // QualityReport is the machine-readable content of BENCH_quality.json.
@@ -62,193 +60,142 @@ type QualityReport struct {
 	Suites []QualitySuite `json:"suites"`
 }
 
-// qualityProgram is one evaluation unit: a source plus its interpreter
-// input and step budget.
-type qualityProgram struct {
-	name     string
-	source   string
-	input    []int64
-	maxSteps int64
-}
-
-// qualitySuites returns the evaluation matrix: both corpus suites on
-// their reference inputs, plus the default and 10k genprog presets
-// (zero-input, step-bounded — the mega-shape traffic vrpd actually
-// serves).
-func qualitySuites() []struct {
-	name  string
-	progs []qualityProgram
-} {
-	var out []struct {
-		name  string
-		progs []qualityProgram
+// Quality evaluates every suite and assembles the report: both corpus
+// suites (profiling trained on the train input, scored on ref) plus the
+// default and 10k genprog presets. A generated program has no inputs,
+// so its one step-bounded run is both train and ref and its profiling
+// row is the oracle. maxEvals > 0 overrides the engine's
+// per-instruction evaluation budget — the synthetic-regression knob the
+// CI gate uses to prove the gate fires.
+func Quality(maxEvals int) (*QualityReport, error) {
+	var opts []vrp.Option
+	if maxEvals > 0 {
+		opts = append(opts, vrp.WithMaxEvals(maxEvals))
 	}
+	rep := &QualityReport{Schema: QualitySchema}
 	for _, s := range []corpus.Suite{corpus.IntSuite, corpus.FPSuite} {
-		var ps []qualityProgram
+		var evals []*ProgramEval
 		for _, cp := range corpus.BySuite(s) {
-			ps = append(ps, qualityProgram{name: cp.Name, source: cp.Source, input: cp.Ref})
+			ev, err := evalCorpusProgram(cp, opts...)
+			if err != nil {
+				return nil, err
+			}
+			evals = append(evals, ev)
 		}
-		out = append(out, struct {
-			name  string
-			progs []qualityProgram
-		}{"corpus-" + s.String(), ps})
+		rep.Suites = append(rep.Suites, qualitySuite("corpus-"+s.String(), evals))
 	}
 	for _, preset := range []string{"default", "10k"} {
+		name := "gen-" + preset
 		cfg, _ := genprog.Preset(preset)
-		out = append(out, struct {
-			name  string
-			progs []qualityProgram
-		}{"gen-" + preset, []qualityProgram{{
-			name:     "gen-" + preset,
-			source:   genprog.Source(cfg),
-			maxSteps: 4 << 20,
-		}}})
-	}
-	return out
-}
-
-// Quality evaluates every suite and assembles the report. maxEvals > 0
-// overrides the engine's per-instruction evaluation budget — the
-// synthetic-regression knob the CI gate uses to prove the gate fires
-// (forcing MaxEvals=1 widens aggressively and craters the certain
-// fraction).
-func Quality(maxEvals int) (*QualityReport, error) {
-	rep := &QualityReport{Schema: QualitySchema}
-	for _, s := range qualitySuites() {
-		qs, err := evalQualitySuite(s.name, s.progs, maxEvals)
+		p, err := vrp.Compile(name+".mini", genprog.Source(cfg))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: %w", name, err)
 		}
-		rep.Suites = append(rep.Suites, qs)
+		prof, err := p.RunWith(nil, interp.Options{MaxSteps: 4 << 20})
+		if err != nil {
+			return nil, fmt.Errorf("%s run: %w", name, err)
+		}
+		ev, err := evalProgram(p, prof, prof, opts...)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
+		}
+		ev.Name = name
+		rep.Suites = append(rep.Suites, qualitySuite(name, []*ProgramEval{ev}))
 	}
 	return rep, nil
 }
 
-func evalQualitySuite(name string, progs []qualityProgram, maxEvals int) (QualitySuite, error) {
-	qs := QualitySuite{Suite: name, Programs: len(progs), PredictorHitPct: map[string]float64{}}
+// qualitySuite builds one suite's row from evaluated programs; programs
+// without a quality digest contribute only to the predictor scores.
+func qualitySuite(name string, evals []*ProgramEval) QualitySuite {
+	qs := QualitySuite{Suite: name, Programs: len(evals), Predictors: map[string]PredictorScore{}}
+	errW, errU, hits := MeanError(evals, true), MeanError(evals, false), HitRates(evals)
+	for _, pred := range Predictors() {
+		if hr, ok := hits[pred]; ok {
+			qs.Predictors[pred] = PredictorScore{ErrWPP: errW[pred], ErrUPP: errU[pred], HitPct: hr}
+		}
+	}
 	bottomIdx := 0
 	for i, l := range telemetry.QualityClassLabels {
 		if l == "bottom" {
 			bottomIdx = i
 		}
 	}
+	var emitted, certain, bottomCells int64
 	var widthSum float64
-	widthN := 0
-	var bottomCells int64
-	hits := map[string]int64{}
-	var agreed, executed int64
-	for _, qp := range progs {
-		p, err := vrp.Compile(qp.name+".mini", qp.source)
-		if err != nil {
-			return qs, fmt.Errorf("%s: %w", qp.name, err)
+	digests := 0
+	for _, ev := range evals {
+		qs.Branches += len(ev.Records)
+		q := ev.Quality
+		if q == nil {
+			continue
 		}
-		opts := []vrp.Option{vrp.WithTelemetry(), vrp.WithWorkers(1)}
-		if maxEvals > 0 {
-			opts = append(opts, vrp.WithMaxEvals(maxEvals))
-		}
-		a, err := p.Analyze(opts...)
-		if err != nil {
-			return qs, fmt.Errorf("%s vrp: %w", qp.name, err)
-		}
-		q := a.Quality()
-		qs.Branches += q.Branches
-		qs.CertainFraction += float64(q.Certain) // normalized below
+		digests++
+		emitted += q.Branches
+		certain += q.Certain
 		qs.StaleCertain += q.StaleCertain
 		widthSum += q.MeanLog2Width
-		widthN++
 		qs.Cells += q.Classes.Total()
 		bottomCells += q.Classes.Counts[bottomIdx]
-
-		prof, err := p.RunWith(qp.input, interp.Options{MaxSteps: qp.maxSteps})
-		if err != nil {
-			return qs, fmt.Errorf("%s run: %w", qp.name, err)
-		}
-		vrpPred := predictionMap(a)
-		bl := heuristics.NewBallLarus(p.IR)
-		for _, f := range p.IR.Funcs {
-			for _, b := range f.Blocks {
-				t := b.Terminator()
-				if t == nil || t.Op != ir.OpBr {
-					continue
-				}
-				gt, ran := prof.BranchProb(f, t)
-				if !ran {
-					continue
-				}
-				executed++
-				actual := gt >= 0.5
-				if (vrpPred[t].prob >= 0.5) == actual {
-					agreed++
-					hits[PredVRP]++
-				}
-				if (bl.Prob(f, t) >= 0.5) == actual {
-					hits[PredBallLarus]++
-				}
-				if (heuristics.NinetyFifty(f, t) >= 0.5) == actual {
-					hits[Pred9050]++
-				}
-			}
-		}
 	}
-	if qs.Branches > 0 {
-		qs.CertainFraction /= float64(qs.Branches)
+	if emitted > 0 {
+		qs.CertainFraction = float64(certain) / float64(emitted)
 	}
-	if widthN > 0 {
-		qs.MeanLog2Width = widthSum / float64(widthN)
+	if digests > 0 {
+		qs.MeanLog2Width = widthSum / float64(digests)
 	}
 	if qs.Cells > 0 {
 		qs.BottomFraction = float64(bottomCells) / float64(qs.Cells)
 	}
-	if executed > 0 {
-		qs.AgreementPct = 100 * float64(agreed) / float64(executed)
-		for pred, h := range hits {
-			qs.PredictorHitPct[pred] = 100 * float64(h) / float64(executed)
-		}
-	}
-	return qs, nil
+	return qs
 }
 
-// Gate tolerances: agreement may wobble by interpreter-input luck on
-// tiny suites, the certain fraction by range-budget tie-breaks; the
-// stale-certain count (predictions a demotion invalidated and the
-// driver re-derived) gets no slack — growth means new precision loss
-// invalidated predictions that used to hold.
-const (
-	qualityAgreementSlackPct = 2.0
-	qualityCertainSlack      = 0.02
-	qualityBottomSlack       = 0.02
-)
+// qualityGateRows are the gated VRP metrics of every suite, in the shape
+// of BENCHMARK.json's end_to_end rows: a fresh value may be worse than
+// the baseline, in the direction named by better, by at most bound. The
+// error rows catch a starved evaluator (-maxevals 1); stale_certain gets
+// no slack, since growth means a demotion invalidated predictions that
+// used to hold.
+var qualityGateRows = []struct {
+	metric string
+	better string // "lower" or "higher"
+	bound  float64
+	value  func(QualitySuite) float64
+}{
+	{"err_w_pp", "lower", 0.5, func(s QualitySuite) float64 { return s.Predictors[PredVRP].ErrWPP }},
+	{"err_u_pp", "lower", 0.5, func(s QualitySuite) float64 { return s.Predictors[PredVRP].ErrUPP }},
+	{"hit_pct", "higher", 2, func(s QualitySuite) float64 { return s.Predictors[PredVRP].HitPct }},
+	{"certain_fraction", "higher", 0.02, func(s QualitySuite) float64 { return s.CertainFraction }},
+	{"bottom_fraction", "lower", 0.02, func(s QualitySuite) float64 { return s.BottomFraction }},
+	{"stale_certain", "lower", 0, func(s QualitySuite) float64 { return float64(s.StaleCertain) }},
+}
 
 // QualityGate compares a fresh report against the committed baseline and
-// returns an error describing every regression: direction agreement
-// below baseline−2pp, certain fraction below baseline−0.02, or more
-// stale-certain re-derivations than the baseline recorded.
+// returns an error naming every regression: a baseline suite missing from
+// the fresh report, or a gated metric worse than its baseline by more
+// than its bound. A suite with no baseline row cannot regress.
 func QualityGate(base, cur *QualityReport) error {
-	baseBy := map[string]QualitySuite{}
-	for _, s := range base.Suites {
-		baseBy[s.Suite] = s
+	curBy := map[string]QualitySuite{}
+	for _, s := range cur.Suites {
+		curBy[s.Suite] = s
 	}
 	var fails []string
-	for _, s := range cur.Suites {
-		b, ok := baseBy[s.Suite]
+	for _, b := range base.Suites {
+		s, ok := curBy[b.Suite]
 		if !ok {
-			continue // new suite: no baseline to regress against
+			fails = append(fails, fmt.Sprintf("%s: suite missing from the fresh report", b.Suite))
+			continue
 		}
-		if s.AgreementPct < b.AgreementPct-qualityAgreementSlackPct {
-			fails = append(fails, fmt.Sprintf("%s: agreement %.1f%% < baseline %.1f%% - %.1fpp",
-				s.Suite, s.AgreementPct, b.AgreementPct, qualityAgreementSlackPct))
-		}
-		if s.CertainFraction < b.CertainFraction-qualityCertainSlack {
-			fails = append(fails, fmt.Sprintf("%s: certain fraction %.3f < baseline %.3f - %.2f",
-				s.Suite, s.CertainFraction, b.CertainFraction, qualityCertainSlack))
-		}
-		if s.StaleCertain > b.StaleCertain {
-			fails = append(fails, fmt.Sprintf("%s: %d stale range-certain prediction(s) re-derived, baseline %d",
-				s.Suite, s.StaleCertain, b.StaleCertain))
-		}
-		if s.BottomFraction > b.BottomFraction+qualityBottomSlack {
-			fails = append(fails, fmt.Sprintf("%s: ⊥ cell fraction %.3f > baseline %.3f + %.2f",
-				s.Suite, s.BottomFraction, b.BottomFraction, qualityBottomSlack))
+		for _, row := range qualityGateRows {
+			got, want := row.value(s), row.value(b)
+			worse := got - want
+			if row.better == "higher" {
+				worse = -worse
+			}
+			if worse > row.bound {
+				fails = append(fails, fmt.Sprintf("%s: %s %.4g, baseline %.4g (%s is better, bound %g)",
+					b.Suite, row.metric, got, want, row.better, row.bound))
+			}
 		}
 	}
 	if len(fails) > 0 {
@@ -260,18 +207,16 @@ func QualityGate(base, cur *QualityReport) error {
 // PrintQuality renders the report as the human-readable companion of the
 // JSON artifact.
 func PrintQuality(w io.Writer, rep *QualityReport) {
-	fmt.Fprintln(w, "Prediction quality per suite (interpreter ground truth):")
+	fmt.Fprintln(w, "Prediction quality per suite (mean absolute probability error vs the reference run):")
 	for _, s := range rep.Suites {
-		fmt.Fprintf(w, "  suite %-10s (%d programs, %d branches)\n", s.Suite, s.Programs, s.Branches)
-		fmt.Fprintf(w, "    certain %.3f  mean-log2-width %.2f  bottom %.3f  agreement %.1f%%  stale-certain %d\n",
-			s.CertainFraction, s.MeanLog2Width, s.BottomFraction, s.AgreementPct, s.StaleCertain)
-		preds := make([]string, 0, len(s.PredictorHitPct))
-		for p := range s.PredictorHitPct {
-			preds = append(preds, p)
-		}
-		sort.Strings(preds)
-		for _, p := range preds {
-			fmt.Fprintf(w, "    %-12s hit %.1f%%\n", p, s.PredictorHitPct[p])
+		fmt.Fprintf(w, "  suite %-11s (%d programs, %d branches)\n", s.Suite, s.Programs, s.Branches)
+		fmt.Fprintf(w, "    certain %.3f  mean-log2-width %.2f  cells %d  bottom %.3f  stale-certain %d\n",
+			s.CertainFraction, s.MeanLog2Width, s.Cells, s.BottomFraction, s.StaleCertain)
+		fmt.Fprintf(w, "    %-12s %8s %8s %7s\n", "predictor", "err-w", "err-u", "hit%")
+		for _, pred := range Predictors() {
+			if ps, ok := s.Predictors[pred]; ok {
+				fmt.Fprintf(w, "    %-12s %6.1fpp %6.1fpp %6.1f%%\n", pred, ps.ErrWPP, ps.ErrUPP, ps.HitPct)
+			}
 		}
 	}
 	fmt.Fprintln(w)
