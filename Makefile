@@ -5,7 +5,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test vet race fmt check bench bench-gate bench-scale quality-gate serve loadtest
+.PHONY: build test vet race fmt check bench-scale quality-gate serve loadtest
 
 build:
 	$(GO) build ./...
@@ -29,16 +29,6 @@ fmt:
 	fi
 
 check: fmt vet race
-
-# Machine-readable driver benchmark: writes BENCH_driver.json.
-bench:
-	$(GO) run ./cmd/vrpbench -bench
-
-# Interning regression gate: writes BENCH_lattice.json and fails if the
-# hash-cons layer is slower than running without it on any corpus point
-# (quick sizes plus the generated ≥10k-instruction tier).
-bench-gate:
-	$(GO) run ./cmd/vrpbench -lattice -gate -quick
 
 # Mega-scale pipeline benchmark: one full lex→parse→sem→ssaform→VRP run
 # per generated tier (10k/100k/1M instructions), with the near-linear

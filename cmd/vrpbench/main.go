@@ -12,18 +12,22 @@
 //	vrpbench -summary   §5 headline numbers: mean errors, hit rates, range share
 //	vrpbench -apps      §6 applications
 //	vrpbench -ablations DESIGN.md §5 ablation table
-//	vrpbench -bench     machine-readable driver benchmark (BENCH_driver.json)
 //	vrpbench -scale     mega-scale pipeline benchmark over generated 10k/100k/1M-instruction tiers (BENCH_scale.json)
 //	vrpbench -quality   per-suite predictor errors and VRP quality digests (BENCH_quality.json)
+//
+// One mode runs per invocation. -gate turns -scale or -quality into a
+// pass/fail check. Giving two modes, or a setting whose mode is absent
+// (-gate -fig 5, -scalemax without -scale), is a usage error (exit 2).
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
-	"strings"
 
 	"vrp"
 	"vrp/internal/bench"
@@ -32,60 +36,28 @@ import (
 )
 
 func main() {
-	var (
-		fig         = flag.Int("fig", 0, "reproduce one figure (4-8); 0 = all")
-		summary     = flag.Bool("summary", false, "print the §5 summary only")
-		apps        = flag.Bool("apps", false, "print the §6 applications only")
-		ablations   = flag.Bool("ablations", false, "print the ablation table only")
-		benchMode   = flag.Bool("bench", false, "benchmark the parallel incremental driver, emit JSON")
-		benchOut    = flag.String("benchout", "BENCH_driver.json", "output path for -bench")
-		benchIter   = flag.Int("benchiter", 5, "timing iterations per -bench point")
-		latticeRun  = flag.Bool("lattice", false, "benchmark interning on vs off, emit JSON")
-		latticeOut  = flag.String("latticeout", "BENCH_lattice.json", "output path for -lattice")
-		latticeGate = flag.Bool("gate", false, "with -lattice, exit nonzero if interning is slower than no-interning on any point; with -scale, exit nonzero if the 100k tier's ns/instr exceeds 2x the 10k tier's; with -quality, exit nonzero if a gated VRP metric (err_w_pp, err_u_pp, hit_pct, certain_fraction, bottom_fraction, stale_certain) is worse than the committed baseline by more than its bound, or a baseline suite is missing")
-		scaleRun    = flag.Bool("scale", false, "run the mega-scale pipeline benchmark over the generated 10k/100k/1M tiers, emit JSON")
-		scaleOut    = flag.String("scaleout", "BENCH_scale.json", "output path for -scale")
-		scaleMax    = flag.String("scalemax", "", "with -scale, largest tier to run (e.g. 100k for CI smoke; empty = all)")
-		qualityRun  = flag.Bool("quality", false, "score every predictor on the corpus suites and genprog presets, with VRP quality digests, emit JSON")
-		qualityOut  = flag.String("qualityout", "BENCH_quality.json", "output path for -quality")
-		qualityBase = flag.String("qualitybase", "", "with -quality -gate, baseline report to gate against (default: the -qualityout path before it is overwritten)")
-		maxEvals    = flag.Int("maxevals", 0, "with -quality, override the engine's per-instruction evaluation budget (synthetic precision-regression knob for gate tests; 0 = default)")
-		quick       = flag.Bool("quick", false, "with -bench/-lattice, run the abbreviated CI series (fewer sizes, 1 iteration)")
-	)
-	flag.Parse()
+	o, err := parseArgs(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
+		os.Exit(2)
+	}
 	w := os.Stdout
 
-	var err error
-	switch {
-	case *benchMode:
-		sizes, iters := bench.ScaledSizes, *benchIter
-		if *quick {
-			sizes, iters = bench.QuickSizes, 1
-		}
-		err = runDriverBench(w, *benchOut, sizes, iters)
-	case *latticeRun:
-		sizes, iters := bench.ScaledSizes, *benchIter
-		if *quick {
-			sizes, iters = bench.QuickSizes, 1
-		}
-		if *latticeGate && iters < 3 {
-			// A gating run must not fail on one unlucky scheduling
-			// quantum; three best-of iterations is the floor.
-			iters = 3
-		}
-		err = runLatticeBench(w, *latticeOut, sizes, iters, *latticeGate)
-	case *scaleRun:
-		err = runScaleBench(w, *scaleOut, *scaleMax, *latticeGate)
-	case *qualityRun:
-		err = runQuality(w, *qualityOut, *qualityBase, *latticeGate, *maxEvals)
-	case *summary:
+	switch o.mode {
+	case "scale":
+		err = runScaleBench(w, o.scaleOut, o.scaleMax, o.gate)
+	case "quality":
+		err = runQuality(w, o.qualityOut, o.qualityBase, o.gate, o.maxEvals)
+	case "summary":
 		err = bench.PrintSummary(w)
-	case *apps:
+	case "apps":
 		err = bench.PrintApplications(w)
-	case *ablations:
+	case "ablations":
 		err = bench.PrintAblations(w)
-	case *fig != 0:
-		switch *fig {
+	case "fig":
+		switch o.fig {
 		case 4:
 			err = printFig4(w)
 		case 5:
@@ -96,9 +68,6 @@ func main() {
 			err = bench.PrintFigure(w, corpus.IntSuite)
 		case 8:
 			err = bench.PrintFigure(w, corpus.FPSuite)
-		default:
-			fmt.Fprintf(os.Stderr, "vrpbench: unknown figure %d\n", *fig)
-			os.Exit(2)
 		}
 	default:
 		steps := []func() error{
@@ -123,90 +92,83 @@ func main() {
 	}
 }
 
-// driverBenchReport is the machine-readable result of -bench: the
-// parallel-vs-sequential scaling curve of the analysis driver, plus the
-// dirty-set work-skipping counters.
-type driverBenchReport struct {
-	GOMAXPROCS int                 `json:"gomaxprocs"`
-	Points     []bench.DriverPoint `json:"points"`
+// options is a parsed vrpbench command line: the one mode to run ("" =
+// reproduce everything) and the settings that mode reads.
+type options struct {
+	mode        string // "fig", "summary", "apps", "ablations", "scale" or "quality"
+	fig         int
+	gate        bool
+	scaleOut    string
+	scaleMax    string
+	qualityOut  string
+	qualityBase string
+	maxEvals    int
 }
 
-func runDriverBench(w *os.File, outPath string, sizes []int, iters int) error {
-	pts, err := bench.DriverScaling(sizes, iters)
-	if err != nil {
-		return err
+// parseArgs parses the command line and rejects what the selected mode
+// would silently ignore: a second mode, or a setting that belongs to a
+// mode not selected. A flag counts as given only when its value differs
+// from the default, so -summary=false or -fig 0 select nothing. Errors are
+// printed to out with the usage text; main exits 2 on them.
+func parseArgs(args []string, out io.Writer) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("vrpbench", flag.ContinueOnError)
+	fs.SetOutput(out)
+	fs.IntVar(&o.fig, "fig", 0, "reproduce one figure (4-8); 0 = all")
+	fs.Bool("summary", false, "print the §5 summary only")
+	fs.Bool("apps", false, "print the §6 applications only")
+	fs.Bool("ablations", false, "print the ablation table only")
+	fs.BoolVar(&o.gate, "gate", false, "with -scale, exit nonzero if the 100k tier's ns/instr exceeds 2x the 10k tier's; with -quality, exit nonzero if a gated VRP metric (err_w_pp, err_u_pp, hit_pct, certain_fraction, bottom_fraction, stale_certain) is worse than the committed baseline by more than its bound, or a baseline suite is missing")
+	fs.Bool("scale", false, "run the mega-scale pipeline benchmark over the generated 10k/100k/1M tiers, emit JSON")
+	fs.StringVar(&o.scaleOut, "scaleout", "BENCH_scale.json", "output path for -scale")
+	fs.StringVar(&o.scaleMax, "scalemax", "", "with -scale, largest tier to run (e.g. 100k for CI smoke; empty = all)")
+	fs.Bool("quality", false, "score every predictor on the corpus suites and genprog presets, with VRP quality digests, emit JSON")
+	fs.StringVar(&o.qualityOut, "qualityout", "BENCH_quality.json", "output path for -quality")
+	fs.StringVar(&o.qualityBase, "qualitybase", "", "with -quality -gate, baseline report to gate against (default: the -qualityout path before it is overwritten)")
+	fs.IntVar(&o.maxEvals, "maxevals", 0, "with -quality, override the engine's per-instruction evaluation budget (synthetic precision-regression knob for gate tests; 0 = default)")
+	if err := fs.Parse(args); err != nil {
+		return o, err
 	}
-	rep := driverBenchReport{GOMAXPROCS: runtime.GOMAXPROCS(0), Points: pts}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
+	usageErr := func(format string, a ...any) (options, error) {
+		err := fmt.Errorf(format, a...)
+		fmt.Fprintln(out, err)
+		fs.Usage()
+		return o, err
 	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
+	if fs.NArg() > 0 {
+		return usageErr("unexpected argument %q", fs.Arg(0))
 	}
-	fmt.Fprintf(w, "driver benchmark (%d workers), best of %d:\n", rep.GOMAXPROCS, iters)
-	fmt.Fprintf(w, "  %-10s %7s %6s %12s %12s %8s %10s %11s %7s %9s %8s %5s %10s %7s %6s\n",
-		"program", "instrs", "funcs", "seq ns/op", "par ns/op", "speedup", "allocs/op", "bytes/op", "passes", "analyzed", "skipped", "conv", "steps", "peakWL", "widen")
-	for _, p := range pts {
-		conv := "yes"
-		if !p.Converged {
-			conv = "NO"
-		}
-		peak := p.FlowPeak
-		if p.SSAPeak > peak {
-			peak = p.SSAPeak
-		}
-		fmt.Fprintf(w, "  %-10s %7d %6d %12d %12d %7.2fx %10d %11d %7d %9d %8d %5s %10d %7d %6d\n",
-			p.Name, p.Instrs, p.Funcs, p.SeqNsOp, p.ParNsOp, p.Speedup, p.AllocsOp, p.BytesOp,
-			p.Passes, p.Analyzed, p.Skipped, conv, p.EngineSteps, peak, p.Widens)
-	}
-	fmt.Fprintf(w, "wrote %s\n", outPath)
-	return nil
-}
 
-// latticeBenchReport is the machine-readable result of -lattice: the
-// intern-on vs intern-off cost comparison (BENCH_lattice.json; schema in
-// EXPERIMENTS.md).
-type latticeBenchReport struct {
-	GOMAXPROCS int                  `json:"gomaxprocs"`
-	Points     []bench.LatticePoint `json:"points"`
-}
-
-func runLatticeBench(w *os.File, outPath string, sizes []int, iters int, gate bool) error {
-	pts, err := bench.LatticeComparison(sizes, iters)
-	if err != nil {
-		return err
-	}
-	rep := latticeBenchReport{GOMAXPROCS: runtime.GOMAXPROCS(0), Points: pts}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "lattice interning benchmark (sequential), best of %d:\n", iters)
-	fmt.Fprintf(w, "  %-10s %7s %12s %12s %11s %11s %10s %11s %10s %10s %11s %9s %8s %10s\n",
-		"program", "instrs", "on ns/op", "off ns/op", "on allocs", "off allocs", "alloc-red",
-		"arena", "skip-rate", "merge-hit", "intern-hit", "memo-hit", "peakMB", "verdict")
-	var slower []string
-	for _, p := range pts {
-		verdict := "ok"
-		if p.OnNsOp > p.OffNsOp {
-			verdict = "SLOWER"
-			slower = append(slower, p.Name)
+	given := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { given[f.Name] = f.Value.String() != f.DefValue })
+	for _, m := range []string{"fig", "summary", "apps", "ablations", "scale", "quality"} {
+		if !given[m] {
+			continue
 		}
-		fmt.Fprintf(w, "  %-10s %7d %12d %12d %11d %11d %9.1f%% %11d %9.1f%% %10d %11d %9d %8.1f %10s\n",
-			p.Name, p.Instrs, p.OnNsOp, p.OffNsOp, p.OnAllocsOp, p.OffAllocsOp,
-			100*p.AllocReduction, p.ArenaBytes, 100*p.ConfirmSkipRate,
-			p.MergeMemoHits, p.InternHits, p.MemoHits, float64(p.PeakHeapBytes)/(1<<20), verdict)
+		if o.mode != "" {
+			return usageErr("-%s and -%s select different modes; give one", o.mode, m)
+		}
+		o.mode = m
 	}
-	fmt.Fprintf(w, "wrote %s\n", outPath)
-	if gate && len(slower) > 0 {
-		return fmt.Errorf("interning gate failed: interning slower than no-interning on %d of %d points: %s",
-			len(slower), len(pts), strings.Join(slower, ", "))
+	for _, d := range []struct {
+		flag, needs string
+		ok          bool
+	}{
+		{"gate", "-scale or -quality", o.mode == "scale" || o.mode == "quality"},
+		{"scaleout", "-scale", o.mode == "scale"},
+		{"scalemax", "-scale", o.mode == "scale"},
+		{"qualityout", "-quality", o.mode == "quality"},
+		{"maxevals", "-quality", o.mode == "quality"},
+		{"qualitybase", "-quality -gate", o.mode == "quality" && o.gate},
+	} {
+		if given[d.flag] && !d.ok {
+			return usageErr("-%s needs %s", d.flag, d.needs)
+		}
 	}
-	return nil
+	if o.mode == "fig" && (o.fig < 4 || o.fig > 8) {
+		return usageErr("unknown figure %d", o.fig)
+	}
+	return o, nil
 }
 
 // scaleBenchReport is the machine-readable result of -scale: one full

@@ -8,8 +8,8 @@ import (
 )
 
 // benchMerged analyzes the full merged corpus once per iteration, with or
-// without interning — the profiling target behind BENCH_lattice.json's
-// wall-time columns (go test -bench MergedAnalyze -cpuprofile ...).
+// without interning — the profiling target for the interning layer's cost
+// (go test -bench MergedAnalyze -cpuprofile ...).
 func benchMerged(b *testing.B, disableIntern bool) {
 	b.Helper()
 	merged, err := mergedProgram(corpus.All())

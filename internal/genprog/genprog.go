@@ -18,8 +18,9 @@
 //
 // Determinism is absolute, not best-effort: the generator uses its own
 // splitmix64 stream, so a (Config, seed) pair produces byte-identical
-// source on every platform and Go release forever. BENCH_lattice.json
-// points generated from it are therefore comparable across runs.
+// source on every platform and Go release forever. Benchmark points
+// generated from it (BENCH_scale.json tiers, perfbench's gen-10k) are
+// therefore comparable across runs.
 package genprog
 
 import (

@@ -53,24 +53,17 @@ type RunMetrics struct {
 	PhiHulls       int64
 	AssertTightens int64
 
-	// Hash-cons and memo traffic of the run's range calculator: intern
-	// table lookups that found an existing representative vs. created one,
-	// transfer-function memo hits vs. recomputations, intern lookups that
-	// needed no range-walk confirm, and loop-header φ merge-memo traffic.
-	// Unlike every other counter these are table-warmth measurements, so
-	// they depend on which worker's table served the lookup: Canon zeroes
-	// them (see Snapshot.Canon).
-	InternHits    int64
-	InternMiss    int64
-	MemoHits      int64
-	MemoMisses    int64
-	ConfirmSkips  int64
-	MergeMemoHits int64
-	MergeMemoMiss int64
+	LatticeCounters
 }
 
-// LatticeCounters carries the range calculator's per-run table traffic
-// into AddLattice without a long positional parameter list.
+// LatticeCounters is the hash-cons and memo traffic of one run's range
+// calculator: intern table lookups that found an existing representative
+// vs. created one, transfer-function memo hits vs. recomputations, intern
+// lookups that needed no range-walk confirm, and loop-header φ merge-memo
+// traffic. Unlike every other counter these are table-warmth
+// measurements, so they depend on which worker's table served the lookup:
+// Canon zeroes them (see Snapshot.Canon). Embedded last in RunMetrics, so
+// its fields stay promoted and keep their place in the JSON key order.
 type LatticeCounters struct {
 	InternHits    int64
 	InternMiss    int64
@@ -154,13 +147,35 @@ func (m *RunMetrics) AddLattice(lc LatticeCounters) {
 	if m == nil {
 		return
 	}
-	m.InternHits += lc.InternHits
-	m.InternMiss += lc.InternMiss
-	m.MemoHits += lc.MemoHits
-	m.MemoMisses += lc.MemoMisses
-	m.ConfirmSkips += lc.ConfirmSkips
-	m.MergeMemoHits += lc.MergeMemoHits
-	m.MergeMemoMiss += lc.MergeMemoMiss
+	m.LatticeCounters.add(&lc)
+}
+
+// add sums another run's counters into m; peak fields take the maximum.
+// It is the one field-sum behind both FuncMetrics.fold and addTotals.
+func (m *RunMetrics) add(o *RunMetrics) {
+	m.Steps += o.Steps
+	m.FlowPushes += o.FlowPushes
+	m.SSAPushes += o.SSAPushes
+	m.FlowPeak = max(m.FlowPeak, o.FlowPeak)
+	m.SSAPeak = max(m.SSAPeak, o.SSAPeak)
+	m.PhiMerges += o.PhiMerges
+	m.Widens += o.Widens
+	m.DeriveHits += o.DeriveHits
+	m.DeriveMiss += o.DeriveMiss
+	m.Asserts += o.Asserts
+	m.PhiHulls += o.PhiHulls
+	m.AssertTightens += o.AssertTightens
+	m.LatticeCounters.add(&o.LatticeCounters)
+}
+
+func (l *LatticeCounters) add(o *LatticeCounters) {
+	l.InternHits += o.InternHits
+	l.InternMiss += o.InternMiss
+	l.MemoHits += o.MemoHits
+	l.MemoMisses += o.MemoMisses
+	l.ConfirmSkips += o.ConfirmSkips
+	l.MergeMemoHits += o.MergeMemoHits
+	l.MergeMemoMiss += o.MergeMemoMiss
 }
 
 // FuncMetrics aggregates every run of one function across all passes.
@@ -176,29 +191,7 @@ type FuncMetrics struct {
 // fold accumulates one run into the aggregate.
 func (f *FuncMetrics) fold(m *RunMetrics) {
 	f.Runs++
-	f.Steps += m.Steps
-	f.FlowPushes += m.FlowPushes
-	f.SSAPushes += m.SSAPushes
-	if m.FlowPeak > f.FlowPeak {
-		f.FlowPeak = m.FlowPeak
-	}
-	if m.SSAPeak > f.SSAPeak {
-		f.SSAPeak = m.SSAPeak
-	}
-	f.PhiMerges += m.PhiMerges
-	f.Widens += m.Widens
-	f.DeriveHits += m.DeriveHits
-	f.DeriveMiss += m.DeriveMiss
-	f.Asserts += m.Asserts
-	f.PhiHulls += m.PhiHulls
-	f.AssertTightens += m.AssertTightens
-	f.InternHits += m.InternHits
-	f.InternMiss += m.InternMiss
-	f.MemoHits += m.MemoHits
-	f.MemoMisses += m.MemoMisses
-	f.ConfirmSkips += m.ConfirmSkips
-	f.MergeMemoHits += m.MergeMemoHits
-	f.MergeMemoMiss += m.MergeMemoMiss
+	f.RunMetrics.add(m)
 }
 
 // addTotals accumulates another aggregate (for the snapshot's Totals row).
@@ -206,29 +199,7 @@ func (f *FuncMetrics) addTotals(o *FuncMetrics) {
 	f.Runs += o.Runs
 	f.Skips += o.Skips
 	f.Degraded += o.Degraded
-	f.Steps += o.Steps
-	f.FlowPushes += o.FlowPushes
-	f.SSAPushes += o.SSAPushes
-	if o.FlowPeak > f.FlowPeak {
-		f.FlowPeak = o.FlowPeak
-	}
-	if o.SSAPeak > f.SSAPeak {
-		f.SSAPeak = o.SSAPeak
-	}
-	f.PhiMerges += o.PhiMerges
-	f.Widens += o.Widens
-	f.DeriveHits += o.DeriveHits
-	f.DeriveMiss += o.DeriveMiss
-	f.Asserts += o.Asserts
-	f.PhiHulls += o.PhiHulls
-	f.AssertTightens += o.AssertTightens
-	f.InternHits += o.InternHits
-	f.InternMiss += o.InternMiss
-	f.MemoHits += o.MemoHits
-	f.MemoMisses += o.MemoMisses
-	f.ConfirmSkips += o.ConfirmSkips
-	f.MergeMemoHits += o.MergeMemoHits
-	f.MergeMemoMiss += o.MergeMemoMiss
+	f.RunMetrics.add(&o.RunMetrics)
 }
 
 // Histogram is a labelled counter vector. Labels are fixed at creation;
@@ -380,9 +351,9 @@ func (s *Snapshot) Canon() *Snapshot {
 	c := *s
 	c.Funcs = append([]FuncMetrics(nil), s.Funcs...)
 	for i := range c.Funcs {
-		zeroLattice(&c.Funcs[i])
+		c.Funcs[i].LatticeCounters = LatticeCounters{}
 	}
-	zeroLattice(&c.Totals)
+	c.Totals.LatticeCounters = LatticeCounters{}
 	c.InternLive = 0
 	c.InternArenaBytes = 0
 	c.InternEvictions = 0
@@ -391,17 +362,6 @@ func (s *Snapshot) Canon() *Snapshot {
 	c.PassRuns = s.PassRuns.clone()
 	c.Quality = s.Quality.clone()
 	return &c
-}
-
-// zeroLattice clears the table-warmth counters Canon must not compare.
-func zeroLattice(f *FuncMetrics) {
-	f.InternHits = 0
-	f.InternMiss = 0
-	f.MemoHits = 0
-	f.MemoMisses = 0
-	f.ConfirmSkips = 0
-	f.MergeMemoHits = 0
-	f.MergeMemoMiss = 0
 }
 
 func (h *Histogram) clone() *Histogram {

@@ -1,7 +1,9 @@
 package telemetry
 
 import (
+	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -102,5 +104,88 @@ func TestRunMetricsPeaks(t *testing.T) {
 	fm.fold(m2)
 	if fm.FlowPeak != 5 || fm.Runs != 2 || fm.FlowPushes != 4 {
 		t.Errorf("fold: peak=%d runs=%d pushes=%d, want 5, 2, 4", fm.FlowPeak, fm.Runs, fm.FlowPushes)
+	}
+}
+
+// TestFuncMetricsJSONKeys pins the key order of a function's counters in
+// the ?telemetry=1 response: encoding/json flattens the embedded
+// RunMetrics and LatticeCounters in declaration order.
+func TestFuncMetricsJSONKeys(t *testing.T) {
+	data, err := json.Marshal(FuncMetrics{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every value is a scalar, so after the opening brace the tokens
+	// alternate key, value.
+	dec := json.NewDecoder(strings.NewReader(string(data)))
+	if _, err := dec.Token(); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for dec.More() {
+		key, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dec.Token(); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, key.(string))
+	}
+	want := []string{
+		"Func", "Runs", "Skips", "Degraded",
+		"Steps", "FlowPushes", "SSAPushes", "FlowPeak", "SSAPeak", "PhiMerges",
+		"Widens", "DeriveHits", "DeriveMiss", "Asserts", "PhiHulls", "AssertTightens",
+		"InternHits", "InternMiss", "MemoHits", "MemoMisses", "ConfirmSkips",
+		"MergeMemoHits", "MergeMemoMiss",
+	}
+	if !reflect.DeepEqual(keys, want) {
+		t.Errorf("FuncMetrics JSON keys:\n got %v\nwant %v", keys, want)
+	}
+}
+
+// TestAddSumsEveryCounter sets every RunMetrics field to 1 and folds it
+// twice, so a counter missing from the shared field-sum shows up as 1
+// (peaks take the maximum and stay 1).
+func TestAddSumsEveryCounter(t *testing.T) {
+	var one RunMetrics
+	setAll(reflect.ValueOf(&one).Elem())
+	var f FuncMetrics
+	f.fold(&one)
+	f.fold(&one)
+	var tot FuncMetrics
+	tot.addTotals(&f)
+	checkAll(t, "", reflect.ValueOf(tot.RunMetrics))
+	if tot.Runs != 2 {
+		t.Errorf("Runs = %d, want 2", tot.Runs)
+	}
+}
+
+func setAll(v reflect.Value) {
+	for i := 0; i < v.NumField(); i++ {
+		if fv := v.Field(i); fv.Kind() == reflect.Struct {
+			setAll(fv)
+		} else {
+			fv.SetInt(1)
+		}
+	}
+}
+
+func checkAll(t *testing.T, prefix string, v reflect.Value) {
+	t.Helper()
+	for i := 0; i < v.NumField(); i++ {
+		name := v.Type().Field(i).Name
+		fv := v.Field(i)
+		if fv.Kind() == reflect.Struct {
+			checkAll(t, name+".", fv)
+			continue
+		}
+		want := int64(2)
+		if strings.HasSuffix(name, "Peak") {
+			want = 1
+		}
+		if got := fv.Int(); got != want {
+			t.Errorf("%s%s = %d after two folds, want %d", prefix, name, got, want)
+		}
 	}
 }

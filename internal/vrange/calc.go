@@ -26,8 +26,7 @@ type Config struct {
 	// DisableIntern turns off the hash-cons table and transfer-function
 	// memoization (intern.go), restoring the allocate-per-result behavior.
 	// Results are bit-identical either way; the flag exists for the
-	// before/after comparison in BENCH_lattice.json and for the
-	// equivalence tests.
+	// equivalence tests and the interning on/off Go benchmarks.
 	DisableIntern bool
 }
 

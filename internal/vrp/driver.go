@@ -722,16 +722,6 @@ func internPool(cfg vrange.Config) *sync.Pool {
 	return p.(*sync.Pool)
 }
 
-// ResetInternPools drops every pooled cons table. Benchmarks call it when
-// they need cold-table counters (first-run hit/miss splits, per-program
-// arena footprints) rather than the steady-state warm behavior.
-func ResetInternPools() {
-	internPools.Range(func(k, _ any) bool {
-		internPools.Delete(k)
-		return true
-	})
-}
-
 // table returns worker slot w's persistent interner, creating it on first
 // use; nil when interning is disabled.
 func (d *driver) table(w int) *vrange.Interner {

@@ -175,7 +175,6 @@ func kernel%d(n, m) {
 			cfg.Workers = 1
 			cfg.Range.DisableIntern = disable
 			b.ReportAllocs()
-			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := Analyze(p, cfg); err != nil {
