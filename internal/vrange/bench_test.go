@@ -83,3 +83,17 @@ func BenchmarkCanonicalizeCap(b *testing.B) {
 		c.Canonicalize(in)
 	}
 }
+
+// BenchmarkCompareWide compares two ranges of ExactPairLimit (4096)
+// members each with distinct strides, so the exact pair count runs on
+// operands as wide as the default configuration allows on both sides.
+func BenchmarkCompareWide(b *testing.B) {
+	c := calc()
+	x := FromRanges(numRange(1, 0, 4095*3, 3))
+	y := FromRanges(numRange(1, 1000, 1000+4095*5, 5))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Compare(ir.BinLt, x, y)
+	}
+}

@@ -20,8 +20,10 @@ type Config struct {
 	// variable when a probability needs a concrete count, e.g. P(i<n) for
 	// i ∈ [0:n:1] evaluates to T/(T+1).
 	AssumedVarValue int64
-	// ExactPairLimit bounds exact enumeration in comparisons; larger
-	// ranges fall back to a continuous approximation.
+	// ExactPairLimit selects the continuous approximation in comparisons:
+	// when both ranges have more members than this, P(x<y) is integrated
+	// over their hulls and P(x==y) is taken as 0. Otherwise the pair count
+	// is exact, in closed form, whatever the sizes.
 	ExactPairLimit int64
 	// DisableIntern turns off the hash-cons table and transfer-function
 	// memoization (intern.go), restoring the allocate-per-result behavior.

@@ -193,27 +193,14 @@ func (c *Calc) fracLt(x, y Range) (float64, bool) {
 	return 0, false
 }
 
-// fracLtNum handles numeric multi-value ranges: exact enumeration when the
-// smaller range is within the configured budget, continuous approximation
-// otherwise.
+// fracLtNum handles numeric multi-value ranges: the exact pair count when
+// the smaller range is within the configured limit, continuous
+// approximation otherwise.
 func (c *Calc) fracLtNum(x, y Range) float64 {
 	nx, _ := x.Count()
 	ny, _ := y.Count()
-	if nx <= c.Cfg.ExactPairLimit {
-		sum := 0.0
-		for v, i := x.Lo.Const, int64(0); i < nx; v, i = v+x.Stride, i+1 {
-			sat, _ := c.satBelow(y, Num(v), false) // y <= v
-			sum += float64(ny) - sat               // y > v  ⇔  v < y
-		}
-		return clamp01(sum / (float64(nx) * float64(ny)))
-	}
-	if ny <= c.Cfg.ExactPairLimit {
-		sum := 0.0
-		for v, i := y.Lo.Const, int64(0); i < ny; v, i = v+y.Stride, i+1 {
-			sat, _ := c.satBelow(x, Num(v), true) // x < v
-			sum += sat
-		}
-		return clamp01(sum / (float64(nx) * float64(ny)))
+	if nx <= c.Cfg.ExactPairLimit || ny <= c.Cfg.ExactPairLimit {
+		return clamp01(pairsLt(progOf(x), progOf(y)).float() / (float64(nx) * float64(ny)))
 	}
 	// Continuous uniform approximation on [a1,b1]×[a2,b2].
 	a1, b1 := float64(x.Lo.Const), float64(x.Hi.Const)
@@ -273,16 +260,8 @@ func (c *Calc) fracEq(x, y Range) (float64, bool) {
 	if x.IsNum() && y.IsNum() {
 		nx, _ := x.Count()
 		ny, _ := y.Count()
-		if nx <= c.Cfg.ExactPairLimit {
-			matches := 0.0
-			for v, i := x.Lo.Const, int64(0); i < nx; v, i = v+x.Stride, i+1 {
-				f, _ := c.fracContains(y, Num(v))
-				matches += f * float64(ny)
-			}
-			return clamp01(matches / (float64(nx) * float64(ny))), true
-		}
-		if ny <= c.Cfg.ExactPairLimit {
-			return c.fracEq(y, x)
+		if nx <= c.Cfg.ExactPairLimit || ny <= c.Cfg.ExactPairLimit {
+			return clamp01(float64(pairsEq(progOf(x), progOf(y))) / (float64(nx) * float64(ny))), true
 		}
 		// Both huge: the expected number of coincidences is negligible at
 		// the precision the experiments report.

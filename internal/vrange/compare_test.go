@@ -63,23 +63,13 @@ func TestCompareDecided(t *testing.T) {
 
 // enumProb computes the exact pair fraction by brute force.
 func enumProb(rel ir.BinOp, a, b Range) float64 {
-	sa, sb := a.Stride, b.Stride
-	if sa <= 0 {
-		sa = 1
-	}
-	if sb <= 0 {
-		sb = 1
-	}
 	count, sat := 0, 0
-	for x := a.Lo.Const; x <= a.Hi.Const; x += sa {
-		for y := b.Lo.Const; y <= b.Hi.Const; y += sb {
+	for _, x := range members(a) {
+		for _, y := range members(b) {
 			count++
 			if rel.Eval(x, y) != 0 {
 				sat++
 			}
-		}
-		if a.IsPoint() {
-			break
 		}
 	}
 	return float64(sat) / float64(count)

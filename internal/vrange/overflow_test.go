@@ -88,3 +88,21 @@ func TestCanonicalizeSingleSurvivor(t *testing.T) {
 		t.Errorf("survivor prob = %f, want renormalized 1", v.Ranges[0].Prob)
 	}
 }
+
+// Comparisons at the int64 edges count pairs exactly: v+1 overflowing for
+// v = MaxInt64 must not count MaxInt64 as below every y.
+func TestCompareAtInt64Edges(t *testing.T) {
+	c := calc()
+	for _, rg := range []Range{
+		numRange(1, math.MaxInt64-1, math.MaxInt64, 1),
+		numRange(1, math.MinInt64, math.MinInt64+1, 1),
+	} {
+		if p, ok := c.fracLt(rg, rg); !ok || p != 0.25 {
+			t.Errorf("P(x<y) over %v = %v (ok %v), want 0.25", rg, p, ok)
+		}
+		v := FromRanges(rg)
+		if p := probOf(t, c.Compare(ir.BinLe, v, v)); p != 0.75 {
+			t.Errorf("P(x<=y) over %v = %v, want 0.75", rg, p)
+		}
+	}
+}
