@@ -5,7 +5,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test vet race fmt check bench-scale quality-gate serve loadtest
+.PHONY: build test vet race fmt check bench-scale quality-gate serve
 
 build:
 	$(GO) build ./...
@@ -46,17 +46,3 @@ quality-gate:
 # Run the analysis server (README "Running the server").
 serve:
 	$(GO) run ./cmd/vrpd
-
-# Deterministic load test: boot vrpd, drive it through vrpload's
-# cold/warm/batch phases, and fail unless the warm phase actually reused
-# per-function results. Writes BENCH_server.json.
-loadtest:
-	$(GO) build -o vrpd.loadtest ./cmd/vrpd
-	$(GO) build -o vrpload.loadtest ./cmd/vrpload
-	./vrpd.loadtest -addr 127.0.0.1:8399 -log text 2>vrpd.loadtest.log & \
-	pid=$$!; \
-	./vrpload.loadtest -addr http://127.0.0.1:8399 -require-store-hits -out BENCH_server.json; \
-	status=$$?; \
-	kill -TERM $$pid 2>/dev/null; wait $$pid 2>/dev/null; \
-	rm -f vrpd.loadtest vrpload.loadtest; \
-	exit $$status

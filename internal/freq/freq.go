@@ -23,11 +23,11 @@
 // elimination structure (membership filtering, back-edge tests,
 // terminator classification) is recomputed per solve, so the vrp engine's
 // many re-solves across passes reuse one factorization per function. The
-// pre-CSR filter-every-block scan survives as ReferenceCompute, the
-// oracle the differential tests compare against bit-for-bit: both walks
-// visit the same blocks and edges in the same order, so the
-// floating-point operation sequence — and therefore every result bit —
-// is identical.
+// pre-CSR filter-every-block scan survives as the test oracle
+// ReferenceCompute (reference_test.go), which the differential tests
+// compare against bit-for-bit: both walks visit the same blocks and edges
+// in the same order, so the floating-point operation sequence — and
+// therefore every result bit — is identical.
 package freq
 
 import (
@@ -85,11 +85,10 @@ const (
 // concurrent use.
 type Solver struct {
 	f     *ir.Func
-	back  map[*ir.Edge]bool // reference-path back-edge set
-	prob  BranchProbFunc    // current solve's probability source
-	ls    []*dom.Loop       // innermost (deepest) first
-	isHdr []bool            // by block ID: block heads some loop
-	cp    []float64         // by block ID: cyclic probability of that header
+	prob  BranchProbFunc // current solve's probability source
+	ls    []*dom.Loop    // innermost (deepest) first
+	isHdr []bool         // by block ID: block heads some loop
+	cp    []float64      // by block ID: cyclic probability of that header
 
 	// CSR factorization. Regions 0..len(ls)-1 are the loops innermost
 	// first; region len(ls) is the whole function. Region r's member
@@ -132,7 +131,6 @@ type Solver struct {
 func NewSolver(f *ir.Func, tree *dom.Tree, loops *dom.LoopInfo, back map[*ir.Edge]bool) *Solver {
 	s := &Solver{
 		f:     f,
-		back:  back,
 		isHdr: make([]bool, len(f.Blocks)),
 		cp:    make([]float64, len(f.Blocks)),
 		fr: Frequencies{
@@ -241,28 +239,6 @@ func (s *Solver) factor(backID []bool) {
 	}
 }
 
-// edgeProb: probability of leaving a block along one out-edge.
-func (s *Solver) edgeProb(e *ir.Edge) (float64, bool) {
-	t := e.From.Terminator()
-	if t == nil {
-		return 0, false
-	}
-	switch t.Op {
-	case ir.OpJmp:
-		return 1, true
-	case ir.OpBr:
-		p, known := s.prob(t)
-		if !known {
-			return 0, false
-		}
-		if e.Kind == ir.EdgeTrue {
-			return p, true
-		}
-		return 1 - p, true
-	}
-	return 0, false
-}
-
 // csrPropagate runs one acyclic propagation into fr over region r's
 // positions: the factored member blocks with pre-filtered predecessor
 // edges. Inner loop headers are scaled by their 1/(1-cp) multiplier.
@@ -326,16 +302,10 @@ func (s *Solver) csrPropagate(fr *Frequencies, cp []float64, r int) {
 }
 
 // solve eliminates loops innermost-first into fr/cp, then propagates the
-// whole function. Shared by Compute and ReferenceCompute, which differ
-// only in how each propagation selects blocks: the factored CSR walk
-// versus the filter-every-block scan.
-func (s *Solver) solve(fr *Frequencies, cp []float64, reference bool) {
+// whole function.
+func (s *Solver) solve(fr *Frequencies, cp []float64) {
 	for li, l := range s.ls {
-		if reference {
-			s.refPropagate(fr, cp, l.Header, l)
-		} else {
-			s.csrPropagate(fr, cp, li)
-		}
+		s.csrPropagate(fr, cp, li)
 		c := 0.0
 		for _, eid := range s.cpEdge[s.cpOff[li]:s.cpOff[li+1]] {
 			c += fr.Edge[eid]
@@ -345,11 +315,7 @@ func (s *Solver) solve(fr *Frequencies, cp []float64, reference bool) {
 		}
 		cp[l.Header.ID] = c
 	}
-	if reference {
-		s.refPropagate(fr, cp, s.f.Entry, nil)
-	} else {
-		s.csrPropagate(fr, cp, len(s.ls))
-	}
+	s.csrPropagate(fr, cp, len(s.ls))
 }
 
 // Compute solves the frequency equations with the given per-branch
@@ -365,64 +331,9 @@ func (s *Solver) Compute(prob BranchProbFunc) *Frequencies {
 	// remainder (memclr, no allocation).
 	clear(s.fr.Block)
 	clear(s.fr.Edge)
-	s.solve(&s.fr, s.cp, false)
+	s.solve(&s.fr, s.cp)
 	s.prob = nil
 	return &s.fr
-}
-
-// refPropagate is the original propagation: scan every block of the
-// function and filter by loop membership. Kept verbatim as the oracle
-// behind ReferenceCompute.
-func (s *Solver) refPropagate(fr *Frequencies, cp []float64, head *ir.Block, region *dom.Loop) {
-	for _, b := range s.f.Blocks {
-		if region != nil && !region.Contains(b.ID) {
-			continue
-		}
-		var freqv float64
-		if b == head {
-			freqv = 1
-		} else {
-			for _, pe := range b.Preds {
-				if s.back[pe] || (region != nil && !region.Contains(pe.From.ID)) {
-					continue
-				}
-				freqv += fr.Edge[pe.ID]
-			}
-			if s.isHdr[b.ID] {
-				c := cp[b.ID]
-				if c > MaxCyclic {
-					c = MaxCyclic
-				}
-				freqv /= 1 - c
-			}
-		}
-		fr.Block[b.ID] = freqv
-		for _, se := range b.Succs {
-			p, known := s.edgeProb(se)
-			if !known {
-				fr.Edge[se.ID] = 0
-				continue
-			}
-			fr.Edge[se.ID] = freqv * p
-		}
-	}
-}
-
-// ReferenceCompute solves the same equations by the original
-// filter-every-block scan, into freshly allocated buffers. It exists as
-// the differential-testing oracle for Compute: the member-list solver
-// must match it bit-for-bit on every function (freq_diff_test.go), since
-// both run the identical floating-point operation sequence.
-func (s *Solver) ReferenceCompute(prob BranchProbFunc) *Frequencies {
-	s.prob = prob
-	fr := &Frequencies{
-		Block: make([]float64, len(s.f.Blocks)),
-		Edge:  make([]float64, len(s.f.Edges)),
-	}
-	cp := make([]float64, len(s.f.Blocks))
-	s.solve(fr, cp, true)
-	s.prob = nil
-	return fr
 }
 
 // Compute solves the frequency equations for f given per-branch

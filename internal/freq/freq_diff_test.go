@@ -47,10 +47,11 @@ func diffOne(t *testing.T, name string, p *ir.Program) {
 	for _, f := range p.Funcs {
 		tree := dom.New(f)
 		loops := dom.FindLoops(f, tree)
-		s := freq.NewSolver(f, tree, loops, dom.BackEdges(f, tree))
+		back := dom.BackEdges(f, tree)
+		s := freq.NewSolver(f, tree, loops, back)
 		for seed := uint64(1); seed <= 3; seed++ {
 			prob := probFor(seed)
-			ref := s.ReferenceCompute(prob)
+			ref := s.ReferenceCompute(back, prob)
 			for round := 0; round < 2; round++ {
 				got := s.Compute(prob)
 				for i := range ref.Block {

@@ -243,7 +243,8 @@ func main() {
 }`)
 	tr := dom.New(f)
 	loops := dom.FindLoops(f, tr)
-	s := NewSolver(f, tr, loops, dom.BackEdges(f, tr))
+	back := dom.BackEdges(f, tr)
+	s := NewSolver(f, tr, loops, back)
 	for i := 0; i < 20; i++ {
 		p := float64(i) / 19.0
 		prob := func(br *ir.Instr) (float64, bool) {
@@ -253,7 +254,7 @@ func main() {
 			return p, true
 		}
 		got := s.Compute(prob)
-		want := s.ReferenceCompute(prob)
+		want := s.ReferenceCompute(back, prob)
 		for b := range want.Block {
 			if math.Float64bits(got.Block[b]) != math.Float64bits(want.Block[b]) {
 				t.Fatalf("solve %d: block %d: got %v want %v", i, b, got.Block[b], want.Block[b])

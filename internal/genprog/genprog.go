@@ -90,8 +90,7 @@ func Default() Config {
 //     scaling, not shape drift;
 //   - shape stress: "default", "wide-scc", "deep-loop", "recursive" —
 //     small programs that push one CFG/call-graph dimension far past the
-//     benchmark mix, for differential correctness tests and vrpload
-//     traffic diversity.
+//     benchmark mix, for differential correctness tests.
 func Preset(name string) (Config, bool) {
 	switch name {
 	case "default":

@@ -68,7 +68,9 @@ func (e *recordedRequest) interesting() bool {
 	return e.Degraded || !e.Converged || e.Status >= 400
 }
 
-// Recorder defaults (Config overrides).
+// Recorder settings: Config.RecorderEntries overrides the capacity. The
+// server always keeps the DefaultRecorderSlowK slowest requests and a
+// deterministic 1-in-DefaultRecorderSampleN sample of routine traffic.
 const (
 	DefaultRecorderEntries = 256
 	DefaultRecorderSlowK   = 8
@@ -91,14 +93,8 @@ func newFlightRecorder(capacity, slowK int, sampleN int64) *flightRecorder {
 	if capacity <= 0 {
 		return nil // disabled
 	}
-	if slowK <= 0 {
-		slowK = DefaultRecorderSlowK
-	}
 	if slowK > capacity {
 		slowK = capacity
-	}
-	if sampleN <= 0 {
-		sampleN = DefaultRecorderSampleN
 	}
 	return &flightRecorder{
 		cap:     capacity,

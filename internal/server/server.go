@@ -65,6 +65,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -112,12 +113,6 @@ type Config struct {
 	// DefaultRecorderEntries.
 	RecorderEntries int
 
-	// RecorderSlowK is how many slowest-so-far requests the recorder
-	// always keeps; RecorderSampleN keeps a deterministic 1-in-N baseline
-	// sample of routine traffic. 0 means the defaults in recorder.go.
-	RecorderSlowK   int
-	RecorderSampleN int64
-
 	// Logger receives the structured request log. nil means
 	// slog.Default().
 	Logger *slog.Logger
@@ -149,8 +144,9 @@ type Server struct {
 	idPrefix string
 
 	// testHookAnalyze, when non-nil, runs after the request body is read
-	// and before the analysis starts. Test-only: the drain and
-	// load-shedding tests use it to hold a request in flight.
+	// and before VRP starts (after prepare on /v1/analyze, before the
+	// pipeline on a batch). Test-only: the drain and load-shedding tests
+	// use it to hold a request in flight.
 	testHookAnalyze func()
 }
 
@@ -190,7 +186,7 @@ func New(cfg Config) *Server {
 		m:        m,
 		cache:    newResultCache(cfg.CacheEntries),
 		fstore:   newFuncStore(cfg.FuncStoreEntries, m),
-		recorder: newFlightRecorder(cfg.RecorderEntries, cfg.RecorderSlowK, cfg.RecorderSampleN),
+		recorder: newFlightRecorder(cfg.RecorderEntries, DefaultRecorderSlowK, DefaultRecorderSampleN),
 		sem:      make(chan struct{}, cfg.MaxInFlight),
 		mux:      http.NewServeMux(),
 		idPrefix: strconv.FormatInt(start.UnixNano()&0xfffffff, 36),
@@ -449,91 +445,57 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		s.m.shed.Inc()
 		w.Header().Set("Retry-After", "1")
 		s.writeError(w, http.StatusTooManyRequests, "", "server at capacity, retry later")
-		s.finishAnalyze(r.Context(), tr, root, 0, "shed", http.StatusTooManyRequests, nil, time.Since(t0))
+		s.finishAnalyze(r.Context(), tr, root, &job{status: http.StatusTooManyRequests, outcome: "shed"}, time.Since(t0))
 		return
 	}
 	defer func() { <-s.sem }()
 	s.m.inflight.Inc()
 	defer s.m.inflight.Dec()
 
+	// Explain and telemetry responses carry per-run payloads, so they
+	// bypass the response cache entirely.
+	q := r.URL.Query()
+	explain, wantTelemetry := q.Get("explain"), q.Get("telemetry") == "1"
+
 	vSpan := tr.Start(root, "phase", "validate")
 	src, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxSourceBytes))
-	if err != nil {
-		tr.End(vSpan)
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			s.countOutcome("too_large")
-			s.writeError(w, http.StatusRequestEntityTooLarge, "read",
-				fmt.Sprintf("source exceeds %d bytes", s.cfg.MaxSourceBytes))
-			s.finishAnalyze(r.Context(), tr, root, 0, "too_large", http.StatusRequestEntityTooLarge, nil, time.Since(t0))
-			return
-		}
-		s.countOutcome("read_error")
-		s.writeError(w, http.StatusBadRequest, "read", err.Error())
-		s.finishAnalyze(r.Context(), tr, root, 0, "read_error", http.StatusBadRequest, nil, time.Since(t0))
+	var mbe *http.MaxBytesError
+	var j *job
+	switch {
+	case errors.As(err, &mbe):
+		j = s.tooLarge()
+	case err != nil:
+		j = refused(http.StatusBadRequest, "read_error", err.Error())
+	default:
+		j = s.prepare(src, explain == "" && !wantTelemetry, tr, root, vSpan)
+	}
+	tr.End(vSpan) // a no-op once prepare has accepted the source
+	if j.disp == "" {
+		// Refused before the cache probe: no write phase, no analyze log.
+		s.countOutcome(j.outcome)
+		s.writeBody(w, j.status, j.body)
+		s.finishAnalyze(r.Context(), tr, root, j, time.Since(t0))
 		return
 	}
-	if len(src) == 0 {
-		tr.End(vSpan)
-		s.countOutcome("empty")
-		s.writeError(w, http.StatusBadRequest, "read", "empty body: POST Mini source")
-		s.finishAnalyze(r.Context(), tr, root, 0, "empty", http.StatusBadRequest, nil, time.Since(t0))
-		return
-	}
-	tr.Annotate(vSpan, "bytes", strconv.Itoa(len(src)))
-	tr.End(vSpan)
-	s.m.srcBytes.Observe(float64(len(src)))
-	fp := hashSource(src)
 
 	if s.testHookAnalyze != nil {
 		s.testHookAnalyze()
 	}
-
-	q := r.URL.Query()
-	explain := q.Get("explain")
-	wantTelemetry := q.Get("telemetry") == "1"
-
-	if explain == "" && !wantTelemetry {
-		status, outcome, disp, body, resp := s.analyzePlain(r.Context(), src, tr, root)
-		s.countOutcome(outcome)
-		wSpan := tr.Start(root, "phase", "write")
-		s.logAnalyze(r, outcome, disp, t0, resp)
-		s.writeBody(w, status, body)
-		tr.End(wSpan)
-		s.finishAnalyze(r.Context(), tr, root, fp, outcome, status, resp, time.Since(t0))
-		return
-	}
-
-	// Explain and telemetry responses carry per-run payloads, so they
-	// bypass the response cache entirely.
-	s.m.cacheBypass.Inc()
-	resp, status, outcome, errResp := s.analyze(r.Context(), src, explain, wantTelemetry, tr, root)
-	s.countOutcome(outcome)
-	if errResp != nil {
-		wSpan := tr.Start(root, "phase", "write")
-		s.logAnalyze(r, outcome, "bypass", t0, nil)
-		s.writeJSON(w, status, errResp)
-		tr.End(wSpan)
-		s.finishAnalyze(r.Context(), tr, root, fp, outcome, status, nil, time.Since(t0))
-		return
-	}
-	rSpan := tr.Start(root, "phase", "render")
-	body := marshalBody(resp)
-	tr.End(rSpan)
+	s.finish(r.Context(), j, explain, wantTelemetry, tr, root)
+	s.countOutcome(j.outcome)
 	wSpan := tr.Start(root, "phase", "write")
-	s.logAnalyze(r, outcome, "bypass", t0, resp)
-	s.writeBody(w, status, body)
+	s.logAnalyze(r, j.outcome, j.disp, t0, j.resp)
+	s.writeBody(w, j.status, j.body)
 	tr.End(wSpan)
-	s.finishAnalyze(r.Context(), tr, root, fp, outcome, status, resp, time.Since(t0))
+	s.finishAnalyze(r.Context(), tr, root, j, time.Since(t0))
 }
 
 // finishAnalyze closes the root span, folds the request's phase durations
 // into the per-phase histograms and the SLO window, and offers the
 // request to the flight recorder. It runs once per /v1/analyze request,
 // sheds and errors included, after the response has been written.
-func (s *Server) finishAnalyze(ctx context.Context, tr *telemetry.Trace, root telemetry.SpanID,
-	fp uint64, outcome string, status int, resp *AnalyzeResponse, dur time.Duration) {
-	tr.Annotate(root, "outcome", outcome)
+func (s *Server) finishAnalyze(ctx context.Context, tr *telemetry.Trace, root telemetry.SpanID, j *job, dur time.Duration) {
+	tr.Annotate(root, "outcome", j.outcome)
 	tr.End(root)
 	spans := tr.Spans()
 	phases := telemetry.PhaseDurations(spans, root)
@@ -551,22 +513,22 @@ func (s *Server) finishAnalyze(ctx context.Context, tr *telemetry.Trace, root te
 	e := &recordedRequest{
 		ID:      requestID(ctx),
 		Path:    "/v1/analyze",
-		Outcome: outcome,
-		Status:  status,
+		Outcome: j.outcome,
+		Status:  j.status,
 		// Errors and sheds default to non-converged so interesting()
 		// holds; a successful response overrides from its real result.
-		Converged: status < 400,
+		Converged: j.status < 400,
 		DurMS:     float64(dur.Microseconds()) / 1e3,
 		Phases:    phases,
 		Spans:     spans,
 	}
-	if fp != 0 {
-		e.Fingerprint = fmt.Sprintf("%016x", fp)
+	if j.fp != 0 {
+		e.Fingerprint = fmt.Sprintf("%016x", j.fp)
 	}
-	if resp != nil {
-		e.Converged = resp.Converged
-		e.Degraded = resp.Stats.FuncsDegraded > 0
-		e.Quality = resp.quality
+	if j.resp != nil {
+		e.Converged = j.resp.Converged
+		e.Degraded = j.resp.Stats.FuncsDegraded > 0
+		e.Quality = j.resp.quality
 	}
 	if class, kept := s.recorder.offer(e); kept {
 		s.m.kept.With(class).Inc()
@@ -589,26 +551,26 @@ func hashSource(src []byte) uint64 {
 	return vrange.HashBytes(src)
 }
 
-// cacheProbe looks src up in the response cache and returns the request's
-// cache disposition: "hit" (body is the cached response), "miss", or
-// "bypass" (caching disabled). Hit/miss/bypass/collision counters are
-// maintained here so /v1/analyze and batch items count identically.
-func (s *Server) cacheProbe(src []byte) (key uint64, body []byte, disp string) {
+// cacheProbe looks src up in the response cache under its fingerprint
+// and returns the cache disposition: "hit" (body is the cached response),
+// "miss", or "bypass" (caching disabled). Hit/miss/bypass/collision
+// counters are maintained here so /v1/analyze and batch items count
+// identically.
+func (s *Server) cacheProbe(fp uint64, src []byte) (body []byte, disp string) {
 	if s.cache == nil {
 		s.m.cacheBypass.Inc()
-		return 0, nil, "bypass"
+		return nil, "bypass"
 	}
-	key = hashSource(src)
-	cached, ok, collided := s.cache.get(key, src)
+	cached, ok, collided := s.cache.get(fp, src)
 	if collided {
 		s.m.cacheCollisions.Inc()
 	}
 	if ok {
 		s.m.cacheHits.Inc()
-		return key, cached, "hit"
+		return cached, "hit"
 	}
 	s.m.cacheMisses.Inc()
-	return key, nil, "miss"
+	return nil, "miss"
 }
 
 // cacheFill stores a successful plain response body under (key, src).
@@ -636,53 +598,94 @@ func marshalBody(v any) []byte {
 	return append(body, '\n')
 }
 
-// analyzePlain serves one plain analysis (no explain, no telemetry
-// attachment) through the response cache. It is the shared core of
-// /v1/analyze and each /v1/analyze-batch item: callers get the HTTP
-// status, outcome label, cache disposition, the exact response body, and
-// — when a fresh analysis succeeded — the decoded response for logging.
-func (s *Server) analyzePlain(ctx context.Context, src []byte, tr *telemetry.Trace, parent telemetry.SpanID) (status int, outcome, disp string, body []byte, resp *AnalyzeResponse) {
-	cpSpan := tr.Start(parent, "phase", "cache_probe")
-	key, cached, disp := s.cacheProbe(src)
-	if tr != nil {
-		tr.Annotate(cpSpan, "disposition", disp)
+// ------------------------------------------------------- analysis core
+
+// job carries one analysis through the two stages every /v1/analyze
+// request and every batch item share: prepare resolves it outright or
+// compiles it, and finish runs VRP on whatever prepare left compiled.
+type job struct {
+	src  []byte
+	fp   uint64       // hashSource(src): cache key and recorder fingerprint
+	disp string       // cache disposition: hit, miss or bypass; "" if refused
+	prog *vrp.Program // non-nil: compiled, waiting for finish
+
+	status  int
+	outcome string
+	body    []byte           // the exact response body, once resolved
+	resp    *AnalyzeResponse // a fresh successful analysis, for the log and the recorder
+}
+
+// fail resolves j with an error body.
+func (j *job) fail(status int, outcome, stage, msg string) {
+	j.status, j.outcome = status, outcome
+	j.body = marshalBody(&errorResponse{Error: msg, Stage: stage})
+}
+
+// refused is a source turned away before the cache probe.
+func refused(status int, outcome, msg string) *job {
+	j := &job{}
+	j.fail(status, outcome, "read", msg)
+	return j
+}
+
+func (s *Server) tooLarge() *job {
+	return refused(http.StatusRequestEntityTooLarge, "too_large",
+		fmt.Sprintf("source exceeds %d bytes", s.cfg.MaxSourceBytes))
+}
+
+// prepare is the front half of an analysis: it validates src,
+// fingerprints it, probes the response cache when the response is
+// cacheable, and compiles. The job comes back resolved (refused, cache
+// hit or compile error) or holding the compiled program for finish.
+// validate is the caller's open validate span, closed once src passes;
+// batch items pass a nil trace.
+func (s *Server) prepare(src []byte, cacheable bool, tr *telemetry.Trace, root, validate telemetry.SpanID) *job {
+	if len(src) == 0 {
+		return refused(http.StatusBadRequest, "empty", "empty body: POST Mini source")
+	}
+	if int64(len(src)) > s.cfg.MaxSourceBytes {
+		return s.tooLarge()
+	}
+	tr.Annotate(validate, "bytes", strconv.Itoa(len(src)))
+	tr.End(validate)
+	s.m.srcBytes.Observe(float64(len(src)))
+
+	j := &job{src: src, fp: hashSource(src), disp: "bypass"}
+	if cacheable {
+		cpSpan := tr.Start(root, "phase", "cache_probe")
+		j.body, j.disp = s.cacheProbe(j.fp, src)
+		tr.Annotate(cpSpan, "disposition", j.disp)
 		tr.End(cpSpan)
+		if j.disp == "hit" {
+			j.status, j.outcome = http.StatusOK, "cache_hit"
+			return j
+		}
+	} else {
+		s.m.cacheBypass.Inc()
 	}
-	if disp == "hit" {
-		return http.StatusOK, "cache_hit", disp, cached, nil
-	}
-	r, status, outcome, errResp := s.analyze(ctx, src, "", false, tr, parent)
-	if errResp != nil {
-		return status, outcome, disp, marshalBody(errResp), nil
-	}
-	rSpan := tr.Start(parent, "phase", "render")
-	body = marshalBody(r)
-	if disp == "miss" {
-		s.cacheFill(key, src, body)
-	}
-	tr.End(rSpan)
-	return status, outcome, disp, body, r
-}
-
-// analyze compiles and analyzes src, threading the run's telemetry into
-// the lattice metrics. It returns either a response or an error body.
-func (s *Server) analyze(ctx context.Context, src []byte, explain string, wantTelemetry bool, tr *telemetry.Trace, parent telemetry.SpanID) (*AnalyzeResponse, int, string, *errorResponse) {
-	prog, err := vrp.CompileWith("request.mini", string(src), vrp.CompileOptions{Trace: tr, TraceParent: parent})
+	prog, err := vrp.CompileWith("request.mini", string(src), vrp.CompileOptions{Trace: tr, TraceParent: root})
 	if err != nil {
-		return nil, http.StatusUnprocessableEntity, "compile_error", &errorResponse{Error: err.Error(), Stage: "compile"}
+		j.fail(http.StatusUnprocessableEntity, "compile_error", "compile", err.Error())
+		return j
 	}
-	return s.analyzeCompiled(ctx, prog, explain, wantTelemetry, tr, parent)
+	j.prog = prog
+	return j
 }
 
-// analyzeCompiled runs VRP on an already compiled program (the batch
-// pipeline compiles item i+1 while this analyzes item i).
-func (s *Server) analyzeCompiled(ctx context.Context, prog *vrp.Program, explain string, wantTelemetry bool, tr *telemetry.Trace, parent telemetry.SpanID) (*AnalyzeResponse, int, string, *errorResponse) {
+// finish is the back half: it runs VRP on a compiled job, threading the
+// run's telemetry into the lattice metrics, attaches the explain chain
+// and telemetry when asked, renders the body and fills the response
+// cache on a miss. A job prepare already resolved passes through.
+func (s *Server) finish(ctx context.Context, j *job, explain string, wantTelemetry bool, tr *telemetry.Trace, root telemetry.SpanID) {
+	if j.prog == nil {
+		return
+	}
 	if s.cfg.AnalyzeTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.AnalyzeTimeout)
 		defer cancel()
 	}
-	vrpSpan := tr.Start(parent, "phase", "vrp")
+	vrpSpan := tr.Start(root, "phase", "vrp")
 	opts := []vrp.Option{vrp.WithTelemetry(), vrp.WithWorkers(s.cfg.Workers), vrp.WithTrace(tr, vrpSpan)}
 	// A store splice replays a function's results but not its engine
 	// counters, so telemetry requests skip the store to keep their
@@ -690,14 +693,15 @@ func (s *Server) analyzeCompiled(ctx context.Context, prog *vrp.Program, explain
 	if s.fstore != nil && !wantTelemetry {
 		opts = append(opts, vrp.WithFuncStore(s.fstore))
 	}
-	analysis, err := prog.AnalyzeContext(ctx, opts...)
+	analysis, err := j.prog.AnalyzeContext(ctx, opts...)
 	tr.End(vrpSpan)
 	if err != nil {
 		status, outcome := http.StatusInternalServerError, "analysis_error"
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			status, outcome = http.StatusServiceUnavailable, "cancelled"
 		}
-		return nil, status, outcome, &errorResponse{Error: err.Error(), Stage: "analyze"}
+		j.fail(status, outcome, "analyze", err.Error())
+		return
 	}
 
 	snap := analysis.Telemetry()
@@ -744,33 +748,32 @@ func (s *Server) analyzeCompiled(ctx context.Context, prog *vrp.Program, explain
 	}
 	if explain != "" {
 		fn, line := explain, 0
-		if i := lastColon(explain); i >= 0 {
+		if i := strings.LastIndexByte(explain, ':'); i >= 0 {
 			n, err := strconv.Atoi(explain[i+1:])
 			if err != nil {
-				return nil, http.StatusBadRequest, "explain_error",
-					&errorResponse{Error: fmt.Sprintf("bad explain target %q: want func or func:line", explain), Stage: "explain"}
+				j.fail(http.StatusBadRequest, "explain_error", "explain",
+					fmt.Sprintf("bad explain target %q: want func or func:line", explain))
+				return
 			}
 			fn, line = explain[:i], n
 		}
 		be, err := analysis.ExplainBranch(fn, line)
 		if err != nil {
-			return nil, http.StatusUnprocessableEntity, "explain_error", &errorResponse{Error: err.Error(), Stage: "explain"}
+			j.fail(http.StatusUnprocessableEntity, "explain_error", "explain", err.Error())
+			return
 		}
 		resp.Explanation = be.String()
 	}
 	if wantTelemetry {
 		resp.Telemetry = &TelemetryJSON{Snapshot: snap, Spans: tr.Spans()}
 	}
-	return resp, http.StatusOK, "ok", nil
-}
 
-func lastColon(s string) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == ':' {
-			return i
-		}
+	rSpan := tr.Start(root, "phase", "render")
+	j.status, j.outcome, j.resp, j.body = http.StatusOK, "ok", resp, marshalBody(resp)
+	if j.disp == "miss" {
+		s.cacheFill(j.fp, j.src, j.body)
 	}
-	return -1
+	tr.End(rSpan)
 }
 
 // ---------------------------------------------------------------- batch
@@ -800,10 +803,10 @@ type batchResponse struct {
 
 // handleAnalyzeBatch serves POST /v1/analyze-batch: N plain analyses in
 // one request, sharing one in-flight slot and the warm response cache and
-// per-function store. Items are processed in order, but as a two-stage
-// pipeline: a producer goroutine runs the cheap front half (validation,
-// cache probe, parse→SSA) of item i+1 while this goroutine runs VRP on
-// item i.
+// per-function store. Items are processed in order through the same
+// prepare/finish core as /v1/analyze, but pipelined: a producer goroutine
+// runs prepare (validation, cache probe, parse→SSA) on item i+1 while
+// this goroutine runs finish (VRP, render, cache fill) on item i.
 func (s *Server) handleAnalyzeBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -863,72 +866,26 @@ func (s *Server) handleAnalyzeBatch(w http.ResponseWriter, r *http.Request) {
 		s.testHookAnalyze()
 	}
 
-	// batchJob carries one item through the pipeline. Stage one resolves
-	// it outright (validation failure, cache hit, compile error → body
-	// set) or hands over a compiled program for stage two to analyze.
-	type batchJob struct {
-		src     []byte
-		key     uint64
-		disp    string
-		status  int
-		outcome string
-		body    []byte       // non-nil: resolved by stage one
-		prog    *vrp.Program // non-nil: ready for VRP
-	}
-	jobs := make(chan *batchJob, len(req.Programs))
+	// Stage one (prepare) runs on a producer goroutine, ahead of stage
+	// two (finish) here; batch items are untraced.
+	jobs := make(chan *job, len(req.Programs))
 	go func() {
 		defer close(jobs)
 		for _, p := range req.Programs {
-			job := &batchJob{src: []byte(p), disp: "bypass"}
-			switch {
-			case len(job.src) == 0:
-				job.status, job.outcome = http.StatusBadRequest, "empty"
-				job.body = marshalBody(&errorResponse{Error: "empty body: POST Mini source", Stage: "read"})
-			case int64(len(job.src)) > s.cfg.MaxSourceBytes:
-				job.status, job.outcome = http.StatusRequestEntityTooLarge, "too_large"
-				job.body = marshalBody(&errorResponse{
-					Error: fmt.Sprintf("source exceeds %d bytes", s.cfg.MaxSourceBytes), Stage: "read"})
-			default:
-				s.m.srcBytes.Observe(float64(len(job.src)))
-				var cached []byte
-				job.key, cached, job.disp = s.cacheProbe(job.src)
-				if job.disp == "hit" {
-					job.status, job.outcome, job.body = http.StatusOK, "cache_hit", cached
-					break
-				}
-				prog, err := vrp.Compile("request.mini", string(job.src))
-				if err != nil {
-					job.status, job.outcome = http.StatusUnprocessableEntity, "compile_error"
-					job.body = marshalBody(&errorResponse{Error: err.Error(), Stage: "compile"})
-					break
-				}
-				job.prog = prog
-			}
-			jobs <- job
+			jobs <- s.prepare([]byte(p), true, nil, telemetry.NoSpan, telemetry.NoSpan)
 		}
 	}()
 
 	results := make([]batchItem, 0, len(req.Programs))
-	for job := range jobs {
-		if job.body == nil {
-			resp, status, outcome, errResp := s.analyzeCompiled(r.Context(), job.prog, "", false, nil, telemetry.NoSpan)
-			job.status, job.outcome = status, outcome
-			if errResp != nil {
-				job.body = marshalBody(errResp)
-			} else {
-				job.body = marshalBody(resp)
-				if job.disp == "miss" {
-					s.cacheFill(job.key, job.src, job.body)
-				}
-			}
-		}
-		s.countOutcome(job.outcome)
+	for j := range jobs {
+		s.finish(r.Context(), j, "", false, nil, telemetry.NoSpan)
+		s.countOutcome(j.outcome)
 		// Bodies are compact json.Marshal output, so embedding them as a
 		// RawMessage (minus the framing newline) re-serializes to the
 		// exact same bytes /v1/analyze sent.
 		results = append(results, batchItem{
-			Status: job.status,
-			Body:   json.RawMessage(bytes.TrimSuffix(job.body, []byte("\n"))),
+			Status: j.status,
+			Body:   json.RawMessage(bytes.TrimSuffix(j.body, []byte("\n"))),
 		})
 	}
 	s.writeJSON(w, http.StatusOK, &batchResponse{Results: results})

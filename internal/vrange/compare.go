@@ -209,7 +209,9 @@ func (c *Calc) fracLtNum(x, y Range) float64 {
 }
 
 // probLessUniform is P(X<Y) for independent X~U[a1,b1], Y~U[a2,b2],
-// computed by clipping the unit square.
+// computed by clipping the unit square. Near the int64 edges, a range of
+// many integers can still round to a zero float64 extent; a zero-width
+// side counts as unit width, so the result is never NaN.
 func probLessUniform(a1, b1, a2, b2 float64) float64 {
 	if b1 <= a2 {
 		return 1
@@ -222,11 +224,15 @@ func probLessUniform(a1, b1, a2, b2 float64) float64 {
 	if w <= 0 {
 		w = 1
 	}
+	h := b2 - a2
+	if h <= 0 {
+		h = 1
+	}
 	const steps = 64
 	sum := 0.0
 	for i := 0; i < steps; i++ {
 		x := a1 + (float64(i)+0.5)*w/steps
-		py := (b2 - x) / (b2 - a2)
+		py := (b2 - x) / h
 		sum += math.Min(1, math.Max(0, py))
 	}
 	return sum / steps

@@ -76,9 +76,7 @@ func checkClosedForm(t *testing.T, c *Calc, x, y Range) {
 	exact := min(nx, ny) <= c.Cfg.ExactPairLimit
 	lt := c.fracLtNum(x, y)
 	eq, ok := c.fracEq(x, y)
-	// Above the limit both sides share probLessUniform, which is not under
-	// test here (its float extents vanish at the int64 edges).
-	if !ok || exact && !(lt >= 0 && lt <= 1) || !(eq >= 0 && eq <= 1) {
+	if !ok || !(lt >= 0 && lt <= 1) || !(eq >= 0 && eq <= 1) {
 		t.Fatalf("limit %d: P(%v < %v) = %v, P(==) = %v (ok %v): want fractions in [0,1]",
 			c.Cfg.ExactPairLimit, x, y, lt, eq, ok)
 	}
@@ -220,6 +218,9 @@ func FuzzFracLtClosedForm(f *testing.F) {
 		{0, 7, 600, 3, 11, 400, 64},
 		{-1 << 52, 1000, 1 << 20, -1<<52 + 999, 999, 1 << 20, 4096},
 		{0, 1, 5000, 0, 1, 5000, 4096},
+		// Both above the limit, and y's float64 extent rounds to zero.
+		{math.MinInt64, 8, 571, math.MinInt64 + 971, 1, 19, 18},
+		{1<<60 - 100, 1, 1000, 1 << 60, 1, 6, 4},
 	} {
 		f.Add(s.xlo, uint16(s.sx-1), uint64(s.nx-2), s.ylo, uint16(s.sy-1), uint64(s.ny-2), uint16(s.limit-1))
 	}
