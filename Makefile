@@ -5,7 +5,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test vet race fmt check bench-scale quality-gate serve
+.PHONY: build test vet race fmt check quality-gate serve
 
 build:
 	$(GO) build ./...
@@ -29,12 +29,6 @@ fmt:
 	fi
 
 check: fmt vet race
-
-# Mega-scale pipeline benchmark: one full lex→parse→sem→ssaform→VRP run
-# per generated tier (10k/100k/1M instructions), with the near-linear
-# scaling gate (gen-100k ns/instr ≤ 2× gen-10k). Writes BENCH_scale.json.
-bench-scale:
-	$(GO) run ./cmd/vrpbench -scale -gate
 
 # Prediction-quality gate: rewrite BENCH_quality.json and fail if VRP's
 # mean absolute probability error (weighted or unweighted), hit rate,

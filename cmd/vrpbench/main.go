@@ -12,12 +12,11 @@
 //	vrpbench -summary   §5 headline numbers: mean errors, hit rates, range share
 //	vrpbench -apps      §6 applications
 //	vrpbench -ablations DESIGN.md §5 ablation table
-//	vrpbench -scale     mega-scale pipeline benchmark over generated 10k/100k/1M-instruction tiers (BENCH_scale.json)
 //	vrpbench -quality   per-suite predictor errors and VRP quality digests (BENCH_quality.json)
 //
-// One mode runs per invocation. -gate turns -scale or -quality into a
-// pass/fail check. Giving two modes, or a setting whose mode is absent
-// (-gate -fig 5, -scalemax without -scale), is a usage error (exit 2).
+// One mode runs per invocation. -gate turns -quality into a pass/fail
+// check. Giving two modes, or a setting whose mode is absent (-gate
+// -fig 5, -maxevals without -quality), is a usage error (exit 2).
 package main
 
 import (
@@ -27,12 +26,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 
 	"vrp"
 	"vrp/internal/bench"
 	"vrp/internal/corpus"
-	"vrp/internal/genprog"
 )
 
 func main() {
@@ -46,8 +43,6 @@ func main() {
 	w := os.Stdout
 
 	switch o.mode {
-	case "scale":
-		err = runScaleBench(w, o.scaleOut, o.scaleMax, o.gate)
 	case "quality":
 		err = runQuality(w, o.qualityOut, o.qualityBase, o.gate, o.maxEvals)
 	case "summary":
@@ -95,11 +90,9 @@ func main() {
 // options is a parsed vrpbench command line: the one mode to run ("" =
 // reproduce everything) and the settings that mode reads.
 type options struct {
-	mode        string // "fig", "summary", "apps", "ablations", "scale" or "quality"
+	mode        string // "fig", "summary", "apps", "ablations" or "quality"
 	fig         int
 	gate        bool
-	scaleOut    string
-	scaleMax    string
 	qualityOut  string
 	qualityBase string
 	maxEvals    int
@@ -118,10 +111,7 @@ func parseArgs(args []string, out io.Writer) (options, error) {
 	fs.Bool("summary", false, "print the §5 summary only")
 	fs.Bool("apps", false, "print the §6 applications only")
 	fs.Bool("ablations", false, "print the ablation table only")
-	fs.BoolVar(&o.gate, "gate", false, "with -scale, exit nonzero if the 100k tier's ns/instr exceeds 2x the 10k tier's; with -quality, exit nonzero if a gated VRP metric (err_w_pp, err_u_pp, hit_pct, certain_fraction, bottom_fraction, stale_certain) is worse than the committed baseline by more than its bound, or a baseline suite is missing")
-	fs.Bool("scale", false, "run the mega-scale pipeline benchmark over the generated 10k/100k/1M tiers, emit JSON")
-	fs.StringVar(&o.scaleOut, "scaleout", "BENCH_scale.json", "output path for -scale")
-	fs.StringVar(&o.scaleMax, "scalemax", "", "with -scale, largest tier to run (e.g. 100k for CI smoke; empty = all)")
+	fs.BoolVar(&o.gate, "gate", false, "with -quality, exit nonzero if a gated VRP metric (err_w_pp, err_u_pp, hit_pct, certain_fraction, bottom_fraction, stale_certain) is worse than the committed baseline by more than its bound, or a baseline suite is missing")
 	fs.Bool("quality", false, "score every predictor on the corpus suites and genprog presets, with VRP quality digests, emit JSON")
 	fs.StringVar(&o.qualityOut, "qualityout", "BENCH_quality.json", "output path for -quality")
 	fs.StringVar(&o.qualityBase, "qualitybase", "", "with -quality -gate, baseline report to gate against (default: the -qualityout path before it is overwritten)")
@@ -141,7 +131,7 @@ func parseArgs(args []string, out io.Writer) (options, error) {
 
 	given := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { given[f.Name] = f.Value.String() != f.DefValue })
-	for _, m := range []string{"fig", "summary", "apps", "ablations", "scale", "quality"} {
+	for _, m := range []string{"fig", "summary", "apps", "ablations", "quality"} {
 		if !given[m] {
 			continue
 		}
@@ -154,9 +144,7 @@ func parseArgs(args []string, out io.Writer) (options, error) {
 		flag, needs string
 		ok          bool
 	}{
-		{"gate", "-scale or -quality", o.mode == "scale" || o.mode == "quality"},
-		{"scaleout", "-scale", o.mode == "scale"},
-		{"scalemax", "-scale", o.mode == "scale"},
+		{"gate", "-quality", o.mode == "quality"},
 		{"qualityout", "-quality", o.mode == "quality"},
 		{"maxevals", "-quality", o.mode == "quality"},
 		{"qualitybase", "-quality -gate", o.mode == "quality" && o.gate},
@@ -169,16 +157,6 @@ func parseArgs(args []string, out io.Writer) (options, error) {
 		return usageErr("unknown figure %d", o.fig)
 	}
 	return o, nil
-}
-
-// scaleBenchReport is the machine-readable result of -scale: one full
-// single-shot pipeline run (lex→parse→sem→ssaform→VRP, sequential
-// schedule) per generated mega-scale tier (BENCH_scale.json; schema
-// vrp-scale/v1 in EXPERIMENTS.md).
-type scaleBenchReport struct {
-	Schema     string             `json:"schema"`
-	GOMAXPROCS int                `json:"gomaxprocs"`
-	Points     []bench.ScalePoint `json:"points"`
 }
 
 // runQuality evaluates prediction quality against the interpreter and
@@ -219,57 +197,6 @@ func runQuality(w *os.File, outPath, basePath string, gate bool, maxEvals int) e
 			return err
 		}
 		fmt.Fprintln(w, "quality gate: ok")
-	}
-	return nil
-}
-
-func runScaleBench(w *os.File, outPath, maxTier string, gate bool) error {
-	tiers := genprog.ScaleTiers()
-	if maxTier != "" {
-		cut := -1
-		for i, t := range tiers {
-			if t.Name == "gen-"+maxTier || t.Name == maxTier {
-				cut = i
-			}
-		}
-		if cut < 0 {
-			return fmt.Errorf("-scalemax %q matches no scale tier", maxTier)
-		}
-		tiers = tiers[:cut+1]
-	}
-	pts, err := bench.MegaScale(tiers)
-	if err != nil {
-		return err
-	}
-	rep := scaleBenchReport{Schema: "vrp-scale/v1", GOMAXPROCS: runtime.GOMAXPROCS(0), Points: pts}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "mega-scale pipeline benchmark (sequential, single shot):\n")
-	fmt.Fprintf(w, "  %-9s %8s %6s %8s %9s %9s %9s %9s %10s %10s %10s %7s %5s\n",
-		"tier", "instrs", "funcs", "total", "parse", "ssa", "vrp", "ns/instr", "allocs", "allocMB", "peakMB", "passes", "conv")
-	for _, p := range pts {
-		conv := "yes"
-		if !p.Converged {
-			conv = "NO"
-		}
-		fmt.Fprintf(w, "  %-9s %8d %6d %7.2fs %8.3fs %8.3fs %8.2fs %9.1f %10d %10.1f %10.1f %7d %5s\n",
-			p.Name, p.Instrs, p.Funcs,
-			float64(p.TotalNs)/1e9, float64(p.PhaseNs["parse"])/1e9,
-			float64(p.PhaseNs["ssa"])/1e9, float64(p.PhaseNs["vrp"])/1e9,
-			p.NsPerInstr, p.Allocs, float64(p.AllocBytes)/(1<<20),
-			float64(p.PeakHeapBytes)/(1<<20), p.Passes, conv)
-	}
-	fmt.Fprintf(w, "wrote %s\n", outPath)
-	if gate {
-		if err := bench.ScaleGate(pts, 2.0); err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "scale gate: ok (gen-100k ns/instr within 2x gen-10k)")
 	}
 	return nil
 }

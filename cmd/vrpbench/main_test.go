@@ -19,16 +19,13 @@ func TestParseArgs(t *testing.T) {
 		{args: "-fig 0", mode: ""},
 		{args: "-summary=false -fig 7", mode: "fig"},
 		{args: "-summary", mode: "summary"},
-		{args: "-scale -gate -scalemax 100k -scaleout s.json", mode: "scale"},
 		{args: "-quality -gate -maxevals 1 -qualitybase b.json -qualityout q.json", mode: "quality"},
 		{args: "-quality -summary", wantErr: "-summary and -quality select different modes"},
 		{args: "-fig 5 -apps", wantErr: "-fig and -apps select different modes"},
-		{args: "-scale -quality -gate", wantErr: "-scale and -quality select different modes"},
-		{args: "-gate -fig 5", wantErr: "-gate needs -scale or -quality"},
-		{args: "-gate", wantErr: "-gate needs -scale or -quality"},
-		{args: "-scalemax 100k", wantErr: "-scalemax needs -scale"},
-		{args: "-quality -scalemax 100k", wantErr: "-scalemax needs -scale"},
-		{args: "-scale -maxevals 1", wantErr: "-maxevals needs -quality"},
+		{args: "-ablations -quality -gate", wantErr: "-ablations and -quality select different modes"},
+		{args: "-gate -fig 5", wantErr: "-gate needs -quality"},
+		{args: "-gate", wantErr: "-gate needs -quality"},
+		{args: "-summary -maxevals 1", wantErr: "-maxevals needs -quality"},
 		{args: "-qualitybase b.json", wantErr: "-qualitybase needs -quality -gate"},
 		{args: "-quality -qualitybase b.json", wantErr: "-qualitybase needs -quality -gate"},
 		{args: "-summary -qualityout q.json", wantErr: "-qualityout needs -quality"},
@@ -36,6 +33,9 @@ func TestParseArgs(t *testing.T) {
 		{args: "-fig 5 extra", wantErr: `unexpected argument "extra"`},
 		{args: "-bench", wantErr: "flag provided but not defined: -bench"},
 		{args: "-lattice", wantErr: "flag provided but not defined: -lattice"},
+		{args: "-scale", wantErr: "flag provided but not defined: -scale"},
+		{args: "-quality -scaleout s.json", wantErr: "flag provided but not defined: -scaleout"},
+		{args: "-quality -scalemax 100k", wantErr: "flag provided but not defined: -scalemax"},
 	} {
 		var out strings.Builder
 		o, err := parseArgs(strings.Fields(tc.args), &out)
@@ -64,8 +64,8 @@ func TestParseArgsSettings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := options{mode: "quality", gate: true, scaleOut: "BENCH_scale.json",
-		qualityOut: "BENCH_quality.json", qualityBase: "b.json", maxEvals: 3}
+	want := options{mode: "quality", gate: true, qualityOut: "BENCH_quality.json",
+		qualityBase: "b.json", maxEvals: 3}
 	if o != want {
 		t.Errorf("options = %+v, want %+v", o, want)
 	}

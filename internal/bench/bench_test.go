@@ -250,40 +250,3 @@ func TestPrinters(t *testing.T) {
 		t.Error("applications output malformed")
 	}
 }
-
-// TestScaleGate pins the near-linear scaling contract vrpbench -scale
-// -gate enforces: gen-100k may cost up to factor× gen-10k per instruction,
-// and both tiers must be present for the check to mean anything.
-func TestScaleGate(t *testing.T) {
-	tier := func(name string, nsPerInstr float64) ScalePoint {
-		return ScalePoint{Name: name, NsPerInstr: nsPerInstr}
-	}
-	for _, tc := range []struct {
-		name    string
-		pts     []ScalePoint
-		wantErr []string // substrings of the error; nil = passes
-	}{
-		{"missing-100k", []ScalePoint{tier("gen-10k", 20)}, []string{"gen-10k and gen-100k"}},
-		{"missing-10k", []ScalePoint{tier("gen-100k", 20), tier("gen-1m", 90)}, []string{"gen-10k and gen-100k"}},
-		{"within-2x", []ScalePoint{tier("gen-10k", 20), tier("gen-100k", 39.9), tier("gen-1m", 500)}, nil},
-		{"exactly-2x", []ScalePoint{tier("gen-10k", 20), tier("gen-100k", 40)}, nil},
-		{"above-2x", []ScalePoint{tier("gen-10k", 20), tier("gen-100k", 40.5)}, []string{"gen-100k 40.5 ns/instr", "gen-10k (20.0 ns/instr"}},
-	} {
-		err := ScaleGate(tc.pts, 2.0)
-		if tc.wantErr == nil {
-			if err != nil {
-				t.Errorf("%s: unexpected error %v", tc.name, err)
-			}
-			continue
-		}
-		if err == nil {
-			t.Errorf("%s: gate passed, want an error", tc.name)
-			continue
-		}
-		for _, want := range tc.wantErr {
-			if !strings.Contains(err.Error(), want) {
-				t.Errorf("%s: error %q does not name %q", tc.name, err, want)
-			}
-		}
-	}
-}

@@ -97,8 +97,8 @@ func TestComputeMatchesReferenceGenerated(t *testing.T) {
 // TestComputeMatchesReferencePresets runs the differential check over
 // every genprog shape preset, covering the mega-scale CFG/call-graph
 // structures (recursion rings, wide SCCs, deep loop nests, padded
-// bodies) the default tier does not reach. The 100k/1M tiers reuse the
-// 10k shape at larger sizes, so the factored solver sees every distinct
+// bodies) the default tier does not reach. The 100k tier reuses the
+// 10k shape at a larger size, so the factored solver sees every distinct
 // structure without mega-program test runtimes.
 func TestComputeMatchesReferencePresets(t *testing.T) {
 	for _, name := range []string{"10k", "wide-scc", "deep-loop", "recursive"} {

@@ -1,9 +1,9 @@
 // Package genprog deterministically generates large synthetic Mini
 // programs for benchmarking the analysis at sizes the hand-written corpus
 // does not reach. The hand corpus tops out under 5k IR instructions; the
-// lattice and scaling benchmarks need a ≥10k-instruction tier to show
-// whether the interner's wall-time win survives table sizes that no
-// longer fit comfortably in cache.
+// scaling benchmark (BenchmarkScaleNearLinear in internal/bench) and
+// perfbench's gen-10k workload need ≥10k-instruction programs, where the
+// analysis tables no longer fit comfortably in cache.
 //
 // The generated shape is deliberately adversarial for the range lattice:
 //
@@ -19,8 +19,8 @@
 // Determinism is absolute, not best-effort: the generator uses its own
 // splitmix64 stream, so a (Config, seed) pair produces byte-identical
 // source on every platform and Go release forever. Benchmark points
-// generated from it (BENCH_scale.json tiers, perfbench's gen-10k) are
-// therefore comparable across runs.
+// generated from it (BenchmarkScaleNearLinear's 10k/100k tiers,
+// perfbench's gen-10k) are therefore comparable across runs.
 package genprog
 
 import (
@@ -83,11 +83,11 @@ func Default() Config {
 // Preset returns a named generator configuration, or ok=false. Presets
 // come in two families:
 //
-//   - scale tier: "10k", "100k", "1m" — one fixed per-function shape
+//   - scale tier: "10k", "100k" — one fixed per-function shape
 //     (diamonds, loops, straight-line padding, narrow recursion) scaled
 //     purely by function count, so cost-per-instruction is comparable
-//     across sizes and the 10k→100k→1M curve measures program-level
-//     scaling, not shape drift;
+//     across sizes and the 10k→100k step measures program-level scaling,
+//     not shape drift;
 //   - shape stress: "default", "wide-scc", "deep-loop", "recursive" —
 //     small programs that push one CFG/call-graph dimension far past the
 //     benchmark mix, for differential correctness tests.
@@ -100,9 +100,6 @@ func Preset(name string) (Config, bool) {
 			BodyStmts: 4, SCCWidth: 4, RecDepth: 4}, true
 	case "100k":
 		return Config{Seed: 0x100aD5, Funcs: 500, Diamonds: 6, LoopDepth: 3,
-			BodyStmts: 4, SCCWidth: 4, RecDepth: 4}, true
-	case "1m":
-		return Config{Seed: 0x1000aD5, Funcs: 5000, Diamonds: 6, LoopDepth: 3,
 			BodyStmts: 4, SCCWidth: 4, RecDepth: 4}, true
 	case "wide-scc":
 		return Config{Seed: 0x51dcc, Funcs: 48, Diamonds: 4, LoopDepth: 2,
@@ -118,24 +115,7 @@ func Preset(name string) (Config, bool) {
 
 // PresetNames lists every Preset name in deterministic order.
 func PresetNames() []string {
-	return []string{"default", "10k", "100k", "1m", "wide-scc", "deep-loop", "recursive"}
-}
-
-// Tier is one point of the mega-scale benchmark series.
-type Tier struct {
-	Name string
-	Cfg  Config
-}
-
-// ScaleTiers returns the mega-scale benchmark tier in ascending size:
-// the 10k, 100k, and 1M-instruction presets.
-func ScaleTiers() []Tier {
-	var ts []Tier
-	for _, n := range []string{"10k", "100k", "1m"} {
-		cfg, _ := Preset(n)
-		ts = append(ts, Tier{Name: "gen-" + n, Cfg: cfg})
-	}
-	return ts
+	return []string{"default", "10k", "100k", "wide-scc", "deep-loop", "recursive"}
 }
 
 type gen struct {

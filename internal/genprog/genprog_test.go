@@ -130,8 +130,8 @@ func TestEditFunc(t *testing.T) {
 // preset must survive the full compile pipeline.
 func TestPresetDeterminism(t *testing.T) {
 	for _, name := range genprog.PresetNames() {
-		if name == "100k" || name == "1m" {
-			continue // mega tiers are exercised by vrpbench -scale, not unit tests
+		if name == "100k" {
+			continue // exercised by BenchmarkScaleNearLinear, not unit tests
 		}
 		t.Run(name, func(t *testing.T) {
 			cfg, ok := genprog.Preset(name)

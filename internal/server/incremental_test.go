@@ -113,7 +113,8 @@ func TestFuncStoreBucketCollision(t *testing.T) {
 	fs := newFuncStore(8, nil)
 	keyA := &corevrp.FuncKey{BodyFP: 7, InputFP: 7, ConfigFP: 7, Body: []byte("body A")}
 	keyB := &corevrp.FuncKey{BodyFP: 7, InputFP: 7, ConfigFP: 7, Body: []byte("body B")}
-	sfA, sfB := &corevrp.StoredFunc{SubOps: 1}, &corevrp.StoredFunc{SubOps: 2}
+	sfA := &corevrp.StoredFunc{Effort: corevrp.Effort{SubOps: 1}}
+	sfB := &corevrp.StoredFunc{Effort: corevrp.Effort{SubOps: 2}}
 
 	fs.Store(keyA, sfA)
 	if _, ok := fs.Lookup(keyB); ok {

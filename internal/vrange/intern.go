@@ -19,9 +19,8 @@ import (
 // just an allocation win:
 //
 //   - Representatives' Ranges arrays are carved from per-Interner arena
-//     slabs (valueArena) instead of individual make calls, and the slabs
-//     are recycled across epochs (Reset), so the steady-state intern path
-//     performs zero heap allocations.
+//     slabs (valueArena) instead of individual make calls, so the
+//     steady-state intern path performs zero heap allocations.
 //   - The cons table is open-addressed with a parallel tag-byte array: a
 //     probe touches one byte per non-matching slot, the full 64-bit
 //     fingerprint plus a kind/length header gate the range walk, and
@@ -56,7 +55,7 @@ import (
 // An Interner must not be shared between concurrently running engines: the
 // driver keeps one per worker slot, owned by the goroutine spawned for
 // that slot during the current wave (wave barriers give the required
-// happens-before for the epoch hand-off between waves and passes).
+// happens-before for the hand-off between waves and passes).
 
 // Reserved ids for the three contentless lattice values, assigned by their
 // constructors so even never-interned code gets the id fast path on them.
@@ -88,16 +87,12 @@ var rangeBytes = int64(unsafe.Sizeof(Range{}))
 // valueArena hands out Range backing arrays for interned representatives
 // from append-only slabs. Carved slices are full (len == cap), so an
 // accidental append by a caller copies instead of clobbering a neighbour.
-// reset recycles all slabs for the next epoch; it is only legal when no
-// Value carved from the current epoch is still in use, since recycled
-// memory will be overwritten.
+// Slabs are never reused: Results alias them for as long as they live.
 type valueArena struct {
-	cur   []Range   // current slab being carved
-	used  int       // carve offset into cur
-	full  [][]Range // exhausted slabs of the current epoch
-	free  [][]Range // recycled slabs from prior epochs
-	next  int       // size of the next fresh slab
-	bytes int64     // total bytes held across all slabs (footprint)
+	cur   []Range // current slab being carved
+	used  int     // carve offset into cur
+	next  int     // size of the next fresh slab
+	bytes int64   // total bytes held across all slabs (footprint)
 }
 
 // alloc carves an owned, full-capacity slice of n ranges.
@@ -110,19 +105,9 @@ func (a *valueArena) alloc(n int) []Range {
 	return s
 }
 
-// grab installs a slab with room for at least n ranges, preferring a
-// recycled one.
+// grab installs a fresh slab with room for at least n ranges.
 func (a *valueArena) grab(n int) {
-	if a.cur != nil {
-		a.full = append(a.full, a.cur)
-		a.cur = nil
-	}
 	a.used = 0
-	if k := len(a.free); k > 0 && len(a.free[k-1]) >= n {
-		a.cur = a.free[k-1]
-		a.free = a.free[:k-1]
-		return
-	}
 	sz := a.next
 	if sz < arenaMinChunk {
 		sz = arenaMinChunk
@@ -136,17 +121,6 @@ func (a *valueArena) grab(n int) {
 	a.next = sz * 2
 	a.cur = make([]Range, sz)
 	a.bytes += int64(sz) * rangeBytes
-}
-
-// reset recycles every slab for reuse in the next epoch.
-func (a *valueArena) reset() {
-	if a.cur != nil {
-		a.free = append(a.free, a.cur)
-		a.cur = nil
-	}
-	a.free = append(a.free, a.full...)
-	a.full = a.full[:0]
-	a.used = 0
 }
 
 // ---------------------------------------------------------------- memo
@@ -268,8 +242,7 @@ type Interner struct {
 
 	ar valueArena
 
-	epoch     uint64
-	evictions int64 // entries dropped by memo epoch evictions and Reset
+	evictions int64 // entries dropped by memo epoch evictions
 }
 
 // NewInterner returns an empty cons table.
@@ -610,40 +583,15 @@ func (it *Interner) Size() int {
 	return n
 }
 
-// Live is Size under its telemetry name: the current epoch's distinct
-// interned values.
+// Live is Size under its telemetry name: the distinct interned values.
 func (it *Interner) Live() int { return it.Size() }
 
-// ArenaBytes reports the memory footprint of the arena slabs (all epochs'
-// recycled slabs included — the high-water mark of range storage).
+// ArenaBytes reports the memory footprint of the arena slabs.
 func (it *Interner) ArenaBytes() int64 { return it.ar.bytes }
 
-// Evictions reports the total entries dropped by memo epoch evictions and
-// Reset calls over the Interner's lifetime.
+// Evictions reports the total entries dropped by memo epoch evictions
+// over the Interner's lifetime.
 func (it *Interner) Evictions() int64 { return it.evictions }
-
-// Epoch reports how many times the table has been Reset.
-func (it *Interner) Epoch() uint64 { return it.epoch }
-
-// Reset drops every interned value and memo entry and recycles the arena
-// slabs for a new epoch, keeping all table capacity. It is only legal when
-// no Value interned in the current epoch is still in use anywhere: the
-// recycled slabs will be overwritten, so a stale representative would see
-// its ranges change under it. The driver calls this only between analyses,
-// never within one.
-func (it *Interner) Reset() {
-	it.evictions += int64(it.Size()) + int64(it.memoLive) + int64(len(it.merge))
-	clear(it.tags)
-	it.live = 0
-	it.overflow = nil
-	clear(it.points)
-	clear(it.bools)
-	clear(it.memoTags)
-	it.memoLive = 0
-	clear(it.merge)
-	it.ar.reset()
-	it.epoch++
-}
 
 // ---------------------------------------------------------------- Calc API
 

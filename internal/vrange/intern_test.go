@@ -211,44 +211,6 @@ func TestForcedCollisionConcurrentTables(t *testing.T) {
 	}
 }
 
-// TestArenaEpochResetAllocFree pins the arena recycling contract: after a
-// couple of warm-up epochs the Reset + re-intern cycle runs entirely on
-// recycled slabs and cleared (bucket-preserving) maps — zero heap
-// allocations in steady state.
-func TestArenaEpochResetAllocFree(t *testing.T) {
-	it := NewInterner()
-	var hits, misses, skips int64
-	// Inputs are built once: the cycle must be alloc-free end to end, and
-	// the interner never retains caller slices (it copies into the arena).
-	var vals []Value
-	for i := 0; i < 32; i++ {
-		lo := int64(i * 10)
-		// Arena-backed multi-range values plus exact-table points.
-		vals = append(vals,
-			FromRanges(
-				Range{Prob: 0.25, Lo: Num(lo), Hi: Num(lo + 5), Stride: 1},
-				Range{Prob: 0.75, Lo: Num(lo + 100), Hi: Num(lo + 110), Stride: 2}),
-			FromRanges(Range{Prob: 1, Lo: Num(lo), Hi: Num(lo), Stride: 0}))
-	}
-	cycle := func() {
-		it.Reset()
-		for _, v := range vals {
-			it.intern(v, &hits, &misses, &skips)
-		}
-	}
-	cycle()
-	cycle() // two warm epochs: slab sizes and map buckets reach steady state
-	if n := testing.AllocsPerRun(20, cycle); n != 0 {
-		t.Errorf("Reset + re-intern cycle: %v allocs/op in steady state, want 0", n)
-	}
-	if it.Epoch() < 3 {
-		t.Errorf("Epoch() = %d, want >= 3 after three Resets", it.Epoch())
-	}
-	if it.Evictions() == 0 {
-		t.Error("Evictions() = 0, want > 0 after Resets of a populated table")
-	}
-}
-
 // TestMergeLoopHeaderBitIdentical pins the loop-header merge memo's
 // equivalence contract: MergeLoopHeader with the memo warm produces values
 // and Stats accounting bit-identical to plain Merge with interning (and

@@ -230,8 +230,9 @@ func Const(c int64) Value {
 // unique and never reused, so a detached copy still short-circuits
 // BitEqual against its original. Callers that retain values beyond the
 // analysis that produced them (the server's cross-request function
-// store) detach so that arena recycling or in-place demotion of the
-// original can never reach through a shared slice.
+// store) detach so that in-place demotion of the original can never
+// reach through a shared slice, and a stored record never pins an arena
+// slab.
 func (v Value) Detach() Value {
 	if len(v.Ranges) == 0 {
 		return v

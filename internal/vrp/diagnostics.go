@@ -142,8 +142,8 @@ func degradedResult(f *ir.Func, cfg Config) (*FuncResult, []float64) {
 		return p, ok
 	})
 	for i, v := range fr.Edge {
-		if v > cfg.MaxFreq {
-			fr.Edge[i] = cfg.MaxFreq
+		if v > maxFreq {
+			fr.Edge[i] = maxFreq
 		}
 	}
 	return &FuncResult{

@@ -70,31 +70,21 @@ func (in *funcInputs) ret(callee *ir.Func) vrange.Value {
 }
 
 // statCounters accumulates engine statistics; tasks fold local copies into
-// the driver's shared instance with atomics.
+// the driver's shared instance under statsMu.
 type statCounters struct {
-	exprEvals     int64
-	phiEvals      int64
-	flowVisits    int64
-	derivedLoops  int64
-	failedDerives int64
-	subOps        int64
+	eff           Effort
 	funcsAnalyzed int64
 	funcsSkipped  int64
 	funcsSpliced  int64
 	funcsDegraded int64
 }
 
-func (s *statCounters) addAtomic(l *statCounters) {
-	atomic.AddInt64(&s.exprEvals, l.exprEvals)
-	atomic.AddInt64(&s.phiEvals, l.phiEvals)
-	atomic.AddInt64(&s.flowVisits, l.flowVisits)
-	atomic.AddInt64(&s.derivedLoops, l.derivedLoops)
-	atomic.AddInt64(&s.failedDerives, l.failedDerives)
-	atomic.AddInt64(&s.subOps, l.subOps)
-	atomic.AddInt64(&s.funcsAnalyzed, l.funcsAnalyzed)
-	atomic.AddInt64(&s.funcsSkipped, l.funcsSkipped)
-	atomic.AddInt64(&s.funcsSpliced, l.funcsSpliced)
-	atomic.AddInt64(&s.funcsDegraded, l.funcsDegraded)
+func (s *statCounters) add(l *statCounters) {
+	s.eff.add(l.eff)
+	s.funcsAnalyzed += l.funcsAnalyzed
+	s.funcsSkipped += l.funcsSkipped
+	s.funcsSpliced += l.funcsSpliced
+	s.funcsDegraded += l.funcsDegraded
 }
 
 type driver struct {
@@ -180,6 +170,7 @@ type driver struct {
 	staleCertainFn []int
 
 	pass      int // current 0-based pass, for diagnostics
+	statsMu   sync.Mutex
 	stats     statCounters
 	changed   atomic.Bool
 	cancelled atomic.Bool
@@ -541,12 +532,13 @@ func observeValue(setSize, span *telemetry.Histogram, v vrange.Value) {
 }
 
 func (d *driver) fillStats(s *Stats) {
-	s.ExprEvals = d.stats.exprEvals
-	s.PhiEvals = d.stats.phiEvals
-	s.FlowVisits = d.stats.flowVisits
-	s.DerivedLoops = d.stats.derivedLoops
-	s.FailedDerives = d.stats.failedDerives
-	s.SubOps = d.stats.subOps
+	e := d.stats.eff
+	s.ExprEvals = e.ExprEvals
+	s.PhiEvals = e.PhiEvals
+	s.FlowVisits = e.FlowVisits
+	s.DerivedLoops = e.DerivedLoops
+	s.FailedDerives = e.FailedDerives
+	s.SubOps = e.SubOps
 	s.FuncsAnalyzed = d.stats.funcsAnalyzed
 	s.FuncsSkipped = d.stats.funcsSkipped
 	s.FuncsSpliced = d.stats.funcsSpliced
@@ -644,8 +636,8 @@ func (d *driver) redoStalePredictions(fi int, fr *FuncResult) int {
 		return p, ok
 	})
 	for i, v := range sol.Edge {
-		if v > d.cfg.MaxFreq {
-			sol.Edge[i] = d.cfg.MaxFreq
+		if v > maxFreq {
+			sol.Edge[i] = maxFreq
 		}
 	}
 	fr.EdgeFreq = sol.Edge
@@ -705,11 +697,11 @@ func (d *driver) runWave(wave []int, waveSpan telemetry.SpanID) {
 //     results and stats deltas recorded under one configuration and would
 //     be silently wrong under another. Config is a small comparable
 //     struct, so it is its own map key.
-//   - A pooled table is never Reset: Results retain arena-backed Values,
-//     so recycling slabs while any previous Result is alive would corrupt
-//     it. Growth across unlike programs is bounded instead by dropping
-//     tables whose live population exceeds pooledTableMaxLive (the pool
-//     itself is GC-clearable, so idle tables do not pin memory forever).
+//   - A pooled table is never cleared: Results retain arena-backed
+//     Values, and the arena never recycles a slab. Growth across unlike
+//     programs is bounded instead by dropping tables whose live
+//     population exceeds pooledTableMaxLive (the pool itself is
+//     GC-clearable, so idle tables do not pin memory forever).
 var internPools sync.Map // vrange.Config → *sync.Pool of *vrange.Interner
 
 const pooledTableMaxLive = 1 << 16
@@ -783,7 +775,7 @@ func (d *driver) runSCC(scc int, it *vrange.Interner, waveSpan telemetry.SpanID,
 			// Clean: the previous run saw bit-identical inputs, so a re-run
 			// would reproduce the stored result and table updates exactly.
 			local.funcsSkipped++
-			local.subOps += calc.SubOps
+			local.eff.SubOps += calc.SubOps
 			if d.rec != nil {
 				d.rec.Skip(fi)
 			}
@@ -815,12 +807,8 @@ func (d *driver) runSCC(scc int, it *vrange.Interner, waveSpan telemetry.SpanID,
 					d.prevFP[fi] = in.hash
 					local.funcsAnalyzed++
 					local.funcsSpliced++
-					local.exprEvals += sf.ExprEvals
-					local.phiEvals += sf.PhiEvals
-					local.flowVisits += sf.FlowVisits
-					local.derivedLoops += sf.DerivedLoops
-					local.failedDerives += sf.FailedDerives
-					local.subOps += calc.SubOps + sf.SubOps
+					local.eff.add(sf.Effort)
+					local.eff.SubOps += calc.SubOps
 					d.cfg.Trace.End(spliceSpan)
 					continue
 				}
@@ -878,7 +866,7 @@ func (d *driver) runSCC(scc int, it *vrange.Interner, waveSpan telemetry.SpanID,
 				Msg:        fmt.Sprintf("engine panicked: %v", panicked),
 				PanicValue: panicked,
 			})
-			local.subOps += calc.SubOps
+			local.eff.SubOps += calc.SubOps
 			endRun("degraded:panic")
 			continue
 		}
@@ -886,10 +874,7 @@ func (d *driver) runSCC(scc int, it *vrange.Interner, waveSpan telemetry.SpanID,
 		case abortCancelled:
 			endRun("cancelled")
 			d.cancelled.Store(true)
-			d.stats.addAtomic(&local)
-			if changed {
-				d.changed.Store(true)
-			}
+			d.foldStats(&local, changed)
 			return
 		case abortStepBudget:
 			d.degradeFunc(fi, calc, &local, &changed, Diagnostic{
@@ -902,12 +887,8 @@ func (d *driver) runSCC(scc int, it *vrange.Interner, waveSpan telemetry.SpanID,
 			})
 			// The aborted engine's partial work still happened; count it so
 			// Stats stay an honest account of effort spent.
-			local.exprEvals += eng.stats.ExprEvals
-			local.phiEvals += eng.stats.PhiEvals
-			local.flowVisits += eng.stats.FlowVisits
-			local.derivedLoops += eng.stats.DerivedLoops
-			local.failedDerives += eng.stats.FailedDerives
-			local.subOps += calc.SubOps
+			local.eff.add(eng.stats)
+			local.eff.SubOps += calc.SubOps
 			endRun("degraded:step-budget")
 			continue
 		}
@@ -915,8 +896,10 @@ func (d *driver) runSCC(scc int, it *vrange.Interner, waveSpan telemetry.SpanID,
 		if sKey != nil {
 			// Record before ip.update so SubOps covers the engine alone; the
 			// splice path re-executes the update live and counts its own.
+			eff := eng.stats
+			eff.SubOps = calc.SubOps - subOps0
 			d.cfg.FuncStore.Store(sKey.Detach(),
-				encodeStored(d.cg.Funcs[fi], d.results[fi], eng.blkFreq, eng.stats, calc.SubOps-subOps0))
+				encodeStored(d.cg.Funcs[fi], d.results[fi], eng.blkFreq, eff))
 		}
 		if d.ip.update(fi, eng.val, eng.blockFreq, eng.calc) {
 			changed = true
@@ -924,16 +907,20 @@ func (d *driver) runSCC(scc int, it *vrange.Interner, waveSpan telemetry.SpanID,
 		d.prevIn[fi] = in.vec
 		d.prevFP[fi] = in.hash
 		local.funcsAnalyzed++
-		local.exprEvals += eng.stats.ExprEvals
-		local.phiEvals += eng.stats.PhiEvals
-		local.flowVisits += eng.stats.FlowVisits
-		local.derivedLoops += eng.stats.DerivedLoops
-		local.failedDerives += eng.stats.FailedDerives
-		local.subOps += calc.SubOps
+		local.eff.add(eng.stats)
+		local.eff.SubOps += calc.SubOps
 		endRun("ok")
 		eng.recycle()
 	}
-	d.stats.addAtomic(&local)
+	d.foldStats(&local, changed)
+}
+
+// foldStats merges one task's counters into the driver's and records
+// whether the task changed any interprocedural table.
+func (d *driver) foldStats(local *statCounters, changed bool) {
+	d.statsMu.Lock()
+	d.stats.add(local)
+	d.statsMu.Unlock()
 	if changed {
 		d.changed.Store(true)
 	}
@@ -990,8 +977,8 @@ func (d *driver) degradeFunc(fi int, calc *vrange.Calc, local *statCounters, cha
 			return 1
 		}
 		s := blkFreq[b.ID]
-		if s > d.cfg.MaxFreq {
-			return d.cfg.MaxFreq
+		if s > maxFreq {
+			return maxFreq
 		}
 		return s
 	}

@@ -86,7 +86,7 @@ type engine struct {
 	solver *freq.Solver
 	probFn freq.BranchProbFunc
 
-	stats Stats
+	stats Effort // SubOps stays 0: sub-operations accrue to calc
 }
 
 // phiOp is one executable φ in-edge: the operand register and edge weight.
@@ -252,8 +252,8 @@ func (e *engine) blockFreq(b *ir.Block) float64 {
 		return 1
 	}
 	s := e.blkFreq[b.ID]
-	if s > e.cfg.MaxFreq {
-		return e.cfg.MaxFreq
+	if s > maxFreq {
+		return maxFreq
 	}
 	return s
 }
@@ -266,11 +266,11 @@ func (e *engine) blockFreq(b *ir.Block) float64 {
 func (e *engine) recomputeFreqs() {
 	fr := e.solver.Compute(e.probFn)
 	for i, nv := range fr.Edge {
-		if nv > e.cfg.MaxFreq {
-			nv = e.cfg.MaxFreq
+		if nv > maxFreq {
+			nv = maxFreq
 		}
 		old := e.edgeFreq[i]
-		if math.Abs(nv-old) > e.cfg.FreqEpsilon*math.Max(1, old) {
+		if math.Abs(nv-old) > freqEpsilon*math.Max(1, old) {
 			e.pushFlow(e.f.Edges[i])
 		}
 		e.edgeFreq[i] = nv

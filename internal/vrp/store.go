@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"vrp/internal/ir"
 	"vrp/internal/vrange"
@@ -121,20 +120,15 @@ type StoredBranch struct {
 type StoredFunc struct {
 	Vals     []vrange.Value // per register, detached
 	EdgeFreq []float64      // per Edge.ID
-	BlkFreq  []float64      // per Block.ID (pre-clamp; splice re-applies the MaxFreq clamp)
+	BlkFreq  []float64      // per Block.ID (pre-clamp; splice re-applies the maxFreq clamp)
 	Branches []StoredBranch
 	Derived  []int32 // ordinals of φs whose value came from a §3.6 derivation
 
-	// Engine effort replayed into the splicing run's statCounters.
-	// SubOps covers only the engine's own sub-operations: the input
-	// snapshot and interprocedural update are re-executed live on splice
-	// and account for their own.
-	ExprEvals     int64
-	PhiEvals      int64
-	FlowVisits    int64
-	DerivedLoops  int64
-	FailedDerives int64
-	SubOps        int64
+	// Effort is the engine run's work, replayed into the splicing run's
+	// statCounters. Its SubOps covers only the engine's own
+	// sub-operations: the input snapshot and interprocedural update are
+	// re-executed live on splice and account for their own.
+	Effort Effort
 }
 
 // EncodeFuncBody renders f's analysis-relevant structure into canonical
@@ -206,7 +200,9 @@ func EncodeFuncBody(f *ir.Func, prog *ir.Program) []byte {
 // output bits. Workers, Telemetry and Trace/TraceParent are excluded
 // (bit-identical by contract — observers never feed back into the
 // lattice); a custom Fallback is marked but cannot be distinguished
-// from another custom Fallback — see the FuncStore contract.
+// from another custom Fallback — see the FuncStore contract. The package
+// constants (freqEpsilon, maxFreq) need no bits: store keys live only in
+// process memory, where one build's constants hold.
 func configFingerprint(cfg Config) uint64 {
 	h := vrange.NewHasher()
 	h.AddBytes([]byte(fmt.Sprintf("%#v", cfg.Range)))
@@ -231,8 +227,6 @@ func configFingerprint(cfg Config) uint64 {
 	h.AddWord(uint64(cfg.RecWidenAfter))
 	h.AddWord(uint64(cfg.MaxEvals))
 	h.AddWord(uint64(cfg.MaxEngineSteps))
-	h.AddWord(math.Float64bits(cfg.FreqEpsilon))
-	h.AddWord(math.Float64bits(cfg.MaxFreq))
 	return h.Sum()
 }
 
@@ -277,17 +271,12 @@ func (d *driver) funcKey(fi int, in *funcInputs) *FuncKey {
 // Values are detached: the engine's arrays alias recycled scratch and
 // arena storage, and demoteUnconverged may later rewrite fr.Val in
 // place; a stored record must be immune to both.
-func encodeStored(f *ir.Func, fr *FuncResult, blkFreq []float64, st Stats, subOps int64) *StoredFunc {
+func encodeStored(f *ir.Func, fr *FuncResult, blkFreq []float64, eff Effort) *StoredFunc {
 	sf := &StoredFunc{
-		Vals:          make([]vrange.Value, len(fr.Val)),
-		EdgeFreq:      append([]float64(nil), fr.EdgeFreq...),
-		BlkFreq:       append([]float64(nil), blkFreq...),
-		ExprEvals:     st.ExprEvals,
-		PhiEvals:      st.PhiEvals,
-		FlowVisits:    st.FlowVisits,
-		DerivedLoops:  st.DerivedLoops,
-		FailedDerives: st.FailedDerives,
-		SubOps:        subOps,
+		Vals:     make([]vrange.Value, len(fr.Val)),
+		EdgeFreq: append([]float64(nil), fr.EdgeFreq...),
+		BlkFreq:  append([]float64(nil), blkFreq...),
+		Effort:   eff,
 	}
 	for i, v := range fr.Val {
 		sf.Vals[i] = v.Detach()
@@ -358,8 +347,8 @@ func (d *driver) spliceStored(fi int, sf *StoredFunc) (*FuncResult, func(*ir.Blo
 			return 1
 		}
 		s := blk[b.ID]
-		if s > d.cfg.MaxFreq {
-			return d.cfg.MaxFreq
+		if s > maxFreq {
+			return maxFreq
 		}
 		return s
 	}

@@ -89,14 +89,6 @@ type Config struct {
 	// attributes every heuristic branch to the generic "heuristic" key.
 	Evidence EvidenceFunc
 
-	// FreqEpsilon is the relative change threshold under which an edge
-	// frequency update is not considered a change (termination control
-	// for the frequency feedback around loops).
-	FreqEpsilon float64
-
-	// MaxFreq caps edge frequencies (relative to one function entry).
-	MaxFreq float64
-
 	// Workers bounds the number of per-function engines running
 	// concurrently within one call-graph wave: 0 picks one per available
 	// CPU (GOMAXPROCS), 1 is the fully sequential schedule. Results are
@@ -158,6 +150,18 @@ type Config struct {
 	testHookEngineRun func(f *ir.Func)
 }
 
+// Frequency-feedback constants shared by every configuration.
+const (
+	// freqEpsilon is the relative change threshold under which an edge
+	// frequency update is not considered a change (termination control
+	// for the frequency feedback around loops).
+	freqEpsilon = 1e-4
+
+	// maxFreq caps edge and block frequencies (relative to one function
+	// entry).
+	maxFreq = 1e6
+)
+
 // DefaultConfig returns the paper-faithful configuration.
 func DefaultConfig() Config {
 	return Config{
@@ -168,10 +172,29 @@ func DefaultConfig() Config {
 		RecWidenAfter:   6, // MaxPasses - 2: exact early passes, widened stragglers
 		MaxEvals:        12,
 		FlowFirst:       true,
-		FreqEpsilon:     1e-4,
-		MaxFreq:         1e6,
 		TraceParent:     telemetry.NoSpan,
 	}
+}
+
+// Effort is one engine run's work in the units Stats reports. The driver
+// sums it per task, and a FuncStore record carries it so a splice replays
+// the run's effort exactly.
+type Effort struct {
+	ExprEvals     int64
+	PhiEvals      int64
+	FlowVisits    int64
+	DerivedLoops  int64
+	FailedDerives int64
+	SubOps        int64
+}
+
+func (e *Effort) add(o Effort) {
+	e.ExprEvals += o.ExprEvals
+	e.PhiEvals += o.PhiEvals
+	e.FlowVisits += o.FlowVisits
+	e.DerivedLoops += o.DerivedLoops
+	e.FailedDerives += o.FailedDerives
+	e.SubOps += o.SubOps
 }
 
 // Stats instruments the engine for the paper's Figures 5 and 6.

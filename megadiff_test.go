@@ -30,7 +30,7 @@ import (
 //     corpus and both pipelines are fully deterministic, so the floor
 //     is a regression pin, not a statistical bet.
 //
-// The scale tiers (10k/100k/1M) reuse the same generator shape at
+// The scale tiers (10k/100k) reuse the same generator shape at
 // larger sizes, so the shape presets plus the 10k tier cover every
 // distinct CFG/call-graph structure without mega-program runtimes.
 func TestDifferentialPredictionsOnPresetShapes(t *testing.T) {
