@@ -70,8 +70,8 @@ type serverMetrics struct {
 	funcsDegraded *metrics.Counter // vrpd_lattice_funcs_degraded_total
 
 	// Interner economics of the most recent analysis (gauges: live-entry
-	// and arena footprints are states, not flows) plus the cumulative
-	// epoch-eviction count.
+	// and arena footprints are states, not flows) plus the tables'
+	// cumulative eviction count (memo epoch evictions and resets).
 	internLive      *metrics.Gauge // vrpd_lattice_intern_live_entries
 	internArena     *metrics.Gauge // vrpd_lattice_intern_arena_bytes
 	internEvictions *metrics.Gauge // vrpd_lattice_intern_evictions_total
@@ -227,8 +227,8 @@ func newServerMetrics(start time.Time, sloTarget float64) *serverMetrics {
 		funcsDegraded: reg.Counter("vrpd_lattice_funcs_degraded_total", "Engine runs degraded to the bottom/heuristic fallback."),
 
 		internLive:      reg.Gauge("vrpd_lattice_intern_live_entries", "Live hash-cons representatives in the last analysis's tables (pooled tables carry entries across runs)."),
-		internArena:     reg.Gauge("vrpd_lattice_intern_arena_bytes", "Arena slab bytes backing interned representatives in the last analysis's tables."),
-		internEvictions: reg.Gauge("vrpd_lattice_intern_evictions_total", "Lifetime memo/table entries evicted by epoch resets in the last analysis's tables."),
+		internArena:     reg.Gauge("vrpd_lattice_intern_arena_bytes", "Arena slab bytes held by the run's tables in the last analysis, rewound slabs included."),
+		internEvictions: reg.Gauge("vrpd_lattice_intern_evictions_total", "Lifetime entries dropped by memo epoch evictions and table resets in the last analysis's tables."),
 	}
 
 	// Per-phase latency histograms share the request-latency buckets; the

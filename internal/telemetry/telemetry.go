@@ -303,8 +303,10 @@ type Snapshot struct {
 	BoundaryDrops int64 `json:"boundary_drops"`
 
 	// Interner state at the end of the run, summed over the driver's
-	// per-worker cons tables: live distinct values, arena slab footprint,
-	// and entries dropped by memo epoch evictions. Like the intern/memo
+	// per-worker cons tables: live distinct values, slab bytes held by
+	// the run's tables (rewound slabs included: a pooled table keeps its
+	// arena across resets), and entries dropped by memo epoch evictions
+	// and table resets over the tables' lifetimes. Like the intern/memo
 	// traffic counters these depend on the work-stealing schedule (which
 	// worker's table absorbed which SCC), so Canon zeroes them.
 	InternLive       int64 `json:"intern_live"`

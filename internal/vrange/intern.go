@@ -19,8 +19,9 @@ import (
 // just an allocation win:
 //
 //   - Representatives' Ranges arrays are carved from per-Interner arena
-//     slabs (valueArena) instead of individual make calls, so the
-//     steady-state intern path performs zero heap allocations.
+//     slabs (valueArena) instead of individual make calls, and Reset
+//     rewinds the slabs for reuse, so the steady-state intern path
+//     performs zero heap allocations.
 //   - The cons table is open-addressed with a parallel tag-byte array: a
 //     probe touches one byte per non-matching slot, the full 64-bit
 //     fingerprint plus a kind/length header gate the range walk, and
@@ -41,7 +42,8 @@ import (
 //     representative never needs re-canonicalization.
 //   - Representatives own their Ranges slice and are immutable by
 //     convention; callers must never write through Value.Ranges of an
-//     interned value.
+//     interned value. They stay valid only until the table's next Reset:
+//     a value kept beyond that must own its ranges (DetachAll).
 //   - Ids come from one process-global atomic counter, so values interned
 //     by different tables can never collide on id: id equality always
 //     implies bit equality, while id inequality implies nothing (the same
@@ -87,12 +89,16 @@ var rangeBytes = int64(unsafe.Sizeof(Range{}))
 // valueArena hands out Range backing arrays for interned representatives
 // from append-only slabs. Carved slices are full (len == cap), so an
 // accidental append by a caller copies instead of clobbering a neighbour.
-// Slabs are never reused: Results alias them for as long as they live.
+// rewind makes every held slab carvable again; it is only legal once no
+// value carved from the arena is in use, since recycled memory will be
+// overwritten.
 type valueArena struct {
-	cur   []Range // current slab being carved
-	used  int     // carve offset into cur
-	next  int     // size of the next fresh slab
-	bytes int64   // total bytes held across all slabs (footprint)
+	cur   []Range   // current slab being carved
+	used  int       // carve offset into cur
+	slabs [][]Range // every slab held, in carve order
+	reuse int       // index in slabs of the next held slab to carve
+	next  int       // size of the next fresh slab
+	bytes int64     // total bytes held across all slabs (footprint)
 }
 
 // alloc carves an owned, full-capacity slice of n ranges.
@@ -105,9 +111,17 @@ func (a *valueArena) alloc(n int) []Range {
 	return s
 }
 
-// grab installs a fresh slab with room for at least n ranges.
+// grab installs a slab with room for at least n ranges, preferring a held
+// slab that rewind made carvable again.
 func (a *valueArena) grab(n int) {
 	a.used = 0
+	for a.reuse < len(a.slabs) {
+		a.cur = a.slabs[a.reuse]
+		a.reuse++
+		if len(a.cur) >= n {
+			return
+		}
+	}
 	sz := a.next
 	if sz < arenaMinChunk {
 		sz = arenaMinChunk
@@ -120,7 +134,14 @@ func (a *valueArena) grab(n int) {
 	}
 	a.next = sz * 2
 	a.cur = make([]Range, sz)
+	a.slabs = append(a.slabs, a.cur)
+	a.reuse = len(a.slabs)
 	a.bytes += int64(sz) * rangeBytes
+}
+
+// rewind makes every held slab carvable again, keeping them all.
+func (a *valueArena) rewind() {
+	a.cur, a.used, a.reuse = nil, 0, 0
 }
 
 // ---------------------------------------------------------------- memo
@@ -242,7 +263,7 @@ type Interner struct {
 
 	ar valueArena
 
-	evictions int64 // entries dropped by memo epoch evictions
+	evictions int64 // entries dropped by memo epoch evictions and Reset
 }
 
 // NewInterner returns an empty cons table.
@@ -586,12 +607,33 @@ func (it *Interner) Size() int {
 // Live is Size under its telemetry name: the distinct interned values.
 func (it *Interner) Live() int { return it.Size() }
 
-// ArenaBytes reports the memory footprint of the arena slabs.
+// ArenaBytes reports the memory footprint of the arena slabs, rewound
+// ones included.
 func (it *Interner) ArenaBytes() int64 { return it.ar.bytes }
 
 // Evictions reports the total entries dropped by memo epoch evictions
-// over the Interner's lifetime.
+// and Reset calls over the Interner's lifetime.
 func (it *Interner) Evictions() int64 { return it.evictions }
+
+// Reset empties the table for reuse by another analysis: it drops every
+// interned value and memo entry and rewinds the arena, keeping the slabs
+// and all table capacity. The global id counter is untouched, so ids stay
+// unique for the life of the process. Reset is only legal once no value
+// this table produced is still in use anywhere, since the rewound slabs
+// will be overwritten; the driver resets a table only after the run's
+// results own their ranges (DetachAll).
+func (it *Interner) Reset() {
+	it.evictions += int64(it.Size()) + int64(it.memoLive) + int64(len(it.merge))
+	clear(it.tags)
+	it.live = 0
+	it.overflow = nil
+	clear(it.points)
+	clear(it.bools)
+	clear(it.memoTags)
+	it.memoLive = 0
+	clear(it.merge)
+	it.ar.rewind()
+}
 
 // ---------------------------------------------------------------- Calc API
 

@@ -99,6 +99,91 @@ func TestInternSteadyStateAllocFree(t *testing.T) {
 			t.Errorf("%s: %v allocs/op in steady state, want 0", tc.name, n)
 		}
 	}
+
+	// A Reset + re-intern cycle carves the rewound slabs and refills the
+	// cleared (bucket-keeping) tables: once slab sizes and map buckets
+	// have reached their steady state, it allocates nothing either.
+	it := NewInterner()
+	var hits, misses, skips int64
+	vals := resetTestValues()
+	cycle := func() {
+		it.Reset()
+		for _, v := range vals {
+			it.intern(v, &hits, &misses, &skips)
+		}
+	}
+	cycle()
+	cycle()
+	if n := testing.AllocsPerRun(20, cycle); n != 0 {
+		t.Errorf("Reset + re-intern: %v allocs/op in steady state, want 0", n)
+	}
+}
+
+// resetTestValues is a mix of arena-backed multi-range values, exact-key
+// points and booleans for the Reset tests.
+func resetTestValues() []Value {
+	var vals []Value
+	for i := 0; i < 600; i++ {
+		lo := int64(i * 10)
+		vals = append(vals,
+			FromRanges(
+				Range{Prob: 0.25, Lo: Num(lo), Hi: Num(lo + 5), Stride: 1},
+				Range{Prob: 0.75, Lo: Num(lo + 100), Hi: Num(lo + 110), Stride: 2}),
+			FromRanges(Point(1, Num(lo))),
+			FromRanges(Point(1-float64(i)/1024, Num(0)), Point(float64(i)/1024, Num(1))))
+	}
+	return vals
+}
+
+// TestInternReset pins the recycling contract of Reset: the table ends
+// empty but keeps its grown capacity and arena slabs, the dropped entries
+// count as evictions, and re-interned values get fresh ids — the global
+// counter never rewinds, so no id is ever reused.
+func TestInternReset(t *testing.T) {
+	it := NewInterner()
+	c := NewCalcWith(DefaultConfig(), it)
+	vals := resetTestValues()
+	old := map[uint64]bool{}
+	var reps []Value
+	for _, v := range vals {
+		r := it.intern(v, &c.InternHits, &c.InternMisses, &c.ConfirmSkips)
+		old[r.id] = true
+		reps = append(reps, r)
+	}
+	size, slots := it.Size(), len(it.slots)
+	if size != len(vals) || slots <= internInitSlots {
+		t.Fatalf("setup: Size()=%d slots=%d, want %d values and a grown table", size, slots, len(vals))
+	}
+	c.Apply(ir.BinAdd, reps[0], reps[3])
+	if c.MemoMisses != 1 {
+		t.Fatalf("setup: %d memo misses, want 1 memo entry", c.MemoMisses)
+	}
+	size, memoSlots, arena := it.Size(), len(it.memoSlots), it.ArenaBytes()
+
+	it.Reset()
+	if it.Size() != 0 {
+		t.Errorf("Size() after Reset = %d, want 0", it.Size())
+	}
+	if len(it.slots) != slots || len(it.memoSlots) != memoSlots || it.ArenaBytes() != arena {
+		t.Errorf("capacity after Reset: slots %d→%d, memo %d→%d, arena %d→%d bytes; want all kept",
+			slots, len(it.slots), memoSlots, len(it.memoSlots), arena, it.ArenaBytes())
+	}
+	if it.Evictions() != int64(size)+1 {
+		t.Errorf("Evictions() = %d, want %d (the values and the memo entry dropped by Reset)", it.Evictions(), size+1)
+	}
+
+	for i, v := range vals {
+		r := it.intern(v, &c.InternHits, &c.InternMisses, &c.ConfirmSkips)
+		if old[r.id] {
+			t.Fatalf("value %d re-interned after Reset with reused id %d", i, r.id)
+		}
+		if !r.BitEqual(v) {
+			t.Fatalf("value %d: representative %v, want %v", i, r, v)
+		}
+	}
+	if it.ArenaBytes() != arena {
+		t.Errorf("re-interning after Reset grew the arena %d→%d bytes, want the rewound slabs reused", arena, it.ArenaBytes())
+	}
 }
 
 // TestInternDisabledBitIdentical pins the equivalence contract of
@@ -243,5 +328,49 @@ func TestMergeLoopHeaderBitIdentical(t *testing.T) {
 	if on.SubOps != off.SubOps || on.Widens != off.Widens {
 		t.Errorf("stats drift: intern SubOps=%d Widens=%d, nointern SubOps=%d Widens=%d",
 			on.SubOps, on.Widens, off.SubOps, off.Widens)
+	}
+}
+
+// TestDetachAll pins the one-slab copy: every value keeps its kind, id
+// and bits, the copies come from one allocation as full-capacity slices,
+// none aliases the original ranges, and a repeated interned value is
+// copied once.
+func TestDetachAll(t *testing.T) {
+	c := NewCalc(DefaultConfig())
+	orig := []Value{
+		c.Canonicalize(FromRanges(numRange(0.5, 0, 9, 1), numRange(0.5, 20, 30, 2))),
+		TopValue(),
+		c.ConstVal(7),
+		BottomValue(),
+		Infeasible(),
+		Const(-3),
+		c.ConstVal(7),
+		Const(-3),
+	}
+	vs := append([]Value(nil), orig...)
+	DetachAll(vs)
+	for i, v := range vs {
+		o := orig[i]
+		if v.kind != o.kind || v.id != o.id || len(v.Ranges) != len(o.Ranges) || !rangesBitEqual(v.Ranges, o.Ranges) {
+			t.Fatalf("value %d: detached %v (id %d), original %v (id %d)", i, v, v.id, o, o.id)
+		}
+		if len(v.Ranges) == 0 {
+			continue
+		}
+		if &v.Ranges[0] == &o.Ranges[0] {
+			t.Errorf("value %d still aliases its original ranges", i)
+		}
+		if cap(v.Ranges) != len(v.Ranges) {
+			t.Errorf("value %d: cap %d, want len %d (appends must copy)", i, cap(v.Ranges), len(v.Ranges))
+		}
+	}
+	if &vs[2].Ranges[0] != &vs[6].Ranges[0] {
+		t.Error("a repeated interned value was copied twice")
+	}
+	if &vs[5].Ranges[0] == &vs[7].Ranges[0] {
+		t.Error("two uninterned values share one copy")
+	}
+	if n := testing.AllocsPerRun(10, func() { DetachAll(vs) }); n != 1 {
+		t.Errorf("DetachAll: %v allocs, want 1 (one slab for all values)", n)
 	}
 }

@@ -225,19 +225,75 @@ func Const(c int64) Value {
 	return Value{kind: Set, Ranges: []Range{Point(1, Num(c))}}
 }
 
-// Detach returns a bit-identical copy whose Ranges backing array is
-// freshly allocated. Kind and intern id are preserved: ids are globally
-// unique and never reused, so a detached copy still short-circuits
-// BitEqual against its original. Callers that retain values beyond the
-// analysis that produced them (the server's cross-request function
-// store) detach so that in-place demotion of the original can never
-// reach through a shared slice, and a stored record never pins an arena
-// slab.
-func (v Value) Detach() Value {
-	if len(v.Ranges) == 0 {
-		return v
+// DetachAll rewrites every value of vs in place into a bit-identical copy
+// whose ranges live in one freshly allocated, exact-size slab. Kind and
+// intern id are kept: ids are globally unique and never reused, so a
+// detached copy still short-circuits BitEqual against its original.
+// Values kept beyond the analysis that produced them (a Result, the
+// server's cross-request function store) are detached, so they never
+// alias an interner's arena, which Interner.Reset rewinds, nor a slice
+// that in-place demotion of the original would reach through.
+//
+// Interned values that repeat in vs share one copy: a small direct-mapped
+// cache keyed by id catches most repeats without allocating, and a miss
+// only costs a second copy, never a wrong share.
+func DetachAll(vs []Value) {
+	var seen detachCache
+	n := 0
+	for _, v := range vs {
+		if len(v.Ranges) == 0 {
+			continue
+		}
+		if _, ok := seen.lookup(v.id); !ok {
+			n += len(v.Ranges)
+		}
 	}
-	return Value{kind: v.kind, id: v.id, Ranges: append(make([]Range, 0, len(v.Ranges)), v.Ranges...)}
+	if n == 0 {
+		return
+	}
+	seen = detachCache{} // the second pass replays the first one's hits
+	slab := make([]Range, n)
+	for i, v := range vs {
+		k := len(v.Ranges)
+		if k == 0 {
+			continue
+		}
+		e, ok := seen.lookup(v.id)
+		if ok {
+			vs[i].Ranges = e.rs
+			continue
+		}
+		vs[i].Ranges = slab[:k:k]
+		copy(vs[i].Ranges, v.Ranges)
+		slab = slab[k:]
+		if e != nil {
+			e.rs = vs[i].Ranges
+		}
+	}
+}
+
+// detachCache maps a few hundred interned ids to the copy DetachAll made
+// for each, direct-mapped on the id's low bits (ids are dense); a
+// collision evicts the older id.
+type detachCache [256]detachEntry
+
+type detachEntry struct {
+	id uint64
+	rs []Range
+}
+
+// lookup reports whether id's entry holds id; on a miss it claims the
+// entry for id and returns it. Uninterned values (id 0) never share.
+func (c *detachCache) lookup(id uint64) (*detachEntry, bool) {
+	if id == 0 {
+		return nil, false
+	}
+	e := &c[id%uint64(len(c))]
+	if e.id == id {
+		return e, true
+	}
+	e.id, e.rs = id, nil
+	return e, false
 }
 
 // Symbolic returns {1[v:v:0]}: exactly the value of SSA variable v. A copy

@@ -93,18 +93,23 @@ type driver struct {
 	cg      *callgraph.Graph
 	ip      *interproc
 	workers int
-	// internHint pre-sizes each worker's cons table: live interned values
-	// track the instruction count (≈1.25× in practice), and a pre-sized
-	// table skips the allocate-and-rehash growth ladder that otherwise
-	// runs on every analysis. Divided by the worker count — a parallel
-	// schedule spreads the population — but never below one growth step's
-	// worth, so the estimate erring small costs one doubling, not many.
+	// internHint pre-sizes each worker's new cons table at 1.25× the
+	// instruction count, divided by the worker count (a parallel schedule
+	// spreads the population). It is a starting size, not an estimate:
+	// at the end of a run live values measure ≈1.4× the instruction count
+	// over the corpus as a whole (0.2–10× per program) and 5.1–6.1× on
+	// gen-10k programs, so a big program's table still doubles a few
+	// times. A pooled table, reset or warm, keeps its grown size.
 	internHint int
 	ctx        context.Context
 
-	results []*FuncResult    // function index → latest FuncResult
-	prevIn  [][]vrange.Value // function index → input vector of the last engine run (nil: never ran)
-	prevFP  []uint64         // fingerprint of prevIn
+	results []*FuncResult // function index → latest FuncResult
+	// fromEngine marks the results whose latest producer was an engine
+	// run: their values alias the worker tables' arenas until
+	// ownResults copies them out.
+	fromEngine []bool
+	prevIn     [][]vrange.Value // function index → input vector of the last engine run (nil: never ran)
+	prevFP     []uint64         // fingerprint of prevIn
 
 	// poisoned marks functions whose engine panicked or ran out of step
 	// budget: their results are the degraded ⊥/heuristic fallback and
@@ -186,17 +191,18 @@ func newDriver(p *ir.Program, cfg Config) *driver {
 	}
 	n := cg.NumFuncs()
 	d := &driver{
-		prog:     p,
-		cfg:      cfg,
-		cg:       cg,
-		ip:       newInterproc(p, cfg, cg),
-		workers:  cfg.Workers,
-		results:  make([]*FuncResult, n),
-		prevIn:   make([][]vrange.Value, n),
-		prevFP:   make([]uint64, n),
-		poisoned: make([]bool, n),
-		diags:    make([][]Diagnostic, n),
-		rec:      cfg.Telemetry,
+		prog:       p,
+		cfg:        cfg,
+		cg:         cg,
+		ip:         newInterproc(p, cfg, cg),
+		workers:    cfg.Workers,
+		results:    make([]*FuncResult, n),
+		fromEngine: make([]bool, n),
+		prevIn:     make([][]vrange.Value, n),
+		prevFP:     make([]uint64, n),
+		poisoned:   make([]bool, n),
+		diags:      make([][]Diagnostic, n),
+		rec:        cfg.Telemetry,
 	}
 	d.staleCertainFn = make([]int, n)
 	d.scratch = make([]*engineScratch, n)
@@ -299,8 +305,26 @@ func (d *driver) run(ctx context.Context) (*Result, error) {
 	}
 	res.Diagnostics = d.collectDiags()
 	d.finishTelemetry(res, passes)
+	d.ownResults()
 	d.releaseTables()
 	return res, nil
+}
+
+// ownResults copies the values of every engine-produced result into one
+// exact-size slab per function, so the Result owns its ranges and no
+// longer pins (or aliases) the worker tables' arenas, which releaseTables
+// may then rewind. Spliced results already hold the store's detached
+// copies, degraded ones own their ⊥ values, and with interning off every
+// value owns its ranges from the start.
+func (d *driver) ownResults() {
+	if d.cfg.Range.DisableIntern {
+		return
+	}
+	for fi, fr := range d.results {
+		if d.fromEngine[fi] {
+			vrange.DetachAll(fr.Val)
+		}
+	}
 }
 
 // finishTelemetry attaches the aggregated snapshot to the result: the
@@ -686,7 +710,7 @@ func (d *driver) runWave(wave []int, waveSpan telemetry.SpanID) {
 	wg.Wait()
 }
 
-// internPools recycles warm cons tables across analyses. A finished run's
+// internPools recycles cons tables across analyses. A finished run's
 // tables go back to the pool and the next Analyze of a similar program
 // starts with its values and memo entries already resident — the steady
 // re-analysis loop (vrpd re-running on every change) then interns almost
@@ -697,14 +721,21 @@ func (d *driver) runWave(wave []int, waveSpan telemetry.SpanID) {
 //     results and stats deltas recorded under one configuration and would
 //     be silently wrong under another. Config is a small comparable
 //     struct, so it is its own map key.
-//   - A pooled table is never cleared: Results retain arena-backed
-//     Values, and the arena never recycles a slab. Growth across unlike
-//     programs is bounded instead by dropping tables whose live
-//     population exceeds pooledTableMaxLive (the pool itself is
-//     GC-clearable, so idle tables do not pin memory forever).
+//   - A table whose live population exceeds pooledTableMaxLive is Reset
+//     before it is pooled, so growth across unlike programs stays bounded
+//     while the grown slots and arena slabs are reused. Resetting is safe
+//     because ownResults has already copied every returned value out of
+//     the arenas. (The pool itself is GC-clearable, so idle tables do not
+//     pin memory forever.)
 var internPools sync.Map // vrange.Config → *sync.Pool of *vrange.Interner
 
 const pooledTableMaxLive = 1 << 16
+
+// testHookReleaseTable, when set, makes releaseTables Reset every table
+// whatever its size and then hands it to the hook before pooling it
+// (test-only: the recycle-safety tests fill the rewound slabs with
+// garbage).
+var testHookReleaseTable func(*vrange.Interner)
 
 func internPool(cfg vrange.Config) *sync.Pool {
 	if p, ok := internPools.Load(cfg); ok {
@@ -730,8 +761,10 @@ func (d *driver) table(w int) *vrange.Interner {
 	return d.tables[w]
 }
 
-// releaseTables hands the run's warm tables back to the config-keyed pool.
-// Must run after finishTelemetry (which reads the tables' gauges).
+// releaseTables hands the run's tables back to the config-keyed pool,
+// resetting those over pooledTableMaxLive. Must run after finishTelemetry
+// (which reads the tables' gauges) and after ownResults (a reset rewinds
+// the arena the results' values were carved from).
 func (d *driver) releaseTables() {
 	if d.cfg.Range.DisableIntern {
 		return
@@ -742,9 +775,13 @@ func (d *driver) releaseTables() {
 			continue
 		}
 		d.tables[i] = nil
-		if it.Live() <= pooledTableMaxLive {
-			pool.Put(it)
+		if it.Live() > pooledTableMaxLive || testHookReleaseTable != nil {
+			it.Reset()
+			if testHookReleaseTable != nil {
+				testHookReleaseTable(it)
+			}
 		}
+		pool.Put(it)
 	}
 }
 
@@ -800,6 +837,7 @@ func (d *driver) runSCC(scc int, it *vrange.Interner, waveSpan telemetry.SpanID,
 				}
 				if fr, bf, ok := d.spliceStored(fi, sf); ok {
 					d.results[fi] = fr
+					d.fromEngine[fi] = false
 					if d.ip.update(fi, fr.Val, bf, calc) {
 						changed = true
 					}
@@ -893,6 +931,7 @@ func (d *driver) runSCC(scc int, it *vrange.Interner, waveSpan telemetry.SpanID,
 			continue
 		}
 		d.results[fi] = eng.result()
+		d.fromEngine[fi] = true
 		if sKey != nil {
 			// Record before ip.update so SubOps covers the engine alone; the
 			// splice path re-executes the update live and counts its own.
@@ -970,6 +1009,7 @@ func (d *driver) degradeFunc(fi int, calc *vrange.Calc, local *statCounters, cha
 	f := d.cg.Funcs[fi]
 	fr, blkFreq := degradedResult(f, d.cfg)
 	d.results[fi] = fr
+	d.fromEngine[fi] = false
 	d.poisoned[fi] = true
 	d.prevIn[fi] = nil
 	bf := func(b *ir.Block) float64 {

@@ -2,8 +2,10 @@ package vrp
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
+	"vrp/internal/genprog"
 	"vrp/internal/ir"
 	"vrp/internal/irgen"
 	"vrp/internal/parser"
@@ -183,4 +185,35 @@ func kernel%d(n, m) {
 			}
 		})
 	}
+}
+
+// BenchmarkRetainedAnalysis reports how much live heap one held Result of
+// the genprog 10k preset pins, per IR instruction: the live heap after the
+// analysis minus the live heap before it, each read after two GCs (which
+// also empty the cons-table pool, so only what the Result reaches counts).
+func BenchmarkRetainedAnalysis(b *testing.B) {
+	gcfg, _ := genprog.Preset("10k")
+	p := mustCompile(b, genprog.Source(gcfg))
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	var retained int64
+	for i := 0; i < b.N; i++ {
+		base := liveHeap()
+		res, err := Analyze(p, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		retained += liveHeap() - base
+		runtime.KeepAlive(res)
+	}
+	b.ReportMetric(float64(retained)/float64(b.N)/float64(p.NumInstrs()), "retained-B/instr")
+}
+
+// liveHeap is the heap in use after two full collections.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
 }

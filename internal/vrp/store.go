@@ -92,15 +92,13 @@ func (k *FuncKey) SameKey(o *FuncKey) bool {
 }
 
 // Detach returns a copy safe to retain beyond the producing analysis:
-// input values get fresh Ranges arrays (the originals may alias arena
-// slabs recycled by a later run). Body and Callees are immutable after
+// input values get their own ranges (the originals may alias arena slabs
+// a later run rewinds). Body and Callees are immutable after
 // construction and are shared.
 func (k *FuncKey) Detach() *FuncKey {
 	c := *k
-	c.Inputs = make([]vrange.Value, len(k.Inputs))
-	for i, v := range k.Inputs {
-		c.Inputs[i] = v.Detach()
-	}
+	c.Inputs = append([]vrange.Value(nil), k.Inputs...)
+	vrange.DetachAll(c.Inputs)
 	return &c
 }
 
@@ -268,19 +266,17 @@ func (d *driver) funcKey(fi int, in *funcInputs) *FuncKey {
 }
 
 // encodeStored builds the portable record of one successful engine run.
-// Values are detached: the engine's arrays alias recycled scratch and
-// arena storage, and demoteUnconverged may later rewrite fr.Val in
-// place; a stored record must be immune to both.
+// Values are detached: they alias the arena of a table that a later run
+// may rewind, and demoteUnconverged may later rewrite fr.Val in place; a
+// stored record must be immune to both.
 func encodeStored(f *ir.Func, fr *FuncResult, blkFreq []float64, eff Effort) *StoredFunc {
 	sf := &StoredFunc{
-		Vals:     make([]vrange.Value, len(fr.Val)),
+		Vals:     append([]vrange.Value(nil), fr.Val...),
 		EdgeFreq: append([]float64(nil), fr.EdgeFreq...),
 		BlkFreq:  append([]float64(nil), blkFreq...),
 		Effort:   eff,
 	}
-	for i, v := range fr.Val {
-		sf.Vals[i] = v.Detach()
-	}
+	vrange.DetachAll(sf.Vals)
 	ord := int32(0)
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
