@@ -611,6 +611,14 @@ func (it *Interner) Live() int { return it.Size() }
 // ones included.
 func (it *Interner) ArenaBytes() int64 { return it.ar.bytes }
 
+// Footprint reports the bytes the table holds whether or not it is in
+// use: the cons-table slots, the memo slots and the arena slabs.
+func (it *Interner) Footprint() int64 {
+	slot := int64(unsafe.Sizeof(internSlot{})) + 1
+	memo := int64(unsafe.Sizeof(memoSlot{})) + 1
+	return int64(len(it.slots))*slot + int64(len(it.memoSlots))*memo + it.ar.bytes
+}
+
 // Evictions reports the total entries dropped by memo epoch evictions
 // and Reset calls over the Interner's lifetime.
 func (it *Interner) Evictions() int64 { return it.evictions }

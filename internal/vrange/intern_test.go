@@ -158,11 +158,17 @@ func TestInternReset(t *testing.T) {
 	if c.MemoMisses != 1 {
 		t.Fatalf("setup: %d memo misses, want 1 memo entry", c.MemoMisses)
 	}
-	size, memoSlots, arena := it.Size(), len(it.memoSlots), it.ArenaBytes()
+	size, memoSlots, arena, fp := it.Size(), len(it.memoSlots), it.ArenaBytes(), it.Footprint()
+	if fp <= arena {
+		t.Errorf("Footprint() = %d, want the %d arena bytes plus the slots and memo", fp, arena)
+	}
 
 	it.Reset()
 	if it.Size() != 0 {
 		t.Errorf("Size() after Reset = %d, want 0", it.Size())
+	}
+	if it.Footprint() != fp {
+		t.Errorf("Footprint() after Reset = %d, want %d kept", it.Footprint(), fp)
 	}
 	if len(it.slots) != slots || len(it.memoSlots) != memoSlots || it.ArenaBytes() != arena {
 		t.Errorf("capacity after Reset: slots %d→%d, memo %d→%d, arena %d→%d bytes; want all kept",

@@ -99,7 +99,9 @@ type driver struct {
 	// at the end of a run live values measure ≈1.4× the instruction count
 	// over the corpus as a whole (0.2–10× per program) and 5.1–6.1× on
 	// gen-10k programs, so a big program's table still doubles a few
-	// times. A pooled table, reset or warm, keeps its grown size.
+	// times. The hint only sizes a new table: a pooled one, reset or
+	// warm, keeps the size it grew to, so once the pool holds a table
+	// for the config the hint no longer matters.
 	internHint int
 	ctx        context.Context
 
@@ -710,26 +712,53 @@ func (d *driver) runWave(wave []int, waveSpan telemetry.SpanID) {
 	wg.Wait()
 }
 
-// internPools recycles cons tables across analyses. A finished run's
-// tables go back to the pool and the next Analyze of a similar program
-// starts with its values and memo entries already resident — the steady
+// tablePool recycles cons tables across analyses. A finished run's tables
+// go back to the pool and the next Analyze of a similar program starts
+// with its values and memo entries already resident — the steady
 // re-analysis loop (vrpd re-running on every change) then interns almost
-// entirely by table hit, paying neither construction (≈1.5MB of zeroed
-// slots per run) nor first-touch misses. Two safety rules:
+// entirely by table hit, paying neither construction nor first-touch
+// misses. It is a mutex-guarded free list rather than a sync.Pool: the
+// collector empties a sync.Pool every two GCs, and an analysis that
+// allocates tens of megabytes runs about one GC per op, so nearly every
+// analysis would build a cold table and grow it again. The rules:
 //
-//   - Pools are keyed by the full vrange.Config: memo entries replay
+//   - Free lists are keyed by the full vrange.Config: memo entries replay
 //     results and stats deltas recorded under one configuration and would
 //     be silently wrong under another. Config is a small comparable
 //     struct, so it is its own map key.
+//   - At most GOMAXPROCS tables per config are kept, the most one
+//     analysis with the default worker count draws; more are dropped.
+//   - A table whose Footprint exceeds pooledTableMaxBytes is dropped, so
+//     a one-off huge analysis does not pin its tables for the life of the
+//     process.
 //   - A table whose live population exceeds pooledTableMaxLive is Reset
-//     before it is pooled, so growth across unlike programs stays bounded
-//     while the grown slots and arena slabs are reused. Resetting is safe
-//     because ownResults has already copied every returned value out of
-//     the arenas. (The pool itself is GC-clearable, so idle tables do not
-//     pin memory forever.)
-var internPools sync.Map // vrange.Config → *sync.Pool of *vrange.Interner
+//     before it is pooled, keeping its grown slots and arena slabs.
+//     Resetting is safe because ownResults has already copied every
+//     returned value out of the arenas.
+var tablePool = struct {
+	sync.Mutex
+	free map[vrange.Config][]*vrange.Interner
+}{free: map[vrange.Config][]*vrange.Interner{}}
 
-const pooledTableMaxLive = 1 << 16
+// pooledTableMaxLive is the live population above which a released table
+// is Reset instead of pooled warm. Warmth pays only when the next program
+// shares values with the last one; a warm table that takes in an unlike
+// big program keeps both populations (in a Workers: 1 probe, the second
+// gen-10k program on the first one's warm table ended at 134,660 live
+// values and 21.8 MB of arena, against 73,791 and 12.0 MB from a cold
+// table). Measured with WithTelemetry at Workers: 1, the four gen-10k
+// programs end at 61,574–73,791 live, so their tables are always reset,
+// while these stay warm: the genprog default preset ends at 609, a table
+// that takes every single-kernel edit of it in turn levels off at 940,
+// and the corpus's one table, warm across all 43 programs, levels off at
+// 8,331 after the first pass and stays there.
+const pooledTableMaxLive = 1 << 15
+
+// pooledTableMaxBytes is the Footprint above which a released table is
+// dropped instead of pooled: a gen-10k table ends at 21.1 MB and is kept,
+// a 100k-preset table at 182.5 MB and is not. A variable only so that
+// tests can lower it.
+var pooledTableMaxBytes int64 = 64 << 20
 
 // testHookReleaseTable, when set, makes releaseTables Reset every table
 // whatever its size and then hands it to the hook before pooling it
@@ -737,24 +766,39 @@ const pooledTableMaxLive = 1 << 16
 // garbage).
 var testHookReleaseTable func(*vrange.Interner)
 
-func internPool(cfg vrange.Config) *sync.Pool {
-	if p, ok := internPools.Load(cfg); ok {
-		return p.(*sync.Pool)
+// takeTable pops a pooled table for cfg; nil when there is none.
+func takeTable(cfg vrange.Config) *vrange.Interner {
+	tablePool.Lock()
+	defer tablePool.Unlock()
+	free := tablePool.free[cfg]
+	n := len(free)
+	if n == 0 {
+		return nil
 	}
-	p, _ := internPools.LoadOrStore(cfg, &sync.Pool{})
-	return p.(*sync.Pool)
+	it := free[n-1]
+	free[n-1] = nil
+	tablePool.free[cfg] = free[:n-1]
+	return it
 }
 
-// table returns worker slot w's persistent interner, creating it on first
-// use; nil when interning is disabled.
+// putTable pools it for cfg unless the free list is already full.
+func putTable(cfg vrange.Config, it *vrange.Interner) {
+	tablePool.Lock()
+	defer tablePool.Unlock()
+	if free := tablePool.free[cfg]; len(free) < runtime.GOMAXPROCS(0) {
+		tablePool.free[cfg] = append(free, it)
+	}
+}
+
+// table returns worker slot w's persistent interner, taking a pooled one
+// or building one on first use; nil when interning is disabled.
 func (d *driver) table(w int) *vrange.Interner {
 	if d.cfg.Range.DisableIntern {
 		return nil
 	}
 	if d.tables[w] == nil {
-		if it, _ := internPool(d.cfg.Range).Get().(*vrange.Interner); it != nil {
-			d.tables[w] = it
-		} else {
+		d.tables[w] = takeTable(d.cfg.Range)
+		if d.tables[w] == nil {
 			d.tables[w] = vrange.NewInternerSized(d.internHint)
 		}
 	}
@@ -762,26 +806,23 @@ func (d *driver) table(w int) *vrange.Interner {
 }
 
 // releaseTables hands the run's tables back to the config-keyed pool,
-// resetting those over pooledTableMaxLive. Must run after finishTelemetry
-// (which reads the tables' gauges) and after ownResults (a reset rewinds
-// the arena the results' values were carved from).
+// dropping those over pooledTableMaxBytes and resetting those over
+// pooledTableMaxLive. Must run after finishTelemetry (which reads the
+// tables' gauges) and after ownResults (a reset rewinds the arena the
+// results' values were carved from).
 func (d *driver) releaseTables() {
-	if d.cfg.Range.DisableIntern {
-		return
-	}
-	pool := internPool(d.cfg.Range)
 	for i, it := range d.tables {
-		if it == nil {
+		d.tables[i] = nil
+		if it == nil || it.Footprint() > pooledTableMaxBytes {
 			continue
 		}
-		d.tables[i] = nil
 		if it.Live() > pooledTableMaxLive || testHookReleaseTable != nil {
 			it.Reset()
 			if testHookReleaseTable != nil {
 				testHookReleaseTable(it)
 			}
 		}
-		pool.Put(it)
+		putTable(d.cfg.Range, it)
 	}
 }
 
@@ -983,7 +1024,17 @@ func (d *driver) runEngine(fi int, calc *vrange.Calc, in *funcInputs, rm *teleme
 			sc = newEngineScratch(d.cg.Funcs[fi])
 			d.scratch[fi] = sc
 		}
-		eng = newEngine(d.ctx, d.cg.Funcs[fi], d.cfg, calc, d.prog, in, rm, sc)
+		// The run overwrites the superseded result's value vector, but
+		// only one an engine run allocated: vectors built by splicing
+		// (from the funcstore's records) or by degrading are never
+		// written. Only a run's final results escape, and every path that
+		// abandons this run (cancel, panic, step budget) replaces or
+		// discards the result whose vector it overwrote.
+		var val []vrange.Value
+		if d.fromEngine[fi] {
+			val = d.results[fi].Val
+		}
+		eng = newEngine(d.ctx, d.cg.Funcs[fi], d.cfg, calc, d.prog, in, rm, sc, val)
 		eng.run()
 	}
 	if rm != nil {

@@ -102,9 +102,10 @@ type phiOp struct {
 // a function is analyzed by exactly one task per wave and re-runs are
 // ordered by the wave barriers, so reuse is race-free. Arrays that escape
 // into the FuncResult (val, edgeFreq, branchP, branchSrc) are NOT here:
-// they are allocated fresh per run. A function that degrades (panic or
-// step budget) is quarantined and never re-runs, so a half-mutated
-// scratch is never observed.
+// edgeFreq and the maps are allocated fresh per run, and val is the
+// superseded result's vector (see runEngine) or fresh. A function that
+// degrades (panic or step budget) is quarantined and never re-runs, so a
+// half-mutated scratch is never observed.
 type engineScratch struct {
 	tree      *dom.Tree
 	loops     *dom.LoopInfo
@@ -181,11 +182,17 @@ func (sc *engineScratch) reset() {
 	clear(sc.dw.onPath)
 }
 
-func newEngine(ctx context.Context, f *ir.Func, cfg Config, calc *vrange.Calc, prog *ir.Program, in *funcInputs, tm *telemetry.RunMetrics, sc *engineScratch) *engine {
+// newEngine prepares one run over f. val, when non-nil, is a value vector
+// of f.NumRegs entries the run may overwrite (a superseded result's);
+// otherwise the run allocates its own.
+func newEngine(ctx context.Context, f *ir.Func, cfg Config, calc *vrange.Calc, prog *ir.Program, in *funcInputs, tm *telemetry.RunMetrics, sc *engineScratch, val []vrange.Value) *engine {
 	if sc == nil {
 		sc = newEngineScratch(f)
 	} else {
 		sc.reset()
+	}
+	if val == nil {
+		val = make([]vrange.Value, f.NumRegs)
 	}
 	e := &engine{
 		f:             f,
@@ -195,7 +202,7 @@ func newEngine(ctx context.Context, f *ir.Func, cfg Config, calc *vrange.Calc, p
 		in:            in,
 		ctx:           ctx,
 		tm:            tm,
-		val:           make([]vrange.Value, f.NumRegs),
+		val:           val,
 		edgeFreq:      make([]float64, len(f.Edges)),
 		blkFreq:       sc.blkFreq,
 		visited:       sc.visited,

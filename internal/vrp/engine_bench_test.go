@@ -189,13 +189,17 @@ func kernel%d(n, m) {
 
 // BenchmarkRetainedAnalysis reports how much live heap one held Result of
 // the genprog 10k preset pins, per IR instruction: the live heap after the
-// analysis minus the live heap before it, each read after two GCs (which
-// also empty the cons-table pool, so only what the Result reaches counts).
+// analysis minus the live heap before it, each read after two GCs. One
+// analysis before the first reading puts the pooled cons table in both
+// readings, so only what the Result reaches counts.
 func BenchmarkRetainedAnalysis(b *testing.B) {
 	gcfg, _ := genprog.Preset("10k")
 	p := mustCompile(b, genprog.Source(gcfg))
 	cfg := DefaultConfig()
 	cfg.Workers = 1
+	if _, err := Analyze(p, cfg); err != nil {
+		b.Fatal(err)
+	}
 	var retained int64
 	for i := 0; i < b.N; i++ {
 		base := liveHeap()
@@ -216,4 +220,44 @@ func liveHeap() int64 {
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
 	return int64(m.HeapAlloc)
+}
+
+// warmTableAllocMax bounds BenchmarkWarmTableAlloc's alloc-B/instr,
+// which reads 555 on linux/amd64. A table pool that the collector
+// empties rebuilds and regrows the cons table after the two GCs of every
+// iteration and reads 3196; a fresh value vector per engine run reads
+// 881.
+const warmTableAllocMax = 720
+
+// BenchmarkWarmTableAlloc reports the bytes one analysis of the genprog
+// 10k preset allocates per IR instruction once the table pool is warm,
+// with two GCs before each analysis (a big analysis triggers about one
+// GC per op), and fails above warmTableAllocMax.
+func BenchmarkWarmTableAlloc(b *testing.B) {
+	gcfg, _ := genprog.Preset("10k")
+	p := mustCompile(b, genprog.Source(gcfg))
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	if _, err := Analyze(p, cfg); err != nil {
+		b.Fatal(err)
+	}
+	var m runtime.MemStats
+	var alloc uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		before := m.TotalAlloc
+		if _, err := Analyze(p, cfg); err != nil {
+			b.Fatal(err)
+		}
+		runtime.ReadMemStats(&m)
+		alloc += m.TotalAlloc - before
+	}
+	perInstr := float64(alloc) / float64(b.N) / float64(p.NumInstrs())
+	b.ReportMetric(perInstr, "alloc-B/instr")
+	if perInstr > warmTableAllocMax {
+		b.Fatalf("alloc-B/instr %.0f exceeds warmTableAllocMax (%d)", perInstr, warmTableAllocMax)
+	}
 }

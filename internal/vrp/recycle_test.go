@@ -76,22 +76,46 @@ func (s *resultSnapshot) check(t *testing.T, label string, r *Result) {
 	}
 }
 
+// vectorOwners records which FuncResult owns each value vector handed
+// out so far, keyed by the vector's first element.
+type vectorOwners map[*vrange.Value]string
+
+// add fails t if any of r's value vectors is already owned: by another
+// function of r, or by a Result returned earlier.
+func (o vectorOwners) add(t *testing.T, label string, r *Result) {
+	t.Helper()
+	for f, fr := range r.Funcs {
+		if len(fr.Val) == 0 {
+			continue
+		}
+		owner := label + " " + f.Name
+		if prev, ok := o[&fr.Val[0]]; ok {
+			t.Fatalf("%s shares its value vector with %s", owner, prev)
+		}
+		o[&fr.Val[0]] = owner
+	}
+}
+
 // TestResultsSurviveTableRecycling pins the ownership contract that lets
-// the driver reset and re-pool its cons tables: a returned Result owns
-// its values. Program A is analyzed once for reference; then every
-// released table is reset and its rewound slabs are filled with garbage.
-// A is analyzed again, and gen-10k-sized programs are re-analyzed through
-// the recycled tables, sequentially and from parallel analyses with eight
-// workers each. A's second Result must match the reference bit for bit
-// throughout, and the parallel results must match the sequential ones.
+// the driver reset and re-pool its cons tables and recycle value vectors
+// across passes: a returned Result owns its values. Program A is analyzed
+// once for reference; then every released table is reset and its rewound
+// slabs are filled with garbage. A is analyzed again, and gen-10k-sized
+// programs are analyzed through the recycled tables sequentially; then A
+// and the big programs again from parallel analyses with eight workers
+// each. Every held Result must keep what it first reported bit for bit,
+// the parallel results must match the sequential ones, and no two
+// FuncResults of any Result may share a value vector.
 func TestResultsSurviveTableRecycling(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Workers = 1
+	owners := vectorOwners{}
 	progA := compileSrc(t, "a.mini", genprog.Source(genprog.Config{Seed: 7, Funcs: 12, Diamonds: 2, LoopDepth: 2}))
 	want, err := Analyze(progA, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	owners.add(t, "reference", want)
 	snap := snapshotResult(want)
 
 	testHookReleaseTable = poisonTable
@@ -100,35 +124,43 @@ func TestResultsSurviveTableRecycling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	owners.add(t, "program A", resA)
 	snap.check(t, "program A re-analyzed", resA)
+	snap.check(t, "reference after re-analysis", want)
 
 	big, _ := genprog.Preset("10k")
 	const nBig = 2
 	progs := make([]*ir.Program, nBig)
 	seq := make([]*resultSnapshot, nBig)
+	held := make([]*Result, nBig)
 	for j := range progs {
 		c := big
 		c.Seed += uint64(j)
 		progs[j] = compileSrc(t, fmt.Sprintf("big%d.mini", j), genprog.Source(c))
-		r, err := Analyze(progs[j], cfg)
+		held[j], err = Analyze(progs[j], cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq[j] = snapshotResult(r)
+		owners.add(t, fmt.Sprintf("sequential %d", j), held[j])
+		seq[j] = snapshotResult(held[j])
 		runtime.GC()
 		snap.check(t, fmt.Sprintf("program A after sequential analysis %d", j), resA)
+		for i := 0; i < j; i++ {
+			seq[i].check(t, fmt.Sprintf("sequential %d after sequential analysis %d", i, j), held[i])
+		}
 	}
 
 	par := cfg
 	par.Workers = 8
 	var wg sync.WaitGroup
-	results := make([]*Result, nBig)
+	all := append([]*ir.Program{progA, progA}, progs...)
+	results := make([]*Result, len(all))
 	errs := make([]error, len(results))
 	for i := range results {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[i], errs[i] = Analyze(progs[i], par)
+			results[i], errs[i] = Analyze(all[i], par)
 		}()
 	}
 	wg.Wait()
@@ -137,7 +169,109 @@ func TestResultsSurviveTableRecycling(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
 		}
-		seq[i].check(t, fmt.Sprintf("parallel analysis %d vs sequential", i), r)
+		label := fmt.Sprintf("parallel analysis %d", i)
+		owners.add(t, label, r)
+		if i < 2 {
+			snap.check(t, label+" vs program A", r)
+		} else {
+			seq[i-2].check(t, label+" vs sequential", r)
+		}
 	}
 	snap.check(t, "program A after parallel analyses", resA)
+	for i := range held {
+		seq[i].check(t, fmt.Sprintf("sequential %d after parallel analyses", i), held[i])
+	}
+}
+
+// drainTables empties the pool's free list for cfg.
+func drainTables(cfg vrange.Config) {
+	tablePool.Lock()
+	delete(tablePool.free, cfg)
+	tablePool.Unlock()
+}
+
+// pooledTables returns a copy of the pool's free list for cfg.
+func pooledTables(cfg vrange.Config) []*vrange.Interner {
+	tablePool.Lock()
+	defer tablePool.Unlock()
+	return append([]*vrange.Interner(nil), tablePool.free[cfg]...)
+}
+
+// TestTablePoolSurvivesGC pins that garbage collection does not empty the
+// table pool: an analysis after two GCs takes the table the previous one
+// released instead of building a new one.
+func TestTablePoolSurvivesGC(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	prog := compileSrc(t, "a.mini", genprog.Source(genprog.Config{Seed: 7, Funcs: 12, Diamonds: 2, LoopDepth: 2}))
+	drainTables(cfg.Range)
+	if _, err := Analyze(prog, cfg); err != nil {
+		t.Fatal(err)
+	}
+	first := pooledTables(cfg.Range)
+	if len(first) != 1 {
+		t.Fatalf("a Workers: 1 analysis pooled %d tables, want 1", len(first))
+	}
+	runtime.GC()
+	runtime.GC()
+	if _, err := Analyze(prog, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if got := pooledTables(cfg.Range); len(got) != 1 || got[0] != first[0] {
+		t.Fatalf("after two GCs the analysis built a new table: pool %p, then %p", first, got)
+	}
+}
+
+// TestTablePoolBounds pins the pool's two limits: parallel analyses with
+// eight workers each leave at most GOMAXPROCS tables per config, and a
+// table whose footprint exceeds pooledTableMaxBytes is dropped.
+func TestTablePoolBounds(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Workers = 8
+	prog := compileSrc(t, "wide.mini", genprog.Source(genprog.Config{Seed: 3, Funcs: 24, Diamonds: 2, LoopDepth: 1}))
+	drainTables(cfg.Range)
+	var released atomic.Int64
+	testHookReleaseTable = func(*vrange.Interner) { released.Add(1) }
+	defer func() { testHookReleaseTable = nil }()
+	var wg sync.WaitGroup
+	errs := make([]error, 4)
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = Analyze(prog, cfg)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	n, max := len(pooledTables(cfg.Range)), runtime.GOMAXPROCS(0)
+	if released.Load() <= int64(max) {
+		t.Fatalf("the analyses released %d tables, too few to test the bound of %d", released.Load(), max)
+	}
+	if n == 0 || n > max {
+		t.Fatalf("pool holds %d tables after parallel analyses, want 1..%d", n, max)
+	}
+	testHookReleaseTable = nil
+
+	cfg.Workers = 1
+	drainTables(cfg.Range)
+	if _, err := Analyze(prog, cfg); err != nil {
+		t.Fatal(err)
+	}
+	kept := pooledTables(cfg.Range)
+	if len(kept) != 1 {
+		t.Fatalf("pooled %d tables, want 1", len(kept))
+	}
+	defer func(old int64) { pooledTableMaxBytes = old }(pooledTableMaxBytes)
+	pooledTableMaxBytes = kept[0].Footprint() - 1
+	if _, err := Analyze(prog, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if got := pooledTables(cfg.Range); len(got) != 0 {
+		t.Fatalf("a table of %d bytes, above the %d-byte ceiling, was pooled", got[0].Footprint(), pooledTableMaxBytes)
+	}
 }
