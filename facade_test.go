@@ -187,25 +187,19 @@ func TestAnalyzeContextFacade(t *testing.T) {
 		t.Errorf("healthy run has diagnostics: %v", ds)
 	}
 
-	// A cancelled context aborts with the typed error; the WithContext
-	// option is the equivalent spelling.
+	// A cancelled context aborts with the typed error.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for name, run := range map[string]func() (*vrp.Analysis, error){
-		"AnalyzeContext": func() (*vrp.Analysis, error) { return p.AnalyzeContext(ctx) },
-		"WithContext":    func() (*vrp.Analysis, error) { return p.Analyze(vrp.WithContext(ctx)) },
-	} {
-		a, err := run()
-		if a != nil {
-			t.Fatalf("%s: cancelled analysis returned a result", name)
-		}
-		var ae *vrp.AnalysisError
-		if !errors.As(err, &ae) {
-			t.Fatalf("%s: error is %T, want *vrp.AnalysisError", name, err)
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("%s: error does not unwrap to context.Canceled: %v", name, err)
-		}
+	a, err = p.AnalyzeContext(ctx)
+	if a != nil {
+		t.Fatal("cancelled analysis returned a result")
+	}
+	var ae *vrp.AnalysisError
+	if !errors.As(err, &ae) {
+		t.Fatalf("error is %T, want *vrp.AnalysisError", err)
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("error does not unwrap to context.Canceled: %v", err)
 	}
 }
 

@@ -8,15 +8,15 @@ import (
 	corevrp "vrp/internal/vrp"
 )
 
-func benchGen(b *testing.B, disableIntern bool) {
-	b.Helper()
+// BenchmarkGenAnalyze analyzes the genprog default program once per
+// iteration.
+func BenchmarkGenAnalyze(b *testing.B) {
 	p, err := vrp.Compile("gen.mini", genprog.Source(genprog.Default()))
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfg := defaultEngineConfig(p.IR)
 	cfg.Workers = 1
-	cfg.Range.DisableIntern = disableIntern
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -25,6 +25,3 @@ func benchGen(b *testing.B, disableIntern bool) {
 		}
 	}
 }
-
-func BenchmarkGenAnalyzeIntern(b *testing.B)   { benchGen(b, false) }
-func BenchmarkGenAnalyzeNoIntern(b *testing.B) { benchGen(b, true) }

@@ -390,10 +390,3 @@ func (p *parser) parsePrimary() ast.Expr {
 	p.next()
 	return &ast.IntLit{LitPos: pos, Value: 0}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -375,7 +375,7 @@ func (c *Calc) Bool(p float64) Value {
 	if p > 1 {
 		p = 1
 	}
-	if q := 1 - p; c.in != nil && p >= minProb && q >= minProb {
+	if q := 1 - p; p >= minProb && q >= minProb {
 		// Both points survive: the exact two-point boolean shape, served
 		// straight from the interner's content-keyed table.
 		return c.in.internBool(boolKey{q: math.Float64bits(q), p: math.Float64bits(p)},

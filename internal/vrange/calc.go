@@ -20,16 +20,6 @@ type Config struct {
 	// variable when a probability needs a concrete count, e.g. P(i<n) for
 	// i ∈ [0:n:1] evaluates to T/(T+1).
 	AssumedVarValue int64
-	// ExactPairLimit selects the continuous approximation in comparisons:
-	// when both ranges have more members than this, P(x<y) is integrated
-	// over their hulls and P(x==y) is taken as 0. Otherwise the pair count
-	// is exact, in closed form, whatever the sizes.
-	ExactPairLimit int64
-	// DisableIntern turns off the hash-cons table and transfer-function
-	// memoization (intern.go), restoring the allocate-per-result behavior.
-	// Results are bit-identical either way; the flag exists for the
-	// equivalence tests and the interning on/off Go benchmarks.
-	DisableIntern bool
 }
 
 // DefaultConfig returns the paper-faithful configuration.
@@ -38,7 +28,6 @@ func DefaultConfig() Config {
 		MaxRanges:       4,
 		Symbolic:        true,
 		AssumedVarValue: 10,
-		ExactPairLimit:  4096,
 	}
 }
 
@@ -46,12 +35,12 @@ func DefaultConfig() Config {
 // (range-pair evaluations) for the paper's Figure 6 instrumentation and
 // widenings (set-cap merges and give-ups to ⊥) for the telemetry layer.
 //
-// A Calc routes every produced value through its Interner (unless
-// Cfg.DisableIntern is set) and reuses internal scratch buffers, so the
-// steady state of a propagation run — evaluating expressions whose
-// operands were seen before — performs no heap allocation. A Calc is not
-// safe for concurrent use; the analysis driver creates one per function
-// run, sharing the longer-lived Interner per call-graph SCC.
+// A Calc routes every produced value through its Interner and reuses
+// internal scratch buffers, so the steady state of a propagation run —
+// evaluating expressions whose operands were seen before — performs no
+// heap allocation. A Calc is not safe for concurrent use; the analysis
+// driver creates one per function run, sharing the longer-lived Interner
+// of its worker slot.
 type Calc struct {
 	Cfg    Config
 	SubOps int64
@@ -74,7 +63,7 @@ type Calc struct {
 	MergeMemoHits   int64
 	MergeMemoMisses int64
 
-	// in is the hash-cons table; nil when Cfg.DisableIntern is set.
+	// in is the hash-cons table.
 	in *Interner
 
 	// Scratch buffers. buf1 collects transfer-function output ranges
@@ -89,44 +78,24 @@ type Calc struct {
 }
 
 // NewCalc returns a Calc with the given configuration and a private
-// Interner (or none when cfg.DisableIntern is set).
+// Interner.
 func NewCalc(cfg Config) *Calc {
-	c := newCalcNoIntern(cfg)
-	if !cfg.DisableIntern {
-		c.in = NewInterner()
-	}
-	return c
+	return NewCalcWith(cfg, NewInterner())
 }
 
 // NewCalcWith returns a Calc sharing an existing Interner, so intern and
 // memo state persists across many short-lived Calcs (the driver keeps one
-// Interner per call-graph SCC across passes while creating a fresh Calc
-// per function run for exact per-run accounting). it may be nil; with
-// cfg.DisableIntern it is ignored.
+// Interner per worker slot across passes while creating a fresh Calc per
+// function run for exact per-run accounting). it must not be nil.
 func NewCalcWith(cfg Config, it *Interner) *Calc {
-	c := newCalcNoIntern(cfg)
-	if !cfg.DisableIntern {
-		c.in = it
-	}
-	return c
-}
-
-func newCalcNoIntern(cfg Config) *Calc {
 	if cfg.MaxRanges <= 0 {
 		cfg.MaxRanges = 1
 	}
 	if cfg.AssumedVarValue <= 0 {
 		cfg.AssumedVarValue = 10
 	}
-	if cfg.ExactPairLimit <= 0 {
-		cfg.ExactPairLimit = 4096
-	}
-	return &Calc{Cfg: cfg}
+	return &Calc{Cfg: cfg, in: it}
 }
-
-// Interner exposes the calc's cons table (nil when interning is disabled),
-// for sharing via NewCalcWith and for benchmark reporting.
-func (c *Calc) Interner() *Interner { return c.in }
 
 // minProb drops ranges whose probability falls below this threshold during
 // canonicalization; they cannot influence a prediction at the precision
@@ -174,7 +143,7 @@ func (c *Calc) Canonicalize(v Value) Value {
 	// the only pass over the final ranges; the probabilities are final here
 	// because renormalization already ran. A merge mutates an emitted
 	// range, so it forces a recompute of the digest at the end.
-	hashing := c.in != nil
+	hashing := true
 	h := fpInit
 	out := rs[:0]
 	for _, r := range rs {
@@ -203,9 +172,6 @@ func (c *Calc) Canonicalize(v Value) Value {
 		}
 		rs[i] = merged
 		rs = append(rs[:j], rs[j+1:]...)
-	}
-	if c.in == nil {
-		return c.intern(Value{kind: Set, Ranges: rs})
 	}
 	if !hashing {
 		h = fpInit

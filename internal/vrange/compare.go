@@ -193,49 +193,12 @@ func (c *Calc) fracLt(x, y Range) (float64, bool) {
 	return 0, false
 }
 
-// fracLtNum handles numeric multi-value ranges: the exact pair count when
-// the smaller range is within the configured limit, continuous
-// approximation otherwise.
+// fracLtNum handles numeric multi-value ranges: the exact pair count, in
+// closed form whatever the sizes (pairs.go).
 func (c *Calc) fracLtNum(x, y Range) float64 {
 	nx, _ := x.Count()
 	ny, _ := y.Count()
-	if nx <= c.Cfg.ExactPairLimit || ny <= c.Cfg.ExactPairLimit {
-		return clamp01(pairsLt(progOf(x), progOf(y)).float() / (float64(nx) * float64(ny)))
-	}
-	// Continuous uniform approximation on [a1,b1]×[a2,b2].
-	a1, b1 := float64(x.Lo.Const), float64(x.Hi.Const)
-	a2, b2 := float64(y.Lo.Const), float64(y.Hi.Const)
-	return clamp01(probLessUniform(a1, b1, a2, b2))
-}
-
-// probLessUniform is P(X<Y) for independent X~U[a1,b1], Y~U[a2,b2],
-// computed by clipping the unit square. Near the int64 edges, a range of
-// many integers can still round to a zero float64 extent; a zero-width
-// side counts as unit width, so the result is never NaN.
-func probLessUniform(a1, b1, a2, b2 float64) float64 {
-	if b1 <= a2 {
-		return 1
-	}
-	if b2 <= a1 {
-		return 0
-	}
-	// Integrate P(Y > x) over x.
-	w := b1 - a1
-	if w <= 0 {
-		w = 1
-	}
-	h := b2 - a2
-	if h <= 0 {
-		h = 1
-	}
-	const steps = 64
-	sum := 0.0
-	for i := 0; i < steps; i++ {
-		x := a1 + (float64(i)+0.5)*w/steps
-		py := (b2 - x) / h
-		sum += math.Min(1, math.Max(0, py))
-	}
-	return sum / steps
+	return clamp01(pairsLt(progOf(x), progOf(y)).float() / (float64(nx) * float64(ny)))
 }
 
 // fracEq returns the fraction of pairs with x == y.
@@ -266,12 +229,7 @@ func (c *Calc) fracEq(x, y Range) (float64, bool) {
 	if x.IsNum() && y.IsNum() {
 		nx, _ := x.Count()
 		ny, _ := y.Count()
-		if nx <= c.Cfg.ExactPairLimit || ny <= c.Cfg.ExactPairLimit {
-			return clamp01(float64(pairsEq(progOf(x), progOf(y))) / (float64(nx) * float64(ny))), true
-		}
-		// Both huge: the expected number of coincidences is negligible at
-		// the precision the experiments report.
-		return 0, true
+		return clamp01(float64(pairsEq(progOf(x), progOf(y))) / (float64(nx) * float64(ny))), true
 	}
 	return 0, false
 }

@@ -10,17 +10,23 @@ import (
 
 // Element-walk oracles for the closed-form pair counts in pairs.go. They
 // are the comparison code as it stood before the closed form: one
-// satBelow/fracContains call per element of the walked operand, dispatched
-// on ExactPairLimit exactly as fracLtNum and fracEq dispatch.
+// satBelow/fracContains call per element of the walked operand, which is
+// x when it has at most walkLimit members, else y. Pairs with both
+// operands above walkLimit are not walked.
 
-// walkFracLt is fracLtNum by enumeration. Its sum adds integer-valued
-// floats, so it is exact, and bit-identical to the closed form, whenever
-// the distances, the counts and the pair total stay below 2^53.
-func walkFracLt(c *Calc, x, y Range) float64 {
+// walkLimit bounds the operand the walks enumerate.
+const walkLimit = 4096
+
+// walkFracLt is fracLtNum by enumeration; ok is false when neither operand
+// is walkable. Its sum adds integer-valued floats, so it is exact, and
+// bit-identical to the closed form, whenever the distances, the counts
+// and the pair total stay below 2^53.
+func walkFracLt(c *Calc, x, y Range) (p float64, ok bool) {
 	nx, _ := x.Count()
 	ny, _ := y.Count()
-	if nx <= c.Cfg.ExactPairLimit {
-		sum := 0.0
+	sum := 0.0
+	switch {
+	case nx <= walkLimit:
 		for v, i := x.Lo.Const, int64(0); i < nx; v, i = v+x.Stride, i+1 {
 			sat, ok := c.satBelow(y, Num(v), false) // y <= v
 			if !ok && v == math.MaxInt64 {
@@ -29,65 +35,66 @@ func walkFracLt(c *Calc, x, y Range) float64 {
 			}
 			sum += float64(ny) - sat // y > v  ⇔  v < y
 		}
-		return clamp01(sum / (float64(nx) * float64(ny)))
-	}
-	if ny <= c.Cfg.ExactPairLimit {
-		sum := 0.0
+	case ny <= walkLimit:
 		for v, i := y.Lo.Const, int64(0); i < ny; v, i = v+y.Stride, i+1 {
 			sat, _ := c.satBelow(x, Num(v), true) // x < v
 			sum += sat
 		}
-		return clamp01(sum / (float64(nx) * float64(ny)))
+	default:
+		return 0, false
 	}
-	a1, b1 := float64(x.Lo.Const), float64(x.Hi.Const)
-	a2, b2 := float64(y.Lo.Const), float64(y.Hi.Const)
-	return clamp01(probLessUniform(a1, b1, a2, b2))
+	return clamp01(sum / (float64(nx) * float64(ny))), true
 }
 
-// walkFracEq is fracEq's numeric multi-value branch by enumeration. It
-// accumulates (1/n_y)·n_y per match in floating point, so it may differ
-// from the exact count's quotient in the last ulp or two.
-func walkFracEq(c *Calc, x, y Range) float64 {
+// walkFracEq is fracEq's numeric multi-value branch by enumeration; ok is
+// false when neither operand is walkable. It accumulates (1/n_y)·n_y per
+// match in floating point, so it may differ from the exact count's
+// quotient in the last ulp or two.
+func walkFracEq(c *Calc, x, y Range) (p float64, ok bool) {
 	nx, _ := x.Count()
 	ny, _ := y.Count()
-	if nx <= c.Cfg.ExactPairLimit {
-		matches := 0.0
-		for v, i := x.Lo.Const, int64(0); i < nx; v, i = v+x.Stride, i+1 {
-			f, _ := c.fracContains(y, Num(v))
-			matches += f * float64(ny)
+	if nx > walkLimit {
+		if ny > walkLimit {
+			return 0, false
 		}
-		return clamp01(matches / (float64(nx) * float64(ny)))
-	}
-	if ny <= c.Cfg.ExactPairLimit {
 		return walkFracEq(c, y, x)
 	}
-	return 0
+	matches := 0.0
+	for v, i := x.Lo.Const, int64(0); i < nx; v, i = v+x.Stride, i+1 {
+		f, _ := c.fracContains(y, Num(v))
+		matches += f * float64(ny)
+	}
+	return clamp01(matches / (float64(nx) * float64(ny))), true
 }
 
-// checkClosedForm compares fracLtNum and fracEq on two numeric multi-value
-// ranges against the walks above and, on small ranges, against brute-force
-// enumeration. The < count must be bit-identical to the walk wherever the
-// walk's float sum is exact; the == count may differ from the walk's
-// accumulated (1/n_y)·n_y terms by at most 2 ulps.
+// checkClosedForm checks fracLtNum and fracEq on two numeric multi-value
+// ranges. On every pair the three fractions P(<), P(>) and P(==) lie in
+// [0,1] and sum to one within 1e-9. Where an operand is walkable they are
+// checked against the walks above and, on small ranges, against
+// brute-force enumeration: the < count must be bit-identical to the walk
+// wherever the walk's float sum is exact; the == count may differ from
+// the walk's accumulated (1/n_y)·n_y terms by at most 2 ulps.
 func checkClosedForm(t *testing.T, c *Calc, x, y Range) {
 	t.Helper()
 	nx, _ := x.Count()
 	ny, _ := y.Count()
-	exact := min(nx, ny) <= c.Cfg.ExactPairLimit
-	lt := c.fracLtNum(x, y)
+	lt, gt := c.fracLtNum(x, y), c.fracLtNum(y, x)
 	eq, ok := c.fracEq(x, y)
-	if !ok || !(lt >= 0 && lt <= 1) || !(eq >= 0 && eq <= 1) {
-		t.Fatalf("limit %d: P(%v < %v) = %v, P(==) = %v (ok %v): want fractions in [0,1]",
-			c.Cfg.ExactPairLimit, x, y, lt, eq, ok)
+	if !ok || !(lt >= 0 && lt <= 1) || !(gt >= 0 && gt <= 1) || !(eq >= 0 && eq <= 1) {
+		t.Fatalf("P(%v < %v) = %v, P(>) = %v, P(==) = %v (ok %v): want fractions in [0,1]",
+			x, y, lt, gt, eq, ok)
 	}
-	if w := walkFracLt(c, x, y); walkExact(x, y) && math.Float64bits(lt) != math.Float64bits(w) ||
-		math.Abs(lt-w) > 1e-9 {
-		t.Fatalf("limit %d: P(%v < %v) = %v, walk says %v", c.Cfg.ExactPairLimit, x, y, lt, w)
+	if sum := lt + gt + eq; math.Abs(sum-1) > 1e-9 {
+		t.Fatalf("P(%v < %v) = %v, P(>) = %v, P(==) = %v: sum %v, want 1", x, y, lt, gt, eq, sum)
 	}
-	if w := walkFracEq(c, x, y); ulpDist(eq, w) > 2 {
-		t.Fatalf("limit %d: P(%v == %v) = %v, walk says %v", c.Cfg.ExactPairLimit, x, y, eq, w)
+	if w, ok := walkFracLt(c, x, y); ok && (walkExact(x, y) && math.Float64bits(lt) != math.Float64bits(w) ||
+		math.Abs(lt-w) > 1e-9) {
+		t.Fatalf("P(%v < %v) = %v, walk says %v", x, y, lt, w)
 	}
-	if exact && nx <= 64 && ny <= 64 {
+	if w, ok := walkFracEq(c, x, y); ok && ulpDist(eq, w) > 2 {
+		t.Fatalf("P(%v == %v) = %v, walk says %v", x, y, eq, w)
+	}
+	if nx <= 64 && ny <= 64 {
 		if want := enumProb(ir.BinLt, x, y); lt != want {
 			t.Fatalf("P(%v < %v) = %v, enumeration says %v", x, y, lt, want)
 		}
@@ -176,26 +183,14 @@ func genStridedPair(r *rand.Rand) (x, y Range) {
 }
 
 // TestClosedFormMatchesWalk: the closed-form counts agree with the element
-// walk. Each pair's ExactPairLimit selects one dispatch branch: walk x
-// (n_x ≤ limit), walk y (n_y ≤ limit < n_x), or the continuous
-// approximation (both above it).
+// walk. Each pair is checked in both orders, so the walk runs over x
+// (n_x ≤ walkLimit) and over y (n_y ≤ walkLimit < n_x); pairs with both
+// operands above walkLimit get the range and sum checks only.
 func TestClosedFormMatchesWalk(t *testing.T) {
 	r := rand.New(rand.NewSource(16))
 	c := calc()
 	for i := 0; i < 3000; i++ {
 		x, y := genStridedPair(r)
-		nx, _ := x.Count()
-		ny, _ := y.Count()
-		switch {
-		case i%8 == 0:
-			c.Cfg.ExactPairLimit = min(nx, ny) - 1
-		case nx <= 2001 && (ny > 2001 || i%2 == 0):
-			c.Cfg.ExactPairLimit = nx
-		case ny <= 2001:
-			c.Cfg.ExactPairLimit = ny
-		default:
-			c.Cfg.ExactPairLimit = 4096
-		}
 		checkClosedForm(t, c, x, y)
 		checkClosedForm(t, c, y, x)
 	}
@@ -206,32 +201,30 @@ func TestClosedFormMatchesWalk(t *testing.T) {
 // int64: strides 1…65536, counts from two to 2^40+1.
 func FuzzFracLtClosedForm(f *testing.F) {
 	type seed struct {
-		xlo, sx, nx, ylo, sy, ny, limit int64
+		xlo, sx, nx, ylo, sy, ny int64
 	}
 	for _, s := range []seed{
-		{math.MaxInt64 - 1, 1, 2, math.MaxInt64 - 1, 1, 2, 4096},
-		{math.MinInt64, 1, 2, math.MinInt64, 1, 2, 4096},
-		{math.MaxInt64 - 10, 1, 10, math.MaxInt64 - 6, 3, 3, 4},
-		{math.MinInt64 + 1, 1, 10, math.MinInt64, 2, 5, 4},
-		{1 << 40, 1, 9, 1<<40 + 3, 4, 3, 4096},
-		{-20, 2, 10, -5, 1, 11, 3},
-		{0, 7, 600, 3, 11, 400, 64},
-		{-1 << 52, 1000, 1 << 20, -1<<52 + 999, 999, 1 << 20, 4096},
-		{0, 1, 5000, 0, 1, 5000, 4096},
-		// Both above the limit, and y's float64 extent rounds to zero.
-		{math.MinInt64, 8, 571, math.MinInt64 + 971, 1, 19, 18},
-		{1<<60 - 100, 1, 1000, 1 << 60, 1, 6, 4},
+		{math.MaxInt64 - 1, 1, 2, math.MaxInt64 - 1, 1, 2},
+		{math.MinInt64, 1, 2, math.MinInt64, 1, 2},
+		{math.MaxInt64 - 10, 1, 10, math.MaxInt64 - 6, 3, 3},
+		{math.MinInt64 + 1, 1, 10, math.MinInt64, 2, 5},
+		{1 << 40, 1, 9, 1<<40 + 3, 4, 3},
+		{-20, 2, 10, -5, 1, 11},
+		{0, 7, 600, 3, 11, 400},
+		{-1 << 52, 1000, 1 << 20, -1<<52 + 999, 999, 1 << 20},
+		{0, 1, 5000, 0, 1, 5000},
+		// y's float64 extent rounds to zero.
+		{math.MinInt64, 8, 571, math.MinInt64 + 971, 1, 19},
+		{1<<60 - 100, 1, 1000, 1 << 60, 1, 6},
 	} {
-		f.Add(s.xlo, uint16(s.sx-1), uint64(s.nx-2), s.ylo, uint16(s.sy-1), uint64(s.ny-2), uint16(s.limit-1))
+		f.Add(s.xlo, uint16(s.sx-1), uint64(s.nx-2), s.ylo, uint16(s.sy-1), uint64(s.ny-2))
 	}
-	f.Fuzz(func(t *testing.T, xlo int64, xs uint16, xn uint64, ylo int64, ys uint16, yn uint64, limit uint16) {
+	f.Fuzz(func(t *testing.T, xlo int64, xs uint16, xn uint64, ylo int64, ys uint16, yn uint64) {
 		x, okx := strided(xlo, int64(xs)+1, int64(xn%(1<<40))+2)
 		y, oky := strided(ylo, int64(ys)+1, int64(yn%(1<<40))+2)
 		if !okx || !oky {
 			return
 		}
-		cfg := DefaultConfig()
-		cfg.ExactPairLimit = int64(limit%4096) + 1
-		checkClosedForm(t, NewCalc(cfg), x, y)
+		checkClosedForm(t, calc(), x, y)
 	})
 }

@@ -138,22 +138,72 @@ func TestCompareUnrelatedSymbolsIsBottom(t *testing.T) {
 	}
 }
 
-func TestCompareHugeRangesApproximate(t *testing.T) {
+// TestCompareHugeRangesExact: comparisons of ranges of more than 4096
+// members are priced by the exact pair counts, like small ones. For two
+// copies of [0:4999:1], P(x<y) = 4999/10000 and P(x==y) = 1/5000; the
+// strided pair is checked against the closed-form fractions bit for bit
+// and against counts made one member at a time.
+func TestCompareHugeRangesExact(t *testing.T) {
 	c := calc()
-	a := FromRanges(numRange(1, 0, 1_000_000, 1))
-	b := FromRanges(numRange(1, 0, 1_000_000, 1))
-	got := c.Compare(ir.BinLt, a, b)
-	p, ok := c.ProbTrue(got)
-	if !ok {
-		t.Fatal("huge compare not computable")
+	prob := func(op ir.BinOp, x, y Range) float64 {
+		t.Helper()
+		p, ok := c.ProbTrue(c.Compare(op, FromRanges(x), FromRanges(y)))
+		if !ok {
+			t.Fatalf("P(%v %v %v) not computable", x, op, y)
+		}
+		return p
 	}
-	if math.Abs(p-0.5) > 0.02 {
-		t.Errorf("P(X<Y) uniform = %f, want ~0.5", p)
+	// countPairs counts the pairs x < y and x == y of two progressions by
+	// walking x's members, placing each in y's lattice.
+	countPairs := func(x, y Range) (lt, eq int64) {
+		ny, _ := y.Count()
+		for v := x.Lo.Const; v <= x.Hi.Const; v += x.Stride {
+			d := v - y.Lo.Const
+			if d < 0 {
+				lt += ny
+				continue
+			}
+			lt += max(0, ny-1-d/y.Stride) // members of y above v
+			if d%y.Stride == 0 && d/y.Stride < ny {
+				eq++
+			}
+		}
+		return lt, eq
 	}
-	// Equality of huge ranges is ~0.
-	got = c.Compare(ir.BinEq, a, b)
-	if p, _ := c.ProbTrue(got); p > 0.001 {
-		t.Errorf("P(X==Y) huge = %f, want ~0", p)
+
+	x := numRange(1, 0, 4999, 1)
+	if got, want := prob(ir.BinLt, x, x), 4999.0/10000; got != want {
+		t.Errorf("P(%v < %v) = %v, want %v", x, x, got, want)
+	}
+	if got, want := prob(ir.BinEq, x, x), 1.0/5000; got != want {
+		t.Errorf("P(%v == %v) = %v, want %v", x, x, got, want)
+	}
+
+	// 6000 members of stride 6 against 4500 of stride 9: gcd 3, offset 3.
+	x = numRange(1, -1000, -1000+5999*6, 6)
+	y := numRange(1, -997, -997+4499*9, 9)
+	nx, _ := x.Count()
+	ny, _ := y.Count()
+	total := float64(nx) * float64(ny)
+	lt, eq := countPairs(x, y)
+	if lt == 0 || eq == 0 {
+		t.Fatalf("degenerate pair: %d pairs <, %d pairs ==", lt, eq)
+	}
+	for _, tc := range []struct {
+		op         ir.BinOp
+		closedForm float64
+		count      int64
+	}{
+		{ir.BinLt, pairsLt(progOf(x), progOf(y)).float() / total, lt},
+		{ir.BinEq, float64(pairsEq(progOf(x), progOf(y))) / total, eq},
+	} {
+		got := prob(tc.op, x, y)
+		if math.Float64bits(got) != math.Float64bits(tc.closedForm) {
+			t.Errorf("P(%v %v %v) = %v, closed form %v", x, tc.op, y, got, tc.closedForm)
+		}
+		if want := float64(tc.count) / total; got != want {
+			t.Errorf("P(%v %v %v) = %v, counted %d/%v = %v", x, tc.op, y, got, tc.count, total, want)
+		}
 	}
 }
 

@@ -645,28 +645,17 @@ func (it *Interner) Reset() {
 
 // ---------------------------------------------------------------- Calc API
 
-// intern routes a produced value through the cons table. With interning
-// disabled (no table), it copies the ranges out of caller scratch instead,
-// reproducing the pre-interning allocation behavior exactly.
+// intern routes a produced value through the cons table.
 func (c *Calc) intern(v Value) Value {
 	if v.kind == Set && len(v.Ranges) == 0 {
 		return Infeasible()
-	}
-	if c.in == nil {
-		if v.id != 0 {
-			return v
-		}
-		if v.kind != Set {
-			return v
-		}
-		return Value{kind: Set, Ranges: append(make([]Range, 0, len(v.Ranges)), v.Ranges...)}
 	}
 	return c.in.intern(v, &c.InternHits, &c.InternMisses, &c.ConfirmSkips)
 }
 
 // internFused is intern for the fused-hash path: fp is the fingerprint
 // already accumulated while the ranges were built (Canonicalize). Only
-// called with a live interner and a nonempty Set.
+// called with a nonempty Set.
 func (c *Calc) internFused(v Value, fp uint64) Value {
 	return c.in.internFP(v, fp, &c.InternHits, &c.InternMisses, &c.ConfirmSkips)
 }
@@ -675,25 +664,16 @@ func (c *Calc) internFused(v Value, fp uint64) Value {
 // evaluation and assertion constants. It hits the exact-key point table
 // directly — no range build, no hash, no confirm.
 func (c *Calc) ConstVal(k int64) Value {
-	if c.in == nil {
-		return Const(k)
-	}
 	return c.in.internPoint(Num(k), &c.InternHits, &c.InternMisses, &c.ConfirmSkips)
 }
 
 // SymbolicVal is the interned form of Symbolic; see ConstVal.
 func (c *Calc) SymbolicVal(v ir.Reg) Value {
-	if c.in == nil {
-		return Symbolic(v)
-	}
 	return c.in.internPoint(Sym(v, 0), &c.InternHits, &c.InternMisses, &c.ConfirmSkips)
 }
 
 // PointVal is the interned single-point value {1[b:b:0]}.
 func (c *Calc) PointVal(b Bound) Value {
-	if c.in == nil {
-		return Value{kind: Set, Ranges: []Range{Point(1, b)}}
-	}
 	return c.in.internPoint(b, &c.InternHits, &c.InternMisses, &c.ConfirmSkips)
 }
 
@@ -705,7 +685,7 @@ func (c *Calc) PointVal(b Bound) Value {
 // hit the stored SubOps/Widens deltas are replayed so the accounting is
 // identical to a recomputation.
 func (c *Calc) memoized(op uint32, a, b Value, compute func() Value) Value {
-	if c.in == nil || a.id == 0 || b.id == 0 {
+	if a.id == 0 || b.id == 0 {
 		return compute()
 	}
 	k := memoKey{op: op, a: a.id, b: b.id}
@@ -730,9 +710,9 @@ func (c *Calc) memoized(op uint32, a, b Value, compute func() Value) Value {
 // engine step of the loop body. The exact key (ids + raw weight bits)
 // makes a hit provably identical to recomputation, and the stored
 // SubOps/Widens deltas are replayed, so results and accounting are
-// bit-identical with the memo on or off.
+// bit-identical whether the memo hits or misses.
 func (c *Calc) MergeLoopHeader(items []Weighted) Value {
-	if c.in == nil || len(items) != 2 || items[0].Val.id == 0 || items[1].Val.id == 0 {
+	if len(items) != 2 || items[0].Val.id == 0 || items[1].Val.id == 0 {
 		return c.Merge(items)
 	}
 	k := mergeKey{

@@ -192,45 +192,63 @@ func TestInternReset(t *testing.T) {
 	}
 }
 
-// TestInternDisabledBitIdentical pins the equivalence contract of
-// Config.DisableIntern: every transfer function produces bit-identical
-// values (and identical SubOps accounting) with the interner on and off.
-func TestInternDisabledBitIdentical(t *testing.T) {
-	on := NewCalc(DefaultConfig())
-	offCfg := DefaultConfig()
-	offCfg.DisableIntern = true
-	off := NewCalc(offCfg)
+// TestInternWarmTableBitIdentical pins the interning contract: every
+// transfer function produces bit-identical values, and identical SubOps
+// and Widens accounting, whether its operands miss the table and memo (a
+// cold table) or hit them (the same table, warm, under a fresh Calc).
+func TestInternWarmTableBitIdentical(t *testing.T) {
+	cold := NewCalc(DefaultConfig())
+	warm := NewCalcWith(DefaultConfig(), cold.in)
 
 	mk := func(c *Calc) []Value {
-		x := c.Canonicalize(FromRanges(Range{Prob: 0.6, Lo: Num(-5), Hi: Num(20), Stride: 1},
-			Range{Prob: 0.4, Lo: Num(64), Hi: Num(64), Stride: 0}))
-		y := c.Canonicalize(FromRanges(Range{Prob: 1, Lo: Num(2), Hi: Num(10), Stride: 2}))
+		x := c.Canonicalize(FromRanges(Range{Prob: 0.5, Lo: Num(-5), Hi: Num(20), Stride: 1},
+			Range{Prob: 0.3, Lo: Num(64), Hi: Num(64), Stride: 0},
+			Range{Prob: 0.2, Lo: Num(200), Hi: Num(260), Stride: 4}))
+		y := c.Canonicalize(FromRanges(Range{Prob: 0.75, Lo: Num(2), Hi: Num(10), Stride: 2},
+			Range{Prob: 0.25, Lo: Num(1000), Hi: Num(1000), Stride: 0}))
 		s := c.SymbolicVal(ir.Reg(3))
 		var out []Value
-		for _, op := range []ir.BinOp{ir.BinAdd, ir.BinSub, ir.BinMul, ir.BinDiv} {
+		for _, op := range []ir.BinOp{ir.BinAdd, ir.BinSub, ir.BinMul, ir.BinDiv, ir.BinLt, ir.BinEq} {
 			out = append(out, c.Apply(op, x, y))
 		}
 		out = append(out,
 			c.Refine(x, ir.BinLt, y),
 			c.Refine(y, ir.BinGe, c.ConstVal(4)),
 			c.Merge([]Weighted{{Val: x, W: 0.25}, {Val: y, W: 0.75}}),
+			c.MergeLoopHeader([]Weighted{{Val: x, W: 0.9375}, {Val: y, W: 0.0625}}),
 			c.Neg(y),
 			c.Apply(ir.BinAdd, s, y),
+			c.Bool(0.3),
+			c.PointVal(Num(9)),
 		)
 		return out
 	}
 
-	a, b := mk(on), mk(off)
+	a := mk(cold)
+	b := mk(warm)
 	if len(a) != len(b) {
 		t.Fatalf("result counts differ: %d vs %d", len(a), len(b))
 	}
 	for i := range a {
 		if !a[i].BitEqual(b[i]) {
-			t.Errorf("result %d differs: intern %v, nointern %v", i, a[i], b[i])
+			t.Errorf("result %d differs: cold %v, warm %v", i, a[i], b[i])
 		}
 	}
-	if on.SubOps != off.SubOps {
-		t.Errorf("SubOps differ: intern %d, nointern %d", on.SubOps, off.SubOps)
+	if cold.SubOps != warm.SubOps || cold.Widens != warm.Widens {
+		t.Errorf("accounting differs: cold SubOps=%d Widens=%d, warm SubOps=%d Widens=%d",
+			cold.SubOps, cold.Widens, warm.SubOps, warm.Widens)
+	}
+	// The comparison is only meaningful if the cold run missed and the
+	// warm run hit, and the widening replay only if something widened.
+	if cold.MemoMisses == 0 || cold.MergeMemoMisses == 0 || warm.MemoHits == 0 || warm.MergeMemoHits == 0 {
+		t.Errorf("memo traffic: cold misses %d+%d, warm hits %d+%d, want all > 0",
+			cold.MemoMisses, cold.MergeMemoMisses, warm.MemoHits, warm.MergeMemoHits)
+	}
+	if warm.MemoMisses != 0 || warm.MergeMemoMisses != 0 {
+		t.Errorf("warm run missed the memo %d+%d times, want 0", warm.MemoMisses, warm.MergeMemoMisses)
+	}
+	if cold.Widens == 0 {
+		t.Error("no transfer function widened; the Widens replay is untested")
 	}
 }
 
@@ -303,14 +321,12 @@ func TestForcedCollisionConcurrentTables(t *testing.T) {
 }
 
 // TestMergeLoopHeaderBitIdentical pins the loop-header merge memo's
-// equivalence contract: MergeLoopHeader with the memo warm produces values
-// and Stats accounting bit-identical to plain Merge with interning (and
-// the memo) disabled.
+// equivalence contract: MergeLoopHeader, whether it misses or hits the
+// memo, produces values and accounting bit-identical to plain Merge on a
+// fresh table.
 func TestMergeLoopHeaderBitIdentical(t *testing.T) {
-	on := NewCalc(DefaultConfig())
-	offCfg := DefaultConfig()
-	offCfg.DisableIntern = true
-	off := NewCalc(offCfg)
+	memo := NewCalc(DefaultConfig())
+	plain := NewCalc(DefaultConfig())
 
 	mkItems := func(c *Calc) []Weighted {
 		x := c.Canonicalize(FromRanges(Range{Prob: 0.7, Lo: Num(0), Hi: Num(63), Stride: 1},
@@ -318,22 +334,22 @@ func TestMergeLoopHeaderBitIdentical(t *testing.T) {
 		y := c.Canonicalize(FromRanges(Range{Prob: 1, Lo: Num(1), Hi: Num(31), Stride: 2}))
 		return []Weighted{{Val: x, W: 0.9375}, {Val: y, W: 0.0625}}
 	}
-	onItems, offItems := mkItems(on), mkItems(off)
+	memoItems, plainItems := mkItems(memo), mkItems(plain)
 
 	var got, want Value
 	for i := 0; i < 3; i++ { // first call misses the memo, the rest hit
-		got = on.MergeLoopHeader(onItems)
-		want = off.Merge(offItems)
+		got = memo.MergeLoopHeader(memoItems)
+		want = plain.Merge(plainItems)
 		if !got.BitEqual(want) {
-			t.Fatalf("round %d: MergeLoopHeader %v, Merge (nointern) %v", i, got, want)
+			t.Fatalf("round %d: MergeLoopHeader %v, plain Merge %v", i, got, want)
 		}
 	}
-	if on.MergeMemoHits == 0 || on.MergeMemoMisses == 0 {
-		t.Errorf("memo traffic hits=%d misses=%d, want both > 0", on.MergeMemoHits, on.MergeMemoMisses)
+	if memo.MergeMemoHits == 0 || memo.MergeMemoMisses == 0 {
+		t.Errorf("memo traffic hits=%d misses=%d, want both > 0", memo.MergeMemoHits, memo.MergeMemoMisses)
 	}
-	if on.SubOps != off.SubOps || on.Widens != off.Widens {
-		t.Errorf("stats drift: intern SubOps=%d Widens=%d, nointern SubOps=%d Widens=%d",
-			on.SubOps, on.Widens, off.SubOps, off.Widens)
+	if memo.SubOps != plain.SubOps || memo.Widens != plain.Widens {
+		t.Errorf("stats drift: memo SubOps=%d Widens=%d, plain Merge SubOps=%d Widens=%d",
+			memo.SubOps, memo.Widens, plain.SubOps, plain.Widens)
 	}
 }
 

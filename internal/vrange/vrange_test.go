@@ -99,7 +99,7 @@ func TestFormat(t *testing.T) {
 //	{0.7[32:256:1], 0.3[3:21:3]} + {0.6[16:100:4], 0.4[8:8:0]}
 //	  = {0.42[48:356:1], 0.28[40:264:1], 0.18[19:121:1], 0.12[11:29:3]}
 func TestPaperRangeAddExample(t *testing.T) {
-	c := NewCalc(Config{MaxRanges: 8, Symbolic: true, AssumedVarValue: 10, ExactPairLimit: 4096})
+	c := NewCalc(Config{MaxRanges: 8, Symbolic: true, AssumedVarValue: 10})
 	a := FromRanges(numRange(0.7, 32, 256, 1), numRange(0.3, 3, 21, 3))
 	b := FromRanges(numRange(0.6, 16, 100, 4), numRange(0.4, 8, 8, 0))
 	got := c.Apply(ir.BinAdd, a, b)

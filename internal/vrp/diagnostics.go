@@ -135,23 +135,30 @@ func degradedResult(f *ir.Func, cfg Config) (*FuncResult, []float64) {
 		bp[t] = p
 		bs[t] = ByHeuristic
 	}
-	tree := dom.New(f)
-	loops := dom.FindLoops(f, tree)
-	fr := freq.Compute(f, tree, loops, func(br *ir.Instr) (float64, bool) {
-		p, ok := bp[br]
-		return p, ok
-	})
-	for i, v := range fr.Edge {
-		if v > maxFreq {
-			fr.Edge[i] = maxFreq
-		}
-	}
+	sol := solveFreqs(f, bp)
 	return &FuncResult{
 		Fn:           f,
 		Val:          vals,
-		EdgeFreq:     fr.Edge,
+		EdgeFreq:     sol.Edge,
 		BranchProb:   bp,
 		BranchSource: bs,
 		Degraded:     true,
-	}, fr.Block
+	}, sol.Block
+}
+
+// solveFreqs solves f's frequencies from the branch probabilities in bp
+// outside the engine (degraded functions, re-derived stale predictions),
+// clamping edge frequencies to maxFreq as the engine does.
+func solveFreqs(f *ir.Func, bp map[*ir.Instr]float64) *freq.Frequencies {
+	tree := dom.New(f)
+	sol := freq.Compute(f, tree, dom.FindLoops(f, tree), func(br *ir.Instr) (float64, bool) {
+		p, ok := bp[br]
+		return p, ok
+	})
+	for i, v := range sol.Edge {
+		if v > maxFreq {
+			sol.Edge[i] = maxFreq
+		}
+	}
+	return sol
 }

@@ -12,8 +12,6 @@ import (
 	"sync/atomic"
 
 	"vrp/internal/callgraph"
-	"vrp/internal/dom"
-	"vrp/internal/freq"
 	"vrp/internal/ir"
 	"vrp/internal/telemetry"
 	"vrp/internal/vrange"
@@ -133,7 +131,7 @@ type driver struct {
 	sccFuncs [][]int
 
 	// tables holds one persistent hash-cons table per worker slot (nil
-	// until the slot first runs, or forever when interning is disabled).
+	// until the slot first runs).
 	// Each wave spawns at most one goroutine per slot and hands it the
 	// slot's table; the WaitGroup barrier between waves (and passes) gives
 	// the happens-before for this epoch hand-off, so a table is never
@@ -316,12 +314,8 @@ func (d *driver) run(ctx context.Context) (*Result, error) {
 // exact-size slab per function, so the Result owns its ranges and no
 // longer pins (or aliases) the worker tables' arenas, which releaseTables
 // may then rewind. Spliced results already hold the store's detached
-// copies, degraded ones own their ⊥ values, and with interning off every
-// value owns its ranges from the start.
+// copies, and degraded ones own their ⊥ values.
 func (d *driver) ownResults() {
-	if d.cfg.Range.DisableIntern {
-		return
-	}
 	for fi, fr := range d.results {
 		if d.fromEngine[fi] {
 			vrange.DetachAll(fr.Val)
@@ -655,18 +649,7 @@ func (d *driver) redoStalePredictions(fi int, fr *FuncResult) int {
 	if stale == 0 {
 		return 0
 	}
-	tree := dom.New(f)
-	loops := dom.FindLoops(f, tree)
-	sol := freq.Compute(f, tree, loops, func(br *ir.Instr) (float64, bool) {
-		p, ok := fr.BranchProb[br]
-		return p, ok
-	})
-	for i, v := range sol.Edge {
-		if v > maxFreq {
-			sol.Edge[i] = maxFreq
-		}
-	}
-	fr.EdgeFreq = sol.Edge
+	fr.EdgeFreq = solveFreqs(f, fr.BranchProb).Edge
 	d.staleCertainFn[fi] = stale
 	return stale
 }
@@ -791,11 +774,8 @@ func putTable(cfg vrange.Config, it *vrange.Interner) {
 }
 
 // table returns worker slot w's persistent interner, taking a pooled one
-// or building one on first use; nil when interning is disabled.
+// or building one on first use.
 func (d *driver) table(w int) *vrange.Interner {
-	if d.cfg.Range.DisableIntern {
-		return nil
-	}
 	if d.tables[w] == nil {
 		d.tables[w] = takeTable(d.cfg.Range)
 		if d.tables[w] == nil {
@@ -842,7 +822,7 @@ func (d *driver) runSCC(scc int, it *vrange.Interner, waveSpan telemetry.SpanID,
 		if d.cancelled.Load() {
 			break
 		}
-		if d.ctx != nil && d.ctx.Err() != nil {
+		if d.ctx.Err() != nil {
 			d.cancelled.Store(true)
 			break
 		}
@@ -1038,11 +1018,7 @@ func (d *driver) runEngine(fi int, calc *vrange.Calc, in *funcInputs, rm *teleme
 		eng.run()
 	}
 	if rm != nil {
-		ctx := d.ctx
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		pprof.Do(ctx, pprof.Labels(
+		pprof.Do(d.ctx, pprof.Labels(
 			"vrp_func", d.cg.Funcs[fi].Name,
 			"vrp_pass", strconv.Itoa(d.pass),
 		), func(context.Context) { run() })

@@ -353,7 +353,7 @@ func (e *engine) run() {
 			e.abort = abortStepBudget
 			return
 		}
-		if e.steps&cancelCheckMask == 0 && e.ctx != nil && e.ctx.Err() != nil {
+		if e.steps&cancelCheckMask == 0 && e.ctx.Err() != nil {
 			e.abort = abortCancelled
 			return
 		}

@@ -146,9 +146,7 @@ func main() {
 }
 
 // BenchmarkAnalyzeAllocs measures the heap cost of one analysis of a
-// loop-and-call heavy program with the interning layer on (default) and
-// off (DisableIntern); the two runs produce bit-identical results, so the
-// allocs/op delta is pure interning payoff.
+// loop-and-call heavy program.
 func BenchmarkAnalyzeAllocs(b *testing.B) {
 	src := ""
 	call := ""
@@ -167,23 +165,14 @@ func kernel%d(n, m) {
 	}
 	src += "\nfunc main() {\n" + call + "}\n"
 	p := mustCompile(b, src)
-	for _, disable := range []bool{false, true} {
-		name := "intern"
-		if disable {
-			name = "nointern"
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Analyze(p, cfg); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			cfg := DefaultConfig()
-			cfg.Workers = 1
-			cfg.Range.DisableIntern = disable
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := Analyze(p, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -131,7 +131,7 @@ func (ip *interproc) clampMag(v vrange.Value) vrange.Value {
 		return v
 	}
 	m := ip.assumedMag
-	return hullRange(min64(max64(lo, -m), m), min64(max64(hi, -m), m))
+	return hullRange(min(max(lo, -m), m), min(max(hi, -m), m))
 }
 
 // widenPinned folds a freshly computed value into a pinned slot holding
@@ -176,20 +176,6 @@ func (ip *interproc) widenPinned(prev, cur vrange.Value) vrange.Value {
 		hi = ip.assumedMag
 	}
 	return hullRange(lo, hi)
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // beginPass records the driver's 0-based pass index; widening arms once

@@ -102,10 +102,6 @@ type Config struct {
 	// function pays, the rest of the program is analyzed exactly.
 	MaxEngineSteps int
 
-	// Ctx optionally carries a cancellation context into Analyze; nil
-	// means context.Background(). AnalyzeContext overrides it.
-	Ctx context.Context
-
 	// FuncStore, when non-nil, is consulted before every engine run and
 	// populated after every successful one: a cross-request per-function
 	// result store keyed on (body fingerprint × interprocedural-input
@@ -347,21 +343,16 @@ func (r *Result) Branches() []Branch {
 // condensation, Config.Workers concurrent per-function engines, and
 // dirty-set skipping of functions whose interprocedural inputs did not
 // change since their last run. Results are bit-identical for every worker
-// count. Cancellation comes from Config.Ctx (nil = background); see
-// AnalyzeContext.
+// count. AnalyzeContext adds cancellation.
 func Analyze(p *ir.Program, cfg Config) (*Result, error) {
-	ctx := cfg.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return AnalyzeContext(ctx, p, cfg)
+	return AnalyzeContext(context.Background(), p, cfg)
 }
 
 // AnalyzeContext is Analyze under an explicit context. Cancellation is
 // observed between functions and, inside a single engine, every few
 // hundred worklist steps; a cancelled run returns a typed *AnalysisError
 // carrying the partial stats and diagnostics (errors.Is(err,
-// context.Canceled) holds). ctx takes precedence over cfg.Ctx.
+// context.Canceled) holds). A nil ctx means context.Background().
 func AnalyzeContext(ctx context.Context, p *ir.Program, cfg Config) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -193,13 +193,6 @@ func WithFuncStore(st FuncStore) Option {
 	return func(c *corevrp.Config) { c.FuncStore = st }
 }
 
-// WithContext attaches a cancellation context to the analysis, equivalent
-// to calling AnalyzeContext with it. Cancellation aborts the run with a
-// typed *AnalysisError carrying partial stats.
-func WithContext(ctx context.Context) Option {
-	return func(c *corevrp.Config) { c.Ctx = ctx }
-}
-
 // WithMaxEngineSteps bounds the worklist items one per-function engine
 // run may process (0 = unlimited, the default). A function exceeding the
 // budget is degraded to ⊥ ranges with heuristic branch probabilities and
@@ -288,6 +281,14 @@ type Analysis struct {
 // paper-faithful: symbolic ranges on, four ranges per variable, derivation
 // and interprocedural propagation enabled, Ball–Larus fallback.
 func (p *Program) Analyze(opts ...Option) (*Analysis, error) {
+	return p.AnalyzeContext(context.Background(), opts...)
+}
+
+// AnalyzeContext is Analyze under an explicit cancellation context: the
+// run aborts between functions (and, inside one function, every few
+// hundred worklist steps) once ctx is done, returning a typed
+// *AnalysisError with the partial stats.
+func (p *Program) AnalyzeContext(ctx context.Context, opts ...Option) (*Analysis, error) {
 	cfg := corevrp.DefaultConfig()
 	bl := heuristics.NewBallLarus(p.IR)
 	cfg.Fallback = bl.Prob
@@ -302,21 +303,11 @@ func (p *Program) Analyze(opts ...Option) (*Analysis, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	res, err := corevrp.Analyze(p.IR, cfg)
+	res, err := corevrp.AnalyzeContext(ctx, p.IR, cfg)
 	if err != nil {
 		return nil, err
 	}
 	return &Analysis{Result: res, prog: p, bl: bl}, nil
-}
-
-// AnalyzeContext is Analyze under an explicit cancellation context: the
-// run aborts between functions (and, inside one function, every few
-// hundred worklist steps) once ctx is done, returning a typed
-// *AnalysisError with the partial stats. ctx overrides any WithContext
-// option.
-func (p *Program) AnalyzeContext(ctx context.Context, opts ...Option) (*Analysis, error) {
-	opts = append(opts, WithContext(ctx))
-	return p.Analyze(opts...)
 }
 
 // Prediction is one conditional branch's predicted behaviour.
