@@ -436,3 +436,22 @@ func TestBatchWarmStore(t *testing.T) {
 		t.Errorf("batch funcstore hits = %v, want >= %v", hits, want)
 	}
 }
+
+// TestTelemetryRequestUsesFuncStore: a ?telemetry=1 request bypasses the
+// response cache but not the per-function store — splices replay their
+// counters, so its snapshot stays faithful — and a repeat of a plain
+// request's program must splice from the entries that request stored.
+func TestTelemetryRequestUsesFuncStore(t *testing.T) {
+	srv, _ := newTestServer(t, nil)
+	src := exampleSource(t)
+	if rec := postAnalyze(t, srv.Handler(), "/v1/analyze", src); rec.Code != http.StatusOK {
+		t.Fatalf("plain status = %d", rec.Code)
+	}
+	h0 := scrape(t, srv.Handler())["vrpd_funcstore_hits_total"]
+	if rec := postAnalyze(t, srv.Handler(), "/v1/analyze?telemetry=1", src); rec.Code != http.StatusOK {
+		t.Fatalf("telemetry status = %d", rec.Code)
+	}
+	if h := scrape(t, srv.Handler())["vrpd_funcstore_hits_total"]; h <= h0 {
+		t.Errorf("vrpd_funcstore_hits_total = %v after the telemetry request, want > %v", h, h0)
+	}
+}

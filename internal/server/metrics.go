@@ -15,11 +15,15 @@ import (
 // follow the Prometheus conventions: `_total` counters, base-unit
 // histograms, ratio gauges computed at scrape time.
 //
-// The lattice group mirrors the telemetry.RunMetrics aggregates of every
+// The lattice group mirrors the telemetry Snapshot totals of every
 // completed analysis, so one scrape shows the lattice-level health of
 // live traffic — a regression that makes the engine widen more, intern
 // worse, or stop converging shows up on a dashboard before it shows up
-// in latency.
+// in latency. Its deterministic counters count the work each analysis
+// stands for: a function spliced from the per-function store contributes
+// the replayed work of the engine run it reuses, so the counters read
+// the same whether the store was warm or cold. The intern and memo
+// counters are live table traffic and are never replayed.
 type serverMetrics struct {
 	reg *metrics.Registry
 
@@ -211,20 +215,20 @@ func newServerMetrics(start time.Time, sloTarget float64) *serverMetrics {
 		funcstoreCollisions: reg.Counter("vrpd_funcstore_collisions_total", "Per-function store fingerprint matches whose stored key failed confirmation (counted as misses; colliding entries coexist, they are never unified)."),
 		funcstoreEvictions:  reg.Counter("vrpd_funcstore_evictions_total", "Per-function store entries evicted by the LRU bound."),
 
-		latSteps:      reg.Counter("vrpd_lattice_steps_total", "Engine worklist steps across all analyses."),
-		latPhiMerges:  reg.Counter("vrpd_lattice_phi_merges_total", "Weighted phi-merges evaluated across all analyses."),
-		latWidens:     reg.Counter("vrpd_lattice_widens_total", "Range-set widenings across all analyses."),
-		latAsserts:    reg.Counter("vrpd_lattice_asserts_total", "Assertion (pi-node) refinements applied across all analyses."),
-		latDeriveHit:  reg.Counter("vrpd_lattice_derive_hits_total", "Loop phis matched by a derivation template."),
-		latDeriveMiss: reg.Counter("vrpd_lattice_derive_misses_total", "Derivation attempts that fell back to brute force."),
+		latSteps:      reg.Counter("vrpd_lattice_steps_total", "Engine worklist steps across all analyses, including the replayed steps of spliced functions."),
+		latPhiMerges:  reg.Counter("vrpd_lattice_phi_merges_total", "Weighted phi-merges across all analyses, including the replayed merges of spliced functions."),
+		latWidens:     reg.Counter("vrpd_lattice_widens_total", "Range-set widenings across all analyses, including the replayed widenings of spliced functions."),
+		latAsserts:    reg.Counter("vrpd_lattice_asserts_total", "Assertion (pi-node) refinements across all analyses, including the replayed refinements of spliced functions."),
+		latDeriveHit:  reg.Counter("vrpd_lattice_derive_hits_total", "Loop phis matched by a derivation template, including replayed matches of spliced functions."),
+		latDeriveMiss: reg.Counter("vrpd_lattice_derive_misses_total", "Derivation attempts that fell back to brute force, including replayed attempts of spliced functions."),
 		latBoundary:   reg.Counter("vrpd_lattice_boundary_drops_total", "Symbolic values collapsed to bottom crossing a function boundary."),
 		internHits:    reg.Counter("vrpd_lattice_intern_hits_total", "Hash-cons lookups that found an existing representative."),
 		internMisses:  reg.Counter("vrpd_lattice_intern_misses_total", "Hash-cons lookups that created a new representative."),
 		memoHits:      reg.Counter("vrpd_lattice_memo_hits_total", "Transfer-function memo hits."),
 		memoMisses:    reg.Counter("vrpd_lattice_memo_misses_total", "Transfer-function recomputations."),
-		funcsRun:      reg.Counter("vrpd_lattice_funcs_analyzed_total", "Per-function engine runs across all analyses."),
+		funcsRun:      reg.Counter("vrpd_lattice_funcs_analyzed_total", "Per-function engine runs across all analyses, counting each function spliced from the per-function store as the run it replays."),
 		funcsSkipped:  reg.Counter("vrpd_lattice_funcs_skipped_total", "Engine runs elided by the driver's dirty-set skip."),
-		funcsDegraded: reg.Counter("vrpd_lattice_funcs_degraded_total", "Engine runs degraded to the bottom/heuristic fallback."),
+		funcsDegraded: reg.Counter("vrpd_lattice_funcs_degraded_total", "Engine runs degraded to the bottom/heuristic fallback (never spliced: degraded runs are not stored)."),
 
 		internLive:      reg.Gauge("vrpd_lattice_intern_live_entries", "Live hash-cons representatives in the last analysis's tables (pooled tables carry entries across runs)."),
 		internArena:     reg.Gauge("vrpd_lattice_intern_arena_bytes", "Arena slab bytes held by the run's tables in the last analysis, rewound slabs included."),
@@ -258,8 +262,9 @@ func newServerMetrics(start time.Time, sloTarget float64) *serverMetrics {
 	m.kept = reg.CounterVec("vrpd_recorder_kept_total",
 		"Requests retained by the flight recorder, by retention class (interesting/slow/sample).", "class")
 
-	// Prediction-quality surface (analyses run with telemetry, which is
-	// every fresh analysis vrpd performs).
+	// Prediction-quality surface (every fresh analysis vrpd performs
+	// assembles its quality digest; spliced functions count their
+	// replayed precision-loss events).
 	m.qBranches = reg.Counter("vrpd_quality_branches_total",
 		"Conditional branch predictions emitted across all analyses.")
 	m.qCertain = reg.Counter("vrpd_quality_certain_total",

@@ -7,6 +7,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"vrp/internal/genprog"
 )
 
 // TestQualityEndpoint drives one analysis through the server and checks
@@ -96,5 +98,52 @@ func TestQualityMetricsExported(t *testing.T) {
 		if !strings.Contains(body, name) {
 			t.Errorf("/metrics missing %s", name)
 		}
+	}
+}
+
+// qualityDigest returns the quality object of the newest row in
+// /debug/vrpd/quality, as served.
+func qualityDigest(t *testing.T, h http.Handler) string {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/vrpd/quality", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/debug/vrpd/quality = %d", rec.Code)
+	}
+	var idx struct {
+		Requests []struct {
+			Quality json.RawMessage `json:"quality"`
+		} `json:"requests"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &idx); err != nil || len(idx.Requests) == 0 {
+		t.Fatalf("quality index has no rows (err %v): %s", err, rec.Body.String())
+	}
+	return string(idx.Requests[0].Quality)
+}
+
+// TestWarmServerQualityMatchesCold: a warm server splices every clean
+// function of an edited program from its per-function store, and the
+// quality digest it records — precision-loss ledger included — must be
+// the one a store-free server computes by running every engine.
+func TestWarmServerQualityMatchesCold(t *testing.T) {
+	warm, _ := newTestServer(t, nil)
+	cold, _ := newTestServer(t, func(c *Config) { c.FuncStoreEntries = -1 })
+
+	base := genprog.Source(genprog.Default())
+	if rec := postAnalyze(t, warm.Handler(), "/v1/analyze", base); rec.Code != http.StatusOK {
+		t.Fatalf("base status = %d", rec.Code)
+	}
+	edited := editedProgram(t, base, 5, 123)
+	if rec := postAnalyze(t, warm.Handler(), "/v1/analyze", edited); rec.Code != http.StatusOK {
+		t.Fatalf("warm status = %d", rec.Code)
+	}
+	if rec := postAnalyze(t, cold.Handler(), "/v1/analyze", edited); rec.Code != http.StatusOK {
+		t.Fatalf("cold status = %d", rec.Code)
+	}
+	if scrape(t, warm.Handler())["vrpd_funcstore_hits_total"] == 0 {
+		t.Fatal("the warm server spliced nothing")
+	}
+	if w, c := qualityDigest(t, warm.Handler()), qualityDigest(t, cold.Handler()); w != c {
+		t.Errorf("warm quality digest differs from cold:\nwarm: %s\ncold: %s", w, c)
 	}
 }

@@ -26,6 +26,10 @@
 //	GET  /debug/vrpd/trace/{id}
 //	                   one retained request's span tree as Chrome trace
 //	                   JSON (opens in Perfetto / chrome://tracing).
+//	GET  /debug/vrpd/quality
+//	                   the prediction-quality digest of every retained
+//	                   fresh analysis (flight-recorder rows), newest
+//	                   first.
 //	     /debug/pprof  the standard net/http/pprof handlers.
 //
 // Operational behaviour:
@@ -46,10 +50,12 @@
 //     config fingerprints with full-key confirmation, so a request that
 //     edits one function of a previously seen program re-analyzes only
 //     the dirty cone — bit-identical to a cold analysis.
-//   - Every analysis runs with telemetry enabled and its RunMetrics
-//     aggregates are folded into the /metrics registry, so a scrape
-//     shows lattice-level health (steps, φ-merges, widens, intern and
-//     memo hit rates, convergence) of live traffic.
+//   - Every analysis assembles its telemetry snapshot, whose totals are
+//     folded into the /metrics registry, so a scrape shows lattice-level
+//     health (steps, φ-merges, widens, intern and memo hit rates,
+//     convergence) of live traffic. The deterministic counters include
+//     the replayed work of functions spliced from the per-function
+//     store, so a warm server reports the same work as a cold one.
 //   - Shutdown flips /readyz to 503 and drains in-flight requests.
 package server
 
@@ -687,10 +693,7 @@ func (s *Server) finish(ctx context.Context, j *job, explain string, wantTelemet
 	}
 	vrpSpan := tr.Start(root, "phase", "vrp")
 	opts := []vrp.Option{vrp.WithTelemetry(), vrp.WithWorkers(s.cfg.Workers), vrp.WithTrace(tr, vrpSpan)}
-	// A store splice replays a function's results but not its engine
-	// counters, so telemetry requests skip the store to keep their
-	// snapshots faithful to a real full run.
-	if s.fstore != nil && !wantTelemetry {
+	if s.fstore != nil {
 		opts = append(opts, vrp.WithFuncStore(s.fstore))
 	}
 	analysis, err := j.prog.AnalyzeContext(ctx, opts...)

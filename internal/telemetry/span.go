@@ -14,10 +14,10 @@ import (
 // cache probe, parse, SSA, render), and the analysis driver fills the
 // "vrp" phase with callgraph/pass/wave/engine/skip/splice children — so
 // a single artifact answers "which phase ate the time" for any request.
-// The span tree is the pipeline's only timeline: the Recorder keeps
+// The span tree is the pipeline's only timeline: the Snapshot holds
 // counters, never timings.
 //
-// The same two properties that shape RunMetrics shape Trace:
+// Two properties shape Trace:
 //
 //   - Disabled tracing costs zero allocations on the analyze hot path.
 //     The driver holds a *Trace that is nil when tracing is off; every

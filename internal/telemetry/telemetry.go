@@ -6,20 +6,22 @@
 //
 // Two properties shape the design:
 //
-//   - Disabled telemetry costs zero allocations on the engine hot path.
-//     The engine holds a *RunMetrics that is nil when telemetry is off;
-//     every recording method nil-checks its receiver and the methods are
-//     small enough to inline, so the disabled path compiles down to a
-//     compare-and-skip (TestDisabledRunMetricsZeroAlloc pins this).
-//   - Enabled telemetry is bit-identical across worker counts. Counters
-//     are written into per-function slots owned by the task analyzing
-//     that function (the same discipline the driver uses for results and
-//     diagnostics), so completion order never shows. The one
-//     nondeterministic part is the lattice table-warmth counters
-//     (per-worker intern tables make hit/miss traffic depend on the
-//     work-stealing schedule); Snapshot.Canon zeroes them so tests can
-//     compare everything else with reflect.DeepEqual. Wall-clock time
-//     lives only on spans.
+//   - Counting is always on and happens once. The engine increments
+//     its run's effort record (vrp.Effort, which embeds RunMetrics)
+//     whether or not telemetry is enabled, the driver sums those records
+//     into per-function slots for Stats, and a funcstore splice replays a
+//     stored record — so Stats, the Snapshot and the quality ledger can
+//     never disagree, warm or cold. Enabling telemetry (a non-nil
+//     *Recorder) only assembles the Snapshot and quality digest from the
+//     slots after the run, and adds pprof labels to engine runs.
+//   - The Snapshot is bit-identical across worker counts. Each slot is
+//     written only by the task analyzing that function (the same
+//     discipline the driver uses for results and diagnostics), so
+//     completion order never shows. The one nondeterministic part is the
+//     lattice table-warmth counters (per-worker intern tables make
+//     hit/miss traffic depend on the work-stealing schedule); Snapshot.Canon
+//     zeroes them so tests can compare everything else with
+//     reflect.DeepEqual. Wall-clock time lives only on spans.
 //
 // The package deliberately depends on the standard library only: the
 // driver translates IR-level observations (range widths, diagnostics)
@@ -31,10 +33,11 @@ import (
 	"strings"
 )
 
-// RunMetrics counts the work of one engine run. The engine increments it
-// through the nil-guarded methods below; the driver folds completed runs
-// into the function's FuncMetrics slot. A nil *RunMetrics is the disabled
-// state and every method is a no-op on it.
+// RunMetrics is the deterministic counter block of one function's
+// engine work: the analysis driver's per-run effort record (vrp.Effort)
+// embeds it, the engine increments it directly, and a funcstore splice
+// replays it, so every view of these counters — Stats, the Snapshot, the
+// quality ledger, vrpd's /metrics — reads one count.
 type RunMetrics struct {
 	Steps      int64 // worklist items processed
 	FlowPushes int64 // CFG-edge worklist insertions
@@ -52,107 +55,11 @@ type RunMetrics struct {
 	// π-refinements that strictly narrowed their parent value.
 	PhiHulls       int64
 	AssertTightens int64
-
-	LatticeCounters
 }
 
-// LatticeCounters is the hash-cons and memo traffic of one run's range
-// calculator: intern table lookups that found an existing representative
-// vs. created one, transfer-function memo hits vs. recomputations, intern
-// lookups that needed no range-walk confirm, and loop-header φ merge-memo
-// traffic. Unlike every other counter these are table-warmth
-// measurements, so they depend on which worker's table served the lookup:
-// Canon zeroes them (see Snapshot.Canon). Embedded last in RunMetrics, so
-// its fields stay promoted and keep their place in the JSON key order.
-type LatticeCounters struct {
-	InternHits    int64
-	InternMiss    int64
-	MemoHits      int64
-	MemoMisses    int64
-	ConfirmSkips  int64
-	MergeMemoHits int64
-	MergeMemoMiss int64
-}
-
-// PushFlow records a CFG worklist insertion at the given queue depth.
-func (m *RunMetrics) PushFlow(depth int) {
-	if m == nil {
-		return
-	}
-	m.FlowPushes++
-	if int64(depth) > m.FlowPeak {
-		m.FlowPeak = int64(depth)
-	}
-}
-
-// PushSSA records an SSA worklist insertion at the given queue depth.
-func (m *RunMetrics) PushSSA(depth int) {
-	if m == nil {
-		return
-	}
-	m.SSAPushes++
-	if int64(depth) > m.SSAPeak {
-		m.SSAPeak = int64(depth)
-	}
-}
-
-// PhiMerge records one weighted φ-merge evaluation.
-func (m *RunMetrics) PhiMerge() {
-	if m != nil {
-		m.PhiMerges++
-	}
-}
-
-// Widen records one range-set widening.
-func (m *RunMetrics) Widen() {
-	if m != nil {
-		m.Widens++
-	}
-}
-
-// AddWidens folds externally counted widenings (the range calculator's
-// set-cap merges) into the run.
-func (m *RunMetrics) AddWidens(n int64) {
-	if m != nil {
-		m.Widens += n
-	}
-}
-
-// Assert records one assertion (π-node) refinement application.
-func (m *RunMetrics) Assert() {
-	if m != nil {
-		m.Asserts++
-	}
-}
-
-// PhiHull records one φ-merge that coarsened its inputs' hulls — a
-// precision-loss event in the quality ledger.
-func (m *RunMetrics) PhiHull() {
-	if m != nil {
-		m.PhiHulls++
-	}
-}
-
-// AssertTighten records one π-refinement that strictly narrowed its
-// parent — the quality ledger's precision-gain entry.
-func (m *RunMetrics) AssertTighten() {
-	if m != nil {
-		m.AssertTightens++
-	}
-}
-
-// AddLattice folds the range calculator's hash-cons and memo counters
-// into the run.
-func (m *RunMetrics) AddLattice(lc LatticeCounters) {
-	if m == nil {
-		return
-	}
-	m.LatticeCounters.add(&lc)
-}
-
-// add sums another run's counters into m; peak fields take the maximum.
-// It is the one field-sum behind both FuncMetrics.fold and addTotals.
-func (m *RunMetrics) add(o *RunMetrics) {
+// Add sums another record's counters into m; peak fields take the
+// maximum.
+func (m *RunMetrics) Add(o *RunMetrics) {
 	m.Steps += o.Steps
 	m.FlowPushes += o.FlowPushes
 	m.SSAPushes += o.SSAPushes
@@ -165,9 +72,27 @@ func (m *RunMetrics) add(o *RunMetrics) {
 	m.Asserts += o.Asserts
 	m.PhiHulls += o.PhiHulls
 	m.AssertTightens += o.AssertTightens
-	m.LatticeCounters.add(&o.LatticeCounters)
 }
 
+// LatticeCounters is the hash-cons and memo traffic of a function's range
+// calculators: intern table lookups that found an existing representative
+// vs. created one, transfer-function memo hits vs. recomputations, intern
+// lookups that needed no range-walk confirm, and loop-header φ merge-memo
+// traffic. Unlike RunMetrics these are table-warmth measurements, so they
+// depend on which worker's table served the lookup: they are counted live
+// only (a splice never replays them) and Canon zeroes them (see
+// Snapshot.Canon).
+type LatticeCounters struct {
+	InternHits    int64
+	InternMiss    int64
+	MemoHits      int64
+	MemoMisses    int64
+	ConfirmSkips  int64
+	MergeMemoHits int64
+	MergeMemoMiss int64
+}
+
+// add sums another function's traffic into l.
 func (l *LatticeCounters) add(o *LatticeCounters) {
 	l.InternHits += o.InternHits
 	l.InternMiss += o.InternMiss
@@ -179,19 +104,15 @@ func (l *LatticeCounters) add(o *LatticeCounters) {
 }
 
 // FuncMetrics aggregates every run of one function across all passes.
-// Counter fields add; peak fields take the maximum over runs.
+// Counter fields add; peak fields take the maximum over runs. The
+// embedded blocks flatten into the JSON object in declaration order.
 type FuncMetrics struct {
 	Func     string // function name
-	Runs     int64  // engine runs (including degraded ones)
+	Runs     int64  // engine runs and store splices (including degraded runs)
 	Skips    int64  // cache-skip hits (bit-identical inputs, run elided)
 	Degraded int64  // runs replaced by the ⊥/heuristic fallback
 	RunMetrics
-}
-
-// fold accumulates one run into the aggregate.
-func (f *FuncMetrics) fold(m *RunMetrics) {
-	f.Runs++
-	f.RunMetrics.add(m)
+	LatticeCounters
 }
 
 // addTotals accumulates another aggregate (for the snapshot's Totals row).
@@ -199,7 +120,8 @@ func (f *FuncMetrics) addTotals(o *FuncMetrics) {
 	f.Runs += o.Runs
 	f.Skips += o.Skips
 	f.Degraded += o.Degraded
-	f.RunMetrics.add(&o.RunMetrics)
+	f.RunMetrics.Add(&o.RunMetrics)
+	f.LatticeCounters.add(&o.LatticeCounters)
 }
 
 // Histogram is a labelled counter vector. Labels are fixed at creation;
@@ -252,41 +174,15 @@ func (h *Histogram) String() string {
 	return b.String()
 }
 
-// Recorder collects one analysis run's counters into per-function
-// slots. During a parallel wave each slot is touched only by the task
-// analyzing that function, so no synchronization is needed — the same
-// discipline the driver uses for results and diagnostics. A nil
-// *Recorder is the disabled state: the driver never calls into it and
-// hands the engine a nil *RunMetrics. A Recorder must not be shared
-// between concurrent analysis runs; Begin resets it.
-type Recorder struct {
-	funcs []FuncMetrics
-}
+// Recorder switches telemetry on: a non-nil *Recorder in the analysis
+// Config makes the driver assemble a Snapshot (and the quality digest)
+// from the per-function counters it keeps for Stats anyway, and run each
+// engine under pprof labels. It holds no state, so one Recorder may serve
+// any number of runs, concurrent ones included.
+type Recorder struct{}
 
-// New returns an empty enabled Recorder.
+// New returns a Recorder.
 func New() *Recorder { return &Recorder{} }
-
-// Begin (re)initializes the recorder for a run over the named functions,
-// indexed by call-graph function index.
-func (r *Recorder) Begin(funcNames []string) {
-	r.funcs = make([]FuncMetrics, len(funcNames))
-	for i, n := range funcNames {
-		r.funcs[i].Func = n
-	}
-}
-
-// EndRun folds a completed engine run into function fi's slot. outcome
-// is "ok", "degraded:panic", "degraded:step-budget" or "cancelled".
-func (r *Recorder) EndRun(fi int, m *RunMetrics, outcome string) {
-	r.funcs[fi].fold(m)
-	if strings.HasPrefix(outcome, "degraded") {
-		r.funcs[fi].Degraded++
-	}
-}
-
-// Skip records a cache-skip hit: the function's interprocedural inputs
-// were bit-identical to its previous run, so the engine was not re-run.
-func (r *Recorder) Skip(fi int) { r.funcs[fi].Skips++ }
 
 // Snapshot is the aggregated result of a run. All fields except the
 // interner gauges and table-warmth counters (see Canon) are
@@ -316,7 +212,7 @@ type Snapshot struct {
 	// RangeSetSize buckets every final register value by lattice level
 	// and range-set cardinality; RangeSpan buckets Set values by their
 	// widest numeric range; PassRuns buckets functions by how many passes
-	// actually re-ran their engine (the pass-count histogram).
+	// ran their engine or spliced a stored run (the pass-count histogram).
 	RangeSetSize *Histogram `json:"range_set_size,omitempty"`
 	RangeSpan    *Histogram `json:"range_span,omitempty"`
 	PassRuns     *Histogram `json:"pass_runs,omitempty"`
@@ -328,11 +224,12 @@ type Snapshot struct {
 	Quality *Quality `json:"quality,omitempty"`
 }
 
-// Snapshot copies the recorder's slots into its deterministic aggregate.
-// The driver fills the histogram and BoundaryDrops fields afterwards
-// (they need IR-level context this package does not depend on).
-func (r *Recorder) Snapshot() *Snapshot {
-	s := &Snapshot{Funcs: append([]FuncMetrics(nil), r.funcs...)}
+// NewSnapshot aggregates per-function counters, given in call-graph
+// index order, into a Snapshot. The driver fills the histogram,
+// BoundaryDrops and interner fields afterwards (they need IR-level
+// context this package does not depend on).
+func NewSnapshot(funcs []FuncMetrics) *Snapshot {
+	s := &Snapshot{Funcs: funcs}
 	for i := range s.Funcs {
 		s.Totals.addTotals(&s.Funcs[i])
 	}

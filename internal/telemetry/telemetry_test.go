@@ -7,26 +7,6 @@ import (
 	"testing"
 )
 
-// TestDisabledRunMetricsZeroAlloc pins the zero-cost contract of the
-// disabled path: every recording method the engine calls on its hot path
-// must be a no-op on a nil receiver and must not allocate.
-func TestDisabledRunMetricsZeroAlloc(t *testing.T) {
-	var m *RunMetrics // telemetry disabled
-	allocs := testing.AllocsPerRun(1000, func() {
-		m.PushFlow(3)
-		m.PushSSA(7)
-		m.PhiMerge()
-		m.Widen()
-		m.AddWidens(5)
-		m.Assert()
-		m.PhiHull()
-		m.AssertTighten()
-	})
-	if allocs != 0 {
-		t.Fatalf("disabled-path telemetry allocated %.1f per run, want 0", allocs)
-	}
-}
-
 func TestHistogramClamp(t *testing.T) {
 	h := NewHistogram("h", "0", "1", "2+")
 	h.Add(-5)
@@ -45,42 +25,36 @@ func TestHistogramClamp(t *testing.T) {
 	}
 }
 
-// fillRecorder simulates a two-pass run over three functions, the second
+// fillSlots simulates a two-pass run over three functions, the second
 // and third concurrently analyzable, with the slot-write order of the
 // middle function varying to mimic worker scheduling.
-func fillRecorder(swap bool) *Recorder {
-	r := New()
-	r.Begin([]string{"main", "f", "g"})
+func fillSlots(swap bool) []FuncMetrics {
+	funcs := []FuncMetrics{{Func: "main"}, {Func: "f"}, {Func: "g"}}
 	order := []int{1, 2}
 	if swap {
 		order = []int{2, 1}
 	}
 	for pass := 0; pass < 2; pass++ {
-		m := &RunMetrics{}
-		m.PushFlow(1)
-		m.PushSSA(2)
-		m.PhiMerge()
-		r.EndRun(0, m, "ok")
+		funcs[0].Runs++
+		funcs[0].RunMetrics.Add(&RunMetrics{FlowPushes: 1, FlowPeak: 1, SSAPushes: 1, SSAPeak: 2, PhiMerges: 1})
 		for _, fi := range order {
 			if pass == 1 {
-				r.Skip(fi)
+				funcs[fi].Skips++
 				continue
 			}
-			m := &RunMetrics{}
-			m.PushFlow(fi)
-			m.Widen()
-			r.EndRun(fi, m, "ok")
+			funcs[fi].Runs++
+			funcs[fi].RunMetrics.Add(&RunMetrics{FlowPushes: 1, FlowPeak: int64(fi), Widens: 1})
 		}
 	}
-	return r
+	return funcs
 }
 
 // TestSnapshotDeterministicOrder checks that the snapshot is identical
 // (after Canon) no matter in which order concurrent tasks wrote their
 // per-function slots.
 func TestSnapshotDeterministicOrder(t *testing.T) {
-	a := fillRecorder(false).Snapshot().Canon()
-	b := fillRecorder(true).Snapshot().Canon()
+	a := NewSnapshot(fillSlots(false)).Canon()
+	b := NewSnapshot(fillSlots(true)).Canon()
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("snapshots differ:\n%v\nvs\n%v", a, b)
 	}
@@ -89,21 +63,21 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 	}
 }
 
+// TestRunMetricsPeaks checks the record's sum: peak fields take the
+// maximum, counters add — across runs of one function (Add) and across
+// functions (the snapshot's Totals row).
 func TestRunMetricsPeaks(t *testing.T) {
-	m := &RunMetrics{}
-	m.PushFlow(2)
-	m.PushFlow(5)
-	m.PushFlow(1)
+	m := RunMetrics{FlowPushes: 2, FlowPeak: 5}
+	m.Add(&RunMetrics{FlowPushes: 1, FlowPeak: 3})
 	if m.FlowPeak != 5 || m.FlowPushes != 3 {
-		t.Errorf("FlowPeak=%d FlowPushes=%d, want 5 and 3", m.FlowPeak, m.FlowPushes)
+		t.Errorf("Add: FlowPeak=%d FlowPushes=%d, want 5 and 3", m.FlowPeak, m.FlowPushes)
 	}
-	var fm FuncMetrics
-	fm.fold(m)
-	m2 := &RunMetrics{}
-	m2.PushFlow(3)
-	fm.fold(m2)
-	if fm.FlowPeak != 5 || fm.Runs != 2 || fm.FlowPushes != 4 {
-		t.Errorf("fold: peak=%d runs=%d pushes=%d, want 5, 2, 4", fm.FlowPeak, fm.Runs, fm.FlowPushes)
+	s := NewSnapshot([]FuncMetrics{
+		{Func: "f", Runs: 2, RunMetrics: m},
+		{Func: "g", Runs: 1, RunMetrics: RunMetrics{FlowPushes: 1, FlowPeak: 7}},
+	})
+	if s.Totals.FlowPeak != 7 || s.Totals.Runs != 3 || s.Totals.FlowPushes != 4 {
+		t.Errorf("totals: peak=%d runs=%d pushes=%d, want 7, 3, 4", s.Totals.FlowPeak, s.Totals.Runs, s.Totals.FlowPushes)
 	}
 }
 
@@ -144,28 +118,31 @@ func TestFuncMetricsJSONKeys(t *testing.T) {
 	}
 }
 
-// TestAddSumsEveryCounter sets every RunMetrics field to 1 and folds it
-// twice, so a counter missing from the shared field-sum shows up as 1
-// (peaks take the maximum and stay 1).
+// TestAddSumsEveryCounter sets every RunMetrics field to 1 and adds it
+// into a record twice, then sums two functions carrying that record
+// (and every other FuncMetrics counter at 1) into the snapshot's Totals,
+// so a counter missing from either field-sum shows up as 1 (peaks take
+// the maximum and stay 1).
 func TestAddSumsEveryCounter(t *testing.T) {
 	var one RunMetrics
 	setAll(reflect.ValueOf(&one).Elem())
-	var f FuncMetrics
-	f.fold(&one)
-	f.fold(&one)
-	var tot FuncMetrics
-	tot.addTotals(&f)
-	checkAll(t, "", reflect.ValueOf(tot.RunMetrics))
-	if tot.Runs != 2 {
-		t.Errorf("Runs = %d, want 2", tot.Runs)
-	}
+	var rec RunMetrics
+	rec.Add(&one)
+	rec.Add(&one)
+	checkAll(t, "", reflect.ValueOf(rec))
+
+	f := FuncMetrics{Func: "f"}
+	setAll(reflect.ValueOf(&f).Elem())
+	checkAll(t, "", reflect.ValueOf(NewSnapshot([]FuncMetrics{f, f}).Totals))
 }
 
+// setAll sets every integer field of v, embedded structs included, to 1.
 func setAll(v reflect.Value) {
 	for i := 0; i < v.NumField(); i++ {
-		if fv := v.Field(i); fv.Kind() == reflect.Struct {
+		switch fv := v.Field(i); fv.Kind() {
+		case reflect.Struct:
 			setAll(fv)
-		} else {
+		case reflect.Int64:
 			fv.SetInt(1)
 		}
 	}
@@ -180,12 +157,15 @@ func checkAll(t *testing.T, prefix string, v reflect.Value) {
 			checkAll(t, name+".", fv)
 			continue
 		}
+		if fv.Kind() != reflect.Int64 {
+			continue
+		}
 		want := int64(2)
 		if strings.HasSuffix(name, "Peak") {
 			want = 1
 		}
 		if got := fv.Int(); got != want {
-			t.Errorf("%s%s = %d after two folds, want %d", prefix, name, got, want)
+			t.Errorf("%s%s = %d after two adds, want %d", prefix, name, got, want)
 		}
 	}
 }

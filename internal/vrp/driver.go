@@ -37,9 +37,10 @@ import (
 //     change any output bit. On fixpoints that converge early, later
 //     passes skip almost everything (Stats.FuncsSkipped).
 //
-// Determinism: task outputs go to per-function slots, merges iterate in
-// fixed index order, and stats are merged with atomics — so Workers: 8 is
-// bit-identical to Workers: 1, and Stats.SubOps/ExprEvals stay exact.
+// Determinism: task outputs — results, diagnostics and effort counters —
+// go to per-function slots, and merges iterate in fixed index order, so
+// Workers: 8 is bit-identical to Workers: 1 and Stats.SubOps/ExprEvals
+// stay exact.
 
 // funcInputs freezes one function's interprocedural inputs for one engine
 // run (or one skip decision).
@@ -67,22 +68,34 @@ func (in *funcInputs) ret(callee *ir.Func) vrange.Value {
 	return vrange.BottomValue()
 }
 
-// statCounters accumulates engine statistics; tasks fold local copies into
-// the driver's shared instance under statsMu.
-type statCounters struct {
-	eff           Effort
-	funcsAnalyzed int64
-	funcsSkipped  int64
-	funcsSpliced  int64
-	funcsDegraded int64
+// funcCounts is one function's work over the whole run: the effort of its
+// engine runs (replayed from the store on a splice) plus the calculator's
+// live share, its table-warmth traffic, and how each pass disposed of it.
+// Stats and the telemetry Snapshot are both sums of these slots.
+type funcCounts struct {
+	eff      Effort
+	lattice  telemetry.LatticeCounters
+	runs     int64 // engine runs, splices and degraded runs (Stats.FuncsAnalyzed)
+	skips    int64
+	spliced  int64
+	degraded int64
 }
 
-func (s *statCounters) add(l *statCounters) {
-	s.eff.add(l.eff)
-	s.funcsAnalyzed += l.funcsAnalyzed
-	s.funcsSkipped += l.funcsSkipped
-	s.funcsSpliced += l.funcsSpliced
-	s.funcsDegraded += l.funcsDegraded
+// addLive adds the calculator's share of a run: the sub-operations and
+// set-cap widenings of the input snapshot, the engine (when it ran) and
+// the interprocedural update, and the table traffic, which is never
+// replayed.
+func (c *funcCounts) addLive(calc *vrange.Calc) {
+	c.eff.SubOps += calc.SubOps
+	c.eff.Widens += calc.Widens
+	l := &c.lattice
+	l.InternHits += calc.InternHits
+	l.InternMiss += calc.InternMisses
+	l.MemoHits += calc.MemoHits
+	l.MemoMisses += calc.MemoMisses
+	l.ConfirmSkips += calc.ConfirmSkips
+	l.MergeMemoHits += calc.MergeMemoHits
+	l.MergeMemoMiss += calc.MergeMemoMisses
 }
 
 type driver struct {
@@ -125,6 +138,10 @@ type driver struct {
 	// pass order.
 	diags [][]Diagnostic
 
+	// counts holds each function's effort slot, owned like results and
+	// diags; fillStats and finishTelemetry sum them after the run.
+	counts []funcCounts
+
 	// sccFuncs orders each SCC's members by callOrder position, so
 	// mutually recursive functions are analyzed callers-roughly-first
 	// exactly as the classic sequential driver did.
@@ -159,13 +176,6 @@ type driver struct {
 	bodyFPs  []uint64
 	configFP uint64
 
-	// rec is the run's telemetry recorder, nil when disabled. Counters
-	// go into per-function slots (owned by the task analyzing the
-	// function, like results and diags), so enabled telemetry is
-	// bit-identical across worker counts. Timing lives only on the
-	// cfg.Trace spans.
-	rec *telemetry.Recorder
-
 	// Non-convergence demotion accounting (filled single-threaded by
 	// demoteUnconverged): ⊤ cells demoted to ⊥, and range-certain branch
 	// predictions invalidated by the demotion and re-derived from
@@ -175,8 +185,6 @@ type driver struct {
 	staleCertainFn []int
 
 	pass      int // current 0-based pass, for diagnostics
-	statsMu   sync.Mutex
-	stats     statCounters
 	changed   atomic.Bool
 	cancelled atomic.Bool
 }
@@ -202,7 +210,7 @@ func newDriver(p *ir.Program, cfg Config) *driver {
 		prevFP:     make([]uint64, n),
 		poisoned:   make([]bool, n),
 		diags:      make([][]Diagnostic, n),
-		rec:        cfg.Telemetry,
+		counts:     make([]funcCounts, n),
 	}
 	d.staleCertainFn = make([]int, n)
 	d.scratch = make([]*engineScratch, n)
@@ -210,13 +218,6 @@ func newDriver(p *ir.Program, cfg Config) *driver {
 		d.bodyEnc = make([][]byte, n)
 		d.bodyFPs = make([]uint64, n)
 		d.configFP = configFingerprint(cfg)
-	}
-	if d.rec != nil {
-		names := make([]string, n)
-		for i, f := range cg.Funcs {
-			names[i] = f.Name
-		}
-		d.rec.Begin(names)
 	}
 	if d.workers <= 0 {
 		d.workers = runtime.GOMAXPROCS(0)
@@ -323,17 +324,29 @@ func (d *driver) ownResults() {
 	}
 }
 
-// finishTelemetry attaches the aggregated snapshot to the result: the
+// finishTelemetry assembles the snapshot from the per-function effort
+// slots (the ones fillStats sums) and attaches it to the result, with the
 // interprocedural boundary-drop count, the interner gauges, and the three
 // histograms (range-set size, range span, per-function pass counts) that
 // need IR-level context the telemetry package does not depend on.
 // Diagnostics are not repeated here: Result.Diagnostics and the engine
 // spans' outcome labels carry them.
 func (d *driver) finishTelemetry(res *Result, maxPasses int) {
-	if d.rec == nil {
+	if d.cfg.Telemetry == nil {
 		return
 	}
-	snap := d.rec.Snapshot()
+	funcs := make([]telemetry.FuncMetrics, len(d.counts))
+	for i, c := range d.counts {
+		funcs[i] = telemetry.FuncMetrics{
+			Func:            d.cg.Funcs[i].Name,
+			Runs:            c.runs,
+			Skips:           c.skips,
+			Degraded:        c.degraded,
+			RunMetrics:      c.eff.RunMetrics,
+			LatticeCounters: c.lattice,
+		}
+	}
+	snap := telemetry.NewSnapshot(funcs)
 	snap.BoundaryDrops = d.ip.drops.Load()
 	for _, it := range d.tables {
 		if it == nil {
@@ -551,18 +564,23 @@ func observeValue(setSize, span *telemetry.Histogram, v vrange.Value) {
 	}
 }
 
+// fillStats sums the per-function effort slots into s.
 func (d *driver) fillStats(s *Stats) {
-	e := d.stats.eff
+	var e Effort
+	for i := range d.counts {
+		c := &d.counts[i]
+		e.add(&c.eff)
+		s.FuncsAnalyzed += c.runs
+		s.FuncsSkipped += c.skips
+		s.FuncsSpliced += c.spliced
+		s.FuncsDegraded += c.degraded
+	}
 	s.ExprEvals = e.ExprEvals
 	s.PhiEvals = e.PhiEvals
 	s.FlowVisits = e.FlowVisits
-	s.DerivedLoops = e.DerivedLoops
-	s.FailedDerives = e.FailedDerives
+	s.DerivedLoops = e.DeriveHits
+	s.FailedDerives = e.DeriveMiss
 	s.SubOps = e.SubOps
-	s.FuncsAnalyzed = d.stats.funcsAnalyzed
-	s.FuncsSkipped = d.stats.funcsSkipped
-	s.FuncsSpliced = d.stats.funcsSpliced
-	s.FuncsDegraded = d.stats.funcsDegraded
 	s.RecWidens = d.ip.recWidens.Load()
 }
 
@@ -808,35 +826,32 @@ func (d *driver) releaseTables() {
 
 // runSCC analyzes one SCC's functions sequentially (mutual recursion needs
 // each member to observe the previous member's update within the pass),
-// with a per-task calc so sub-operation counts merge exactly. Each engine
+// with a per-run calc so sub-operation counts merge exactly. Each engine
 // run is panic-isolated: a panic (or an exhausted step budget) degrades
 // that one function to the ⊥/heuristic fallback and quarantines it,
 // instead of killing the process from a worker goroutine.
 func (d *driver) runSCC(scc int, it *vrange.Interner, waveSpan telemetry.SpanID, lane int32) {
-	var local statCounters
-	changed := false
 	for _, fi := range d.sccFuncs[scc] {
 		if d.poisoned[fi] {
 			continue // quarantined: degraded result is already a fixpoint
 		}
 		if d.cancelled.Load() {
-			break
+			return
 		}
 		if d.ctx.Err() != nil {
 			d.cancelled.Store(true)
-			break
+			return
 		}
+		c := &d.counts[fi]
 		calc := vrange.NewCalcWith(d.cfg.Range, it)
 		in := d.computeInputs(fi, calc)
 		if !d.cfg.noSkip && d.results[fi] != nil && d.prevIn[fi] != nil &&
 			in.hash == d.prevFP[fi] && bitEqualVec(in.vec, d.prevIn[fi]) {
 			// Clean: the previous run saw bit-identical inputs, so a re-run
 			// would reproduce the stored result and table updates exactly.
-			local.funcsSkipped++
-			local.eff.SubOps += calc.SubOps
-			if d.rec != nil {
-				d.rec.Skip(fi)
-			}
+			// The slot gains only the input snapshot's sub-operations.
+			c.skips++
+			c.eff.SubOps += calc.SubOps
 			if d.cfg.Trace != nil {
 				d.cfg.Trace.End(d.cfg.Trace.StartLane(waveSpan, lane, "skip", d.cg.Funcs[fi].Name))
 			}
@@ -846,8 +861,9 @@ func (d *driver) runSCC(scc int, it *vrange.Interner, waveSpan telemetry.SpanID,
 		// callee binding, bit-equal inputs, same config) replays a prior
 		// run's outputs — by the same determinism argument as the skip
 		// above, a fresh engine run would reproduce them bit for bit. The
-		// interprocedural update and the effort counters are replayed too,
-		// so downstream passes and reported Stats match a cold run exactly.
+		// interprocedural update runs live and the stored effort record is
+		// replayed, so downstream passes, Stats and telemetry match a cold
+		// run exactly.
 		var sKey *FuncKey
 		if d.cfg.FuncStore != nil {
 			sKey = d.funcKey(fi, in)
@@ -859,15 +875,13 @@ func (d *driver) runSCC(scc int, it *vrange.Interner, waveSpan telemetry.SpanID,
 				if fr, bf, ok := d.spliceStored(fi, sf); ok {
 					d.results[fi] = fr
 					d.fromEngine[fi] = false
-					if d.ip.update(fi, fr.Val, bf, calc) {
-						changed = true
-					}
+					d.update(fi, fr.Val, bf, calc)
 					d.prevIn[fi] = in.vec
 					d.prevFP[fi] = in.hash
-					local.funcsAnalyzed++
-					local.funcsSpliced++
-					local.eff.add(sf.Effort)
-					local.eff.SubOps += calc.SubOps
+					c.runs++
+					c.spliced++
+					c.eff.add(&sf.Effort)
+					c.addLive(calc)
 					d.cfg.Trace.End(spliceSpan)
 					continue
 				}
@@ -878,46 +892,25 @@ func (d *driver) runSCC(scc int, it *vrange.Interner, waveSpan telemetry.SpanID,
 				d.cfg.Trace.End(spliceSpan)
 			}
 		}
-		subOps0 := calc.SubOps
-		var rm *telemetry.RunMetrics
-		if d.rec != nil {
-			rm = &telemetry.RunMetrics{}
-		}
+		subOps0, widens0 := calc.SubOps, calc.Widens
 		var engSpan telemetry.SpanID = telemetry.NoSpan
 		if d.cfg.Trace != nil {
 			engSpan = d.cfg.Trace.StartLane(waveSpan, lane, "engine", d.cg.Funcs[fi].Name)
 		}
-		eng, panicked := d.runEngine(fi, calc, in, rm)
-		endRun := func(outcome string) {
+		eng, panicked := d.runEngine(fi, calc, in)
+		endSpan := func(outcome string) {
 			if d.cfg.Trace != nil {
 				d.cfg.Trace.Annotate(engSpan, "outcome", outcome)
 				if eng != nil {
-					d.cfg.Trace.Annotate(engSpan, "steps", fmt.Sprint(eng.steps))
+					d.cfg.Trace.Annotate(engSpan, "steps", fmt.Sprint(eng.stats.Steps))
 				}
 				d.cfg.Trace.End(engSpan)
 			}
-			if d.rec == nil {
-				return
-			}
-			if eng != nil { // nil after a panic: the engine (and its stats) were discarded
-				rm.DeriveHits = eng.stats.DerivedLoops
-				rm.DeriveMiss = eng.stats.FailedDerives
-				rm.Steps = eng.steps
-			}
-			rm.AddWidens(calc.Widens)
-			rm.AddLattice(telemetry.LatticeCounters{
-				InternHits:    calc.InternHits,
-				InternMiss:    calc.InternMisses,
-				MemoHits:      calc.MemoHits,
-				MemoMisses:    calc.MemoMisses,
-				ConfirmSkips:  calc.ConfirmSkips,
-				MergeMemoHits: calc.MergeMemoHits,
-				MergeMemoMiss: calc.MergeMemoMisses,
-			})
-			d.rec.EndRun(fi, rm, outcome)
 		}
 		if panicked != nil {
-			d.degradeFunc(fi, calc, &local, &changed, Diagnostic{
+			// The panicked engine was discarded with its counters; only
+			// the calculator's work survives.
+			d.degradeFunc(fi, calc, Diagnostic{
 				Kind:       DiagPanic,
 				Func:       d.cg.Funcs[fi].Name,
 				SCC:        scc,
@@ -925,74 +918,66 @@ func (d *driver) runSCC(scc int, it *vrange.Interner, waveSpan telemetry.SpanID,
 				Msg:        fmt.Sprintf("engine panicked: %v", panicked),
 				PanicValue: panicked,
 			})
-			local.eff.SubOps += calc.SubOps
-			endRun("degraded:panic")
+			endSpan("degraded:panic")
 			continue
 		}
 		switch eng.abort {
 		case abortCancelled:
-			endRun("cancelled")
+			endSpan("cancelled")
 			d.cancelled.Store(true)
-			d.foldStats(&local, changed)
 			return
 		case abortStepBudget:
-			d.degradeFunc(fi, calc, &local, &changed, Diagnostic{
+			// The aborted engine's partial work still happened; count it so
+			// Stats stay an honest account of effort spent.
+			c.eff.add(&eng.stats)
+			d.degradeFunc(fi, calc, Diagnostic{
 				Kind: DiagStepBudget,
 				Func: d.cg.Funcs[fi].Name,
 				SCC:  scc,
 				Pass: d.pass,
 				Msg: fmt.Sprintf("engine exceeded MaxEngineSteps=%d after %d steps; result degraded to ⊥",
-					d.cfg.MaxEngineSteps, eng.steps),
+					d.cfg.MaxEngineSteps, eng.stats.Steps),
 			})
-			// The aborted engine's partial work still happened; count it so
-			// Stats stay an honest account of effort spent.
-			local.eff.add(eng.stats)
-			local.eff.SubOps += calc.SubOps
-			endRun("degraded:step-budget")
+			endSpan("degraded:step-budget")
 			continue
 		}
 		d.results[fi] = eng.result()
 		d.fromEngine[fi] = true
 		if sKey != nil {
-			// Record before ip.update so SubOps covers the engine alone; the
-			// splice path re-executes the update live and counts its own.
+			// The record carries the engine's share of the calculator's
+			// work; a splice re-executes the input snapshot and the update
+			// live and counts their share itself.
 			eff := eng.stats
 			eff.SubOps = calc.SubOps - subOps0
+			eff.Widens += calc.Widens - widens0
 			d.cfg.FuncStore.Store(sKey.Detach(),
 				encodeStored(d.cg.Funcs[fi], d.results[fi], eng.blkFreq, eff))
 		}
-		if d.ip.update(fi, eng.val, eng.blockFreq, eng.calc) {
-			changed = true
-		}
+		d.update(fi, eng.val, eng.blockFreq, eng.calc)
 		d.prevIn[fi] = in.vec
 		d.prevFP[fi] = in.hash
-		local.funcsAnalyzed++
-		local.eff.add(eng.stats)
-		local.eff.SubOps += calc.SubOps
-		endRun("ok")
+		c.runs++
+		c.eff.add(&eng.stats)
+		c.addLive(calc)
+		endSpan("ok")
 		eng.recycle()
 	}
-	d.foldStats(&local, changed)
 }
 
-// foldStats merges one task's counters into the driver's and records
-// whether the task changed any interprocedural table.
-func (d *driver) foldStats(local *statCounters, changed bool) {
-	d.statsMu.Lock()
-	d.stats.add(local)
-	d.statsMu.Unlock()
-	if changed {
+// update folds fi's values into the interprocedural tables and records
+// whether the pass changed any of them.
+func (d *driver) update(fi int, val []vrange.Value, bf func(*ir.Block) float64, calc *vrange.Calc) {
+	if d.ip.update(fi, val, bf, calc) {
 		d.changed.Store(true)
 	}
 }
 
 // runEngine runs one function's engine inside a recover barrier. On panic
 // it returns (nil, recovered-value); the partially mutated engine is
-// discarded (rm keeps whatever the run recorded up to the panic). When
-// telemetry is on, the run carries the pprof goroutine labels vrp_func
-// and vrp_pass so CPU profiles attribute samples to the function and
-// pass under analysis.
-func (d *driver) runEngine(fi int, calc *vrange.Calc, in *funcInputs, rm *telemetry.RunMetrics) (eng *engine, panicked any) {
+// discarded. When telemetry is on, the run carries the pprof goroutine
+// labels vrp_func and vrp_pass so CPU profiles attribute samples to the
+// function and pass under analysis.
+func (d *driver) runEngine(fi int, calc *vrange.Calc, in *funcInputs) (eng *engine, panicked any) {
 	defer func() {
 		if r := recover(); r != nil {
 			eng, panicked = nil, r
@@ -1014,10 +999,10 @@ func (d *driver) runEngine(fi int, calc *vrange.Calc, in *funcInputs, rm *teleme
 		if d.fromEngine[fi] {
 			val = d.results[fi].Val
 		}
-		eng = newEngine(d.ctx, d.cg.Funcs[fi], d.cfg, calc, d.prog, in, rm, sc, val)
+		eng = newEngine(d.ctx, d.cg.Funcs[fi], d.cfg, calc, d.prog, in, sc, val)
 		eng.run()
 	}
-	if rm != nil {
+	if d.cfg.Telemetry != nil {
 		pprof.Do(d.ctx, pprof.Labels(
 			"vrp_func", d.cg.Funcs[fi].Name,
 			"vrp_pass", strconv.Itoa(d.pass),
@@ -1031,8 +1016,8 @@ func (d *driver) runEngine(fi int, calc *vrange.Calc, in *funcInputs, rm *teleme
 // degradeFunc replaces fi's result with the ⊥/heuristic fallback, folds
 // the degraded values into the interprocedural tables (callers must see ⊥,
 // not a stale optimistic range), quarantines the function, and records the
-// diagnostic.
-func (d *driver) degradeFunc(fi int, calc *vrange.Calc, local *statCounters, changed *bool, diag Diagnostic) {
+// diagnostic and the degraded run with the calculator's work.
+func (d *driver) degradeFunc(fi int, calc *vrange.Calc, diag Diagnostic) {
 	f := d.cg.Funcs[fi]
 	fr, blkFreq := degradedResult(f, d.cfg)
 	d.results[fi] = fr
@@ -1049,12 +1034,12 @@ func (d *driver) degradeFunc(fi int, calc *vrange.Calc, local *statCounters, cha
 		}
 		return s
 	}
-	if d.ip.update(fi, fr.Val, bf, calc) {
-		*changed = true
-	}
+	d.update(fi, fr.Val, bf, calc)
 	d.diags[fi] = append(d.diags[fi], diag)
-	local.funcsAnalyzed++
-	local.funcsDegraded++
+	c := &d.counts[fi]
+	c.runs++
+	c.degraded++
+	c.addLive(calc)
 }
 
 // computeInputs snapshots fi's interprocedural inputs and fingerprints

@@ -7,7 +7,6 @@ import (
 	"vrp/internal/dom"
 	"vrp/internal/freq"
 	"vrp/internal/ir"
-	"vrp/internal/telemetry"
 	"vrp/internal/vrange"
 )
 
@@ -32,12 +31,6 @@ type engine struct {
 	in     *funcInputs
 	ctx    context.Context
 
-	// tm is this run's telemetry, nil when disabled. Hot-path recording
-	// goes through its nil-guarded methods, so the disabled path is a
-	// compare-and-skip with zero allocations (see internal/telemetry).
-	tm *telemetry.RunMetrics
-
-	steps int64       // worklist items processed by this run
 	abort abortReason // set when the run stops before its fixed point
 
 	tree      *dom.Tree
@@ -86,7 +79,10 @@ type engine struct {
 	solver *freq.Solver
 	probFn freq.BranchProbFunc
 
-	stats Effort // SubOps stays 0: sub-operations accrue to calc
+	// stats is the run's effort record. SubOps stays 0 and Widens counts
+	// only the MaxEvals ⊥-widens: the calculator's sub-operations and
+	// set-cap widenings accrue to calc, and the driver adds them.
+	stats Effort
 }
 
 // phiOp is one executable φ in-edge: the operand register and edge weight.
@@ -185,7 +181,7 @@ func (sc *engineScratch) reset() {
 // newEngine prepares one run over f. val, when non-nil, is a value vector
 // of f.NumRegs entries the run may overwrite (a superseded result's);
 // otherwise the run allocates its own.
-func newEngine(ctx context.Context, f *ir.Func, cfg Config, calc *vrange.Calc, prog *ir.Program, in *funcInputs, tm *telemetry.RunMetrics, sc *engineScratch, val []vrange.Value) *engine {
+func newEngine(ctx context.Context, f *ir.Func, cfg Config, calc *vrange.Calc, prog *ir.Program, in *funcInputs, sc *engineScratch, val []vrange.Value) *engine {
 	if sc == nil {
 		sc = newEngineScratch(f)
 	} else {
@@ -201,7 +197,6 @@ func newEngine(ctx context.Context, f *ir.Func, cfg Config, calc *vrange.Calc, p
 		irProg:        prog,
 		in:            in,
 		ctx:           ctx,
-		tm:            tm,
 		val:           val,
 		edgeFreq:      make([]float64, len(f.Edges)),
 		blkFreq:       sc.blkFreq,
@@ -289,7 +284,8 @@ func (e *engine) pushFlow(ed *ir.Edge) {
 	if !e.inFlow[ed.ID] {
 		e.inFlow[ed.ID] = true
 		e.flowWL = append(e.flowWL, ed)
-		e.tm.PushFlow(len(e.flowWL) - e.flowHead)
+		e.stats.FlowPushes++
+		e.stats.FlowPeak = max(e.stats.FlowPeak, int64(len(e.flowWL)-e.flowHead))
 	}
 }
 
@@ -297,7 +293,8 @@ func (e *engine) pushSSA(in *ir.Instr) {
 	if !e.inSSA[in.Idx] {
 		e.inSSA[in.Idx] = true
 		e.ssaWL = append(e.ssaWL, in)
-		e.tm.PushSSA(len(e.ssaWL) - e.ssaHead)
+		e.stats.SSAPushes++
+		e.stats.SSAPeak = max(e.stats.SSAPeak, int64(len(e.ssaWL)-e.ssaHead))
 	}
 }
 
@@ -348,12 +345,12 @@ func (e *engine) run() {
 
 	// Step 2: drain the lists, preferring the configured one.
 	for e.flowHead < len(e.flowWL) || e.ssaHead < len(e.ssaWL) {
-		e.steps++
-		if e.cfg.MaxEngineSteps > 0 && e.steps > int64(e.cfg.MaxEngineSteps) {
+		e.stats.Steps++
+		if e.cfg.MaxEngineSteps > 0 && e.stats.Steps > int64(e.cfg.MaxEngineSteps) {
 			e.abort = abortStepBudget
 			return
 		}
-		if e.steps&cancelCheckMask == 0 && e.ctx.Err() != nil {
+		if e.stats.Steps&cancelCheckMask == 0 && e.ctx.Err() != nil {
 			e.abort = abortCancelled
 			return
 		}
@@ -422,7 +419,7 @@ func (e *engine) setValue(in *ir.Instr, nv vrange.Value) {
 	if !nv.SameShape(old) {
 		e.evalCount[in.Idx]++
 		if e.evalCount[in.Idx] > e.cfg.MaxEvals {
-			e.tm.Widen()
+			e.stats.Widens++
 			nv = vrange.BottomValue()
 			if nv.Equal(old) {
 				return
@@ -576,15 +573,15 @@ func (e *engine) evalInstr(in *ir.Instr) {
 		}
 		nv = e.calc.Apply(in.BinOp, a, b)
 	case ir.OpAssert:
-		e.tm.Assert()
+		e.stats.Asserts++
 		other := e.calc.ConstVal(in.Const)
 		if in.B != ir.None {
 			other = e.symVal(in.B)
 		}
 		parent := e.val[in.A]
 		nv = e.calc.Refine(parent, in.BinOp, other)
-		if e.tm != nil && vrange.RefineGain(parent, nv) {
-			e.tm.AssertTighten()
+		if vrange.RefineGain(parent, nv) {
+			e.stats.AssertTightens++
 		}
 	case ir.OpCall:
 		callee := e.prog().ByName[in.Callee]
@@ -618,7 +615,7 @@ func (e *engine) evalPhi(phi *ir.Instr) {
 		switch st {
 		case deriveOK:
 			if !e.derived[phi.Idx] {
-				e.stats.DerivedLoops++
+				e.stats.DeriveHits++
 			}
 			e.derived[phi.Idx] = true
 			e.setValue(phi, v)
@@ -630,7 +627,7 @@ func (e *engine) evalPhi(phi *ir.Instr) {
 			// reachable; derivation is retried when the consulted values
 			// lower.
 		case deriveFail:
-			e.stats.FailedDerives++
+			e.stats.DeriveMiss++
 			e.deriveFailed[phi.Idx] = true
 			// A φ may have derived earlier under transient information
 			// (e.g. an increment operand that was still a lone constant)
@@ -671,13 +668,12 @@ func (e *engine) evalPhi(phi *ir.Instr) {
 			break
 		}
 	}
+	e.stats.PhiMerges++
 	if same && len(ops) > 1 {
-		e.tm.PhiMerge()
 		e.setValue(phi, e.calc.MergeAssertionFamily(e.val[origin]))
 		return
 	}
 
-	e.tm.PhiMerge()
 	items := e.phiItems[:0]
 	for _, o := range ops {
 		items = append(items, vrange.Weighted{Val: e.val[o.reg], W: o.w})
@@ -691,8 +687,8 @@ func (e *engine) evalPhi(phi *ir.Instr) {
 	} else {
 		nv = e.calc.Merge(items)
 	}
-	if e.tm != nil && vrange.MergeLoss(nv, items) {
-		e.tm.PhiHull()
+	if vrange.MergeLoss(nv, items) {
+		e.stats.PhiHulls++
 	}
 	e.setValue(phi, nv)
 }

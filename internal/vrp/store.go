@@ -15,7 +15,7 @@ import (
 // function of exactly three things — the function's IR body, the frozen
 // interprocedural input snapshot, and the configuration. A store entry
 // keys on all three and replays the run's outputs (values, frequencies,
-// branch probabilities, effort counters), making a request that edits one
+// branch probabilities, the effort record), making a request that edits one
 // function of a large program re-analyze only its dirty cone while every
 // clean function is spliced from the store, bit-identical to a cold run.
 //
@@ -113,8 +113,8 @@ type StoredBranch struct {
 
 // StoredFunc is one engine run's portable output: everything the driver
 // needs to splice the function into a later analysis without re-running
-// the engine, plus the run's effort counters so warm Stats replay
-// bit-identical to a cold run.
+// the engine, plus the run's effort record so warm Stats and telemetry
+// replay bit-identical to a cold run.
 type StoredFunc struct {
 	Vals     []vrange.Value // per register, detached
 	EdgeFreq []float64      // per Edge.ID
@@ -123,9 +123,10 @@ type StoredFunc struct {
 	Derived  []int32 // ordinals of φs whose value came from a §3.6 derivation
 
 	// Effort is the engine run's work, replayed into the splicing run's
-	// statCounters. Its SubOps covers only the engine's own
-	// sub-operations: the input snapshot and interprocedural update are
-	// re-executed live on splice and account for their own.
+	// per-function slot. Its SubOps and Widens cover only the engine's
+	// own share of the calculator's work: the input snapshot and the
+	// interprocedural update are re-executed live on splice and account
+	// for their own. Table-warmth traffic is never stored.
 	Effort Effort
 }
 

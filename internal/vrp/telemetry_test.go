@@ -270,3 +270,99 @@ func TestTelemetryTraceExport(t *testing.T) {
 		t.Errorf("trace has %d complete events (want %d), %d pass 0, %d engine", complete, len(spans), pass0, engines)
 	}
 }
+
+// TestTelemetrySpliceMatchesCold is the warm-versus-cold half of the
+// telemetry contract: a store splice replays the stored run's effort
+// record, so an analysis that splices every clean function must report
+// the same snapshot — counters, histograms (the pass-count histogram
+// included) and quality ledger — as one that runs every engine, at
+// every worker count. Each run's snapshot must also agree with its own
+// Stats, which sum the same per-function records.
+func TestTelemetrySpliceMatchesCold(t *testing.T) {
+	base := genprog.Source(genprog.Default())
+	edited, ok := genprog.EditFunc(base, 5, 123)
+	if !ok {
+		t.Fatal("EditFunc failed on the default preset")
+	}
+	run := func(workers int, warm bool) *Result {
+		cfg := DefaultConfig()
+		cfg.Workers = workers
+		if warm {
+			cfg.FuncStore = newMemStore()
+			if _, err := Analyze(compileSrc(t, "base.mini", base), cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cfg.Telemetry = telemetry.New()
+		res, err := Analyze(compileSrc(t, "edited.mini", edited), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for _, workers := range []int{1, 8} {
+		cold, warm := run(workers, false), run(workers, true)
+		if warm.Stats.FuncsSpliced == 0 {
+			t.Fatalf("Workers=%d: the warm run spliced nothing", workers)
+		}
+		for _, r := range []struct {
+			label string
+			res   *Result
+		}{{"cold", cold}, {"warm", warm}} {
+			tot, st := r.res.Telemetry.Totals, r.res.Stats
+			if tot.Runs != st.FuncsAnalyzed || tot.DeriveHits != st.DerivedLoops ||
+				tot.DeriveMiss != st.FailedDerives || tot.Degraded != st.FuncsDegraded ||
+				tot.Skips != st.FuncsSkipped {
+				t.Errorf("Workers=%d %s: snapshot totals (runs %d, derive %d/%d, degraded %d, skips %d) disagree with Stats (%d, %d/%d, %d, %d)",
+					workers, r.label, tot.Runs, tot.DeriveHits, tot.DeriveMiss, tot.Degraded, tot.Skips,
+					st.FuncsAnalyzed, st.DerivedLoops, st.FailedDerives, st.FuncsDegraded, st.FuncsSkipped)
+			}
+		}
+		a, b := cold.Telemetry.Canon(), warm.Telemetry.Canon()
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("Workers=%d: warm snapshot differs from cold:\ncold: %swarm: %s\ncold %swarm %s",
+				workers, a.Summary(), b.Summary(), a.Quality.Summary(), b.Quality.Summary())
+		}
+	}
+}
+
+// TestEffortAddSumsEveryCounter sets every Effort field, the embedded
+// RunMetrics included, to 1 and adds it twice, so a counter the per-run
+// record's field-sum misses shows up as 1 (peaks take the maximum and
+// stay 1).
+func TestEffortAddSumsEveryCounter(t *testing.T) {
+	var one Effort
+	setOnes(reflect.ValueOf(&one).Elem())
+	var sum Effort
+	sum.add(&one)
+	sum.add(&one)
+	var check func(prefix string, v reflect.Value)
+	check = func(prefix string, v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			name, fv := v.Type().Field(i).Name, v.Field(i)
+			if fv.Kind() == reflect.Struct {
+				check(name+".", fv)
+				continue
+			}
+			want := int64(2)
+			if strings.HasSuffix(name, "Peak") {
+				want = 1
+			}
+			if fv.Int() != want {
+				t.Errorf("%s%s = %d after two adds, want %d", prefix, name, fv.Int(), want)
+			}
+		}
+	}
+	check("", reflect.ValueOf(sum))
+}
+
+// setOnes sets every int64 field of v, embedded structs included, to 1.
+func setOnes(v reflect.Value) {
+	for i := 0; i < v.NumField(); i++ {
+		if fv := v.Field(i); fv.Kind() == reflect.Struct {
+			setOnes(fv)
+		} else {
+			fv.SetInt(1)
+		}
+	}
+}

@@ -112,12 +112,11 @@ type Config struct {
 	// shared between runs with an identical Config.
 	FuncStore FuncStore
 
-	// Telemetry, when non-nil, collects per-function counters,
-	// histograms and the quality digest for the run (timings are on
-	// Trace); the aggregated snapshot is attached to
-	// Result.Telemetry. A Recorder serves one analysis run
-	// at a time (the driver resets it via Begin). nil — the default —
-	// disables collection at zero cost on the engine hot path.
+	// Telemetry, when non-nil, attaches the run's per-function counters,
+	// histograms and quality digest to Result.Telemetry (timings are on
+	// Trace) and runs each engine under pprof labels. The counters
+	// themselves are the ones Stats sums, kept whether or not this is
+	// set; nil — the default — only skips assembling the snapshot.
 	Telemetry *telemetry.Recorder
 
 	// Trace, when non-nil, receives the run's request-scoped span tree:
@@ -172,25 +171,27 @@ func DefaultConfig() Config {
 	}
 }
 
-// Effort is one engine run's work in the units Stats reports. The driver
-// sums it per task, and a FuncStore record carries it so a splice replays
-// the run's effort exactly.
+// Effort is the one record of analysis work: an engine run fills it, the
+// driver sums it per function (with the calculator's live sub-operations
+// and widenings added), and a FuncStore record carries it so a splice
+// replays the run's work exactly. Stats and, when Config.Telemetry is
+// set, the telemetry Snapshot and quality ledger are all sums of these
+// per-function records. Its RunMetrics' DeriveHits and DeriveMiss are
+// what Stats reports as DerivedLoops and FailedDerives.
 type Effort struct {
-	ExprEvals     int64
-	PhiEvals      int64
-	FlowVisits    int64
-	DerivedLoops  int64
-	FailedDerives int64
-	SubOps        int64
+	ExprEvals  int64
+	PhiEvals   int64
+	FlowVisits int64
+	SubOps     int64
+	telemetry.RunMetrics
 }
 
-func (e *Effort) add(o Effort) {
+func (e *Effort) add(o *Effort) {
 	e.ExprEvals += o.ExprEvals
 	e.PhiEvals += o.PhiEvals
 	e.FlowVisits += o.FlowVisits
-	e.DerivedLoops += o.DerivedLoops
-	e.FailedDerives += o.FailedDerives
 	e.SubOps += o.SubOps
+	e.RunMetrics.Add(&o.RunMetrics)
 }
 
 // Stats instruments the engine for the paper's Figures 5 and 6.

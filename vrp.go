@@ -252,13 +252,16 @@ func WithTrace(tr *RequestTrace, parent TraceSpanID) Option {
 	}
 }
 
-// WithTelemetry enables counters for the run: engine counters (worklist
-// pushes and peaks, φ-merges, widenings, assertion applications), driver
-// counters (runs, skips, degraded runs), range histograms and the
-// quality digest. The aggregated snapshot is available from
-// Analysis.Telemetry; after Snapshot.Canon it is bit-identical across
-// worker counts. Timings are not counters: use WithTrace. Disabled (the
-// default) it costs nothing on the engine hot path.
+// WithTelemetry attaches the run's counters snapshot: engine counters
+// (worklist pushes and peaks, φ-merges, widenings, assertion
+// applications), driver counters (runs, skips, degraded runs), range
+// histograms and the quality digest. The aggregated snapshot is
+// available from Analysis.Telemetry; after Snapshot.Canon it is
+// bit-identical across worker counts, and a run that splices functions
+// from a FuncStore reports the same snapshot as a cold run. Timings are
+// not counters: use WithTrace. The counters are the ones Stats sums and
+// are kept either way; disabled (the default), only the snapshot is not
+// assembled.
 func WithTelemetry() Option {
 	return func(c *corevrp.Config) { c.Telemetry = telemetry.New() }
 }
