@@ -68,26 +68,63 @@ func New(f *ir.Func) *Tree {
 	}
 	t.idom[entry] = -1 // conventional: entry has no idom
 
+	// Children in block ID order, each list carved from one array.
+	scratch := make([]int32, 2*n)
+	count, last := scratch[:n], scratch[n:]
+	total := 0
+	for _, d := range t.idom {
+		if d >= 0 {
+			count[d]++
+			total++
+		}
+	}
+	kids := make([]int, total)
+	for d, k := range count {
+		t.children[d], kids = kids[:0:k], kids[k:]
+	}
 	for id, d := range t.idom {
 		if d >= 0 {
 			t.children[d] = append(t.children[d], id)
 		}
 	}
 
-	// Dominance frontiers (Cytron et al. figure 10).
-	for _, b := range f.Blocks {
+	// Dominance frontiers (Cytron et al. figure 10), in the order the walk
+	// first reaches them: counted in a first walk, filled in a second, all
+	// carved from one array.
+	clear(count)
+	total = t.walkFrontiers(last, func(runner, b int) { count[runner]++ })
+	front := make([]int, total)
+	for id, k := range count {
+		t.frontier[id], front = front[:0:k], front[k:]
+	}
+	clear(last)
+	t.walkFrontiers(last, func(runner, b int) { t.frontier[runner] = append(t.frontier[runner], b) })
+	return t
+}
+
+// walkFrontiers calls add(runner, b) once for each block b in the
+// dominance frontier of block runner, and returns the number of calls.
+// last must be zero and have one entry per block; it records, per
+// runner, the ID+1 of the last b added.
+func (t *Tree) walkFrontiers(last []int32, add func(runner, b int)) int {
+	calls := 0
+	for _, b := range t.fn.Blocks {
 		if len(b.Preds) < 2 {
 			continue
 		}
 		for _, e := range b.Preds {
 			runner := e.From.ID
 			for runner != -1 && runner != t.idom[b.ID] {
-				t.frontier[runner] = appendUnique(t.frontier[runner], b.ID)
+				if last[runner] != int32(b.ID+1) {
+					last[runner] = int32(b.ID + 1)
+					add(runner, b.ID)
+					calls++
+				}
 				runner = t.idom[runner]
 			}
 		}
 	}
-	return t
+	return calls
 }
 
 func (t *Tree) intersect(a, b int) int {
@@ -100,15 +137,6 @@ func (t *Tree) intersect(a, b int) int {
 		}
 	}
 	return a
-}
-
-func appendUnique(s []int, v int) []int {
-	for _, x := range s {
-		if x == v {
-			return s
-		}
-	}
-	return append(s, v)
 }
 
 // Idom returns the immediate dominator block ID of b, or -1 for the entry.

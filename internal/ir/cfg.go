@@ -11,6 +11,9 @@ import (
 func (f *Func) AddEdge(from, to *Block, kind EdgeKind) *Edge {
 	e := &Edge{ID: len(f.Edges), From: from, To: to, Kind: kind}
 	f.Edges = append(f.Edges, e)
+	if from.Succs == nil && kind == EdgeTrue {
+		from.Succs = make([]*Edge, 0, 2) // room for the false edge
+	}
 	from.Succs = append(from.Succs, e)
 	to.Preds = append(to.Preds, e)
 	return e
@@ -79,13 +82,21 @@ func (f *Func) SplitCriticalEdges() {
 // ReachableBlocks returns the blocks reachable from the entry in reverse
 // postorder.
 func (f *Func) ReachableBlocks() []*Block {
-	seen := make(map[*Block]bool, len(f.Blocks))
-	var post []*Block
+	rpo, _ := f.reachable()
+	return rpo
+}
+
+// reachable returns the blocks reachable from the entry in reverse
+// postorder, and a reachability flag per block ID. Block IDs index
+// f.Blocks, as NewBlock, Renumber and Clone keep them.
+func (f *Func) reachable() ([]*Block, []bool) {
+	seen := make([]bool, len(f.Blocks))
+	post := make([]*Block, 0, len(f.Blocks))
 	var visit func(b *Block)
 	visit = func(b *Block) {
-		seen[b] = true
+		seen[b.ID] = true
 		for _, e := range b.Succs {
-			if !seen[e.To] {
+			if !seen[e.To.ID] {
 				visit(e.To)
 			}
 		}
@@ -96,25 +107,21 @@ func (f *Func) ReachableBlocks() []*Block {
 	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
 		post[i], post[j] = post[j], post[i]
 	}
-	return post
+	return post, seen
 }
 
 // Renumber removes unreachable blocks, orders the rest in reverse
 // postorder, renumbers block and edge IDs densely, and drops edges from
 // removed blocks.
 func (f *Func) Renumber() {
-	rpo := f.ReachableBlocks()
-	reach := make(map[*Block]bool, len(rpo))
-	for _, b := range rpo {
-		reach[b] = true
-	}
+	rpo, reach := f.reachable() // reach is by the old block IDs
 	// Remove predecessor edges originating in unreachable blocks. (φs do
 	// not exist yet when this runs during construction; after SSA, callers
 	// must not remove blocks.)
 	for _, b := range rpo {
 		kept := b.Preds[:0]
 		for _, e := range b.Preds {
-			if reach[e.From] {
+			if reach[e.From.ID] {
 				kept = append(kept, e)
 			}
 		}
@@ -124,13 +131,16 @@ func (f *Func) Renumber() {
 	for i, b := range f.Blocks {
 		b.ID = i
 	}
-	var edges []*Edge
+	// The kept edges are a subset of f.Edges: renumber them in its array,
+	// and clear the tail so dropped edges are not kept alive.
+	edges := f.Edges[:0]
 	for _, b := range f.Blocks {
 		for _, e := range b.Succs {
 			e.ID = len(edges)
 			edges = append(edges, e)
 		}
 	}
+	clear(f.Edges[min(len(edges), len(f.Edges)):])
 	f.Edges = edges
 }
 
@@ -140,6 +150,11 @@ func (f *Func) Renumber() {
 func (f *Func) BuildDefUse() error {
 	f.Defs = make([]*Instr, f.NumRegs)
 	f.Uses = make([][]*Instr, f.NumRegs)
+	// Count each register's uses first, then carve every use list from
+	// one array sized to the total.
+	uses := make([]int32, f.NumRegs)
+	total := 0
+	var buf []Reg
 	idx := 0
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
@@ -151,9 +166,21 @@ func (f *Func) BuildDefUse() error {
 				}
 				f.Defs[in.Dst] = in
 			}
+			buf = in.UseRegs(buf[:0])
+			for _, r := range buf {
+				uses[r]++
+			}
+			total += len(buf)
 		}
 	}
-	var buf []Reg
+	all := make([]*Instr, total)
+	off := 0
+	for r, n := range uses {
+		if n > 0 {
+			f.Uses[r] = all[off : off : off+int(n)] // full capacity: an append copies out
+			off += int(n)
+		}
+	}
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			buf = in.UseRegs(buf[:0])
@@ -228,14 +255,15 @@ func (f *Func) Verify() error {
 }
 
 func (f *Func) checkSingleAssignment() error {
-	defs := make([]int, f.NumRegs)
+	defined := make([]uint64, (f.NumRegs+63)/64) // one bit per register
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			if in.Defines() {
-				defs[in.Dst]++
-				if defs[in.Dst] > 1 {
+				w, bit := in.Dst/64, uint64(1)<<(in.Dst%64)
+				if defined[w]&bit != 0 {
 					return fmt.Errorf("ir: %s: SSA register r%d multiply defined", f.Name, in.Dst)
 				}
+				defined[w] |= bit
 			}
 		}
 	}

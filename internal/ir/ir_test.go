@@ -274,6 +274,63 @@ func TestBuildDefUseRejectsDoubleDef(t *testing.T) {
 	}
 }
 
+func TestVerifyCatchesSSADoubleDef(t *testing.T) {
+	f := buildDiamond(t)
+	f.SSA = true
+	if err := f.Verify(); err != nil {
+		t.Fatalf("Verify: %v", err)
+	}
+	f.Blocks[0].Instrs = append([]*Instr{
+		{Op: OpConst, Dst: 1, Const: 9, Block: f.Blocks[0]},
+	}, f.Blocks[0].Instrs...)
+	if err := f.Verify(); err == nil {
+		t.Error("Verify accepted a double definition in SSA form")
+	}
+}
+
+// TestBuildDefUseLists checks the use lists BuildDefUse carves from one
+// array: each lists its readers in instruction order, unused registers
+// have none, and appending to one list leaves its neighbour intact.
+func TestBuildDefUseLists(t *testing.T) {
+	f := &Func{Name: "u", NumRegs: 1}
+	b := f.NewBlock()
+	f.Entry = b
+	x, y, s, unused := f.NewReg(), f.NewReg(), f.NewReg(), f.NewReg()
+	b.Append(&Instr{Op: OpConst, Dst: x, Const: 1})
+	b.Append(&Instr{Op: OpConst, Dst: y, Const: 2})
+	b.Append(&Instr{Op: OpConst, Dst: unused, Const: 3})
+	add := b.Append(&Instr{Op: OpBin, Dst: s, A: x, B: y, BinOp: BinAdd})
+	pr := b.Append(&Instr{Op: OpPrint, A: x})
+	ret := b.Append(&Instr{Op: OpRet, A: s})
+	if err := f.BuildDefUse(); err != nil {
+		t.Fatal(err)
+	}
+	want := map[Reg][]*Instr{x: {add, pr}, y: {add}, s: {ret}}
+	for r := Reg(1); int(r) < f.NumRegs; r++ {
+		got := f.Uses[r]
+		if len(got) != len(want[r]) {
+			t.Fatalf("Uses[r%d] = %v, want %v", r, got, want[r])
+		}
+		for i := range got {
+			if got[i] != want[r][i] {
+				t.Errorf("Uses[r%d][%d] = %s, want %s", r, i, got[i], want[r][i])
+			}
+		}
+	}
+	if f.Uses[unused] != nil {
+		t.Errorf("Uses[r%d] = %v, want nil", unused, f.Uses[unused])
+	}
+	f.Uses[x] = append(f.Uses[x], ret)
+	if f.Uses[y][0] != add {
+		t.Error("appending to one use list overwrote the next")
+	}
+	for i, in := range b.Instrs {
+		if in.Idx != i {
+			t.Errorf("instr %s has Idx %d, want %d", in, in.Idx, i)
+		}
+	}
+}
+
 func TestWriteDot(t *testing.T) {
 	f := buildDiamond(t)
 	var sb strings.Builder

@@ -19,9 +19,10 @@ import (
 
 // Build lowers the program. The AST must have passed sem.Check.
 func Build(prog *ast.Program) (*ir.Program, error) {
-	p := &ir.Program{ByName: map[string]*ir.Func{}, File: prog.File}
+	p := &ir.Program{Funcs: make([]*ir.Func, 0, len(prog.Funcs)),
+		ByName: make(map[string]*ir.Func, len(prog.Funcs)), File: prog.File}
+	g := &generator{prog: prog}
 	for _, fd := range prog.Funcs {
-		g := &generator{prog: prog}
 		f, err := g.buildFunc(fd)
 		if err != nil {
 			return nil, err
@@ -42,19 +43,27 @@ type loopCtx struct {
 	continueTo *ir.Block
 }
 
+// generator lowers one function at a time; Build reuses it, with its
+// scratch buffers, across the functions of a program.
 type generator struct {
-	prog   *ast.Program
-	fn     *ir.Func
-	cur    *ir.Block
+	prog *ast.Program
+	fn   *ir.Func
+	cur  *ir.Block
+	pend []*ir.Instr // cur's instructions, until sealed
+
+	// scopes[:depth] are the open lexical scopes; maps above depth are
+	// emptied and kept for reuse by push.
 	scopes []map[string]varInfo
+	depth  int
 	loops  []loopCtx
 }
 
 func (g *generator) buildFunc(fd *ast.FuncDecl) (*ir.Func, error) {
 	f := &ir.Func{Name: fd.Name, NumRegs: 1}
 	g.fn = f
-	g.scopes = []map[string]varInfo{{}}
-	g.loops = nil
+	g.depth = 0
+	g.push()
+	g.loops = g.loops[:0]
 
 	f.Entry = f.NewBlock()
 	g.cur = f.Entry
@@ -65,11 +74,13 @@ func (g *generator) buildFunc(fd *ast.FuncDecl) (*ir.Func, error) {
 		g.declare(p.Name, varInfo{reg: r})
 	}
 	g.genBlock(fd.Body, true)
-	// Implicit `return 0` on fallthrough.
-	if g.cur != nil && g.cur.Terminator() == nil {
+	// Implicit `return 0` on fallthrough: only terminate leaves a block
+	// terminated, and it leaves no current block.
+	if g.cur != nil {
 		z := g.emitConst(0)
-		g.emit(&ir.Instr{Op: ir.OpRet, A: z, Pos: fd.Pos()})
+		g.terminate(&ir.Instr{Op: ir.OpRet, A: z, Pos: fd.Pos()})
 	}
+	g.pop()
 	f.Renumber()
 	f.SplitCriticalEdges()
 	f.Renumber()
@@ -81,11 +92,20 @@ func (g *generator) buildFunc(fd *ast.FuncDecl) (*ir.Func, error) {
 
 // --------------------------------------------------------------- plumbing
 
-func (g *generator) push() { g.scopes = append(g.scopes, map[string]varInfo{}) }
-func (g *generator) pop()  { g.scopes = g.scopes[:len(g.scopes)-1] }
+func (g *generator) push() {
+	if g.depth == len(g.scopes) {
+		g.scopes = append(g.scopes, map[string]varInfo{})
+	}
+	g.depth++
+}
+
+func (g *generator) pop() {
+	g.depth--
+	clear(g.scopes[g.depth])
+}
 
 func (g *generator) declare(name string, vi varInfo) {
-	g.scopes[len(g.scopes)-1][name] = vi
+	g.scopes[g.depth-1][name] = vi
 	if g.fn.Names == nil {
 		g.fn.Names = map[ir.Reg]string{}
 	}
@@ -93,7 +113,7 @@ func (g *generator) declare(name string, vi varInfo) {
 }
 
 func (g *generator) lookup(name string) varInfo {
-	for i := len(g.scopes) - 1; i >= 0; i-- {
+	for i := g.depth - 1; i >= 0; i-- {
 		if vi, ok := g.scopes[i][name]; ok {
 			return vi
 		}
@@ -103,12 +123,24 @@ func (g *generator) lookup(name string) varInfo {
 
 // emit appends to the current block. After a terminator (return/break/
 // continue) the current block is nil and a fresh unreachable block is
-// started; Renumber discards it later.
+// started; Renumber discards it later. The current block's instructions
+// collect in g.pend until seal, so each block's slice is allocated once,
+// at its final length.
 func (g *generator) emit(in *ir.Instr) *ir.Instr {
 	if g.cur == nil {
 		g.cur = g.fn.NewBlock()
 	}
-	return g.cur.Append(in)
+	in.Block = g.cur
+	g.pend = append(g.pend, in)
+	return in
+}
+
+// seal hands the current block its pending instructions.
+func (g *generator) seal() {
+	if g.cur != nil && len(g.pend) > 0 {
+		g.cur.Instrs = append(g.cur.Instrs, g.pend...)
+		g.pend = g.pend[:0]
+	}
 }
 
 func (g *generator) emitConst(v int64) ir.Reg {
@@ -120,6 +152,7 @@ func (g *generator) emitConst(v int64) ir.Reg {
 // terminate ends the current block with in and leaves no current block.
 func (g *generator) terminate(in *ir.Instr) {
 	g.emit(in)
+	g.seal()
 	g.cur = nil
 }
 
@@ -144,7 +177,10 @@ func (g *generator) branchTo(cond ir.Reg, t, f *ir.Block, pos source.Pos) {
 	g.fn.AddEdge(from, f, ir.EdgeFalse)
 }
 
-func (g *generator) startBlock(b *ir.Block) { g.cur = b }
+func (g *generator) startBlock(b *ir.Block) {
+	g.seal()
+	g.cur = b
+}
 
 // ------------------------------------------------------------- statements
 

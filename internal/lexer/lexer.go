@@ -200,15 +200,3 @@ func (l *Lexer) Next() token.Token {
 	l.offset++
 	return token.Token{Kind: token.Illegal, Lit: string(c), Offset: start}
 }
-
-// All scans the whole file and returns every token including the final EOF.
-func (l *Lexer) All() []token.Token {
-	var toks []token.Token
-	for {
-		t := l.Next()
-		toks = append(toks, t)
-		if t.Kind == token.EOF {
-			return toks
-		}
-	}
-}

@@ -12,7 +12,20 @@ func lex(t *testing.T, src string) ([]token.Token, *source.ErrorList) {
 	t.Helper()
 	var errs source.ErrorList
 	f := source.NewFile("t.mini", src)
-	return New(f, &errs).All(), &errs
+	return all(New(f, &errs)), &errs
+}
+
+// all scans the whole file and returns every token including the final
+// EOF.
+func all(l *Lexer) []token.Token {
+	var toks []token.Token
+	for {
+		t := l.Next()
+		toks = append(toks, t)
+		if t.Kind == token.EOF {
+			return toks
+		}
+	}
 }
 
 func kinds(toks []token.Token) []token.Kind {
@@ -142,7 +155,7 @@ func TestLexerTotal(t *testing.T) {
 	check := func(raw []byte) bool {
 		var errs source.ErrorList
 		f := source.NewFile("t", string(raw))
-		toks := New(f, &errs).All()
+		toks := all(New(f, &errs))
 		if len(toks) == 0 || toks[len(toks)-1].Kind != token.EOF {
 			return false
 		}

@@ -33,26 +33,37 @@ import (
 func Parse(name, src string) (*ast.Program, error) {
 	file := source.NewFile(name, src)
 	var errs source.ErrorList
-	p := &parser{file: file, errs: &errs, toks: lexer.New(file, &errs).All()}
+	p := &parser{file: file, errs: &errs, lex: lexer.New(file, &errs)}
+	p.tok = p.lex.Next()
+	p.ahead = p.lex.Next()
 	prog := p.parseProgram()
 	errs.Sort()
 	return prog, errs.Err()
 }
 
+// parser pulls tokens from the lexer as it goes, with one token of
+// lookahead beyond the current one, so it never holds the file's token
+// slice.
 type parser struct {
 	file *source.File
 	errs *source.ErrorList
-	toks []token.Token
-	i    int
+	lex  *lexer.Lexer
+
+	tok   token.Token // current token
+	ahead token.Token // the token after tok
+	i     int         // tokens consumed, for progress checks
 }
 
-func (p *parser) cur() token.Token { return p.toks[p.i] }
-func (p *parser) kind() token.Kind { return p.toks[p.i].Kind }
-func (p *parser) peek() token.Kind { return p.toks[min(p.i+1, len(p.toks)-1)].Kind }
-func (p *parser) pos() source.Pos  { return p.file.PosFor(p.cur().Offset) }
+func (p *parser) cur() token.Token { return p.tok }
+func (p *parser) kind() token.Kind { return p.tok.Kind }
+func (p *parser) peek() token.Kind { return p.ahead.Kind }
+func (p *parser) pos() source.Pos  { return p.file.PosFor(p.tok.Offset) }
+
+// next consumes the current token and returns it. At EOF it stays put.
 func (p *parser) next() token.Token {
-	t := p.toks[p.i]
-	if p.i < len(p.toks)-1 {
+	t := p.tok
+	if t.Kind != token.EOF {
+		p.tok, p.ahead = p.ahead, p.lex.Next()
 		p.i++
 	}
 	return t

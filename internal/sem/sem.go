@@ -38,6 +38,7 @@ type checker struct {
 	errs  *source.ErrorList
 	funcs map[string]*ast.FuncDecl
 	scope *scope
+	free  *scope // popped scopes, linked by parent, for push to reuse
 	loops int
 }
 
@@ -70,8 +71,26 @@ func (c *checker) errorf(pos source.Pos, format string, args ...any) {
 	c.errs.Add(name, pos, format, args...)
 }
 
-func (c *checker) push() { c.scope = &scope{parent: c.scope, vars: map[string]VarKind{}} }
-func (c *checker) pop()  { c.scope = c.scope.parent }
+// push opens a scope, reusing one that pop emptied if there is one.
+func (c *checker) push() {
+	s := c.free
+	if s != nil {
+		c.free = s.parent
+	} else {
+		s = &scope{vars: map[string]VarKind{}}
+	}
+	s.parent = c.scope
+	c.scope = s
+}
+
+// pop closes the innermost scope and keeps it, emptied, for push.
+func (c *checker) pop() {
+	s := c.scope
+	c.scope = s.parent
+	clear(s.vars)
+	s.parent = c.free
+	c.free = s
+}
 
 func (c *checker) declare(pos source.Pos, name string, kind VarKind) {
 	if _, ok := c.scope.vars[name]; ok {

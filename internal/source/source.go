@@ -44,8 +44,7 @@ type File struct {
 
 // NewFile records the line structure of src for position translation.
 func NewFile(name, src string) *File {
-	f := &File{Name: name, Src: src}
-	f.lineStarts = append(f.lineStarts, 0)
+	f := &File{Name: name, Src: src, lineStarts: make([]int, 1, strings.Count(src, "\n")+1)}
 	for i := 0; i < len(src); i++ {
 		if src[i] == '\n' {
 			f.lineStarts = append(f.lineStarts, i+1)

@@ -14,12 +14,18 @@
 // Assertions are what give value range propagation its precision at
 // branches: "valuable information can often be derived from the equality
 // tests controlling branches" (paper §3.8, figure 3).
+//
+// Construction allocates in proportion to the IR it builds: its working
+// state is dense arrays indexed by register or block ID, kept across the
+// functions of a program, and every list it hands the IR (a block's
+// instructions, φ arguments, versioned names) is allocated once at its
+// final size.
 package ssaform
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
+	"strings"
 
 	"vrp/internal/dom"
 	"vrp/internal/ir"
@@ -36,23 +42,23 @@ func Build(p *ir.Program) error { return BuildWith(p, Options{}) }
 
 // BuildWith converts every function of p into SSA form with options.
 func BuildWith(p *ir.Program, opts Options) error {
+	b := &builder{}
 	for _, f := range p.Funcs {
-		if err := buildFunc(f, opts); err != nil {
+		if err := b.buildFunc(f, opts); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func buildFunc(f *ir.Func, opts Options) error {
+func (b *builder) buildFunc(f *ir.Func, opts Options) error {
 	if f.SSA {
 		return fmt.Errorf("ssaform: %s already in SSA form", f.Name)
 	}
-	b := &builder{f: f}
+	b.f, b.undefReg = f, 0
 	b.countDefs()
 	if !opts.NoAssertions {
 		b.insertAssertions()
-		b.countDefs() // asserts add defs
 	}
 	b.tree = dom.New(f)
 	b.liveness()
@@ -65,33 +71,68 @@ func buildFunc(f *ir.Func, opts Options) error {
 	return f.Verify()
 }
 
+// builder converts one function at a time. Registers and blocks are
+// small dense integers, so all of its state is slice-indexed (maps here
+// cost a hash per instruction operand on a path that runs once per
+// instruction of every function), and every array is reused, cleared,
+// by the next function (see resize).
 type builder struct {
 	f    *ir.Func
 	tree *dom.Tree
 
-	defCount  []int       // defs per register (pre-SSA)
-	singleDef []*ir.Instr // unique defining instruction, nil if 0 or >1 defs
+	// defCount is the number of definitions of each pre-SSA register;
+	// insertAssertions and insertPhis add theirs, so renaming sees every
+	// definition counted. singleDef is the unique defining instruction
+	// (nil if 0 or >1 defs) before assertions; only they consult it.
+	// baseName is each pre-SSA register's source name ("" if none).
+	defCount  []int32
+	singleDef []*ir.Instr
+	baseName  []string
 
-	liveIn bitmat // block ID × register: live-in bits
+	live   []uint64 // backing of the liveness bit matrices
+	liveIn bitmat   // block ID × register: live-in bits
+	regs   []ir.Reg // UseRegs buffer
 
-	// Renaming state. Registers are small dense integers, so all of it
-	// is slice-indexed: maps here cost a hash per instruction operand on
-	// a path that runs once per instruction of every function.
-	stacks   [][]ir.Reg // original register → stack of SSA names
-	origOf   []ir.Reg   // SSA register → original register (0 = none)
-	version  []int32    // original register → next version number
-	undefReg ir.Reg     // lazily created zero-constant, 0 until first use
+	// φ placement and splicing scratch.
+	siteIdx []int32     // per register: start of its def sites, end, last site
+	sites   []int32     // def-site block IDs, carved per register
+	hasPhi  []ir.Reg    // block ID → the register last given a φ there
+	work    []int32     // φ-placement worklist
+	batch   []*ir.Instr // new asserts or φs, in creation order
+	perBlk  []int32     // prependAll's per-block counts
+
+	// Renaming state. Each original register's stack of SSA names is a
+	// linked list through shadow: top holds its head, and popping an SSA
+	// name restores the name it shadowed.
+	top      []ir.Reg // original register → current SSA name (0 = none yet)
+	shadow   []ir.Reg // SSA register → the name it shadowed on its stack
+	origOf   []ir.Reg // SSA register → original register (0 = none)
+	version  []int32  // original register → next version number
+	pushed   []ir.Reg // SSA names defined on the current dominator-tree path
+	undefReg ir.Reg   // lazily created zero-constant, 0 until first use
+
+	// names holds every versioned name "x.N" back to back, and nameAt
+	// is each original register's offset of its next version in it, so
+	// naming an SSA register slices a string instead of building one.
+	names  string
+	nameAt []int32
+}
+
+// resize returns s with length n and every element zero, reusing its
+// array when that is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // bitmat is a dense rows × NumRegs bit matrix (one row per block).
 type bitmat struct {
 	words int
 	bits  []uint64
-}
-
-func newBitmat(rows, regs int) bitmat {
-	w := (regs + 63) / 64
-	return bitmat{words: w, bits: make([]uint64, rows*w)}
 }
 
 func (m bitmat) row(i int) []uint64 { return m.bits[i*m.words : (i+1)*m.words] }
@@ -104,9 +145,18 @@ func (m bitmat) set(i int, r ir.Reg) {
 	m.bits[i*m.words+int(r)>>6] |= 1 << (uint(r) & 63)
 }
 
+// countDefs counts each register's definitions, records the single ones
+// and looks up each register's source name.
 func (b *builder) countDefs() {
-	b.defCount = make([]int, b.f.NumRegs)
-	b.singleDef = make([]*ir.Instr, b.f.NumRegs)
+	n := b.f.NumRegs
+	b.defCount = resize(b.defCount, n)
+	b.singleDef = resize(b.singleDef, n)
+	b.baseName = resize(b.baseName, n)
+	for r, name := range b.f.Names {
+		if int(r) < n {
+			b.baseName[r] = name
+		}
+	}
 	for _, blk := range b.f.Blocks {
 		for _, in := range blk.Instrs {
 			if in.Defines() {
@@ -128,7 +178,7 @@ func (b *builder) countDefs() {
 // would refine a value no one reads again.
 func (b *builder) resolveRoot(r ir.Reg) ir.Reg {
 	for i := 0; i < 64; i++ { // cycle guard; copy chains are short
-		if _, named := b.f.Names[r]; named {
+		if b.baseName[r] != "" {
 			return r
 		}
 		d := b.singleDef[r]
@@ -166,6 +216,7 @@ func (b *builder) assertable(r ir.Reg) bool {
 // branch successor. irgen guarantees (by critical edge splitting) that
 // both successors of a branch have exactly one predecessor.
 func (b *builder) insertAssertions() {
+	asserts := b.batch[:0]
 	for _, blk := range b.f.Blocks {
 		term := blk.Terminator()
 		if term == nil || term.Op != ir.OpBr {
@@ -201,44 +252,79 @@ func (b *builder) insertAssertions() {
 		if d != nil && d.Op == ir.OpBin && d.BinOp.IsComparison() {
 			x := b.resolveRoot(d.A)
 			y := b.resolveRoot(d.B)
-			b.emitAssertPair(trueBlk, x, d.BinOp, y)
-			b.emitAssertPair(falseBlk, x, d.BinOp.Negate(), y)
+			asserts = b.emitAssertPair(asserts, trueBlk, x, d.BinOp, y)
+			asserts = b.emitAssertPair(asserts, falseBlk, x, d.BinOp.Negate(), y)
 			continue
 		}
 		// Non-comparison condition: the only information is zero/non-zero.
 		root := b.resolveRoot(cond)
 		if b.assertable(root) {
-			b.prependAssert(trueBlk, root, ir.BinNe, ir.None, 0)
-			b.prependAssert(falseBlk, root, ir.BinEq, ir.None, 0)
+			asserts = append(asserts, newAssert(trueBlk, root, ir.BinNe, ir.None, 0))
+			asserts = append(asserts, newAssert(falseBlk, root, ir.BinEq, ir.None, 0))
 		}
 	}
+	for _, in := range asserts {
+		b.defCount[in.Dst]++
+	}
+	b.batch = asserts
+	b.prependAll()
 }
 
-// emitAssertPair asserts `x rel y` into blk for both operands.
-func (b *builder) emitAssertPair(blk *ir.Block, x ir.Reg, rel ir.BinOp, y ir.Reg) {
+// emitAssertPair appends assertions of `x rel y` at blk for both
+// operands to asserts.
+func (b *builder) emitAssertPair(asserts []*ir.Instr, blk *ir.Block, x ir.Reg, rel ir.BinOp, y ir.Reg) []*ir.Instr {
 	if b.assertable(x) {
 		if c, ok := b.constOf(y); ok {
-			b.prependAssert(blk, x, rel, ir.None, c)
+			asserts = append(asserts, newAssert(blk, x, rel, ir.None, c))
 		} else {
-			b.prependAssert(blk, x, rel, y, 0)
+			asserts = append(asserts, newAssert(blk, x, rel, y, 0))
 		}
 	}
 	if b.assertable(y) {
 		rel = rel.Swap()
 		if c, ok := b.constOf(x); ok {
-			b.prependAssert(blk, y, rel, ir.None, c)
+			asserts = append(asserts, newAssert(blk, y, rel, ir.None, c))
 		} else {
-			b.prependAssert(blk, y, rel, x, 0)
+			asserts = append(asserts, newAssert(blk, y, rel, x, 0))
 		}
 	}
+	return asserts
 }
 
-// prependAssert inserts `x = assert(x rel other)` at the start of blk.
+// newAssert returns `x = assert(x rel other)` for the start of blk.
 // Pre-SSA the destination is the asserted register itself; renaming later
 // versions it and rewires dominated uses automatically.
-func (b *builder) prependAssert(blk *ir.Block, x ir.Reg, rel ir.BinOp, other ir.Reg, c int64) {
-	in := &ir.Instr{Op: ir.OpAssert, Dst: x, A: x, B: other, BinOp: rel, Const: c, Block: blk}
-	blk.Instrs = append([]*ir.Instr{in}, blk.Instrs...)
+func newAssert(blk *ir.Block, x ir.Reg, rel ir.BinOp, other ir.Reg, c int64) *ir.Instr {
+	return &ir.Instr{Op: ir.OpAssert, Dst: x, A: x, B: other, BinOp: rel, Const: c, Block: blk}
+}
+
+// prependAll splices b.batch, listed in creation order, onto the front
+// of their blocks (each instruction's Block) exactly as prepending them
+// one at a time would: a block's last-created instruction comes first.
+// Each touched block's instruction slice is rebuilt once, at its final
+// size.
+func (b *builder) prependAll() {
+	if len(b.batch) == 0 {
+		return
+	}
+	n := resize(b.perBlk, len(b.f.Blocks))
+	b.perBlk = n
+	for _, in := range b.batch {
+		n[in.Block.ID]++
+	}
+	for id, k := range n {
+		if k > 0 {
+			blk := b.f.Blocks[id]
+			merged := make([]*ir.Instr, int(k)+len(blk.Instrs))
+			copy(merged[k:], blk.Instrs)
+			blk.Instrs = merged
+		}
+	}
+	for _, in := range b.batch {
+		id := in.Block.ID
+		n[id]--
+		in.Block.Instrs[n[id]] = in
+	}
 }
 
 // ----------------------------------------------------------------- φ pass
@@ -247,16 +333,17 @@ func (b *builder) prependAssert(blk *ir.Block, x ir.Reg, rel ir.BinOp, other ir.
 // iteration; used to prune dead φs.
 func (b *builder) liveness() {
 	n := len(b.f.Blocks)
-	regs := b.f.NumRegs
-	use := newBitmat(n, regs)  // upward-exposed uses
-	defs := newBitmat(n, regs) // defined before any later use
-	b.liveIn = newBitmat(n, regs)
-	liveOut := newBitmat(n, regs)
-	var buf []ir.Reg
+	w := (b.f.NumRegs + 63) / 64
+	b.live = resize(b.live, 4*n*w)
+	mat := func(i int) bitmat { return bitmat{words: w, bits: b.live[i*n*w : (i+1)*n*w]} }
+	use := mat(0)  // upward-exposed uses
+	defs := mat(1) // defined before any later use
+	b.liveIn = mat(2)
+	liveOut := mat(3)
 	for i, blk := range b.f.Blocks {
 		for _, in := range blk.Instrs {
-			buf = in.UseRegs(buf[:0])
-			for _, r := range buf {
+			b.regs = in.UseRegs(b.regs[:0])
+			for _, r := range b.regs {
 				if !defs.get(i, r) {
 					use.set(i, r)
 				}
@@ -294,106 +381,169 @@ func (b *builder) liveness() {
 // insertPhis places φ instructions at the iterated dominance frontier of
 // each multiply-defined register's definition sites (pruned by liveness).
 func (b *builder) insertPhis() {
-	defSites := make(map[ir.Reg][]int)
+	nb, nr := len(b.f.Blocks), b.f.NumRegs
+	// Definition blocks of each multiply-defined register, in block order
+	// and without repeats, carved from one array: a register has no more
+	// sites than definitions. last[r] is the ID+1 of r's latest site.
+	b.siteIdx = resize(b.siteIdx, 3*nr+1)
+	start, end, last := b.siteIdx[:nr+1], b.siteIdx[nr+1:2*nr+1], b.siteIdx[2*nr+1:]
+	for r, n := range b.defCount {
+		if n < 2 {
+			n = 0
+		}
+		start[r+1] = start[r] + n
+	}
+	b.sites = resize(b.sites, int(start[nr]))
+	sites := b.sites
+	copy(end, start)
 	for _, blk := range b.f.Blocks {
-		seen := map[ir.Reg]bool{}
+		id := int32(blk.ID)
 		for _, in := range blk.Instrs {
-			if in.Defines() && !seen[in.Dst] {
-				seen[in.Dst] = true
-				defSites[in.Dst] = append(defSites[in.Dst], blk.ID)
+			if r := in.Dst; in.Defines() && b.defCount[r] >= 2 && last[r] != id+1 {
+				last[r] = id + 1
+				sites[end[r]] = id
+				end[r]++
 			}
 		}
 	}
-	// Process registers in ascending order, not map order: φs are
-	// prepended to their block, so the iteration order here decides the
-	// instruction order of co-located φs — and with it the engine's
-	// evaluation order, which must be reproducible run to run.
-	regs := make([]ir.Reg, 0, len(defSites))
-	for r := range defSites {
-		regs = append(regs, r)
-	}
-	sort.Slice(regs, func(i, j int) bool { return regs[i] < regs[j] })
-	// φs are collected per block and spliced in one rebuild below: the
-	// one-at-a-time prepend was quadratic in φs-per-block. Sequential
-	// prepending leaves the *last*-created φ first, so the pending list
-	// is reversed at splice time to keep instruction order — and with it
-	// the engine's evaluation order — exactly as before.
-	pend := make([][]*ir.Instr, len(b.f.Blocks))
-	var work []int
-	for _, r := range regs {
-		sites := defSites[r]
+	// Process registers in ascending order: φs are prepended to their
+	// block, so the iteration order here decides the instruction order of
+	// co-located φs — and with it the engine's evaluation order, which
+	// must be reproducible run to run. The φs are collected in creation
+	// order and spliced in one rebuild per block (prependAll).
+	phis := b.batch[:0]
+	nargs := 0
+	b.hasPhi = resize(b.hasPhi, nb)
+	hasPhi, work := b.hasPhi, b.work[:0]
+	for r := ir.Reg(1); int(r) < nr; r++ {
 		if b.defCount[r] < 2 {
 			continue
 		}
-		hasPhi := map[int]bool{}
-		work = append(work[:0], sites...)
+		work = append(work[:0], sites[start[r]:end[r]]...)
 		for len(work) > 0 {
 			x := work[len(work)-1]
 			work = work[:len(work)-1]
-			for _, y := range b.tree.Frontier(x) {
-				if hasPhi[y] || !b.liveIn.get(y, r) {
+			for _, y := range b.tree.Frontier(int(x)) {
+				if hasPhi[y] == r || !b.liveIn.get(y, r) {
 					continue
 				}
-				hasPhi[y] = true
+				hasPhi[y] = r
 				blk := b.f.Blocks[y]
-				phi := &ir.Instr{Op: ir.OpPhi, Dst: r, Args: make([]ir.Reg, len(blk.Preds)), Block: blk}
-				for i := range phi.Args {
-					phi.Args[i] = r
-				}
-				pend[y] = append(pend[y], phi)
-				work = append(work, y)
+				phis = append(phis, &ir.Instr{Op: ir.OpPhi, Dst: r, Block: blk})
+				nargs += len(blk.Preds)
+				b.defCount[r]++
+				work = append(work, int32(y))
 			}
 		}
 	}
-	for y, phis := range pend {
-		if len(phis) == 0 {
-			continue
+	// Every φ argument starts as the φ's own register; renaming fills in
+	// the reaching names. The argument lists share one array.
+	args := make([]ir.Reg, nargs)
+	for _, phi := range phis {
+		n := len(phi.Block.Preds)
+		phi.Args = args[:n:n]
+		for i := range phi.Args {
+			phi.Args[i] = phi.Dst
 		}
-		blk := b.f.Blocks[y]
-		merged := make([]*ir.Instr, 0, len(phis)+len(blk.Instrs))
-		for i := len(phis) - 1; i >= 0; i-- {
-			merged = append(merged, phis[i])
-		}
-		blk.Instrs = append(merged, blk.Instrs...)
+		args = args[n:]
 	}
+	b.work, b.batch = work, phis
+	b.prependAll()
 }
 
 // ----------------------------------------------------------------- rename
 
 func (b *builder) rename() {
 	pre := b.f.NumRegs // every original register is below this
-	b.stacks = make([][]ir.Reg, pre)
-	b.origOf = make([]ir.Reg, pre) // extended in step with NewReg
-	b.version = make([]int32, pre)
-	if b.f.Names == nil {
-		b.f.Names = map[ir.Reg]string{}
+	// Every definition gets a fresh name (plus one zero constant at
+	// most), so the per-SSA-register arrays are sized once.
+	defs := 0
+	for _, n := range b.defCount {
+		defs += int(n)
 	}
+	b.top = resize(b.top, pre)
+	b.shadow = resize(b.shadow, pre+defs+1)[:pre]
+	b.origOf = resize(b.origOf, pre+defs+1)[:pre] // extended in step with NewReg
+	b.version = resize(b.version, pre)
+	b.pushed = b.pushed[:0]
+	b.nameVersions()
 	b.renameBlock(b.f.Entry)
+}
+
+// nameVersions lays out the versioned names of every named register
+// ("x.0", "x.1", … one per definition) in one string, and gives f.Names
+// room for all of them.
+func (b *builder) nameVersions() {
+	size, n := 0, len(b.f.Names)
+	for r, name := range b.baseName {
+		if name == "" {
+			continue
+		}
+		k := int(b.defCount[r])
+		n += k
+		size += k * (len(name) + 1)
+		for v := 0; v < k; v++ {
+			size += decimalLen(v)
+		}
+	}
+	names := make(map[ir.Reg]string, n)
+	for r, name := range b.f.Names {
+		names[r] = name
+	}
+	b.f.Names = names
+	var sb strings.Builder
+	sb.Grow(size)
+	b.nameAt = resize(b.nameAt, len(b.baseName))
+	var digits [20]byte
+	for r, name := range b.baseName { // register order: deterministic layout
+		if name == "" {
+			continue
+		}
+		b.nameAt[r] = int32(sb.Len())
+		for v := 0; v < int(b.defCount[r]); v++ {
+			sb.WriteString(name)
+			sb.WriteByte('.')
+			sb.Write(strconv.AppendInt(digits[:0], int64(v), 10))
+		}
+	}
+	b.names = sb.String()
+}
+
+// decimalLen is the number of decimal digits of v ≥ 0.
+func decimalLen(v int) int {
+	n := 1
+	for ; v >= 10; v /= 10 {
+		n++
+	}
+	return n
 }
 
 // fresh creates a new SSA name for original register r.
 func (b *builder) fresh(r ir.Reg) ir.Reg {
 	nr := b.f.NewReg()
 	b.origOf = append(b.origOf, r) // NewReg is sequential: index == nr
+	b.shadow = append(b.shadow, b.top[r])
+	b.top[r] = nr
 	v := b.version[r]
 	b.version[r] = v + 1
-	if name, ok := b.f.Names[r]; ok {
-		b.f.Names[nr] = name + "." + strconv.Itoa(int(v))
+	if name := b.baseName[r]; name != "" {
+		at := int(b.nameAt[r])
+		end := at + len(name) + 1 + decimalLen(int(v))
+		b.f.Names[nr] = b.names[at:end]
+		b.nameAt[r] = int32(end)
 	}
-	b.stacks[r] = append(b.stacks[r], nr)
 	return nr
 }
 
-// top returns the current SSA name of original register r. A use before
+// current returns the current SSA name of original register r. A use before
 // any definition (possible only for φ operands of variables that were
 // lexically dead on that path) maps to the zero-constant register, created
 // lazily in the entry block.
-func (b *builder) top(r ir.Reg) ir.Reg {
-	s := b.stacks[r]
-	if len(s) == 0 {
-		return b.undef()
+func (b *builder) current(r ir.Reg) ir.Reg {
+	if t := b.top[r]; t != 0 {
+		return t
 	}
-	return s[len(s)-1]
+	return b.undef()
 }
 
 func (b *builder) undef() ir.Reg {
@@ -402,6 +552,7 @@ func (b *builder) undef() ir.Reg {
 	}
 	r := b.f.NewReg()
 	b.origOf = append(b.origOf, 0) // no original register
+	b.shadow = append(b.shadow, 0)
 	in := &ir.Instr{Op: ir.OpConst, Dst: r, Const: 0, Block: b.f.Entry}
 	// Insert at the very beginning of entry so it dominates everything.
 	b.f.Entry.Instrs = append([]*ir.Instr{in}, b.f.Entry.Instrs...)
@@ -410,45 +561,44 @@ func (b *builder) undef() ir.Reg {
 }
 
 func (b *builder) renameBlock(blk *ir.Block) {
-	var pushed []ir.Reg // original registers pushed in this block, for popping
+	mark := len(b.pushed) // SSA names defined in this block are pushed above
 
 	for _, in := range blk.Instrs {
 		if in.Op != ir.OpPhi {
 			// Rewrite uses first.
 			switch in.Op {
 			case ir.OpBin, ir.OpStore:
-				in.A = b.top(in.A)
+				in.A = b.current(in.A)
 				if in.B != ir.None {
-					in.B = b.top(in.B)
+					in.B = b.current(in.B)
 				}
 				if in.Op == ir.OpStore {
-					in.Arr = b.top(in.Arr)
+					in.Arr = b.current(in.Arr)
 				}
 			case ir.OpAssert:
-				in.A = b.top(in.A)
+				in.A = b.current(in.A)
 				in.Parent = in.A
 				if in.B != ir.None {
-					in.B = b.top(in.B)
+					in.B = b.current(in.B)
 				}
 			case ir.OpNeg, ir.OpNot, ir.OpCopy, ir.OpAlloc, ir.OpPrint, ir.OpBr:
-				in.A = b.top(in.A)
+				in.A = b.current(in.A)
 			case ir.OpLoad:
-				in.Arr = b.top(in.Arr)
-				in.A = b.top(in.A)
+				in.Arr = b.current(in.Arr)
+				in.A = b.current(in.A)
 			case ir.OpRet:
 				if in.A != ir.None {
-					in.A = b.top(in.A)
+					in.A = b.current(in.A)
 				}
 			case ir.OpCall:
 				for i, a := range in.Args {
-					in.Args[i] = b.top(a)
+					in.Args[i] = b.current(a)
 				}
 			}
 		}
 		if in.Defines() {
-			orig := in.Dst
-			in.Dst = b.fresh(orig)
-			pushed = append(pushed, orig)
+			in.Dst = b.fresh(in.Dst)
+			b.pushed = append(b.pushed, in.Dst)
 		}
 	}
 
@@ -466,7 +616,7 @@ func (b *builder) renameBlock(blk *ir.Block) {
 			if o := b.origOf[phi.Dst]; o != 0 {
 				orig = o
 			}
-			phi.Args[idx] = b.top(orig)
+			phi.Args[idx] = b.current(orig)
 		}
 	}
 
@@ -476,8 +626,9 @@ func (b *builder) renameBlock(blk *ir.Block) {
 	}
 
 	// Pop.
-	for i := len(pushed) - 1; i >= 0; i-- {
-		r := pushed[i]
-		b.stacks[r] = b.stacks[r][:len(b.stacks[r])-1]
+	for i := len(b.pushed) - 1; i >= mark; i-- {
+		nr := b.pushed[i]
+		b.top[b.origOf[nr]] = b.shadow[nr]
 	}
+	b.pushed = b.pushed[:mark]
 }

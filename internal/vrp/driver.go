@@ -849,9 +849,11 @@ func (d *driver) runSCC(scc int, it *vrange.Interner, waveSpan telemetry.SpanID,
 			in.hash == d.prevFP[fi] && bitEqualVec(in.vec, d.prevIn[fi]) {
 			// Clean: the previous run saw bit-identical inputs, so a re-run
 			// would reproduce the stored result and table updates exactly.
-			// The slot gains only the input snapshot's sub-operations.
+			// The slot gains only the input snapshot's sub-operations and
+			// set-cap widenings.
 			c.skips++
 			c.eff.SubOps += calc.SubOps
+			c.eff.Widens += calc.Widens
 			if d.cfg.Trace != nil {
 				d.cfg.Trace.End(d.cfg.Trace.StartLane(waveSpan, lane, "skip", d.cg.Funcs[fi].Name))
 			}

@@ -196,9 +196,9 @@ func TestTelemetryMatchesStats(t *testing.T) {
 }
 
 // TestTelemetryDisabledIsFree pins the other half of the contract: with
-// telemetry off (the default), the result carries no snapshot and the
-// engine hot path takes the nil fast path (the zero-allocation guarantee
-// itself is pinned by AllocsPerRun in internal/telemetry).
+// telemetry off (the default), the result carries no snapshot. The
+// counting itself is always on (each run's Effort record feeds Stats
+// either way); only assembling the snapshot is skipped.
 func TestTelemetryDisabledIsFree(t *testing.T) {
 	res := analyze(t, telemetrySrc, DefaultConfig())
 	if res.Telemetry != nil {
@@ -364,5 +364,61 @@ func setOnes(v reflect.Value) {
 		} else {
 			fv.SetInt(1)
 		}
+	}
+}
+
+// skipWidenSrc gives g six callers with six unrelated constant
+// arguments, so merging them into g's parameter range needs set-cap
+// widenings, while g's own body never widens. h's recursion keeps the
+// driver iterating after g's inputs have settled, so later passes skip g.
+const skipWidenSrc = `
+func g(x) { return x; }
+func c1() { return g(1); }
+func c2() { return g(2); }
+func c3() { return g(4); }
+func c4() { return g(8); }
+func c5() { return g(16); }
+func c6() { return g(32); }
+func h(n) {
+	if (n > 0) { return h(n - 1) + 1; }
+	return 0;
+}
+func main() {
+	print(c1() + c2() + c3() + c4() + c5() + c6() + h(input()));
+}
+`
+
+// TestSkipCountsInputWidens: a skipped run still computed its input
+// snapshot, so its set-cap widenings count as its sub-operations do. g's
+// widenings all come from merging its callers' arguments, so a run that
+// skips g must report as many as one that re-runs it every pass.
+func TestSkipCountsInputWidens(t *testing.T) {
+	p := compile(t, skipWidenSrc)
+	gMetrics := func(noSkip bool) telemetry.FuncMetrics {
+		cfg := DefaultConfig()
+		cfg.Workers = 1
+		cfg.noSkip = noSkip
+		cfg.Telemetry = telemetry.New()
+		res, err := Analyze(p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fm := range res.Telemetry.Funcs {
+			if fm.Func == "g" {
+				return fm
+			}
+		}
+		t.Fatal("no telemetry slot for g")
+		return telemetry.FuncMetrics{}
+	}
+	skipping, full := gMetrics(false), gMetrics(true)
+	if skipping.Skips == 0 || full.Skips != 0 {
+		t.Fatalf("g skipped %d times with skipping and %d without; want >0 and 0", skipping.Skips, full.Skips)
+	}
+	if full.Widens == 0 {
+		t.Fatal("g's input snapshot never widened; the test program no longer exercises set-cap merges")
+	}
+	if skipping.Widens != full.Widens {
+		t.Errorf("g widens = %d with skipping, %d re-running every pass", skipping.Widens, full.Widens)
 	}
 }
