@@ -166,14 +166,15 @@ func (t *Tree) Dominates(a, b int) bool {
 type Loop struct {
 	Header   *ir.Block
 	Parent   *Loop
-	Depth    int          // 1 for outermost
-	Blocks   map[int]bool // block IDs in the loop (header included)
-	BackEdge []*ir.Edge   // latch→header edges
-	Exits    []*ir.Edge   // edges leaving the loop
+	Depth    int        // 1 for outermost
+	BackEdge []*ir.Edge // latch→header edges
+
+	in   []bool // by block ID: the block is in the loop (header included)
+	size int    // number of member blocks
 }
 
 // Contains reports whether block id belongs to the loop.
-func (l *Loop) Contains(id int) bool { return l.Blocks[id] }
+func (l *Loop) Contains(id int) bool { return id >= 0 && id < len(l.in) && l.in[id] }
 
 // LoopInfo holds the loop nest of a function.
 type LoopInfo struct {
@@ -197,25 +198,17 @@ func (li *LoopInfo) Depth(id int) int {
 	return 0
 }
 
-// IsBackEdge reports whether e is a back edge of some natural loop.
-func (li *LoopInfo) IsBackEdge(e *ir.Edge) bool {
-	for _, l := range li.Loops {
-		for _, be := range l.BackEdge {
-			if be == e {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // FindLoops detects natural loops using the dominator tree: an edge a→h is
 // a back edge iff h dominates a; its loop body is found by backward
-// traversal from a.
+// traversal from a. Membership is a dense per-block array, so every walk
+// below visits blocks in ID order and the result never depends on map
+// iteration order.
 func FindLoops(f *ir.Func, t *Tree) *LoopInfo {
-	li := &LoopInfo{byBlock: make([]*Loop, len(f.Blocks))}
-	byHeader := map[int]*Loop{}
+	n := len(f.Blocks)
+	li := &LoopInfo{byBlock: make([]*Loop, n)}
+	byHeader := make([]*Loop, n)
 
+	var stack []*ir.Block
 	for _, b := range f.Blocks {
 		for _, e := range b.Succs {
 			h := e.To
@@ -224,20 +217,22 @@ func FindLoops(f *ir.Func, t *Tree) *LoopInfo {
 			}
 			l := byHeader[h.ID]
 			if l == nil {
-				l = &Loop{Header: h, Blocks: map[int]bool{h.ID: true}}
+				l = &Loop{Header: h, in: make([]bool, n), size: 1}
+				l.in[h.ID] = true
 				byHeader[h.ID] = l
 				li.Loops = append(li.Loops, l)
 			}
 			l.BackEdge = append(l.BackEdge, e)
 			// Backward walk from the latch.
-			stack := []*ir.Block{b}
+			stack = append(stack[:0], b)
 			for len(stack) > 0 {
 				x := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
-				if l.Blocks[x.ID] {
+				if l.in[x.ID] {
 					continue
 				}
-				l.Blocks[x.ID] = true
+				l.in[x.ID] = true
+				l.size++
 				for _, pe := range x.Preds {
 					stack = append(stack, pe.From)
 				}
@@ -250,10 +245,10 @@ func FindLoops(f *ir.Func, t *Tree) *LoopInfo {
 	// block is the smallest containing loop.
 	for _, l := range li.Loops {
 		for _, outer := range li.Loops {
-			if outer == l || !outer.Blocks[l.Header.ID] {
+			if outer == l || !outer.in[l.Header.ID] {
 				continue
 			}
-			if l.Parent == nil || len(outer.Blocks) < len(l.Parent.Blocks) {
+			if l.Parent == nil || outer.size < l.Parent.size {
 				l.Parent = outer
 			}
 		}
@@ -266,20 +261,12 @@ func FindLoops(f *ir.Func, t *Tree) *LoopInfo {
 		l.Depth = d
 	}
 	for _, l := range li.Loops {
-		for id := range l.Blocks {
-			cur := li.byBlock[id]
-			if cur == nil || len(l.Blocks) < len(cur.Blocks) {
-				li.byBlock[id] = l
+		for id, in := range l.in {
+			if !in {
+				continue
 			}
-		}
-	}
-	// Exit edges.
-	for _, l := range li.Loops {
-		for id := range l.Blocks {
-			for _, e := range f.Blocks[id].Succs {
-				if !l.Blocks[e.To.ID] {
-					l.Exits = append(l.Exits, e)
-				}
+			if cur := li.byBlock[id]; cur == nil || l.size < cur.size {
+				li.byBlock[id] = l
 			}
 		}
 	}
@@ -443,10 +430,6 @@ func NewPost(f *ir.Func) *PostTree {
 	}
 	return &PostTree{ipdom: out}
 }
-
-// Ipdom returns the immediate postdominator of b, or -1 if it is the
-// virtual exit.
-func (t *PostTree) Ipdom(b int) int { return t.ipdom[b] }
 
 // PostDominates reports whether a postdominates b (reflexively).
 func (t *PostTree) PostDominates(a, b int) bool {

@@ -122,14 +122,34 @@ func TestLoopDetection(t *testing.T) {
 	if !l.Contains(be.From.ID) {
 		t.Error("latch not in loop body")
 	}
-	if len(l.Exits) == 0 {
-		t.Error("loop has no exit edges")
-	}
-	for _, e := range l.Exits {
-		if l.Contains(e.To.ID) {
-			t.Errorf("exit edge %s stays inside the loop", e)
+	exits := 0
+	for _, b := range f.Blocks {
+		if !l.Contains(b.ID) {
+			continue
+		}
+		for _, e := range b.Succs {
+			if !l.Contains(e.To.ID) {
+				exits++
+			}
 		}
 	}
+	if exits == 0 {
+		t.Error("loop has no exit edges")
+	}
+	if l.size != count(f, l) {
+		t.Errorf("size = %d, want %d member blocks", l.size, count(f, l))
+	}
+}
+
+// count returns the number of f's blocks the loop contains.
+func count(f *ir.Func, l *Loop) int {
+	n := 0
+	for _, b := range f.Blocks {
+		if l.Contains(b.ID) {
+			n++
+		}
+	}
+	return n
 }
 
 const nestedLoopSrc = `
@@ -164,13 +184,16 @@ func TestNestedLoops(t *testing.T) {
 	if inner.Parent != outer {
 		t.Error("inner loop's parent is not the outer loop")
 	}
-	if !outer.Blocks[inner.Header.ID] {
+	if !outer.Contains(inner.Header.ID) {
 		t.Error("outer loop does not contain the inner header")
 	}
+	if inner.size >= outer.size {
+		t.Errorf("inner loop has %d blocks, outer %d", inner.size, outer.size)
+	}
 	// Innermost query from an inner-body block.
-	for id := range inner.Blocks {
-		if li.InnermostLoop(id) != inner {
-			t.Errorf("InnermostLoop(b%d) is not the inner loop", id)
+	for _, b := range f.Blocks {
+		if inner.Contains(b.ID) && li.InnermostLoop(b.ID) != inner {
+			t.Errorf("InnermostLoop(b%d) is not the inner loop", b.ID)
 		}
 	}
 	if li.Depth(f.Entry.ID) != 0 {

@@ -15,6 +15,8 @@
 package heuristics
 
 import (
+	"sync"
+
 	"vrp/internal/dom"
 	"vrp/internal/ir"
 )
@@ -31,9 +33,10 @@ const (
 	probGuard      = 0.62
 )
 
-// funcInfo caches per-function structure needed by the heuristics.
+// funcInfo caches per-function structure needed by the heuristics, built
+// on the function's first prediction.
 type funcInfo struct {
-	tree  *dom.Tree
+	once  sync.Once
 	post  *dom.PostTree
 	loops *dom.LoopInfo
 	back  map[*ir.Edge]bool
@@ -44,19 +47,31 @@ type BallLarus struct {
 	info map[*ir.Func]*funcInfo
 }
 
-// NewBallLarus precomputes dominator and loop structure for each function.
+// NewBallLarus allocates one empty slot per function of p. A function's
+// dominators, postdominators, loops and back edges are built on demand,
+// on its first Prob or Explain, and kept for later ones: a caller that
+// predicts the branches of a few functions of a large program (an
+// incremental analysis splicing the rest from a store) pays only for
+// those. Prob and Explain are safe for concurrent use.
 func NewBallLarus(p *ir.Program) *BallLarus {
-	h := &BallLarus{info: map[*ir.Func]*funcInfo{}}
-	for _, f := range p.Funcs {
-		t := dom.New(f)
-		h.info[f] = &funcInfo{
-			tree:  t,
-			post:  dom.NewPost(f),
-			loops: dom.FindLoops(f, t),
-			back:  dom.BackEdges(f, t),
-		}
+	h := &BallLarus{info: make(map[*ir.Func]*funcInfo, len(p.Funcs))}
+	slots := make([]funcInfo, len(p.Funcs))
+	for i, f := range p.Funcs {
+		h.info[f] = &slots[i]
 	}
 	return h
+}
+
+// structure returns fi with f's structure built, building it on the first
+// call for f; concurrent first calls build it once.
+func (fi *funcInfo) structure(f *ir.Func) *funcInfo {
+	fi.once.Do(func() {
+		t := dom.New(f)
+		fi.post = dom.NewPost(f)
+		fi.loops = dom.FindLoops(f, t)
+		fi.back = dom.BackEdges(f, t)
+	})
+	return fi
 }
 
 // Evidence is one applicable heuristic's contribution to a prediction:
@@ -92,7 +107,7 @@ func (h *BallLarus) Explain(f *ir.Func, br *ir.Instr) []Evidence {
 	if fi == nil || br.Block == nil || len(br.Block.Succs) != 2 {
 		return nil
 	}
-	return h.evidence(f, fi, br)
+	return h.evidence(f, fi.structure(f), br)
 }
 
 // dempsterShafer combines two independent probability estimates of the

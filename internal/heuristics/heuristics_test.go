@@ -2,6 +2,7 @@ package heuristics
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"vrp/internal/ir"
@@ -229,6 +230,61 @@ func main() {
 			p := h.Prob(f, br)
 			if p < 0 || p > 1 || math.IsNaN(p) {
 				t.Errorf("%s: prob %f out of range", f.Name, p)
+			}
+		}
+	}
+}
+
+// TestBallLarusConcurrentFirstUse: the analysis driver's workers call
+// Prob concurrently, so several goroutines may be first to ask about one
+// function and race to build its structure. Every answer must equal the
+// one a single goroutine gets (run under -race, this also checks the
+// on-demand build is synchronized).
+func TestBallLarusConcurrentFirstUse(t *testing.T) {
+	prog := compile(t, `
+func f(a, b) {
+	var s = 0;
+	for (var i = 0; i < a; i++) {
+		if (i == b) { s += 2; } else { s -= 1; }
+	}
+	if (s < 0) { return 0; }
+	return s;
+}
+func main() {
+	var n = input();
+	while (n > 1) {
+		if (n % 2 == 0) { n = n / 2; } else { n = f(n, 3); }
+	}
+	print(n);
+}`)
+	want := map[*ir.Instr]float64{}
+	seq := NewBallLarus(prog)
+	for _, f := range prog.Funcs {
+		for _, br := range branches(f) {
+			want[br] = seq.Prob(f, br)
+		}
+	}
+	shared := NewBallLarus(prog)
+	const goroutines = 8
+	got := make([]map[*ir.Instr]float64, goroutines)
+	var wg sync.WaitGroup
+	for g := range got {
+		got[g] = map[*ir.Instr]float64{}
+		wg.Add(1)
+		go func(m map[*ir.Instr]float64) {
+			defer wg.Done()
+			for _, f := range prog.Funcs {
+				for _, br := range branches(f) {
+					m[br] = shared.Prob(f, br)
+				}
+			}
+		}(got[g])
+	}
+	wg.Wait()
+	for g, m := range got {
+		for br, p := range want {
+			if m[br] != p {
+				t.Errorf("goroutine %d: Prob = %v, want %v", g, m[br], p)
 			}
 		}
 	}

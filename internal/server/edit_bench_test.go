@@ -1,0 +1,73 @@
+package server
+
+import (
+	"bytes"
+	"io"
+	"log/slog"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"testing"
+	"time"
+
+	"vrp"
+	"vrp/internal/genprog"
+)
+
+// editAllocMax bounds BenchmarkEditRequest's alloc-B/instr, which reads
+// about 605 on linux/amd64. Before spliced functions took their settled
+// post-fixpoint work from the store records, and before Ball–Larus built
+// its structures on demand, it read about 730.
+const editAllocMax = 665
+
+// BenchmarkEditRequest measures vrpd's incremental path: a server warmed
+// with the genprog default program (which stops unconverged, so every
+// request runs the non-convergence demotion) receives one fresh
+// single-kernel edit per iteration through its handler. Each edit misses
+// the response cache and splices all but its dirty cone from the
+// per-function store. It reports the wall-clock time and bytes allocated
+// per IR instruction of the program, and fails above editAllocMax.
+func BenchmarkEditRequest(b *testing.B) {
+	cfg := genprog.Default()
+	base := genprog.Source(cfg)
+	p, err := vrp.Compile("gen.mini", base)
+	if err != nil {
+		b.Fatal(err)
+	}
+	instrs := float64(p.IR.NumInstrs())
+	h := New(Config{Workers: 1, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))}).Handler()
+	post := func(src string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/analyze", bytes.NewReader([]byte(src))))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
+		}
+	}
+	post(base)
+	edits := make([]string, b.N)
+	for i := range edits {
+		src, ok := genprog.EditFunc(base, i%cfg.Funcs, int64(i+1))
+		if !ok {
+			b.Fatalf("EditFunc(%d) failed", i%cfg.Funcs)
+		}
+		edits[i] = src
+	}
+
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	before := m.TotalAlloc
+	b.ResetTimer()
+	start := time.Now()
+	for _, src := range edits {
+		post(src)
+	}
+	elapsed := time.Since(start)
+	b.StopTimer()
+	runtime.ReadMemStats(&m)
+	perInstr := float64(m.TotalAlloc-before) / float64(b.N) / instrs
+	b.ReportMetric(perInstr, "alloc-B/instr")
+	b.ReportMetric(float64(elapsed.Nanoseconds())/float64(b.N)/instrs, "ns/instr")
+	if perInstr > editAllocMax {
+		b.Fatalf("alloc-B/instr %.0f exceeds editAllocMax (%d)", perInstr, editAllocMax)
+	}
+}

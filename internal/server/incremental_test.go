@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -174,6 +175,47 @@ func TestWarmServerBitIdentical(t *testing.T) {
 	if want := float64(genCfg.Funcs - 1); hits < want {
 		t.Errorf("funcstore hits for the edit = %v, want >= %v (one dirty function out of %d)",
 			hits, want, genCfg.Funcs)
+	}
+}
+
+// TestWarmServerUnconvergedTestdata: the committed program that CI's
+// server smoke posts stops unconverged with stale-certain predictions,
+// and its committed one-kernel edit, posted to a server warmed with it,
+// answers byte-identical to a store-free server. Its spliced functions
+// take their re-derived predictions from the store records.
+func TestWarmServerUnconvergedTestdata(t *testing.T) {
+	read := func(name string) string {
+		src, err := os.ReadFile("../../testdata/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(src)
+	}
+	base, edited := read("unconverged.mini"), read("unconverged-edit.mini")
+	warm, _ := newTestServer(t, nil)
+	cold, _ := newTestServer(t, func(c *Config) { c.FuncStoreEntries, c.CacheEntries = -1, -1 })
+
+	baseRec := postAnalyze(t, warm.Handler(), "/v1/analyze", base)
+	if baseRec.Code != http.StatusOK {
+		t.Fatalf("base status = %d: %s", baseRec.Code, baseRec.Body.String())
+	}
+	h0 := scrape(t, warm.Handler())["vrpd_funcstore_hits_total"]
+	warmRec := postAnalyze(t, warm.Handler(), "/v1/analyze", edited)
+	coldRec := postAnalyze(t, cold.Handler(), "/v1/analyze", edited)
+	if warmRec.Code != http.StatusOK || coldRec.Code != http.StatusOK {
+		t.Fatalf("status warm=%d cold=%d", warmRec.Code, coldRec.Code)
+	}
+	if !bytes.Equal(warmRec.Body.Bytes(), coldRec.Body.Bytes()) {
+		t.Errorf("warm body differs from cold body:\nwarm: %s\ncold: %s", warmRec.Body.String(), coldRec.Body.String())
+	}
+	for _, rec := range []*httptest.ResponseRecorder{baseRec, warmRec} {
+		body := rec.Body.String()
+		if !strings.Contains(body, `"converged":false`) || !strings.Contains(body, "stale range-certain") {
+			t.Errorf("want an unconverged answer with re-derived stale predictions, got %.300s", body)
+		}
+	}
+	if hits := scrape(t, warm.Handler())["vrpd_funcstore_hits_total"] - h0; hits == 0 {
+		t.Error("the edit spliced nothing from the warm store")
 	}
 }
 

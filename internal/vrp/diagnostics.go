@@ -135,7 +135,10 @@ func degradedResult(f *ir.Func, cfg Config) (*FuncResult, []float64) {
 		bp[t] = p
 		bs[t] = ByHeuristic
 	}
-	sol := solveFreqs(f, bp)
+	sol := solveFreqs(f, nil, func(br *ir.Instr) (float64, bool) {
+		p, ok := bp[br]
+		return p, ok
+	})
 	return &FuncResult{
 		Fn:           f,
 		Val:          vals,
@@ -146,15 +149,18 @@ func degradedResult(f *ir.Func, cfg Config) (*FuncResult, []float64) {
 	}, sol.Block
 }
 
-// solveFreqs solves f's frequencies from the branch probabilities in bp
+// solveFreqs solves f's frequencies from the branch probabilities prob
 // outside the engine (degraded functions, re-derived stale predictions),
-// clamping edge frequencies to maxFreq as the engine does.
-func solveFreqs(f *ir.Func, bp map[*ir.Instr]float64) *freq.Frequencies {
-	tree := dom.New(f)
-	sol := freq.Compute(f, tree, dom.FindLoops(f, tree), func(br *ir.Instr) (float64, bool) {
-		p, ok := bp[br]
-		return p, ok
-	})
+// clamping edge frequencies to maxFreq as the engine does. sv is f's
+// factored solver when the caller holds one (an engine scratch's; the
+// result then aliases its buffers until its next solve), nil for a fresh
+// factorization; both give the same bits.
+func solveFreqs(f *ir.Func, sv *freq.Solver, prob freq.BranchProbFunc) *freq.Frequencies {
+	if sv == nil {
+		tree := dom.New(f)
+		sv = freq.NewSolver(f, tree, dom.FindLoops(f, tree), dom.BackEdges(f, tree))
+	}
+	sol := sv.Compute(prob)
 	for i, v := range sol.Edge {
 		if v > maxFreq {
 			sol.Edge[i] = maxFreq

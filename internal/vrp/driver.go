@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 
 	"vrp/internal/callgraph"
+	"vrp/internal/freq"
 	"vrp/internal/ir"
 	"vrp/internal/telemetry"
 	"vrp/internal/vrange"
@@ -176,6 +177,13 @@ type driver struct {
 	bodyFPs  []uint64
 	configFP uint64
 
+	// records holds, per function, the store record its latest result
+	// was spliced from or stored as (nil if none); settled caches each
+	// function's settled part for the post-fixpoint steps (settledFor).
+	// Both are owned like results.
+	records []*StoredFunc
+	settled []*settled
+
 	// Non-convergence demotion accounting (filled single-threaded by
 	// demoteUnconverged): ⊤ cells demoted to ⊥, and range-certain branch
 	// predictions invalidated by the demotion and re-derived from
@@ -214,6 +222,8 @@ func newDriver(p *ir.Program, cfg Config) *driver {
 	}
 	d.staleCertainFn = make([]int, n)
 	d.scratch = make([]*engineScratch, n)
+	d.records = make([]*StoredFunc, n)
+	d.settled = make([]*settled, n)
 	if cfg.FuncStore != nil {
 		d.bodyEnc = make([][]byte, n)
 		d.bodyFPs = make([]uint64, n)
@@ -409,9 +419,11 @@ func qualityClassBucket(c vrange.ValueClass) int {
 
 // buildQuality assembles the prediction-quality digest from the final
 // results. It runs single-threaded after the fixpoint (and after the
-// non-convergence demotion), reads only final state, and consults
-// Config.Evidence off the hot path — so the digest is bit-identical for
-// every worker count and costs nothing when telemetry is off.
+// non-convergence demotion), reads only final state, and takes the
+// heuristic branches' Config.Evidence tallies from each function's
+// settled part — so the digest is bit-identical for every worker count,
+// costs nothing when telemetry is off, and a spliced function's evidence
+// is not recomputed.
 func (d *driver) buildQuality(snap *telemetry.Snapshot) *telemetry.Quality {
 	q := telemetry.NewQuality()
 	var widthSum float64
@@ -478,22 +490,20 @@ func (d *driver) buildQuality(snap *telemetry.Snapshot) *telemetry.Quality {
 				score += 0.4
 				if d.cfg.Evidence == nil {
 					q.Evidence["heuristic"]++
-					break
-				}
-				evs := d.cfg.Evidence(f, t)
-				if len(evs) == 0 {
-					q.Evidence["uniform"]++
-					break
-				}
-				for _, ev := range evs {
-					q.Evidence[ev.Name]++
-				}
-				if len(evs) >= 2 {
-					q.Evidence["dempster-shafer"]++
 				}
 			default:
 				q.Evidence["default"]++
 				fq.Default++
+			}
+		}
+		if d.cfg.Evidence != nil {
+			// The heuristic branches' evidence, tallied once per record:
+			// those the final run left heuristic, plus the stale ones when
+			// the demotion re-derived them.
+			st := d.settledFor(fi)
+			st.heurEv.addTo(q.Evidence)
+			if d.staleCertainFn[fi] > 0 {
+				st.staleEv.addTo(q.Evidence)
 			}
 		}
 		fq.StaleCertain = int64(d.staleCertainFn[fi])
@@ -609,29 +619,37 @@ func (d *driver) demoteUnconverged(passes int) {
 			continue
 		}
 		demoted := 0
-		for j, v := range fr.Val {
+		for _, v := range fr.Val {
 			if v.IsTop() {
-				fr.Val[j] = vrange.DemoteTop(v)
 				demoted++
 			}
 		}
-		if demoted > 0 {
-			stale := d.redoStalePredictions(fi, fr)
-			d.demotedTop += int64(demoted)
-			d.staleCertain += int64(stale)
-			msg := fmt.Sprintf("fixpoint not reached after %d pass(es): %d optimistic ⊤ value(s) demoted to ⊥",
-				passes, demoted)
-			if stale > 0 {
-				msg += fmt.Sprintf("; %d stale range-certain prediction(s) re-derived from heuristics", stale)
-			}
-			d.diags[fi] = append(d.diags[fi], Diagnostic{
-				Kind: DiagNonConvergence,
-				Func: fr.Fn.Name,
-				SCC:  d.cg.SCCID[fi],
-				Pass: d.pass,
-				Msg:  msg,
-			})
+		if demoted == 0 {
+			continue
 		}
+		// The settled part is read off the result before the demotion
+		// rewrites it.
+		st := d.settledFor(fi)
+		for j, v := range fr.Val {
+			if v.IsTop() {
+				fr.Val[j] = vrange.DemoteTop(v)
+			}
+		}
+		stale := d.redoStalePredictions(fi, fr, st)
+		d.demotedTop += int64(demoted)
+		d.staleCertain += int64(stale)
+		msg := fmt.Sprintf("fixpoint not reached after %d pass(es): %d optimistic ⊤ value(s) demoted to ⊥",
+			passes, demoted)
+		if stale > 0 {
+			msg += fmt.Sprintf("; %d stale range-certain prediction(s) re-derived from heuristics", stale)
+		}
+		d.diags[fi] = append(d.diags[fi], Diagnostic{
+			Kind: DiagNonConvergence,
+			Func: fr.Fn.Name,
+			SCC:  d.cg.SCCID[fi],
+			Pass: d.pass,
+			Msg:  msg,
+		})
 	}
 }
 
@@ -640,36 +658,113 @@ func (d *driver) demoteUnconverged(passes int) {
 // fallback: certainty derived from ranges that never reached a fixpoint
 // is not evidence that a branch side is dead. Softer range predictions
 // are kept — they degrade gracefully — but certainty is all-or-nothing.
-// When any prediction changes, the function's edge frequencies are
-// re-solved from the patched probabilities so downstream consumers stay
-// consistent with what is now claimed. Returns the number of patched
-// predictions (also recorded per function for the quality snapshot).
-func (d *driver) redoStalePredictions(fi int, fr *FuncResult) int {
+// When any prediction changes, the function's edge frequencies become
+// the ones re-solved from the patched probabilities, so downstream
+// consumers stay consistent with what is now claimed. Both come from the
+// function's settled part. Returns the number of patched predictions
+// (also recorded per function for the quality snapshot).
+func (d *driver) redoStalePredictions(fi int, fr *FuncResult, st *settled) int {
+	if len(st.stale) == 0 {
+		return 0
+	}
 	f := fr.Fn
-	stale := 0
+	for _, sb := range st.stale {
+		t := f.Blocks[sb.block].Terminator()
+		fr.BranchProb[t] = sb.prob
+		fr.BranchSource[t] = ByHeuristic
+	}
+	copy(fr.EdgeFreq, st.staleEdge)
+	d.staleCertainFn[fi] = len(st.stale)
+	return len(st.stale)
+}
+
+// settledFor returns fi's settled part, computed at most once per run
+// and, with a store, at most once per record: a record's published part
+// is reused unless this run needs evidence tallies it lacks. It must be
+// first called before demoteUnconverged rewrites fi's result.
+func (d *driver) settledFor(fi int) *settled {
+	if st := d.settled[fi]; st != nil {
+		return st
+	}
+	withEv := d.cfg.Telemetry != nil && d.cfg.Evidence != nil
+	rec := d.records[fi]
+	var old *settled
+	if rec != nil {
+		old = rec.settled.Load()
+		if old != nil && (old.withEvidence || !withEv) {
+			d.settled[fi] = old
+			return old
+		}
+	}
+	st := d.settle(fi, withEv)
+	if rec != nil {
+		// A concurrent run may have published first; its part is
+		// bit-identical, so losing the race costs nothing.
+		rec.settled.CompareAndSwap(old, st)
+	}
+	d.settled[fi] = st
+	return st
+}
+
+// settle computes fi's settled part from its final, not yet demoted,
+// result: the Fallback probability of each range-certain branch and the
+// edge frequencies re-solved with them (only when the values hold ⊤, the
+// demotion's trigger), and, when withEv is set, the Evidence tallies of
+// the heuristic and the stale branches. The re-solve reuses the
+// function's factored solver when this run's engine built one.
+func (d *driver) settle(fi int, withEv bool) *settled {
+	fr := d.results[fi]
+	f := fr.Fn
+	st := &settled{withEvidence: withEv}
+	hasTop := false
+	for _, v := range fr.Val {
+		if v.IsTop() {
+			hasTop = true
+			break
+		}
+	}
 	for _, b := range f.Blocks {
 		t := b.Terminator()
 		if t == nil || t.Op != ir.OpBr {
 			continue
 		}
 		p, ok := fr.BranchProb[t]
-		if !ok || fr.BranchSource[t] != ByRange || (p != 0 && p != 1) {
+		if !ok {
 			continue
 		}
-		np := 0.5
-		if d.cfg.Fallback != nil {
-			np = d.cfg.Fallback(f, t)
+		switch src := fr.BranchSource[t]; {
+		case src == ByHeuristic:
+			if withEv {
+				st.heurEv.add(d.cfg.Evidence(f, t))
+			}
+		case src == ByRange && (p == 0 || p == 1) && hasTop:
+			np := 0.5
+			if d.cfg.Fallback != nil {
+				np = d.cfg.Fallback(f, t)
+			}
+			st.stale = append(st.stale, staleBranch{block: int32(b.ID), prob: np})
+			if withEv {
+				st.staleEv.add(d.cfg.Evidence(f, t))
+			}
 		}
-		fr.BranchProb[t] = np
-		fr.BranchSource[t] = ByHeuristic
-		stale++
 	}
-	if stale == 0 {
-		return 0
+	if len(st.stale) > 0 {
+		var sv *freq.Solver
+		if sc := d.scratch[fi]; sc != nil {
+			sv = sc.solver
+		}
+		sol := solveFreqs(f, sv, func(br *ir.Instr) (float64, bool) {
+			for _, sb := range st.stale {
+				if int(sb.block) == br.Block.ID {
+					return sb.prob, true
+				}
+			}
+			p, ok := fr.BranchProb[br]
+			return p, ok
+		})
+		st.staleEdge = append([]float64(nil), sol.Edge...)
 	}
-	fr.EdgeFreq = solveFreqs(f, fr.BranchProb).Edge
-	d.staleCertainFn[fi] = stale
-	return stale
+	return st
 }
 
 // runWave analyzes every SCC of one wave, concurrently when the pool and
@@ -877,6 +972,7 @@ func (d *driver) runSCC(scc int, it *vrange.Interner, waveSpan telemetry.SpanID,
 				if fr, bf, ok := d.spliceStored(fi, sf); ok {
 					d.results[fi] = fr
 					d.fromEngine[fi] = false
+					d.records[fi] = sf
 					d.update(fi, fr.Val, bf, calc)
 					d.prevIn[fi] = in.vec
 					d.prevFP[fi] = in.hash
@@ -948,12 +1044,15 @@ func (d *driver) runSCC(scc int, it *vrange.Interner, waveSpan telemetry.SpanID,
 		if sKey != nil {
 			// The record carries the engine's share of the calculator's
 			// work; a splice re-executes the input snapshot and the update
-			// live and counts their share itself.
+			// live and counts their share itself. If this run's result is
+			// the final one, settledFor attaches its settled part to the
+			// record.
 			eff := eng.stats
 			eff.SubOps = calc.SubOps - subOps0
 			eff.Widens += calc.Widens - widens0
-			d.cfg.FuncStore.Store(sKey.Detach(),
-				encodeStored(d.cg.Funcs[fi], d.results[fi], eng.blkFreq, eff))
+			rec := encodeStored(d.cg.Funcs[fi], d.results[fi], eng.blkFreq, eff)
+			d.cfg.FuncStore.Store(sKey.Detach(), rec)
+			d.records[fi] = rec
 		}
 		d.update(fi, eng.val, eng.blockFreq, eng.calc)
 		d.prevIn[fi] = in.vec
@@ -1024,6 +1123,7 @@ func (d *driver) degradeFunc(fi int, calc *vrange.Calc, diag Diagnostic) {
 	fr, blkFreq := degradedResult(f, d.cfg)
 	d.results[fi] = fr
 	d.fromEngine[fi] = false
+	d.records[fi] = nil
 	d.poisoned[fi] = true
 	d.prevIn[fi] = nil
 	bf := func(b *ir.Block) float64 {

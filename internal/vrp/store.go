@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"sync/atomic"
 
 	"vrp/internal/ir"
 	"vrp/internal/vrange"
@@ -44,9 +45,12 @@ import (
 // for concurrent use and must confirm the full key (FuncKey.SameKey)
 // before reporting a hit — fingerprint equality alone is not a hit.
 // Entries must only be shared between runs with an identical Config
-// (ConfigFP guards the comparable fields; the Fallback function cannot
-// be fingerprinted, so callers with custom fallbacks must not share a
-// store across them).
+// (ConfigFP guards the comparable fields; the Fallback and Evidence
+// functions cannot be fingerprinted, so callers with custom fallbacks or
+// evidence hooks must not share a store across them). A record's settled
+// part caches Fallback and Evidence answers, so both hooks must also be
+// functions of the function body alone, as the engine's use of Fallback
+// already requires.
 type FuncStore interface {
 	// Lookup returns the stored result for key, or false. Implementations
 	// must not retain key.
@@ -115,6 +119,16 @@ type StoredBranch struct {
 // needs to splice the function into a later analysis without re-running
 // the engine, plus the run's effort record so warm Stats and telemetry
 // replay bit-identical to a cold run.
+//
+// A record also carries a settled part: the post-fixpoint work the driver
+// does on the function's final result (the stale-prediction re-derivation
+// of a non-converged run and the heuristic evidence of the quality
+// digest). It is a pure function of the record and the Config's Fallback
+// and Evidence hooks, so it is computed at most once per record, by the
+// first run that needs it, and published for later runs to splice. The
+// FuncStore contract on Fallback and Evidence covers it. A store that
+// hands out copies of its records never caches it, which costs only
+// speed.
 type StoredFunc struct {
 	Vals     []vrange.Value // per register, detached
 	EdgeFreq []float64      // per Edge.ID
@@ -128,6 +142,76 @@ type StoredFunc struct {
 	// interprocedural update are re-executed live on splice and account
 	// for their own. Table-warmth traffic is never stored.
 	Effort Effort
+
+	settled atomic.Pointer[settled]
+}
+
+// settled is the post-fixpoint part of one function's result. It is
+// immutable once built; records share it across concurrent runs.
+type settled struct {
+	// stale lists the range-certain (Source ByRange, P ∈ {0, 1}) branches
+	// with the Fallback probability that replaces each when a
+	// non-converged run demotes the function, and staleEdge holds the
+	// edge frequencies re-solved with those patched in (clamped to
+	// maxFreq). Both are nil when the values hold no ⊤: such a function
+	// is never demoted.
+	stale     []staleBranch
+	staleEdge []float64
+
+	// heurEv and staleEv count the Evidence labels of the branches that
+	// are heuristic and of the stale branches, as the quality digest
+	// tallies them. They are filled only when withEvidence is set.
+	heurEv, staleEv evidenceCounts
+	withEvidence    bool
+}
+
+// staleBranch is one range-certain branch, addressed by its block's ID
+// (a conditional branch is always its block's terminator), with its
+// Fallback probability.
+type staleBranch struct {
+	block int32
+	prob  float64
+}
+
+// evidenceCounts tallies quality-digest evidence keys in first-seen
+// order: heuristic names, plus "uniform" for a branch with no evidence
+// and "dempster-shafer" for one combining two or more.
+type evidenceCounts []evidenceCount
+
+type evidenceCount struct {
+	key string
+	n   int64
+}
+
+// add tallies one heuristic branch's evidence.
+func (c *evidenceCounts) add(evs []EvidenceItem) {
+	if len(evs) == 0 {
+		c.bump("uniform")
+		return
+	}
+	for _, ev := range evs {
+		c.bump(ev.Name)
+	}
+	if len(evs) >= 2 {
+		c.bump("dempster-shafer")
+	}
+}
+
+func (c *evidenceCounts) bump(key string) {
+	for i := range *c {
+		if (*c)[i].key == key {
+			(*c)[i].n++
+			return
+		}
+	}
+	*c = append(*c, evidenceCount{key: key, n: 1})
+}
+
+// addTo adds the tallies into a quality digest's evidence map.
+func (c evidenceCounts) addTo(m map[string]int64) {
+	for _, e := range c {
+		m[e.key] += e.n
+	}
 }
 
 // EncodeFuncBody renders f's analysis-relevant structure into canonical

@@ -37,9 +37,10 @@ type EvidenceItem struct {
 
 // EvidenceFunc explains a fallback prediction for the quality telemetry:
 // the individual heuristics (by name) that fired on a branch. It is
-// consulted only while the driver builds the quality snapshot — never on
-// the engine hot path — and only for branches whose probability came from
-// Config.Fallback.
+// consulted only after the fixpoint, when telemetry is on — never on the
+// engine hot path — and only for branches whose probability comes from
+// Config.Fallback, before or after a non-convergence demotion. A
+// FuncStore record caches the answers for its function (see StoredFunc).
 type EvidenceFunc func(f *ir.Func, br *ir.Instr) []EvidenceItem
 
 // Config controls an analysis run. The zero value is not useful; start
