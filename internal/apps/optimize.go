@@ -102,11 +102,7 @@ func optimizeFunc(f *ir.Func, fr *corevrp.FuncResult, rep *OptimizeReport) {
 		if t == nil || t.Op != ir.OpBr {
 			continue
 		}
-		p, ok := fr.BranchProb[t]
-		if !ok {
-			continue
-		}
-		src := fr.BranchSource[t]
+		p, src := fr.Branch(t)
 		if src != corevrp.ByRange {
 			continue // only range-proven certainties are safe to fold
 		}

@@ -15,9 +15,10 @@ import (
 )
 
 // editAllocMax bounds BenchmarkEditRequest's alloc-B/instr, which reads
-// about 605 on linux/amd64. Before spliced functions took their settled
-// post-fixpoint work from the store records, and before Ball–Larus built
-// its structures on demand, it read about 730.
+// about 562 on linux/amd64, and about 605 while splices rebuilt each
+// result from the store record. Before spliced functions took their
+// settled post-fixpoint work from the store records, and before
+// Ball–Larus built its structures on demand, it read about 730.
 const editAllocMax = 665
 
 // BenchmarkEditRequest measures vrpd's incremental path: a server warmed

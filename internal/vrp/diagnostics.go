@@ -121,31 +121,29 @@ func degradedResult(f *ir.Func, cfg Config) (*FuncResult, []float64) {
 	for i := range vals {
 		vals[i] = vrange.BottomValue()
 	}
-	bp := make(map[*ir.Instr]float64)
-	bs := make(map[*ir.Instr]PredictionSource)
+	prob := make([]float64, len(f.Blocks))
+	src := make([]PredictionSource, len(f.Blocks))
 	for _, b := range f.Blocks {
 		t := b.Terminator()
 		if t == nil || t.Op != ir.OpBr {
 			continue
 		}
-		p := 0.5
+		prob[b.ID], src[b.ID] = 0.5, ByHeuristic
 		if cfg.Fallback != nil {
-			p = cfg.Fallback(f, t)
+			prob[b.ID] = cfg.Fallback(f, t)
 		}
-		bp[t] = p
-		bs[t] = ByHeuristic
 	}
 	sol := solveFreqs(f, nil, func(br *ir.Instr) (float64, bool) {
-		p, ok := bp[br]
-		return p, ok
+		return prob[br.Block.ID], true
 	})
 	return &FuncResult{
-		Fn:           f,
-		Val:          vals,
-		EdgeFreq:     sol.Edge,
-		BranchProb:   bp,
-		BranchSource: bs,
-		Degraded:     true,
+		Fn:       f,
+		Val:      vals,
+		EdgeFreq: sol.Edge,
+		Prob:     prob,
+		Source:   src,
+		Derived:  make([]bool, f.NumInstrs()),
+		Degraded: true,
 	}, sol.Block
 }
 

@@ -118,9 +118,10 @@ type driver struct {
 	ctx        context.Context
 
 	results []*FuncResult // function index → latest FuncResult
-	// fromEngine marks the results whose latest producer was an engine
-	// run: their values alias the worker tables' arenas until
-	// ownResults copies them out.
+	// fromEngine marks the results an engine run produced and no record
+	// shares: their values alias the worker tables' arenas until
+	// ownResults copies them out, and the function's next engine run
+	// overwrites their slices.
 	fromEngine []bool
 	prevIn     [][]vrange.Value // function index → input vector of the last engine run (nil: never ran)
 	prevFP     []uint64         // fingerprint of prevIn
@@ -186,8 +187,8 @@ type driver struct {
 
 	// Non-convergence demotion accounting (filled single-threaded by
 	// demoteUnconverged): ⊤ cells demoted to ⊥, and range-certain branch
-	// predictions invalidated by the demotion and re-derived from
-	// heuristics (per function in staleCertainFn, by function index).
+	// predictions invalidated by the demotion and replaced by heuristics
+	// (per function in staleCertainFn, by function index).
 	demotedTop     int64
 	staleCertain   int64
 	staleCertainFn []int
@@ -321,11 +322,11 @@ func (d *driver) run(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// ownResults copies the values of every engine-produced result into one
-// exact-size slab per function, so the Result owns its ranges and no
-// longer pins (or aliases) the worker tables' arenas, which releaseTables
-// may then rewind. Spliced results already hold the store's detached
-// copies, and degraded ones own their ⊥ values.
+// ownResults copies the values of every engine-produced result no record
+// shares into one exact-size slab per function, so the Result owns its
+// ranges and no longer pins (or aliases) the worker tables' arenas, which
+// releaseTables may then rewind. Spliced and stored results share their
+// record's detached values, and degraded ones own their ⊥ values.
 func (d *driver) ownResults() {
 	for fi, fr := range d.results {
 		if d.fromEngine[fi] {
@@ -336,9 +337,8 @@ func (d *driver) ownResults() {
 
 // finishTelemetry assembles the snapshot from the per-function effort
 // slots (the ones fillStats sums) and attaches it to the result, with the
-// interprocedural boundary-drop count, the interner gauges, and the three
-// histograms (range-set size, range span, per-function pass counts) that
-// need IR-level context the telemetry package does not depend on.
+// interprocedural boundary-drop count, the interner gauges, the
+// per-function pass-count histogram and the quality digest.
 // Diagnostics are not repeated here: Result.Diagnostics and the engine
 // spans' outcome labels carry them.
 func (d *driver) finishTelemetry(res *Result, maxPasses int) {
@@ -366,19 +366,6 @@ func (d *driver) finishTelemetry(res *Result, maxPasses int) {
 		snap.InternArenaBytes += it.ArenaBytes()
 		snap.InternEvictions += it.Evictions()
 	}
-
-	setSize := telemetry.NewHistogram("range-set-size", "⊤", "⊥", "∅", "1", "2", "3", "4", "5+")
-	span := telemetry.NewHistogram("range-span", "point", "≤8", "≤64", "≤512", "≤4096", ">4096", "symbolic")
-	for _, fr := range d.results {
-		if fr == nil {
-			continue
-		}
-		for _, v := range fr.Val {
-			observeValue(setSize, span, v)
-		}
-	}
-	snap.RangeSetSize = setSize
-	snap.RangeSpan = span
 
 	labels := make([]string, maxPasses+1)
 	for i := range labels {
@@ -418,14 +405,18 @@ func qualityClassBucket(c vrange.ValueClass) int {
 }
 
 // buildQuality assembles the prediction-quality digest from the final
-// results. It runs single-threaded after the fixpoint (and after the
-// non-convergence demotion), reads only final state, and takes the
-// heuristic branches' Config.Evidence tallies from each function's
-// settled part — so the digest is bit-identical for every worker count,
-// costs nothing when telemetry is off, and a spliced function's evidence
-// is not recomputed.
+// results, and fills the snapshot's range-set-size and range-span
+// histograms in the same walk of the values. It runs single-threaded
+// after the fixpoint (and after the non-convergence demotion), reads only
+// final state, and takes the heuristic branches' Config.Evidence tallies
+// from each function's settled part — so the digest is bit-identical for
+// every worker count, costs nothing when telemetry is off, and a spliced
+// function's evidence is not recomputed.
 func (d *driver) buildQuality(snap *telemetry.Snapshot) *telemetry.Quality {
 	q := telemetry.NewQuality()
+	setSize := telemetry.NewHistogram("range-set-size", "⊤", "⊥", "∅", "1", "2", "3", "4", "5+")
+	span := telemetry.NewHistogram("range-span", "point", "≤8", "≤64", "≤512", "≤4096", ">4096", "symbolic")
+	snap.RangeSetSize, snap.RangeSpan = setSize, span
 	var widthSum float64
 	var widthN int64
 	for fi, f := range d.cg.Funcs {
@@ -435,6 +426,7 @@ func (d *driver) buildQuality(snap *telemetry.Snapshot) *telemetry.Quality {
 		}
 		fq := telemetry.FuncQuality{Func: f.Name}
 		for _, v := range fr.Val {
+			observeValue(setSize, span, v)
 			c, w := vrange.Classify(v)
 			q.Classes.Add(qualityClassBucket(c))
 			fq.Cells++
@@ -466,11 +458,7 @@ func (d *driver) buildQuality(snap *telemetry.Snapshot) *telemetry.Quality {
 			if t == nil || t.Op != ir.OpBr {
 				continue
 			}
-			p, ok := fr.BranchProb[t]
-			src := fr.BranchSource[t]
-			if !ok {
-				p, src = 0.5, ByDefault
-			}
+			p, src := fr.Branch(t)
 			q.Branches++
 			fq.Branches++
 			q.Confidence.Add(telemetry.ConfidenceBucket(p))
@@ -499,7 +487,7 @@ func (d *driver) buildQuality(snap *telemetry.Snapshot) *telemetry.Quality {
 		if d.cfg.Evidence != nil {
 			// The heuristic branches' evidence, tallied once per record:
 			// those the final run left heuristic, plus the stale ones when
-			// the demotion re-derived them.
+			// the demotion replaced them.
 			st := d.settledFor(fi)
 			st.heurEv.addTo(q.Evidence)
 			if d.staleCertainFn[fi] > 0 {
@@ -530,7 +518,9 @@ func (d *driver) buildQuality(snap *telemetry.Snapshot) *telemetry.Quality {
 }
 
 // observeValue buckets one final register value into the range-set-size
-// and range-span histograms.
+// and range-span histograms. Its span bucketing differs from
+// vrange.Classify's on same-variable symbolic bounds, which both
+// histograms keep.
 func observeValue(setSize, span *telemetry.Histogram, v vrange.Value) {
 	switch {
 	case v.IsTop():
@@ -611,37 +601,39 @@ func (d *driver) collectDiags() []Diagnostic {
 // diagnostic. Branch probabilities in demoted functions DO need patching:
 // the final engine run computed them from ranges that were still moving,
 // so a range-certain P ∈ {0, 1} there is an unvalidated claim that one
-// side never runs. redoStalePredictions re-derives those from heuristic
-// evidence only and re-solves the function's edge frequencies.
+// side never runs. Such certainty is not evidence that a branch side is
+// dead, so those predictions fall back to the heuristics, and the edge
+// frequencies are re-solved from the patched probabilities so downstream
+// consumers stay consistent with what is now claimed. Softer range
+// predictions are kept — they degrade gracefully — but certainty is
+// all-or-nothing. The function's settled part holds the ⊤ cells and the
+// demoted slices, which the result takes in place of its own; its values
+// are demoted in place unless a store record shares them, in which case
+// the result takes a demoted copy.
 func (d *driver) demoteUnconverged(passes int) {
 	for fi, fr := range d.results {
 		if fr == nil {
 			continue
 		}
-		demoted := 0
-		for _, v := range fr.Val {
-			if v.IsTop() {
-				demoted++
-			}
-		}
-		if demoted == 0 {
+		st := d.settledFor(fi)
+		if len(st.tops) == 0 {
 			continue
 		}
-		// The settled part is read off the result before the demotion
-		// rewrites it.
-		st := d.settledFor(fi)
-		for j, v := range fr.Val {
-			if v.IsTop() {
-				fr.Val[j] = vrange.DemoteTop(v)
-			}
+		val := fr.Val
+		if !d.fromEngine[fi] {
+			val = append([]vrange.Value(nil), val...) // shared with a record
 		}
-		stale := d.redoStalePredictions(fi, fr, st)
-		d.demotedTop += int64(demoted)
-		d.staleCertain += int64(stale)
+		for _, j := range st.tops {
+			val[j] = vrange.DemoteTop(val[j])
+		}
+		fr.Val, fr.Prob, fr.Source, fr.EdgeFreq = val, st.prob, st.src, st.edgeFreq
+		d.demotedTop += int64(len(st.tops))
+		d.staleCertain += int64(st.stale)
+		d.staleCertainFn[fi] = st.stale
 		msg := fmt.Sprintf("fixpoint not reached after %d pass(es): %d optimistic ⊤ value(s) demoted to ⊥",
-			passes, demoted)
-		if stale > 0 {
-			msg += fmt.Sprintf("; %d stale range-certain prediction(s) re-derived from heuristics", stale)
+			passes, len(st.tops))
+		if st.stale > 0 {
+			msg += fmt.Sprintf("; %d stale range-certain prediction(s) re-derived from heuristics", st.stale)
 		}
 		d.diags[fi] = append(d.diags[fi], Diagnostic{
 			Kind: DiagNonConvergence,
@@ -653,35 +645,10 @@ func (d *driver) demoteUnconverged(passes int) {
 	}
 }
 
-// redoStalePredictions replaces every range-certain (P ∈ {0, 1},
-// Source == ByRange) prediction in a demoted function with the heuristic
-// fallback: certainty derived from ranges that never reached a fixpoint
-// is not evidence that a branch side is dead. Softer range predictions
-// are kept — they degrade gracefully — but certainty is all-or-nothing.
-// When any prediction changes, the function's edge frequencies become
-// the ones re-solved from the patched probabilities, so downstream
-// consumers stay consistent with what is now claimed. Both come from the
-// function's settled part. Returns the number of patched predictions
-// (also recorded per function for the quality snapshot).
-func (d *driver) redoStalePredictions(fi int, fr *FuncResult, st *settled) int {
-	if len(st.stale) == 0 {
-		return 0
-	}
-	f := fr.Fn
-	for _, sb := range st.stale {
-		t := f.Blocks[sb.block].Terminator()
-		fr.BranchProb[t] = sb.prob
-		fr.BranchSource[t] = ByHeuristic
-	}
-	copy(fr.EdgeFreq, st.staleEdge)
-	d.staleCertainFn[fi] = len(st.stale)
-	return len(st.stale)
-}
-
 // settledFor returns fi's settled part, computed at most once per run
 // and, with a store, at most once per record: a record's published part
 // is reused unless this run needs evidence tallies it lacks. It must be
-// first called before demoteUnconverged rewrites fi's result.
+// first called before demoteUnconverged swaps fi's slices.
 func (d *driver) settledFor(fi int) *settled {
 	if st := d.settled[fi]; st != nil {
 		return st
@@ -707,62 +674,57 @@ func (d *driver) settledFor(fi int) *settled {
 }
 
 // settle computes fi's settled part from its final, not yet demoted,
-// result: the Fallback probability of each range-certain branch and the
-// edge frequencies re-solved with them (only when the values hold ⊤, the
-// demotion's trigger), and, when withEv is set, the Evidence tallies of
+// result, without writing into it: the ⊤ cells and, when there are any
+// (the demotion's trigger), the demoted slices — the Fallback
+// probability of each range-certain branch and the edge frequencies
+// re-solved with them — and, when withEv is set, the Evidence tallies of
 // the heuristic and the stale branches. The re-solve reuses the
 // function's factored solver when this run's engine built one.
 func (d *driver) settle(fi int, withEv bool) *settled {
 	fr := d.results[fi]
 	f := fr.Fn
 	st := &settled{withEvidence: withEv}
-	hasTop := false
-	for _, v := range fr.Val {
+	for j, v := range fr.Val {
 		if v.IsTop() {
-			hasTop = true
-			break
+			st.tops = append(st.tops, int32(j))
 		}
 	}
+	st.prob, st.src = fr.Prob, fr.Source
 	for _, b := range f.Blocks {
 		t := b.Terminator()
 		if t == nil || t.Op != ir.OpBr {
 			continue
 		}
-		p, ok := fr.BranchProb[t]
-		if !ok {
-			continue
-		}
-		switch src := fr.BranchSource[t]; {
+		switch p, src := fr.Branch(t); {
 		case src == ByHeuristic:
 			if withEv {
 				st.heurEv.add(d.cfg.Evidence(f, t))
 			}
-		case src == ByRange && (p == 0 || p == 1) && hasTop:
-			np := 0.5
-			if d.cfg.Fallback != nil {
-				np = d.cfg.Fallback(f, t)
+		case src == ByRange && (p == 0 || p == 1) && len(st.tops) > 0:
+			if st.stale == 0 {
+				st.prob = append([]float64(nil), fr.Prob...)
+				st.src = append([]PredictionSource(nil), fr.Source...)
 			}
-			st.stale = append(st.stale, staleBranch{block: int32(b.ID), prob: np})
+			st.stale++
+			st.prob[b.ID], st.src[b.ID] = 0.5, ByHeuristic
+			if d.cfg.Fallback != nil {
+				st.prob[b.ID] = d.cfg.Fallback(f, t)
+			}
 			if withEv {
 				st.staleEv.add(d.cfg.Evidence(f, t))
 			}
 		}
 	}
-	if len(st.stale) > 0 {
+	st.edgeFreq = fr.EdgeFreq
+	if st.stale > 0 {
 		var sv *freq.Solver
 		if sc := d.scratch[fi]; sc != nil {
 			sv = sc.solver
 		}
 		sol := solveFreqs(f, sv, func(br *ir.Instr) (float64, bool) {
-			for _, sb := range st.stale {
-				if int(sb.block) == br.Block.ID {
-					return sb.prob, true
-				}
-			}
-			p, ok := fr.BranchProb[br]
-			return p, ok
+			return st.prob[br.Block.ID], true
 		})
-		st.staleEdge = append([]float64(nil), sol.Edge...)
+		st.edgeFreq = append([]float64(nil), sol.Edge...)
 	}
 	return st
 }
@@ -1039,22 +1001,26 @@ func (d *driver) runSCC(scc int, it *vrange.Interner, waveSpan telemetry.SpanID,
 			endSpan("degraded:step-budget")
 			continue
 		}
-		d.results[fi] = eng.result()
-		d.fromEngine[fi] = true
+		// The record carries the engine's share of the calculator's work,
+		// taken before the update: a splice re-executes the input snapshot
+		// and the update live and counts their share itself.
+		eff := eng.stats
+		eff.SubOps = calc.SubOps - subOps0
+		eff.Widens += calc.Widens - widens0
+		fr := eng.result()
+		d.update(fi, fr.Val, eng.blockFreq, eng.calc)
+		d.results[fi] = fr
+		d.fromEngine[fi] = sKey == nil
 		if sKey != nil {
-			// The record carries the engine's share of the calculator's
-			// work; a splice re-executes the input snapshot and the update
-			// live and counts their share itself. If this run's result is
-			// the final one, settledFor attaches its settled part to the
-			// record.
-			eff := eng.stats
-			eff.SubOps = calc.SubOps - subOps0
-			eff.Widens += calc.Widens - widens0
-			rec := encodeStored(d.cg.Funcs[fi], d.results[fi], eng.blkFreq, eff)
+			// The record is the result, its values detached from the
+			// table's arena. If this run's result is the final one,
+			// settledFor attaches its settled part to the record.
+			vrange.DetachAll(fr.Val)
+			rec := &StoredFunc{FuncResult: *fr, BlkFreq: append([]float64(nil), eng.blkFreq...), Effort: eff}
+			rec.Fn = nil
 			d.cfg.FuncStore.Store(sKey.Detach(), rec)
 			d.records[fi] = rec
 		}
-		d.update(fi, eng.val, eng.blockFreq, eng.calc)
 		d.prevIn[fi] = in.vec
 		d.prevFP[fi] = in.hash
 		c.runs++
@@ -1090,17 +1056,17 @@ func (d *driver) runEngine(fi int, calc *vrange.Calc, in *funcInputs) (eng *engi
 			sc = newEngineScratch(d.cg.Funcs[fi])
 			d.scratch[fi] = sc
 		}
-		// The run overwrites the superseded result's value vector, but
-		// only one an engine run allocated: vectors built by splicing
-		// (from the funcstore's records) or by degrading are never
-		// written. Only a run's final results escape, and every path that
-		// abandons this run (cancel, panic, step budget) replaces or
-		// discards the result whose vector it overwrote.
-		var val []vrange.Value
+		// The run overwrites the superseded result's slices, but only
+		// those an engine run allocated and no record shares: slices from
+		// the funcstore's records or from degrading are never written.
+		// Only a run's final results escape, and every path that abandons
+		// this run (cancel, panic, step budget) replaces or discards the
+		// result whose slices it overwrote.
+		var prev *FuncResult
 		if d.fromEngine[fi] {
-			val = d.results[fi].Val
+			prev = d.results[fi]
 		}
-		eng = newEngine(d.ctx, d.cg.Funcs[fi], d.cfg, calc, d.prog, in, sc, val)
+		eng = newEngine(d.ctx, d.cg.Funcs[fi], d.cfg, calc, d.prog, in, sc, prev)
 		eng.run()
 	}
 	if d.cfg.Telemetry != nil {
@@ -1126,17 +1092,7 @@ func (d *driver) degradeFunc(fi int, calc *vrange.Calc, diag Diagnostic) {
 	d.records[fi] = nil
 	d.poisoned[fi] = true
 	d.prevIn[fi] = nil
-	bf := func(b *ir.Block) float64 {
-		if b == f.Entry {
-			return 1
-		}
-		s := blkFreq[b.ID]
-		if s > maxFreq {
-			return maxFreq
-		}
-		return s
-	}
-	d.update(fi, fr.Val, bf, calc)
+	d.update(fi, fr.Val, blockFreqOf(f, blkFreq), calc)
 	d.diags[fi] = append(d.diags[fi], diag)
 	c := &d.counts[fi]
 	c.runs++

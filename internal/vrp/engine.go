@@ -37,25 +37,26 @@ type engine struct {
 	loops     *dom.LoopInfo
 	backEdges map[*ir.Edge]bool
 
+	// The result's dense slices, written in place (see FuncResult): prob
+	// holds NaN for a branch not yet evaluated until finalize.
 	val      []vrange.Value // per register
 	edgeFreq []float64      // per edge ID; solved by the freq package
-	blkFreq  []float64      // per block ID
-	visited  []bool         // per block ID
+	prob     []float64      // per block ID
+	src      []PredictionSource
+	derived  []bool    // per Instr.Idx
+	blkFreq  []float64 // per block ID
+	visited  []bool    // per block ID
 
 	// Per-instruction counters and marks, indexed by Instr.Idx (dense,
 	// assigned by BuildDefUse) — flat arrays instead of maps, so the
 	// membership tests and budget bumps on the propagation hot path never
 	// hash or allocate.
-	evalCount     []int // structural changes (widening budget)
-	probCount     []int // probability-only changes (churn budget)
-	brUpdates     []int // accepted branch probability updates
-	derived       []bool
+	evalCount     []int  // structural changes (widening budget)
+	probCount     []int  // probability-only changes (churn budget)
+	brUpdates     []int  // accepted branch probability updates
 	derivedStrict []bool // constraint-derived with all-nonzero increments
 	deriveFailed  []bool
 	deriveDeps    map[ir.Reg][]*ir.Instr // value → derived φs consulting it
-
-	branchP   map[*ir.Instr]float64
-	branchSrc map[*ir.Instr]PredictionSource
 
 	// Worklists are FIFO queues (head index + slice): breadth-first
 	// draining lets the frequency updates of one loop traversal coalesce
@@ -96,12 +97,11 @@ type phiOp struct {
 // analysis) and the recycled working arrays. The driver keeps one per
 // function under the same ownership discipline as the per-SCC interners —
 // a function is analyzed by exactly one task per wave and re-runs are
-// ordered by the wave barriers, so reuse is race-free. Arrays that escape
-// into the FuncResult (val, edgeFreq, branchP, branchSrc) are NOT here:
-// edgeFreq and the maps are allocated fresh per run, and val is the
-// superseded result's vector (see runEngine) or fresh. A function that
-// degrades (panic or step budget) is quarantined and never re-runs, so a
-// half-mutated scratch is never observed.
+// ordered by the wave barriers, so reuse is race-free. The slices that
+// escape into the FuncResult are NOT here: they are the superseded
+// result's (see runEngine) or fresh. A function that degrades (panic or
+// step budget) is quarantined and never re-runs, so a half-mutated
+// scratch is never observed.
 type engineScratch struct {
 	tree      *dom.Tree
 	loops     *dom.LoopInfo
@@ -113,7 +113,6 @@ type engineScratch struct {
 	evalCount     []int
 	probCount     []int
 	brUpdates     []int
-	derived       []bool
 	derivedStrict []bool
 	deriveFailed  []bool
 	deriveDeps    map[ir.Reg][]*ir.Instr
@@ -147,7 +146,6 @@ func newEngineScratch(f *ir.Func) *engineScratch {
 		evalCount:     make([]int, n),
 		probCount:     make([]int, n),
 		brUpdates:     make([]int, n),
-		derived:       make([]bool, n),
 		derivedStrict: make([]bool, n),
 		deriveFailed:  make([]bool, n),
 		deriveDeps:    map[ir.Reg][]*ir.Instr{},
@@ -165,7 +163,6 @@ func (sc *engineScratch) reset() {
 	clear(sc.evalCount)
 	clear(sc.probCount)
 	clear(sc.brUpdates)
-	clear(sc.derived)
 	clear(sc.derivedStrict)
 	clear(sc.deriveFailed)
 	clear(sc.deriveDeps)
@@ -178,17 +175,29 @@ func (sc *engineScratch) reset() {
 	clear(sc.dw.onPath)
 }
 
-// newEngine prepares one run over f. val, when non-nil, is a value vector
-// of f.NumRegs entries the run may overwrite (a superseded result's);
-// otherwise the run allocates its own.
-func newEngine(ctx context.Context, f *ir.Func, cfg Config, calc *vrange.Calc, prog *ir.Program, in *funcInputs, sc *engineScratch, val []vrange.Value) *engine {
+// newEngine prepares one run over f. prev, when non-nil, is a superseded
+// result whose slices the run may overwrite; otherwise the run allocates
+// its own.
+func newEngine(ctx context.Context, f *ir.Func, cfg Config, calc *vrange.Calc, prog *ir.Program, in *funcInputs, sc *engineScratch, prev *FuncResult) *engine {
 	if sc == nil {
 		sc = newEngineScratch(f)
 	} else {
 		sc.reset()
 	}
-	if val == nil {
-		val = make([]vrange.Value, f.NumRegs)
+	var out FuncResult
+	if prev != nil {
+		out = *prev
+		clear(out.EdgeFreq)
+		clear(out.Source)
+		clear(out.Derived)
+	} else {
+		out = FuncResult{
+			Val:      make([]vrange.Value, f.NumRegs),
+			EdgeFreq: make([]float64, len(f.Edges)),
+			Prob:     make([]float64, len(f.Blocks)),
+			Source:   make([]PredictionSource, len(f.Blocks)),
+			Derived:  make([]bool, f.NumInstrs()),
+		}
 	}
 	e := &engine{
 		f:             f,
@@ -197,19 +206,19 @@ func newEngine(ctx context.Context, f *ir.Func, cfg Config, calc *vrange.Calc, p
 		irProg:        prog,
 		in:            in,
 		ctx:           ctx,
-		val:           val,
-		edgeFreq:      make([]float64, len(f.Edges)),
+		val:           out.Val,
+		edgeFreq:      out.EdgeFreq,
+		prob:          out.Prob,
+		src:           out.Source,
+		derived:       out.Derived,
 		blkFreq:       sc.blkFreq,
 		visited:       sc.visited,
 		evalCount:     sc.evalCount,
 		probCount:     sc.probCount,
 		brUpdates:     sc.brUpdates,
-		derived:       sc.derived,
 		derivedStrict: sc.derivedStrict,
 		deriveFailed:  sc.deriveFailed,
 		deriveDeps:    sc.deriveDeps,
-		branchP:       map[*ir.Instr]float64{},
-		branchSrc:     map[*ir.Instr]PredictionSource{},
 		inFlow:        sc.inFlow,
 		inSSA:         sc.inSSA,
 		flowWL:        sc.flowWL,
@@ -222,12 +231,15 @@ func newEngine(ctx context.Context, f *ir.Func, cfg Config, calc *vrange.Calc, p
 	for i := range e.val {
 		e.val[i] = vrange.TopValue()
 	}
+	for i := range e.prob {
+		e.prob[i] = math.NaN()
+	}
 	e.tree = sc.tree
 	e.loops = sc.loops
 	e.backEdges = sc.backEdges
 	e.probFn = func(br *ir.Instr) (float64, bool) {
-		p, ok := e.branchP[br]
-		return p, ok
+		p := e.prob[br.Block.ID]
+		return p, !math.IsNaN(p)
 	}
 	return e
 }
@@ -263,8 +275,8 @@ func (e *engine) blockFreq(b *ir.Block) float64 {
 // recomputeFreqs re-solves block/edge frequencies after a branch
 // probability change, scheduling every materially changed edge. The
 // solver's result buffers are copied into the engine's own arrays
-// (edgeFreq escapes into the FuncResult; the solver buffers are reused by
-// the next solve).
+// (edgeFreq is the result's; the solver buffers are reused by the next
+// solve).
 func (e *engine) recomputeFreqs() {
 	fr := e.solver.Compute(e.probFn)
 	for i, nv := range fr.Edge {
@@ -731,17 +743,17 @@ func (e *engine) updateOutEdges(b *ir.Block) {
 	if !ok {
 		return
 	}
-	old, had := e.branchP[t]
-	e.branchSrc[t] = src
-	if had && math.Abs(old-p) <= 1e-9 {
+	old := e.prob[b.ID] // NaN until the first evaluation: never close
+	e.src[b.ID] = src
+	if math.Abs(old-p) <= 1e-9 {
 		return
 	}
 	if e.brUpdates[t.Idx] > branchUpdateBudget {
-		e.branchP[t] = p // keep the freshest value, stop re-solving
+		e.prob[b.ID] = p // keep the freshest value, stop re-solving
 		return
 	}
 	e.brUpdates[t.Idx]++
-	e.branchP[t] = p
+	e.prob[b.ID] = p
 	e.recomputeFreqs()
 }
 
@@ -774,39 +786,30 @@ func (e *engine) fallback(t *ir.Instr) float64 {
 }
 
 // finalize assigns heuristic probabilities to branches that never received
-// one (unreachable code or ⊤ conditions left by interprocedural cycles).
+// one (unreachable code or ⊤ conditions left by interprocedural cycles) and
+// zeroes the unused entries of the other blocks.
 func (e *engine) finalize() {
 	for _, b := range e.f.Blocks {
-		t := b.Terminator()
-		if t == nil || t.Op != ir.OpBr {
+		if !math.IsNaN(e.prob[b.ID]) {
 			continue
 		}
-		if _, ok := e.branchP[t]; ok {
-			continue
+		if t := b.Terminator(); t != nil && t.Op == ir.OpBr {
+			e.prob[b.ID], e.src[b.ID] = e.fallback(t), ByDefault
+		} else {
+			e.prob[b.ID] = 0
 		}
-		e.branchP[t] = e.fallback(t)
-		e.branchSrc[t] = ByDefault
 	}
 }
 
 func (e *engine) result() *FuncResult {
-	derived := make(map[*ir.Instr]bool)
-	for _, b := range e.f.Blocks {
-		for _, in := range b.Instrs {
-			if in.Op == ir.OpPhi && e.derived[in.Idx] {
-				derived[in] = true
-			}
-		}
+	return &FuncResult{
+		Fn:       e.f,
+		Val:      e.val,
+		EdgeFreq: e.edgeFreq,
+		Prob:     e.prob,
+		Source:   e.src,
+		Derived:  e.derived,
 	}
-	fr := &FuncResult{
-		Fn:           e.f,
-		Val:          e.val,
-		EdgeFreq:     e.edgeFreq,
-		BranchProb:   e.branchP,
-		BranchSource: e.branchSrc,
-		Derived:      derived,
-	}
-	return fr
 }
 
 // refersTo reports whether any bound of the value references register r.

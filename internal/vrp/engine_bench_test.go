@@ -212,7 +212,7 @@ func liveHeap() int64 {
 }
 
 // warmTableAllocMax bounds BenchmarkWarmTableAlloc's alloc-B/instr,
-// which reads 555 on linux/amd64. A table pool that the collector
+// which reads 506 on linux/amd64. A table pool that the collector
 // empties rebuilds and regrows the cons table after the two GCs of every
 // iteration and reads 3196; a fresh value vector per engine run reads
 // 881.

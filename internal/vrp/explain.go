@@ -65,15 +65,11 @@ func (r *Result) ExplainBranch(f *ir.Func, br *ir.Instr) (*Explanation, error) {
 	if fr == nil {
 		return nil, fmt.Errorf("vrp: function %s has no analysis result", f.Name)
 	}
-	if br == nil || br.Op != ir.OpBr {
-		return nil, fmt.Errorf("vrp: instruction is not a conditional branch")
+	if br == nil || br.Op != ir.OpBr || br.Block.ID >= len(f.Blocks) || f.Blocks[br.Block.ID] != br.Block {
+		return nil, fmt.Errorf("vrp: instruction is not a conditional branch of %s", f.Name)
 	}
 	ex := &Explanation{Fn: f, Branch: br, Degraded: fr.Degraded}
-	if p, ok := fr.BranchProb[br]; ok {
-		ex.Prob, ex.Source = p, fr.BranchSource[br]
-	} else {
-		ex.Prob, ex.Source = 0.5, ByDefault
-	}
+	ex.Prob, ex.Source = fr.Branch(br)
 	if int(br.A) < len(fr.Val) {
 		ex.Cond = fr.Val[br.A]
 	}
@@ -142,7 +138,7 @@ func stepKind(fr *FuncResult, d *ir.Instr) string {
 	case ir.OpCall:
 		return "call"
 	case ir.OpPhi:
-		if fr.Derived[d] {
+		if fr.Derived[d.Idx] {
 			return "φ-derived"
 		}
 		return "φ-merge"

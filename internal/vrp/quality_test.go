@@ -172,14 +172,9 @@ func main() {
 			demoted[d.Func] = true
 		}
 	}
-	for _, fr := range res.Funcs {
-		if !demoted[fr.Fn.Name] {
-			continue
-		}
-		for br, p := range fr.BranchProb {
-			if fr.BranchSource[br] == ByRange && (p == 0 || p == 1) {
-				t.Errorf("%s: stale range-certain prediction survived demotion", fr.Fn.Name)
-			}
+	for _, br := range res.Branches() {
+		if demoted[br.Fn.Name] && br.Source == ByRange && (br.Prob == 0 || br.Prob == 1) {
+			t.Errorf("%s: stale range-certain prediction survived demotion", br.Fn.Name)
 		}
 	}
 }

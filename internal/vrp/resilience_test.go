@@ -283,9 +283,11 @@ func main() {
 			t.Errorf("bad r%d = %v, want ⊥", r, v)
 		}
 	}
-	for br, src := range fr.BranchSource {
-		if src != ByHeuristic {
-			t.Errorf("bad branch %v source = %v, want heuristic", br, src)
+	for _, b := range bad.Blocks {
+		if tm := b.Terminator(); tm != nil && tm.Op == ir.OpBr {
+			if _, src := fr.Branch(tm); src != ByHeuristic {
+				t.Errorf("bad branch %v source = %v, want heuristic", tm, src)
+			}
 		}
 	}
 	if res.Stats.FuncsDegraded != 1 {
@@ -319,9 +321,9 @@ func main() {
 			if tm == nil || tm.Op != ir.OpBr {
 				continue
 			}
-			cp, cok := cf.BranchProb[tm]
-			rp, rok := rf.BranchProb[tm]
-			if cok != rok || math.Float64bits(cp) != math.Float64bits(rp) {
+			cp, _ := cf.Branch(tm)
+			rp, _ := rf.Branch(tm)
+			if math.Float64bits(cp) != math.Float64bits(rp) {
 				t.Errorf("%s: branch prob %v vs clean %v", f.Name, rp, cp)
 			}
 		}

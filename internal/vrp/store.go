@@ -106,35 +106,23 @@ func (k *FuncKey) Detach() *FuncKey {
 	return &c
 }
 
-// StoredBranch is one conditional branch's prediction, addressed by the
-// instruction's ordinal in a deterministic walk of the function (blocks
-// in order, instructions in block order).
-type StoredBranch struct {
-	Ord    int32
-	Prob   float64
-	Source PredictionSource
-}
-
-// StoredFunc is one engine run's portable output: everything the driver
-// needs to splice the function into a later analysis without re-running
-// the engine, plus the run's effort record so warm Stats and telemetry
-// replay bit-identical to a cold run.
+// StoredFunc is one engine run's portable output: the run's FuncResult,
+// with Fn nil and detached values, which a later analysis splices in
+// place of re-running the engine, plus the run's effort record so warm
+// Stats and telemetry replay bit-identical to a cold run. Every result
+// spliced from a record shares its slices, so nothing writes into them.
 //
 // A record also carries a settled part: the post-fixpoint work the driver
-// does on the function's final result (the stale-prediction re-derivation
-// of a non-converged run and the heuristic evidence of the quality
-// digest). It is a pure function of the record and the Config's Fallback
-// and Evidence hooks, so it is computed at most once per record, by the
-// first run that needs it, and published for later runs to splice. The
-// FuncStore contract on Fallback and Evidence covers it. A store that
-// hands out copies of its records never caches it, which costs only
-// speed.
+// does on the function's final result (its non-convergence demotion and
+// the heuristic evidence of the quality digest). It is a pure function of
+// the record and the Config's Fallback and Evidence hooks, so it is
+// computed at most once per record, by the first run that needs it, and
+// published for later runs to splice. The FuncStore contract on Fallback
+// and Evidence covers it. A store that hands out copies of its records
+// never caches it, which costs only speed.
 type StoredFunc struct {
-	Vals     []vrange.Value // per register, detached
-	EdgeFreq []float64      // per Edge.ID
-	BlkFreq  []float64      // per Block.ID (pre-clamp; splice re-applies the maxFreq clamp)
-	Branches []StoredBranch
-	Derived  []int32 // ordinals of φs whose value came from a §3.6 derivation
+	FuncResult           // Fn nil; Val detached
+	BlkFreq    []float64 // per Block.ID (pre-clamp; splice re-applies the maxFreq clamp)
 
 	// Effort is the engine run's work, replayed into the splicing run's
 	// per-function slot. Its SubOps and Widens cover only the engine's
@@ -149,28 +137,28 @@ type StoredFunc struct {
 // settled is the post-fixpoint part of one function's result. It is
 // immutable once built; records share it across concurrent runs.
 type settled struct {
-	// stale lists the range-certain (Source ByRange, P ∈ {0, 1}) branches
-	// with the Fallback probability that replaces each when a
-	// non-converged run demotes the function, and staleEdge holds the
-	// edge frequencies re-solved with those patched in (clamped to
-	// maxFreq). Both are nil when the values hold no ⊤: such a function
-	// is never demoted.
-	stale     []staleBranch
-	staleEdge []float64
+	// tops lists the registers whose value is ⊤. When there are any, a
+	// non-converged run demotes the function: it demotes those values to
+	// ⊥ (in a per-run copy when a record shares them: a value vector is
+	// the largest slice of a record, so it is not kept demoted), and
+	// installs prob, src and edgeFreq in place of the result's slices —
+	// the probabilities with each of the stale range-certain (Source
+	// ByRange, P ∈ {0, 1}) branches replaced by its Fallback probability
+	// and marked ByHeuristic, and the edge frequencies re-solved from
+	// them (clamped to maxFreq). Without stale branches prob, src and
+	// edgeFreq are the result's own. A function without ⊤ cells is never
+	// demoted.
+	tops     []int32
+	stale    int
+	prob     []float64
+	src      []PredictionSource
+	edgeFreq []float64
 
 	// heurEv and staleEv count the Evidence labels of the branches that
 	// are heuristic and of the stale branches, as the quality digest
 	// tallies them. They are filled only when withEvidence is set.
 	heurEv, staleEv evidenceCounts
 	withEvidence    bool
-}
-
-// staleBranch is one range-certain branch, addressed by its block's ID
-// (a conditional branch is always its block's terminator), with its
-// Fallback probability.
-type staleBranch struct {
-	block int32
-	prob  float64
 }
 
 // evidenceCounts tallies quality-digest evidence keys in first-seen
@@ -350,88 +338,30 @@ func (d *driver) funcKey(fi int, in *funcInputs) *FuncKey {
 	}
 }
 
-// encodeStored builds the portable record of one successful engine run.
-// Values are detached: they alias the arena of a table that a later run
-// may rewind, and demoteUnconverged may later rewrite fr.Val in place; a
-// stored record must be immune to both.
-func encodeStored(f *ir.Func, fr *FuncResult, blkFreq []float64, eff Effort) *StoredFunc {
-	sf := &StoredFunc{
-		Vals:     append([]vrange.Value(nil), fr.Val...),
-		EdgeFreq: append([]float64(nil), fr.EdgeFreq...),
-		BlkFreq:  append([]float64(nil), blkFreq...),
-		Effort:   eff,
-	}
-	vrange.DetachAll(sf.Vals)
-	ord := int32(0)
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if p, ok := fr.BranchProb[in]; ok {
-				sf.Branches = append(sf.Branches, StoredBranch{Ord: ord, Prob: p, Source: fr.BranchSource[in]})
-			}
-			if fr.Derived[in] {
-				sf.Derived = append(sf.Derived, ord)
-			}
-			ord++
-		}
-	}
-	return sf
-}
-
-// spliceStored reconstructs a FuncResult (and the blockFreq closure
-// ip.update needs) from a stored record, against the current request's
-// own IR. Defensive length/ordinal checks turn any shape mismatch into
-// a miss — with body confirmation they cannot fire, but a store bug must
+// spliceStored returns the FuncResult of a stored record (sharing its
+// slices) and the blockFreq closure ip.update needs, against the current
+// request's own IR. A record whose slices do not fit the function is a
+// miss: with body confirmation it cannot happen, but a store bug must
 // degrade to a fresh engine run, never to corrupt output.
 func (d *driver) spliceStored(fi int, sf *StoredFunc) (*FuncResult, func(*ir.Block) float64, bool) {
 	f := d.cg.Funcs[fi]
-	if len(sf.Vals) != f.NumRegs || len(sf.EdgeFreq) != len(f.Edges) || len(sf.BlkFreq) != len(f.Blocks) {
+	nb := len(f.Blocks)
+	if len(sf.Val) != f.NumRegs || len(sf.EdgeFreq) != len(f.Edges) || len(sf.BlkFreq) != nb ||
+		len(sf.Prob) != nb || len(sf.Source) != nb || len(sf.Derived) != f.NumInstrs() {
 		return nil, nil, false
 	}
-	n := int32(f.NumInstrs())
-	for _, br := range sf.Branches {
-		if br.Ord < 0 || br.Ord >= n {
-			return nil, nil, false
-		}
-	}
-	for _, o := range sf.Derived {
-		if o < 0 || o >= n {
-			return nil, nil, false
-		}
-	}
-	fr := &FuncResult{
-		Fn:           f,
-		Val:          append([]vrange.Value(nil), sf.Vals...),
-		EdgeFreq:     append([]float64(nil), sf.EdgeFreq...),
-		BranchProb:   make(map[*ir.Instr]float64, len(sf.Branches)),
-		BranchSource: make(map[*ir.Instr]PredictionSource, len(sf.Branches)),
-		Derived:      make(map[*ir.Instr]bool, len(sf.Derived)),
-	}
-	bi, di := 0, 0
-	ord := int32(0)
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			for bi < len(sf.Branches) && sf.Branches[bi].Ord == ord {
-				fr.BranchProb[in] = sf.Branches[bi].Prob
-				fr.BranchSource[in] = sf.Branches[bi].Source
-				bi++
-			}
-			for di < len(sf.Derived) && sf.Derived[di] == ord {
-				fr.Derived[in] = true
-				di++
-			}
-			ord++
-		}
-	}
-	blk := sf.BlkFreq
-	bf := func(b *ir.Block) float64 {
+	fr := sf.FuncResult
+	fr.Fn = f
+	return &fr, blockFreqOf(f, sf.BlkFreq), true
+}
+
+// blockFreqOf is the blockFreq closure over a per-block frequency vector,
+// clamped as the engine's.
+func blockFreqOf(f *ir.Func, blk []float64) func(*ir.Block) float64 {
+	return func(b *ir.Block) float64 {
 		if b == f.Entry {
 			return 1
 		}
-		s := blk[b.ID]
-		if s > maxFreq {
-			return maxFreq
-		}
-		return s
+		return min(blk[b.ID], maxFreq)
 	}
-	return fr, bf, true
 }

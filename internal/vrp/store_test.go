@@ -2,11 +2,16 @@ package vrp
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"vrp/internal/genprog"
+	"vrp/internal/telemetry"
+	"vrp/internal/vrange"
 )
 
 // memStore is a minimal conforming FuncStore: buckets by fingerprint
@@ -312,4 +317,172 @@ func TestFuncStoreWorkerDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResult(t, "warm 8-worker vs fresh sequential", warm, fresh)
+}
+
+// recordCopy is a deep, id-free copy of one stored record's slices.
+type recordCopy struct {
+	sf       *StoredFunc
+	val      []vrange.Value
+	edgeFreq []float64
+	blkFreq  []float64
+	prob     []float64
+	src      []PredictionSource
+	derived  []bool
+}
+
+// copyingStore is a memStore that keeps a deep copy of every record it
+// is handed, to check later that no analysis wrote into the record.
+type copyingStore struct {
+	*memStore
+	copies []recordCopy
+}
+
+func (s *copyingStore) Store(key *FuncKey, sf *StoredFunc) {
+	c := recordCopy{
+		sf:       sf,
+		val:      make([]vrange.Value, len(sf.Val)),
+		edgeFreq: append([]float64(nil), sf.EdgeFreq...),
+		blkFreq:  append([]float64(nil), sf.BlkFreq...),
+		prob:     append([]float64(nil), sf.Prob...),
+		src:      append([]PredictionSource(nil), sf.Source...),
+		derived:  append([]bool(nil), sf.Derived...),
+	}
+	for i, v := range sf.Val {
+		c.val[i] = idFreeCopy(v)
+	}
+	s.memStore.Store(key, sf)
+	s.mu.Lock()
+	s.copies = append(s.copies, c)
+	s.mu.Unlock()
+}
+
+// check fails t unless every record still holds what it was stored with,
+// and returns how many records hold a ⊤ cell.
+func (c *recordCopy) check(t *testing.T) (tops int) {
+	t.Helper()
+	sf := c.sf
+	for i, v := range c.val {
+		if !v.BitEqual(sf.Val[i]) {
+			t.Fatalf("record r%d changed: %v, stored %v", i, sf.Val[i], v)
+		}
+		if v.IsTop() {
+			tops++
+		}
+	}
+	if !slices.Equal(c.edgeFreq, sf.EdgeFreq) || !slices.Equal(c.blkFreq, sf.BlkFreq) {
+		t.Fatalf("record frequencies changed: edges %v, stored %v", sf.EdgeFreq, c.edgeFreq)
+	}
+	if !slices.Equal(c.prob, sf.Prob) || !slices.Equal(c.src, sf.Source) {
+		t.Fatalf("record predictions changed: %v %v, stored %v %v", sf.Prob, sf.Source, c.prob, c.src)
+	}
+	if !slices.Equal(c.derived, sf.Derived) {
+		t.Fatal("record derivation marks changed")
+	}
+	return tops
+}
+
+func readTestdata(t *testing.T, name string) string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("..", "..", "testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestStoredRecordsNeverWritten: a record shares its slices with every
+// result spliced from it, and a non-converged run demotes functions by
+// swapping in their settled slices. After warm analyses of the
+// unconverged program, its edit and the program again, which splice and
+// demote functions, every record must still hold its ⊤ cells and its
+// original values, predictions and frequencies.
+func TestStoredRecordsNeverWritten(t *testing.T) {
+	st := &copyingStore{memStore: newMemStore()}
+	var spliced, demotedSpliced int64
+	for _, name := range []string{"unconverged.mini", "unconverged-edit.mini", "unconverged.mini"} {
+		p := compileSrc(t, name, readTestdata(t, name))
+		cfg := DefaultConfig()
+		cfg.Workers = 1
+		cfg.FuncStore = st
+		cfg.Telemetry = telemetry.New()
+		res, err := Analyze(p, withBallLarus(cfg, p, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Converged {
+			t.Fatalf("%s converged; the test needs the demotion path", name)
+		}
+		spliced += res.Stats.FuncsSpliced
+		if res.Stats.FuncsSpliced > 0 {
+			demotedSpliced += int64(len(diagsOfKind(res.Diagnostics, DiagNonConvergence)))
+		}
+	}
+	if spliced == 0 || demotedSpliced == 0 {
+		t.Fatalf("warm runs spliced %d functions and demoted %d; want both", spliced, demotedSpliced)
+	}
+	withTop := 0
+	for i := range st.copies {
+		if st.copies[i].check(t) > 0 {
+			withTop++
+		}
+	}
+	if withTop == 0 {
+		t.Fatalf("none of %d records holds a ⊤ cell; nothing was demoted from a record", len(st.copies))
+	}
+}
+
+// shortStore serves its records with the last block's prediction cut
+// off, a shape that fits no function.
+type shortStore struct{ *memStore }
+
+func (s shortStore) Lookup(key *FuncKey) (*StoredFunc, bool) {
+	sf, ok := s.memStore.Lookup(key)
+	if !ok {
+		return nil, false
+	}
+	c := &StoredFunc{FuncResult: sf.FuncResult, BlkFreq: sf.BlkFreq, Effort: sf.Effort}
+	c.Prob = c.Prob[:len(c.Prob)-1]
+	return c, true
+}
+
+// TestSpliceShapeMismatchFallsThrough: a confirmed record whose slices
+// do not fit the function is a miss. The engine runs instead, the splice
+// span says so, and the output equals a cold analysis.
+func TestSpliceShapeMismatchFallsThrough(t *testing.T) {
+	src := readTestdata(t, "unconverged.mini")
+	analyze := func(st FuncStore, tr *telemetry.Trace) *Result {
+		p := compileSrc(t, "unconverged.mini", src)
+		cfg := DefaultConfig()
+		cfg.Workers = 1
+		cfg.FuncStore = st
+		cfg.Telemetry = telemetry.New()
+		cfg.Trace = tr
+		res, err := Analyze(p, withBallLarus(cfg, p, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	cold := analyze(nil, nil)
+	st := shortStore{newMemStore()}
+	analyze(st, nil)
+	tr := telemetry.NewTrace()
+	warm := analyze(st, tr)
+	if warm.Stats.FuncsSpliced != 0 {
+		t.Errorf("spliced %d functions from misshapen records", warm.Stats.FuncsSpliced)
+	}
+	splices := 0
+	for _, sp := range tr.Spans() {
+		if sp.Cat != "splice" {
+			continue
+		}
+		splices++
+		if sp.Args["outcome"] != "fallthrough" {
+			t.Errorf("splice span %s: outcome %q, want fallthrough", sp.Name, sp.Args["outcome"])
+		}
+	}
+	if splices == 0 {
+		t.Fatal("no splice attempts; the store served nothing")
+	}
+	sameAnalysis(t, "misshapen store vs cold", warm, cold)
 }

@@ -268,7 +268,11 @@ type Branch struct {
 	Source PredictionSource
 }
 
-// FuncResult holds per-function analysis output.
+// FuncResult holds per-function analysis output. Its slices are dense:
+// the driver sizes each to the function and fills every entry. A result
+// the driver returned or stored in a FuncStore shares its slices with the
+// store's record and with every later result spliced from it, so nothing
+// writes into them afterwards.
 type FuncResult struct {
 	Fn  *ir.Func
 	Val []vrange.Value // per register
@@ -277,19 +281,28 @@ type FuncResult struct {
 	// the function (entry = 1); Edge.ID-indexed.
 	EdgeFreq []float64
 
-	// BranchProb maps each OpBr to its true-edge probability.
-	BranchProb map[*ir.Instr]float64
-	// BranchSource records how each probability was obtained.
-	BranchSource map[*ir.Instr]PredictionSource
+	// Prob is the true-edge probability of each conditional branch and
+	// Source how it was obtained, indexed by the ID of the block the
+	// branch terminates (a conditional branch is always its block's
+	// terminator). Every conditional branch has an entry; the entries of
+	// other blocks are unused. Branch reads them.
+	Prob   []float64
+	Source []PredictionSource
 
-	// Derived marks the loop-carried φs whose value came from a §3.6
-	// derivation template (rather than weighted merging) in the
-	// function's final engine run; provenance for ExplainBranch.
-	Derived map[*ir.Instr]bool
+	// Derived marks, by Instr.Idx, the loop-carried φs whose value came
+	// from a §3.6 derivation template (rather than weighted merging) in
+	// the function's final engine run; provenance for ExplainBranch.
+	Derived []bool
 
 	// Degraded marks a function whose engine panicked or ran out of step
 	// budget: Val is all ⊥ and every branch probability is heuristic.
 	Degraded bool
+}
+
+// Branch returns the prediction of br, a conditional branch of fr.Fn: the
+// probability of its true out-edge and how it was obtained.
+func (fr *FuncResult) Branch(br *ir.Instr) (float64, PredictionSource) {
+	return fr.Prob[br.Block.ID], fr.Source[br.Block.ID]
 }
 
 // Result is a whole-program analysis result.
@@ -328,11 +341,7 @@ func (r *Result) Branches() []Branch {
 			if t == nil || t.Op != ir.OpBr {
 				continue
 			}
-			p, ok := fr.BranchProb[t]
-			src := fr.BranchSource[t]
-			if !ok {
-				p, src = 0.5, ByDefault
-			}
+			p, src := fr.Branch(t)
 			out = append(out, Branch{Fn: f, Instr: t, Prob: p, Source: src})
 		}
 	}

@@ -366,8 +366,8 @@ func (a *Analysis) Frequencies() *freq.ProgramFrequencies {
 		if fr == nil {
 			return 0, false
 		}
-		p, ok := fr.BranchProb[br]
-		return p, ok
+		p, _ := fr.Branch(br)
+		return p, true
 	})
 }
 
