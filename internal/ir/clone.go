@@ -6,10 +6,11 @@ package ir
 // metadata (Defs/Uses) is rebuilt on the clone.
 func (f *Func) Clone(newName string) *Func {
 	nf := &Func{
-		Name:    newName,
-		NumRegs: f.NumRegs,
-		SSA:     f.SSA,
-		Params:  append([]Reg(nil), f.Params...),
+		Name:       newName,
+		NumRegs:    f.NumRegs,
+		SSA:        f.SSA,
+		Params:     append([]Reg(nil), f.Params...),
+		LineOffset: f.LineOffset,
 	}
 	if f.Names != nil {
 		nf.Names = make(map[Reg]string, len(f.Names))

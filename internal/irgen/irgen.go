@@ -21,9 +21,9 @@ import (
 func Build(prog *ast.Program) (*ir.Program, error) {
 	p := &ir.Program{Funcs: make([]*ir.Func, 0, len(prog.Funcs)),
 		ByName: make(map[string]*ir.Func, len(prog.Funcs)), File: prog.File}
-	g := &generator{prog: prog}
+	g := &Generator{}
 	for _, fd := range prog.Funcs {
-		f, err := g.buildFunc(fd)
+		f, err := g.Func(fd)
 		if err != nil {
 			return nil, err
 		}
@@ -43,10 +43,9 @@ type loopCtx struct {
 	continueTo *ir.Block
 }
 
-// generator lowers one function at a time; Build reuses it, with its
-// scratch buffers, across the functions of a program.
-type generator struct {
-	prog *ast.Program
+// Generator lowers one function at a time, reusing its scratch buffers
+// across the functions it lowers. The zero value is ready to use.
+type Generator struct {
 	fn   *ir.Func
 	cur  *ir.Block
 	pend []*ir.Instr // cur's instructions, until sealed
@@ -58,7 +57,9 @@ type generator struct {
 	loops  []loopCtx
 }
 
-func (g *generator) buildFunc(fd *ast.FuncDecl) (*ir.Func, error) {
+// Func lowers one function declaration of a checked program. A
+// function's IR depends only on its declaration: calls name their callee.
+func (g *Generator) Func(fd *ast.FuncDecl) (*ir.Func, error) {
 	f := &ir.Func{Name: fd.Name, NumRegs: 1}
 	g.fn = f
 	g.depth = 0
@@ -92,19 +93,19 @@ func (g *generator) buildFunc(fd *ast.FuncDecl) (*ir.Func, error) {
 
 // --------------------------------------------------------------- plumbing
 
-func (g *generator) push() {
+func (g *Generator) push() {
 	if g.depth == len(g.scopes) {
 		g.scopes = append(g.scopes, map[string]varInfo{})
 	}
 	g.depth++
 }
 
-func (g *generator) pop() {
+func (g *Generator) pop() {
 	g.depth--
 	clear(g.scopes[g.depth])
 }
 
-func (g *generator) declare(name string, vi varInfo) {
+func (g *Generator) declare(name string, vi varInfo) {
 	g.scopes[g.depth-1][name] = vi
 	if g.fn.Names == nil {
 		g.fn.Names = map[ir.Reg]string{}
@@ -112,7 +113,7 @@ func (g *generator) declare(name string, vi varInfo) {
 	g.fn.Names[vi.reg] = name
 }
 
-func (g *generator) lookup(name string) varInfo {
+func (g *Generator) lookup(name string) varInfo {
 	for i := g.depth - 1; i >= 0; i-- {
 		if vi, ok := g.scopes[i][name]; ok {
 			return vi
@@ -126,7 +127,7 @@ func (g *generator) lookup(name string) varInfo {
 // started; Renumber discards it later. The current block's instructions
 // collect in g.pend until seal, so each block's slice is allocated once,
 // at its final length.
-func (g *generator) emit(in *ir.Instr) *ir.Instr {
+func (g *Generator) emit(in *ir.Instr) *ir.Instr {
 	if g.cur == nil {
 		g.cur = g.fn.NewBlock()
 	}
@@ -136,28 +137,28 @@ func (g *generator) emit(in *ir.Instr) *ir.Instr {
 }
 
 // seal hands the current block its pending instructions.
-func (g *generator) seal() {
+func (g *Generator) seal() {
 	if g.cur != nil && len(g.pend) > 0 {
 		g.cur.Instrs = append(g.cur.Instrs, g.pend...)
 		g.pend = g.pend[:0]
 	}
 }
 
-func (g *generator) emitConst(v int64) ir.Reg {
+func (g *Generator) emitConst(v int64) ir.Reg {
 	r := g.fn.NewReg()
 	g.emit(&ir.Instr{Op: ir.OpConst, Dst: r, Const: v})
 	return r
 }
 
 // terminate ends the current block with in and leaves no current block.
-func (g *generator) terminate(in *ir.Instr) {
+func (g *Generator) terminate(in *ir.Instr) {
 	g.emit(in)
 	g.seal()
 	g.cur = nil
 }
 
 // jumpTo ends the current block with a jump to dst.
-func (g *generator) jumpTo(dst *ir.Block) {
+func (g *Generator) jumpTo(dst *ir.Block) {
 	if g.cur == nil {
 		g.cur = g.fn.NewBlock()
 	}
@@ -167,7 +168,7 @@ func (g *generator) jumpTo(dst *ir.Block) {
 }
 
 // branchTo ends the current block with a conditional branch.
-func (g *generator) branchTo(cond ir.Reg, t, f *ir.Block, pos source.Pos) {
+func (g *Generator) branchTo(cond ir.Reg, t, f *ir.Block, pos source.Pos) {
 	if g.cur == nil {
 		g.cur = g.fn.NewBlock()
 	}
@@ -177,14 +178,14 @@ func (g *generator) branchTo(cond ir.Reg, t, f *ir.Block, pos source.Pos) {
 	g.fn.AddEdge(from, f, ir.EdgeFalse)
 }
 
-func (g *generator) startBlock(b *ir.Block) {
+func (g *Generator) startBlock(b *ir.Block) {
 	g.seal()
 	g.cur = b
 }
 
 // ------------------------------------------------------------- statements
 
-func (g *generator) genBlock(b *ast.BlockStmt, funcScope bool) {
+func (g *Generator) genBlock(b *ast.BlockStmt, funcScope bool) {
 	if !funcScope {
 		g.push()
 		defer g.pop()
@@ -194,7 +195,7 @@ func (g *generator) genBlock(b *ast.BlockStmt, funcScope bool) {
 	}
 }
 
-func (g *generator) genStmt(s ast.Stmt) {
+func (g *Generator) genStmt(s ast.Stmt) {
 	switch s := s.(type) {
 	case *ast.BlockStmt:
 		g.genBlock(s, false)
@@ -234,7 +235,7 @@ func (g *generator) genStmt(s ast.Stmt) {
 	}
 }
 
-func (g *generator) genVarDecl(s *ast.VarDecl) {
+func (g *Generator) genVarDecl(s *ast.VarDecl) {
 	if s.Size != nil {
 		size := g.genExpr(s.Size)
 		r := g.fn.NewReg()
@@ -269,7 +270,7 @@ func compoundOp(k token.Kind) ir.BinOp {
 	return ir.BinInvalid
 }
 
-func (g *generator) genAssign(s *ast.AssignStmt) {
+func (g *Generator) genAssign(s *ast.AssignStmt) {
 	if s.Target != nil {
 		vi := g.lookup(s.Target.Name)
 		val := g.genExpr(s.Value)
@@ -293,7 +294,7 @@ func (g *generator) genAssign(s *ast.AssignStmt) {
 	g.emit(&ir.Instr{Op: ir.OpStore, Arr: vi.reg, A: idx, B: val, Pos: s.Pos()})
 }
 
-func (g *generator) genIncDec(s *ast.IncDecStmt) {
+func (g *Generator) genIncDec(s *ast.IncDecStmt) {
 	op := ir.BinAdd
 	if s.Op == token.Dec {
 		op = ir.BinSub
@@ -313,7 +314,7 @@ func (g *generator) genIncDec(s *ast.IncDecStmt) {
 	g.emit(&ir.Instr{Op: ir.OpStore, Arr: vi.reg, A: idx, B: nv, Pos: s.Pos()})
 }
 
-func (g *generator) genIf(s *ast.IfStmt) {
+func (g *Generator) genIf(s *ast.IfStmt) {
 	thenB := g.fn.NewBlock()
 	exitB := g.fn.NewBlock()
 	elseB := exitB
@@ -334,7 +335,7 @@ func (g *generator) genIf(s *ast.IfStmt) {
 	g.startBlock(exitB)
 }
 
-func (g *generator) genWhile(s *ast.WhileStmt) {
+func (g *Generator) genWhile(s *ast.WhileStmt) {
 	header := g.fn.NewBlock()
 	body := g.fn.NewBlock()
 	exit := g.fn.NewBlock()
@@ -352,7 +353,7 @@ func (g *generator) genWhile(s *ast.WhileStmt) {
 	g.startBlock(exit)
 }
 
-func (g *generator) genFor(s *ast.ForStmt) {
+func (g *Generator) genFor(s *ast.ForStmt) {
 	g.push()
 	defer g.pop()
 	if s.Init != nil {
@@ -395,7 +396,7 @@ func (g *generator) genFor(s *ast.ForStmt) {
 // expression is non-zero and to f otherwise. Short-circuit operators become
 // nested branches so every conditional branch in the IR tests exactly one
 // comparison or value, as the paper's representation assumes.
-func (g *generator) genCond(e ast.Expr, t, f *ir.Block) {
+func (g *Generator) genCond(e ast.Expr, t, f *ir.Block) {
 	switch e := e.(type) {
 	case *ast.BinaryExpr:
 		switch e.Op {
@@ -457,7 +458,7 @@ func binOpFor(k token.Kind) ir.BinOp {
 	return ir.BinInvalid
 }
 
-func (g *generator) genExpr(e ast.Expr) ir.Reg {
+func (g *Generator) genExpr(e ast.Expr) ir.Reg {
 	switch e := e.(type) {
 	case *ast.IntLit:
 		return g.emitConst(e.Value)
@@ -516,7 +517,7 @@ func (g *generator) genExpr(e ast.Expr) ir.Reg {
 
 // genShortCircuitValue materialises `a && b` / `a || b` used as a value:
 // a mutable temp is written in both arms and joined.
-func (g *generator) genShortCircuitValue(e *ast.BinaryExpr) ir.Reg {
+func (g *Generator) genShortCircuitValue(e *ast.BinaryExpr) ir.Reg {
 	res := g.fn.NewReg()
 	t := g.fn.NewBlock()
 	f := g.fn.NewBlock()

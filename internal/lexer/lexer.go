@@ -22,6 +22,56 @@ func New(file *source.File, errs *source.ErrorList) *Lexer {
 	return &Lexer{file: file, errs: errs, src: file.Src}
 }
 
+// Unit is one top-level function declaration of a file.
+type Unit struct {
+	Start, End int    // byte offsets of its 'func' keyword and just past its closing '}'
+	Name       string // the declared name
+	Arity      int    // the number of parameters
+}
+
+// Units splits file into its top-level function declarations by their
+// tokens: each is 'func' IDENT '(' { IDENT ',' } [ IDENT ] ')' and a
+// brace-balanced block, and nothing lies between them but space and
+// comments. ok is false for anything else, a lexical error included;
+// only a whole-file parse can report what is wrong then.
+func Units(file *source.File) (units []Unit, ok bool) {
+	var errs source.ErrorList
+	l := New(file, &errs)
+	for t := l.Next(); t.Kind != token.EOF; t = l.Next() {
+		if t.Kind != token.KwFunc {
+			return nil, false
+		}
+		u := Unit{Start: t.Offset}
+		name := l.Next()
+		if name.Kind != token.Ident || l.Next().Kind != token.LParen {
+			return nil, false
+		}
+		u.Name = name.Lit
+		for t = l.Next(); t.Kind == token.Ident; t = l.Next() { // as the parser: a trailing comma is allowed
+			u.Arity++
+			if t = l.Next(); t.Kind != token.Comma {
+				break
+			}
+		}
+		if t.Kind != token.RParen || l.Next().Kind != token.LBrace {
+			return nil, false
+		}
+		for depth := 1; depth > 0; {
+			switch l.Next().Kind {
+			case token.LBrace:
+				depth++
+			case token.RBrace:
+				depth--
+			case token.EOF:
+				return nil, false
+			}
+		}
+		u.End = l.offset
+		units = append(units, u)
+	}
+	return units, errs.Len() == 0
+}
+
 func (l *Lexer) errorf(offset int, format string, args ...any) {
 	l.errs.Add(l.file.Name, l.file.PosFor(offset), format, args...)
 }

@@ -172,3 +172,43 @@ func TestLexerTotal(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestUnits: Units splits a file into its function declarations, with
+// each one's span, name and arity, and refuses anything else.
+func TestUnits(t *testing.T) {
+	src := "func f(a, b) { if (a) { b = 1; } }\n/* c */ func main() { f(1, 2); }  func g(x,) {}"
+	units, ok := Units(source.NewFile("t.mini", src))
+	if !ok || len(units) != 3 {
+		t.Fatalf("Units = %v, %v; want three units", units, ok)
+	}
+	for i, want := range []struct {
+		text, name string
+		arity      int
+	}{
+		{"func f(a, b) { if (a) { b = 1; } }", "f", 2},
+		{"func main() { f(1, 2); }", "main", 0},
+		{"func g(x,) {}", "g", 1},
+	} {
+		u := units[i]
+		if got := src[u.Start:u.End]; got != want.text || u.Name != want.name || u.Arity != want.arity {
+			t.Errorf("unit %d = %q %s/%d, want %q %s/%d", i, got, u.Name, u.Arity, want.text, want.name, want.arity)
+		}
+	}
+	for _, bad := range []string{
+		"func main() { } }",           // a stray brace between units
+		"func main() { { }",           // a block left open at the end
+		"var x; func main() { }",      // a statement outside any function
+		"func main { }",               // no parameter list
+		"func main(a b) { }",          // parameters without a comma
+		"func main() { x = 1 @ 2; }",  // a lexical error inside a unit
+		"func main() { } /* open",     // a lexical error between units
+		"func main() ; { }",           // a token between header and body
+		"func (a) { }",                // no name
+		"func main(a, , b) { }",       // an empty parameter
+		"func main() { }\nfunc f() {", // a function cut off
+	} {
+		if units, ok := Units(source.NewFile("t.mini", bad)); ok {
+			t.Errorf("Units(%q) = %v, want not ok", bad, units)
+		}
+	}
+}

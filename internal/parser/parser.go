@@ -41,6 +41,21 @@ func Parse(name, src string) (*ast.Program, error) {
 	return prog, errs.Err()
 }
 
+// ParseFunc parses file as one function declaration, such as the text of
+// a lexer.Unit. Anything after the declaration is an error.
+func ParseFunc(file *source.File) (*ast.FuncDecl, error) {
+	var errs source.ErrorList
+	p := &parser{file: file, errs: &errs, lex: lexer.New(file, &errs)}
+	p.tok = p.lex.Next()
+	p.ahead = p.lex.Next()
+	d := p.parseFuncDecl()
+	if p.kind() != token.EOF {
+		p.errorf("unexpected %s after function %s", p.describe(), d.Name)
+	}
+	errs.Sort()
+	return d, errs.Err()
+}
+
 // parser pulls tokens from the lexer as it goes, with one token of
 // lookahead beyond the current one, so it never holds the file's token
 // slice.

@@ -36,7 +36,7 @@ func (s *scope) lookup(name string) (VarKind, bool) {
 type checker struct {
 	file  *source.File
 	errs  *source.ErrorList
-	funcs map[string]*ast.FuncDecl
+	arity map[string]int // each function's parameter count
 	scope *scope
 	free  *scope // popped scopes, linked by parent, for push to reuse
 	loops int
@@ -45,20 +45,33 @@ type checker struct {
 // Check validates prog and returns an error list if any problems exist.
 func Check(prog *ast.Program) error {
 	var errs source.ErrorList
-	c := &checker{file: prog.File, errs: &errs, funcs: map[string]*ast.FuncDecl{}}
+	c := &checker{file: prog.File, errs: &errs, arity: make(map[string]int, len(prog.Funcs))}
+	funcs := Funcs(prog)
 	for _, f := range prog.Funcs {
-		if prev, ok := c.funcs[f.Name]; ok {
+		if prev := funcs[f.Name]; prev != f {
 			c.errorf(f.Pos(), "function %q redeclared (previous declaration at %s)", f.Name, prev.Pos())
 			continue
 		}
-		c.funcs[f.Name] = f
+		c.arity[f.Name] = len(f.Params)
 	}
-	if _, ok := c.funcs["main"]; !ok {
+	if _, ok := funcs["main"]; !ok {
 		c.errorf(source.Pos{Line: 1, Col: 1}, "program has no 'main' function")
 	}
 	for _, f := range prog.Funcs {
 		c.checkFunc(f)
 	}
+	errs.Sort()
+	return errs.Err()
+}
+
+// CheckFunc checks one function of file as Check checks each function
+// of a program, against the program's signature table arity (each
+// function's name and parameter count). The program-level checks,
+// redeclaration and a missing main, are the caller's.
+func CheckFunc(file *source.File, f *ast.FuncDecl, arity map[string]int) error {
+	var errs source.ErrorList
+	c := &checker{file: file, errs: &errs, arity: arity}
+	c.checkFunc(f)
 	errs.Sort()
 	return errs.Err()
 }
@@ -225,11 +238,11 @@ func (c *checker) checkExpr(e ast.Expr) {
 		}
 		c.checkExpr(e.Index)
 	case *ast.CallExpr:
-		f, ok := c.funcs[e.Name]
+		n, ok := c.arity[e.Name]
 		if !ok {
 			c.errorf(e.Pos(), "call to undefined function %q", e.Name)
-		} else if len(f.Params) != len(e.Args) {
-			c.errorf(e.Pos(), "function %q takes %d argument(s), got %d", e.Name, len(f.Params), len(e.Args))
+		} else if n != len(e.Args) {
+			c.errorf(e.Pos(), "function %q takes %d argument(s), got %d", e.Name, n, len(e.Args))
 		}
 		for _, a := range e.Args {
 			c.checkExpr(a)

@@ -15,19 +15,24 @@ import (
 )
 
 // editAllocMax bounds BenchmarkEditRequest's alloc-B/instr, which reads
-// about 562 on linux/amd64, and about 605 while splices rebuilt each
-// result from the store record. Before spliced functions took their
-// settled post-fixpoint work from the store records, and before
-// Ball–Larus built its structures on demand, it read about 730.
-const editAllocMax = 665
+// about 215 on linux/amd64 now that the server's compile cache compiles
+// only the functions an edit changes (two per edit here: the edited
+// kernel, and the one the previous edit changed, which this edit
+// reverts). While every edit recompiled its whole program it read about
+// 562, and about 605 while splices rebuilt each result from the store
+// record; before spliced functions took their settled post-fixpoint work
+// from the store records, and before Ball–Larus built its structures on
+// demand, about 730.
+const editAllocMax = 260
 
 // BenchmarkEditRequest measures vrpd's incremental path: a server warmed
 // with the genprog default program (which stops unconverged, so every
 // request runs the non-convergence demotion) receives one fresh
 // single-kernel edit per iteration through its handler. Each edit misses
-// the response cache and splices all but its dirty cone from the
-// per-function store. It reports the wall-clock time and bytes allocated
-// per IR instruction of the program, and fails above editAllocMax.
+// the response cache, compiles the functions it changed and splices all
+// but its dirty cone from the per-function store. It reports the
+// wall-clock time and bytes allocated per IR instruction of the program,
+// and fails above editAllocMax.
 func BenchmarkEditRequest(b *testing.B) {
 	cfg := genprog.Default()
 	base := genprog.Source(cfg)

@@ -49,7 +49,11 @@
 //     successful engine run keyed by body × interprocedural-input ×
 //     config fingerprints with full-key confirmation, so a request that
 //     edits one function of a previously seen program re-analyzes only
-//     the dirty cone — bit-identical to a cold analysis.
+//     the dirty cone — bit-identical to a cold analysis. Alongside it a
+//     per-function compile cache (internal/unitcache) keeps every
+//     compiled function, so such a request compiles only the function
+//     it changed; a source that does not compile is compiled whole, so
+//     error bodies are a cold server's.
 //   - Every analysis assembles its telemetry snapshot, whose totals are
 //     folded into the /metrics registry, so a scrape shows lattice-level
 //     health (steps, φ-merges, widens, intern and memo hit rates,
@@ -77,6 +81,7 @@ import (
 
 	"vrp"
 	"vrp/internal/telemetry"
+	"vrp/internal/unitcache"
 	"vrp/internal/vrange"
 )
 
@@ -97,7 +102,9 @@ type Config struct {
 	CacheEntries int
 
 	// FuncStoreEntries bounds the cross-request per-function result
-	// store; negative disables it, 0 means DefaultFuncStoreEntries.
+	// store; negative disables it, 0 means DefaultFuncStoreEntries. The
+	// server has a per-function compile cache exactly when it has the
+	// store.
 	FuncStoreEntries int
 
 	// AnalyzeTimeout cancels one analysis after this long (the request
@@ -140,6 +147,7 @@ type Server struct {
 	m        *serverMetrics
 	cache    *resultCache
 	fstore   *funcStore
+	units    *unitcache.Cache // per-function compile cache; nil exactly when fstore is
 	recorder *flightRecorder
 	sem      chan struct{}
 
@@ -198,6 +206,7 @@ func New(cfg Config) *Server {
 		idPrefix: strconv.FormatInt(start.UnixNano()&0xfffffff, 36),
 	}
 	if s.fstore != nil {
+		s.units = unitcache.New()
 		m.reg.GaugeFunc("vrpd_funcstore_entries", "Fingerprint buckets resident in the per-function result store.",
 			func() float64 { return float64(s.fstore.len()) })
 	}
@@ -669,13 +678,25 @@ func (s *Server) prepare(src []byte, cacheable bool, tr *telemetry.Trace, root, 
 	} else {
 		s.m.cacheBypass.Inc()
 	}
-	prog, err := vrp.CompileWith("request.mini", string(src), vrp.CompileOptions{Trace: tr, TraceParent: root})
+	prog, err := s.compile(string(src), tr, root)
 	if err != nil {
 		j.fail(http.StatusUnprocessableEntity, "compile_error", "compile", err.Error())
 		return j
 	}
 	j.prog = prog
 	return j
+}
+
+// compile compiles src through the compile cache when the server has
+// one, and whole otherwise or when the cache cannot compile it, so a
+// compile error reads the same on every server.
+func (s *Server) compile(src string, tr *telemetry.Trace, root telemetry.SpanID) (*vrp.Program, error) {
+	if s.units != nil {
+		if p := s.units.Compile("request.mini", src, false, tr, root); p != nil {
+			return &vrp.Program{IR: p}, nil
+		}
+	}
+	return vrp.CompileWith("request.mini", src, vrp.CompileOptions{Trace: tr, TraceParent: root})
 }
 
 // finish is the back half: it runs VRP on a compiled job, threading the

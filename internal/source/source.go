@@ -40,6 +40,7 @@ type File struct {
 	Src  string
 
 	lineStarts []int // byte offset of each line start
+	col0       int   // columns before Src's first byte on its first line
 }
 
 // NewFile records the line structure of src for position translation.
@@ -53,6 +54,15 @@ func NewFile(name, src string) *File {
 	return f
 }
 
+// NewFileAt is NewFile for a text that starts at column col of its first
+// line, such as one function of a larger file: positions on that line
+// count from col.
+func NewFileAt(name, src string, col int) *File {
+	f := NewFile(name, src)
+	f.col0 = col - 1
+	return f
+}
+
 // PosFor returns the line/column position of the byte offset.
 func (f *File) PosFor(offset int) Pos {
 	if offset < 0 {
@@ -63,7 +73,11 @@ func (f *File) PosFor(offset int) Pos {
 	}
 	// Find the last line start <= offset.
 	i := sort.Search(len(f.lineStarts), func(i int) bool { return f.lineStarts[i] > offset }) - 1
-	return Pos{Line: i + 1, Col: offset - f.lineStarts[i] + 1}
+	p := Pos{Line: i + 1, Col: offset - f.lineStarts[i] + 1}
+	if i == 0 {
+		p.Col += f.col0
+	}
+	return p
 }
 
 // Line returns the text of the 1-based line number, without the newline.

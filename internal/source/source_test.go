@@ -130,3 +130,15 @@ func TestPosForConsistency(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestNewFileAt: a file that starts at a column counts that column on
+// its first line only.
+func TestNewFileAt(t *testing.T) {
+	f := NewFileAt("t.mini", "func f() {\n}", 7)
+	if got, want := f.PosFor(5), (Pos{Line: 1, Col: 12}); got != want {
+		t.Errorf("PosFor(5) = %v, want %v", got, want)
+	}
+	if got, want := f.PosFor(11), (Pos{Line: 2, Col: 1}); got != want {
+		t.Errorf("PosFor(11) = %v, want %v", got, want)
+	}
+}

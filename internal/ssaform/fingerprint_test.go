@@ -22,9 +22,10 @@ const fingerprintFile = "testdata/ir_fingerprints.txt"
 
 // fingerprint hashes everything of a compiled program that an analysis,
 // a prediction, a funcstore key or a response body can observe: the
-// printed IR, each instruction's Idx, π-parent and source position, each
-// block's predecessor and successor edge order, each edge's ID and kind,
-// the register names and the def-use lists.
+// printed IR, each instruction's Idx, π-parent and source position (as
+// ir.Func.Pos reads it), each block's predecessor and successor edge
+// order, each edge's ID and kind, the register names and the def-use
+// lists.
 func fingerprint(p *ir.Program) string {
 	h := sha256.New()
 	fmt.Fprint(h, p.String())
@@ -47,7 +48,7 @@ func fingerprintFunc(h hash.Hash, f *ir.Func) {
 		}
 		fmt.Fprintln(h)
 		for _, in := range b.Instrs {
-			fmt.Fprintf(h, "%d b%d parent=r%d pos=%s %s\n", in.Idx, in.Block.ID, in.Parent, in.Pos, in)
+			fmt.Fprintf(h, "%d b%d parent=r%d pos=%s %s\n", in.Idx, in.Block.ID, in.Parent, f.Pos(in), in)
 		}
 	}
 	for _, e := range f.Edges {

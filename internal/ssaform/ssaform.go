@@ -42,16 +42,18 @@ func Build(p *ir.Program) error { return BuildWith(p, Options{}) }
 
 // BuildWith converts every function of p into SSA form with options.
 func BuildWith(p *ir.Program, opts Options) error {
-	b := &builder{}
+	b := &Builder{}
 	for _, f := range p.Funcs {
-		if err := b.buildFunc(f, opts); err != nil {
+		if err := b.Func(f, opts); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (b *builder) buildFunc(f *ir.Func, opts Options) error {
+// Func converts one function into SSA form with options. Its result
+// depends only on f and opts, not on the functions b converted before.
+func (b *Builder) Func(f *ir.Func, opts Options) error {
 	if f.SSA {
 		return fmt.Errorf("ssaform: %s already in SSA form", f.Name)
 	}
@@ -71,12 +73,12 @@ func (b *builder) buildFunc(f *ir.Func, opts Options) error {
 	return f.Verify()
 }
 
-// builder converts one function at a time. Registers and blocks are
+// Builder converts one function at a time. Registers and blocks are
 // small dense integers, so all of its state is slice-indexed (maps here
 // cost a hash per instruction operand on a path that runs once per
 // instruction of every function), and every array is reused, cleared,
-// by the next function (see resize).
-type builder struct {
+// by the next function (see resize). The zero value is ready to use.
+type Builder struct {
 	f    *ir.Func
 	tree *dom.Tree
 
@@ -147,7 +149,7 @@ func (m bitmat) set(i int, r ir.Reg) {
 
 // countDefs counts each register's definitions, records the single ones
 // and looks up each register's source name.
-func (b *builder) countDefs() {
+func (b *Builder) countDefs() {
 	n := b.f.NumRegs
 	b.defCount = resize(b.defCount, n)
 	b.singleDef = resize(b.singleDef, n)
@@ -176,7 +178,7 @@ func (b *builder) countDefs() {
 // registers: asserting the variable itself lets every later use of the
 // variable see the π-refinement, whereas asserting a deeper temporary
 // would refine a value no one reads again.
-func (b *builder) resolveRoot(r ir.Reg) ir.Reg {
+func (b *Builder) resolveRoot(r ir.Reg) ir.Reg {
 	for i := 0; i < 64; i++ { // cycle guard; copy chains are short
 		if b.baseName[r] != "" {
 			return r
@@ -191,7 +193,7 @@ func (b *builder) resolveRoot(r ir.Reg) ir.Reg {
 }
 
 // constOf returns (value, true) if r's unique definition is a constant.
-func (b *builder) constOf(r ir.Reg) (int64, bool) {
+func (b *Builder) constOf(r ir.Reg) (int64, bool) {
 	d := b.singleDef[r]
 	if d != nil && d.Op == ir.OpConst {
 		return d.Const, true
@@ -201,7 +203,7 @@ func (b *builder) constOf(r ir.Reg) (int64, bool) {
 
 // assertable reports whether a π-definition of r is useful: r must not be
 // a constant or an array reference.
-func (b *builder) assertable(r ir.Reg) bool {
+func (b *Builder) assertable(r ir.Reg) bool {
 	if r == ir.None {
 		return false
 	}
@@ -215,7 +217,7 @@ func (b *builder) assertable(r ir.Reg) bool {
 // insertAssertions places π-instructions at the head of each conditional
 // branch successor. irgen guarantees (by critical edge splitting) that
 // both successors of a branch have exactly one predecessor.
-func (b *builder) insertAssertions() {
+func (b *Builder) insertAssertions() {
 	asserts := b.batch[:0]
 	for _, blk := range b.f.Blocks {
 		term := blk.Terminator()
@@ -272,7 +274,7 @@ func (b *builder) insertAssertions() {
 
 // emitAssertPair appends assertions of `x rel y` at blk for both
 // operands to asserts.
-func (b *builder) emitAssertPair(asserts []*ir.Instr, blk *ir.Block, x ir.Reg, rel ir.BinOp, y ir.Reg) []*ir.Instr {
+func (b *Builder) emitAssertPair(asserts []*ir.Instr, blk *ir.Block, x ir.Reg, rel ir.BinOp, y ir.Reg) []*ir.Instr {
 	if b.assertable(x) {
 		if c, ok := b.constOf(y); ok {
 			asserts = append(asserts, newAssert(blk, x, rel, ir.None, c))
@@ -303,7 +305,7 @@ func newAssert(blk *ir.Block, x ir.Reg, rel ir.BinOp, other ir.Reg, c int64) *ir
 // one at a time would: a block's last-created instruction comes first.
 // Each touched block's instruction slice is rebuilt once, at its final
 // size.
-func (b *builder) prependAll() {
+func (b *Builder) prependAll() {
 	if len(b.batch) == 0 {
 		return
 	}
@@ -331,7 +333,7 @@ func (b *builder) prependAll() {
 
 // liveness computes block-level live-in sets with the classic backward
 // iteration; used to prune dead φs.
-func (b *builder) liveness() {
+func (b *Builder) liveness() {
 	n := len(b.f.Blocks)
 	w := (b.f.NumRegs + 63) / 64
 	b.live = resize(b.live, 4*n*w)
@@ -380,7 +382,7 @@ func (b *builder) liveness() {
 
 // insertPhis places φ instructions at the iterated dominance frontier of
 // each multiply-defined register's definition sites (pruned by liveness).
-func (b *builder) insertPhis() {
+func (b *Builder) insertPhis() {
 	nb, nr := len(b.f.Blocks), b.f.NumRegs
 	// Definition blocks of each multiply-defined register, in block order
 	// and without repeats, carved from one array: a register has no more
@@ -453,7 +455,7 @@ func (b *builder) insertPhis() {
 
 // ----------------------------------------------------------------- rename
 
-func (b *builder) rename() {
+func (b *Builder) rename() {
 	pre := b.f.NumRegs // every original register is below this
 	// Every definition gets a fresh name (plus one zero constant at
 	// most), so the per-SSA-register arrays are sized once.
@@ -473,7 +475,7 @@ func (b *builder) rename() {
 // nameVersions lays out the versioned names of every named register
 // ("x.0", "x.1", … one per definition) in one string, and gives f.Names
 // room for all of them.
-func (b *builder) nameVersions() {
+func (b *Builder) nameVersions() {
 	size, n := 0, len(b.f.Names)
 	for r, name := range b.baseName {
 		if name == "" {
@@ -519,7 +521,7 @@ func decimalLen(v int) int {
 }
 
 // fresh creates a new SSA name for original register r.
-func (b *builder) fresh(r ir.Reg) ir.Reg {
+func (b *Builder) fresh(r ir.Reg) ir.Reg {
 	nr := b.f.NewReg()
 	b.origOf = append(b.origOf, r) // NewReg is sequential: index == nr
 	b.shadow = append(b.shadow, b.top[r])
@@ -539,14 +541,14 @@ func (b *builder) fresh(r ir.Reg) ir.Reg {
 // any definition (possible only for φ operands of variables that were
 // lexically dead on that path) maps to the zero-constant register, created
 // lazily in the entry block.
-func (b *builder) current(r ir.Reg) ir.Reg {
+func (b *Builder) current(r ir.Reg) ir.Reg {
 	if t := b.top[r]; t != 0 {
 		return t
 	}
 	return b.undef()
 }
 
-func (b *builder) undef() ir.Reg {
+func (b *Builder) undef() ir.Reg {
 	if b.undefReg != 0 {
 		return b.undefReg
 	}
@@ -560,7 +562,7 @@ func (b *builder) undef() ir.Reg {
 	return r
 }
 
-func (b *builder) renameBlock(blk *ir.Block) {
+func (b *Builder) renameBlock(blk *ir.Block) {
 	mark := len(b.pushed) // SSA names defined in this block are pushed above
 
 	for _, in := range blk.Instrs {

@@ -1,0 +1,234 @@
+// Package unitcache compiles Mini programs one function at a time and
+// keeps each compiled function for the next program that contains it
+// unchanged. A function's SSA IR depends only on its own text, the
+// column it starts at (the positions of its first line), the program's
+// signature table (sem checks calls against each callee's arity) and
+// whether π-assertions are inserted; calls name their callee, so no
+// other function's IR enters it. An edit of one function of a large
+// program then parses, checks, lowers and SSA-converts that function
+// only.
+//
+// Programs compiled through a cache share their functions' blocks,
+// instructions and SSA metadata with the cache and with each other;
+// each program gets its own ir.Func header, whose LineOffset moves the
+// shared positions to the lines the function starts on in that program.
+// Such programs must not be transformed in place (procedure cloning, the
+// optimizer).
+package unitcache
+
+import (
+	"container/list"
+	"hash/maphash"
+	"strconv"
+	"strings"
+	"sync"
+
+	"vrp/internal/ast"
+	"vrp/internal/ir"
+	"vrp/internal/irgen"
+	"vrp/internal/lexer"
+	"vrp/internal/parser"
+	"vrp/internal/sem"
+	"vrp/internal/source"
+	"vrp/internal/ssaform"
+	"vrp/internal/telemetry"
+	"vrp/internal/vrange"
+	corevrp "vrp/internal/vrp"
+)
+
+// MaxTextBytes bounds the function text the cache holds, summed over
+// its units: one program of the largest size vrpd accepts by default
+// fits whole. A unit's IR and body encoding take about 75 times its
+// text on generated programs, so a full cache holds about 75 MB.
+const MaxTextBytes = 1 << 20
+
+// Cache is a bounded LRU of compiled functions, at most one version per
+// function name. It is safe for concurrent use.
+type Cache struct {
+	mu     sync.Mutex
+	byName map[string]*list.Element // function name → element holding *unit
+	order  *list.List               // front = most recently used
+	bytes  int                      // text bytes of the units held
+	sig    *string                  // the signature table of the last units compiled
+	seed   maphash.Seed
+
+	hits, misses int64
+}
+
+// unit is one compiled function and the key it was compiled under. It
+// is immutable once in the cache.
+type unit struct {
+	name         string
+	hash         uint64  // of text
+	text         string  // a copy of the function's source text
+	col          int     // column of its 'func' keyword
+	sig          *string // the program's signature table, shared by the units compiled under it
+	noAssertions bool
+
+	fn *ir.Func // SSA form compiled as if the function started on line 1; BodyEnc set
+}
+
+// New returns an empty cache.
+func New() *Cache {
+	return &Cache{byName: map[string]*list.Element{}, order: list.New(), seed: maphash.MakeSeed()}
+}
+
+// Stats returns how many function units compiles found in the cache
+// (hits) and compiled (misses).
+func (c *Cache) Stats() (hits, misses int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.hits, c.misses
+}
+
+// Compile compiles src as vrp.CompileWith does, reusing every function
+// the cache holds under the same key and caching the ones it compiles.
+// Its IR, read through ir.Func.Pos, equals a fresh compile's. It returns
+// nil when src does not compile, or does not split into function units
+// (lexer.Units); only a whole-program compile reports the errors then.
+// tr, when non-nil, gets "parse" (splitting, parsing and checking) and
+// "ssa" (lowering and SSA conversion) spans under parent.
+func (c *Cache) Compile(name, src string, noAssertions bool, tr *telemetry.Trace, parent telemetry.SpanID) *ir.Program {
+	parseSpan := tr.Start(parent, "phase", "parse")
+	defer tr.End(parseSpan) // End is idempotent
+	file := source.NewFile(name, src)
+	units, ok := lexer.Units(file)
+	if !ok {
+		return nil
+	}
+	sig, arity := signatures(units)
+	if arity == nil {
+		return nil
+	}
+
+	// Probe every unit; those that miss are compiled outside the lock.
+	got := make([]*unit, len(units))
+	lines := make([]int, len(units))
+	var missed []int
+	// Units compiled under one signature table share one pointer to it,
+	// so a unit's table is matched by a pointer compare.
+	c.mu.Lock()
+	st := &sig
+	if c.sig != nil && *c.sig == sig {
+		st = c.sig
+	}
+	for i, lu := range units {
+		pos := file.PosFor(lu.Start)
+		lines[i] = pos.Line
+		text := src[lu.Start:lu.End]
+		h := maphash.String(c.seed, text)
+		if el, ok := c.byName[lu.Name]; ok {
+			u := el.Value.(*unit)
+			if u.hash == h && u.col == pos.Col && u.noAssertions == noAssertions && u.sig == st && u.text == text {
+				got[i] = u
+				c.order.MoveToFront(el)
+				continue
+			}
+		}
+		got[i] = &unit{name: lu.Name, hash: h, text: text, col: pos.Col, sig: st, noAssertions: noAssertions}
+		missed = append(missed, i)
+	}
+	c.hits += int64(len(units) - len(missed))
+	c.misses += int64(len(missed))
+	c.mu.Unlock()
+	if tr != nil {
+		tr.Annotate(parseSpan, "units", strconv.Itoa(len(units)))
+		tr.Annotate(parseSpan, "compiled", strconv.Itoa(len(missed)))
+	}
+
+	// A function is compiled from a copy of its text, so that the names
+	// in its IR slice the copy the cache keeps and not the request's
+	// source. The copy starts at its column on line 1.
+	decls := make([]*ast.FuncDecl, len(missed))
+	for k, i := range missed {
+		u := got[i]
+		u.text = strings.Clone(u.text)
+		ufile := source.NewFileAt(name, u.text, u.col)
+		fd, err := parser.ParseFunc(ufile)
+		if err != nil || sem.CheckFunc(ufile, fd, arity) != nil {
+			return nil
+		}
+		u.name = fd.Name
+		decls[k] = fd
+	}
+	tr.End(parseSpan)
+	ssaSpan := tr.Start(parent, "phase", "ssa")
+	defer tr.End(ssaSpan)
+	var gen irgen.Generator
+	var ssa ssaform.Builder
+	for k, i := range missed {
+		fn, err := gen.Func(decls[k])
+		if err != nil || ssa.Func(fn, ssaform.Options{NoAssertions: noAssertions}) != nil {
+			return nil
+		}
+		got[i].fn = fn
+	}
+
+	p := &ir.Program{Funcs: make([]*ir.Func, len(units)), ByName: make(map[string]*ir.Func, len(units)), File: file}
+	for _, u := range got {
+		p.ByName[u.name] = u.fn // resolves callees for the body encodings
+	}
+	for _, i := range missed {
+		fn := got[i].fn
+		fn.BodyEnc = corevrp.EncodeFuncBody(fn, p)
+		fn.BodyFP = vrange.HashBytes(fn.BodyEnc)
+	}
+	for i, u := range got {
+		f := *u.fn
+		f.LineOffset = lines[i] - 1
+		p.Funcs[i] = &f
+		p.ByName[u.name] = &f
+	}
+	c.insert(got, missed)
+	return p
+}
+
+// insert publishes the compiled units, each replacing its name's older
+// version, and evicts least recently used units past MaxTextBytes.
+func (c *Cache) insert(got []*unit, missed []int) {
+	if len(missed) == 0 {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.sig = got[missed[0]].sig
+	for _, i := range missed {
+		u := got[i]
+		if el, ok := c.byName[u.name]; ok {
+			c.bytes -= len(el.Value.(*unit).text)
+			c.order.Remove(el)
+		}
+		c.byName[u.name] = c.order.PushFront(u)
+		c.bytes += len(u.text)
+	}
+	for c.bytes > MaxTextBytes {
+		el := c.order.Back()
+		u := el.Value.(*unit)
+		c.order.Remove(el)
+		delete(c.byName, u.name)
+		c.bytes -= len(u.text)
+	}
+}
+
+// signatures returns the program's signature table, as a string of
+// name/arity pairs in unit order, and as the map sem checks calls
+// against. arity is nil when a name repeats or main is missing: those
+// are program-level errors.
+func signatures(units []lexer.Unit) (sig string, arity map[string]int) {
+	arity = make(map[string]int, len(units))
+	var b []byte
+	for _, u := range units {
+		if _, dup := arity[u.Name]; dup {
+			return "", nil
+		}
+		arity[u.Name] = u.Arity
+		b = append(b, u.Name...)
+		b = append(b, '/')
+		b = strconv.AppendInt(b, int64(u.Arity), 10)
+		b = append(b, ';')
+	}
+	if _, ok := arity["main"]; !ok {
+		return "", nil
+	}
+	return string(b), arity
+}

@@ -172,7 +172,7 @@ func (ex *Explanation) String() string {
 	f := ex.Fn
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s:%s  branch on %s  P(true) = %.4f  [%s]\n",
-		f.Name, ex.Branch.Pos, regName(f, ex.Branch.A), ex.Prob, ex.Source)
+		f.Name, f.Pos(ex.Branch), regName(f, ex.Branch.A), ex.Prob, ex.Source)
 	if ex.Degraded {
 		b.WriteString("  (function degraded: engine panic or step budget; all ranges are ⊥)\n")
 	}

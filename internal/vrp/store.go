@@ -301,11 +301,15 @@ func configFingerprint(cfg Config) uint64 {
 	return h.Sum()
 }
 
-// bodyKey returns fi's canonical body encoding and fingerprint, computed
-// once per driver and cached. Slot ownership follows the driver's
-// per-function discipline (one task per function per wave, barriers
-// between waves), so lazy fill is race-free.
+// bodyKey returns fi's canonical body encoding and fingerprint: the ones
+// the function carries from a compile cache, which store keys then share,
+// or else computed once per driver and cached. Slot ownership follows the
+// driver's per-function discipline (one task per function per wave,
+// barriers between waves), so lazy fill is race-free.
 func (d *driver) bodyKey(fi int) ([]byte, uint64) {
+	if f := d.cg.Funcs[fi]; f.BodyEnc != nil {
+		return f.BodyEnc, f.BodyFP
+	}
 	if d.bodyEnc[fi] == nil {
 		d.bodyEnc[fi] = EncodeFuncBody(d.cg.Funcs[fi], d.prog)
 		d.bodyFPs[fi] = vrange.HashBytes(d.bodyEnc[fi])

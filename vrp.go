@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"strings"
 
-	"vrp/internal/ast"
 	"vrp/internal/freq"
 	"vrp/internal/heuristics"
 	"vrp/internal/interp"
@@ -41,8 +40,7 @@ import (
 // Program is a compiled Mini program in SSA form, ready for analysis or
 // execution.
 type Program struct {
-	AST *ast.Program
-	IR  *ir.Program
+	IR *ir.Program
 }
 
 // CompileOptions controls compilation.
@@ -89,7 +87,7 @@ func CompileWith(name, src string, opts CompileOptions) (*Program, error) {
 		return nil, err
 	}
 	opts.Trace.End(ssaSpan)
-	return &Program{AST: astProg, IR: irProg}, nil
+	return &Program{IR: irProg}, nil
 }
 
 // Run executes the program on an input stream, collecting an edge profile.
@@ -346,7 +344,7 @@ func (a *Analysis) Predictions() []Prediction {
 	for _, br := range a.Result.Branches() {
 		out = append(out, Prediction{
 			Func:   br.Fn.Name,
-			Pos:    br.Instr.Pos,
+			Pos:    br.Fn.Pos(br.Instr),
 			Prob:   br.Prob,
 			Source: br.Source.String(),
 			Branch: br.Instr,
@@ -439,8 +437,9 @@ func (a *Analysis) ExplainBranch(fn string, line int) (*BranchExplanation, error
 		if t == nil || t.Op != ir.OpBr {
 			continue
 		}
-		lines = append(lines, fmt.Sprint(t.Pos.Line))
-		if t.Pos.Line == line || (line == 0 && br == nil) {
+		l := f.Pos(t).Line
+		lines = append(lines, fmt.Sprint(l))
+		if l == line || (line == 0 && br == nil) {
 			br = t
 		}
 	}
