@@ -473,7 +473,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	explain, wantTelemetry := q.Get("explain"), q.Get("telemetry") == "1"
 
 	vSpan := tr.Start(root, "phase", "validate")
-	src, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxSourceBytes))
+	src, err := readBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxSourceBytes), r.ContentLength, s.cfg.MaxSourceBytes)
 	var mbe *http.MaxBytesError
 	var j *job
 	switch {
@@ -503,6 +503,20 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	s.writeBody(w, j.status, j.body)
 	tr.End(wSpan)
 	s.finishAnalyze(r.Context(), tr, root, j, time.Since(t0))
+}
+
+// readBody reads a request body of declared length n (-1 when unknown)
+// from body, which caps it at limit bytes: into one buffer of exactly n
+// bytes when n is within the limit, else (chunked or oversize bodies)
+// growing as io.ReadAll does. A body cut short of n bytes is an
+// io.ErrUnexpectedEOF, as net/http reports it.
+func readBody(body io.Reader, n, limit int64) ([]byte, error) {
+	if n <= 0 || n > limit {
+		return io.ReadAll(body)
+	}
+	buf := make([]byte, n)
+	m, err := io.ReadFull(body, buf)
+	return buf[:m], err
 }
 
 // finishAnalyze closes the root span, folds the request's phase durations
@@ -738,8 +752,7 @@ func (s *Server) finish(ctx context.Context, j *job, explain string, wantTelemet
 	}
 
 	resp := &AnalyzeResponse{
-		Converged:   analysis.Converged(),
-		Predictions: []PredictionJSON{},
+		Converged: analysis.Converged(),
 		Stats: StatsJSON{
 			Passes:        analysis.Result.Stats.Passes,
 			ExprEvals:     analysis.Result.Stats.ExprEvals,
@@ -752,7 +765,9 @@ func (s *Server) finish(ctx context.Context, j *job, explain string, wantTelemet
 		},
 		quality: analysis.Quality(),
 	}
-	for _, p := range analysis.Predictions() {
+	preds := analysis.Predictions()
+	resp.Predictions = make([]PredictionJSON, 0, len(preds)) // [] in JSON without branches
+	for _, p := range preds {
 		resp.Predictions = append(resp.Predictions, PredictionJSON{
 			Func:   p.Func,
 			Line:   p.Pos.Line,

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -594,5 +595,79 @@ func TestPprofWired(t *testing.T) {
 	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/pprof/", nil))
 	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "goroutine") {
 		t.Errorf("pprof index status = %d", rec.Code)
+	}
+}
+
+// TestAnalyzeBodyReads drives /v1/analyze over a real connection with the
+// three body shapes the exact-size read must not change: a chunked body
+// (no declared length) analyzes like a sized one, an oversize body gets
+// the 413 refusal whether its length is declared or not, and a body cut
+// short of its declared length gets a 400 read error.
+func TestAnalyzeBodyReads(t *testing.T) {
+	const limit = 512
+	srv, _ := newTestServer(t, func(c *Config) { c.MaxSourceBytes = limit })
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	post := func(body io.Reader) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/analyze", "text/plain", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(b)
+	}
+	// unsized hides a reader's length, so the client sends it chunked.
+	type unsized struct{ io.Reader }
+
+	src := "func main() {\n\tfor (var x = 0; x < 10; x++) {\n\t\tif (x > 7) { print(x); }\n\t}\n}\n"
+	sizedCode, sized := post(strings.NewReader(src))
+	chunkedCode, chunked := post(unsized{strings.NewReader(src)})
+	if sizedCode != http.StatusOK || chunkedCode != sizedCode || chunked != sized {
+		t.Errorf("chunked body: %d %s\nsized body: %d %s", chunkedCode, chunked, sizedCode, sized)
+	}
+
+	const tooLarge = `{"error":"source exceeds 512 bytes","stage":"read"}` + "\n"
+	big := strings.Repeat("x", limit+1)
+	for name, body := range map[string]io.Reader{
+		"sized":   strings.NewReader(big),
+		"chunked": unsized{strings.NewReader(big)},
+	} {
+		if code, got := post(body); code != http.StatusRequestEntityTooLarge || got != tooLarge {
+			t.Errorf("oversize %s body: %d %q, want 413 %q", name, code, got, tooLarge)
+		}
+	}
+
+	// A client that declares 100 bytes, sends 10 and closes its side.
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "POST /v1/analyze HTTP/1.1\r\nHost: vrpd\r\nContent-Length: 100\r\n\r\nfunc main(")
+	conn.(*net.TCPConn).CloseWrite()
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got, _ := io.ReadAll(resp.Body)
+	const truncated = `{"error":"unexpected EOF","stage":"read"}` + "\n"
+	if resp.StatusCode != http.StatusBadRequest || string(got) != truncated {
+		t.Errorf("truncated body: %d %q, want 400 %q", resp.StatusCode, got, truncated)
+	}
+}
+
+// TestPredictionsEmptyArray: a program without conditional branches
+// reports "predictions":[], never null.
+func TestPredictionsEmptyArray(t *testing.T) {
+	srv, _ := newTestServer(t, nil)
+	rec := postAnalyze(t, srv.Handler(), "/v1/analyze", "func main() {\n\tprint(1);\n}\n")
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"predictions":[]`) {
+		t.Errorf("branch-free program: %d %s", rec.Code, rec.Body.String())
 	}
 }

@@ -150,6 +150,63 @@ func ConfidenceBucket(p float64) int {
 	return 7
 }
 
+// FuncCensus is one function's share of the digest: its row (Func left
+// to the caller: one funcstore record may serve functions of any name)
+// and the counts of its final cells and branches. The driver takes it in
+// one walk of the function's values and one of its branches and settles
+// it with the function's other post-fixpoint work, so a digest is the
+// sum of its functions' censuses plus the run-level loss ledger.
+type FuncCensus struct {
+	Row        FuncQuality
+	Width      [13]int64 // QualityWidthLabels counts of the measurable cells
+	Confidence [8]int64  // QualityConfidenceLabels counts of the branches
+	SetSize    [8]int64  // range-set-size counts of the cells: ⊤, ⊥, ∅, 1, 2, 3, 4, 5+
+	Log2Width  float64   // Σ log₂(hullWidth+1) over the measurable cells
+
+	// Evidence tallies the branches' Quality.Evidence keys in first-seen
+	// order.
+	Evidence []EvidenceCount
+}
+
+// EvidenceCount is one evidence key's tally.
+type EvidenceCount struct {
+	Key string
+	N   int64
+}
+
+// Credit tallies one evidence key.
+func (c *FuncCensus) Credit(key string) {
+	for i := range c.Evidence {
+		if c.Evidence[i].Key == key {
+			c.Evidence[i].N++
+			return
+		}
+	}
+	c.Evidence = append(c.Evidence, EvidenceCount{Key: key, N: 1})
+}
+
+// Add sums one function's census into the digest under the function's
+// name. The loss ledger and the ratios are the caller's.
+func (q *Quality) Add(name string, c *FuncCensus) {
+	r := c.Row
+	r.Func = name
+	q.Funcs = append(q.Funcs, r)
+	for i, n := range [...]int64{r.Point, r.Narrow, r.Wide, r.Symbolic, r.Top, r.Bottom, r.Infeasible} {
+		q.Classes.Counts[i] += n
+	}
+	for i, n := range c.Width {
+		q.Width.Counts[i] += n
+	}
+	for i, n := range c.Confidence {
+		q.Confidence.Counts[i] += n
+	}
+	for _, e := range c.Evidence {
+		q.Evidence[e.Key] += e.N
+	}
+	q.Branches += r.Branches
+	q.Certain += r.Certain
+}
+
 // clone deep-copies the quality digest (nil-safe).
 func (q *Quality) clone() *Quality {
 	if q == nil {

@@ -210,11 +210,10 @@ type Snapshot struct {
 	InternEvictions  int64 `json:"intern_evictions"`
 
 	// RangeSetSize buckets every final register value by lattice level
-	// and range-set cardinality; RangeSpan buckets Set values by their
-	// widest numeric range; PassRuns buckets functions by how many passes
-	// ran their engine or spliced a stored run (the pass-count histogram).
+	// and range-set cardinality (summed from the functions' quality
+	// censuses); PassRuns buckets functions by how many passes ran their
+	// engine or spliced a stored run (the pass-count histogram).
 	RangeSetSize *Histogram `json:"range_set_size,omitempty"`
-	RangeSpan    *Histogram `json:"range_span,omitempty"`
 	PassRuns     *Histogram `json:"pass_runs,omitempty"`
 
 	// Quality is the prediction-quality digest (cell classes and widths,
@@ -257,7 +256,6 @@ func (s *Snapshot) Canon() *Snapshot {
 	c.InternArenaBytes = 0
 	c.InternEvictions = 0
 	c.RangeSetSize = s.RangeSetSize.clone()
-	c.RangeSpan = s.RangeSpan.clone()
 	c.PassRuns = s.PassRuns.clone()
 	c.Quality = s.Quality.clone()
 	return &c
@@ -290,7 +288,7 @@ func (s *Snapshot) Summary() string {
 			s.InternLive, s.InternArenaBytes, s.InternEvictions)
 	}
 	fmt.Fprintf(&b, "  driver: runs=%d skips=%d degraded=%d\n", t.Runs, t.Skips, t.Degraded)
-	for _, h := range []*Histogram{s.RangeSetSize, s.RangeSpan, s.PassRuns} {
+	for _, h := range []*Histogram{s.RangeSetSize, s.PassRuns} {
 		if h != nil && h.Total() > 0 {
 			fmt.Fprintf(&b, "  %s\n", h.String())
 		}

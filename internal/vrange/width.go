@@ -16,7 +16,10 @@ package vrange
 // ValueClass buckets a lattice cell for quality accounting.
 type ValueClass int
 
-// Value classes, ordered most-precise first (see PrecisionRank).
+// Value classes, ordered most-precise first, so a greater class is a
+// coarser one; MergeLoss and RefineGain compare classes by that order.
+// ⊤ sits above every measurable class but below ⊥ — optimism is not
+// information, but it will still be refined, whereas ⊥ is final.
 const (
 	ClassInfeasible ValueClass = iota // Set with zero ranges: unreachable
 	ClassPoint                        // every range is a single numeric point
@@ -28,8 +31,9 @@ const (
 )
 
 // NarrowWidth is the hull-width boundary between "narrow" and "wide"
-// cells: 64 matches the ≤64 bucket of the range-span histogram, roughly
-// "small enough that ProbTrue splits it meaningfully".
+// cells, roughly "small enough that ProbTrue splits it meaningfully";
+// it is also the edge of the quality digest's ≤64 width bucket, so a
+// narrow cell never lands in a wider bucket.
 const NarrowWidth = 64
 
 func (c ValueClass) String() string {
@@ -86,71 +90,45 @@ func Classify(v Value) (ValueClass, int64) {
 	return ClassWide, width
 }
 
-// PrecisionRank orders classes most-precise-first for loss accounting:
-// a transition to a higher rank is coarsening. ⊤ ranks above every
-// measurable class but below ⊥ — optimism is not information, but it is
-// still "will be refined", whereas ⊥ is final.
-func PrecisionRank(c ValueClass) int {
-	switch c {
-	case ClassInfeasible:
-		return 0
-	case ClassPoint:
-		return 1
-	case ClassNarrow:
-		return 2
-	case ClassWide:
-		return 3
-	case ClassSymbolic:
-		return 4
-	case ClassTop:
-		return 5
-	}
-	return 6 // ClassBottom
-}
-
 // MergeLoss reports whether a φ-merge strictly coarsened the information
-// its inputs carried: the result's class outranks every input's class,
-// or — when result and best input are both measurable at the same rank —
-// the result's hull is strictly wider. ⊤ inputs are skipped (an
+// its inputs carried: the result's class is coarser than every input's
+// class, or — when result and best input are both measurable in the same
+// class — the result's hull is strictly wider. ⊤ inputs are skipped (an
 // unevaluated operand contributes optimism, not information); a merge
 // with no informative input can never lose.
 func MergeLoss(out Value, in []Weighted) bool {
 	outC, outW := Classify(out)
-	outRank := PrecisionRank(outC)
-	best := -1
-	bestW := int64(0)
+	best, bestW := ValueClass(-1), int64(0)
 	for _, item := range in {
 		c, w := Classify(item.Val)
 		if c == ClassTop {
 			continue
 		}
-		r := PrecisionRank(c)
-		if best < 0 || r < best || (r == best && w < bestW) {
-			best, bestW = r, w
+		if best < 0 || c < best || (c == best && w < bestW) {
+			best, bestW = c, w
 		}
 	}
 	if best < 0 {
 		return false
 	}
-	if outRank != best {
-		return outRank > best
+	if outC != best {
+		return outC > best
 	}
 	return outW > bestW
 }
 
 // RefineGain reports whether a π-assertion refinement produced a value
-// strictly more precise than its parent: a better class rank, or the
-// same measurable rank with a strictly narrower hull. Parents still at ⊤
-// are skipped — refining optimism is evaluation, not tightening.
+// strictly more precise than its parent: a more precise class, or the
+// same measurable class with a strictly narrower hull. Parents still at
+// ⊤ are skipped — refining optimism is evaluation, not tightening.
 func RefineGain(parent, refined Value) bool {
 	pc, pw := Classify(parent)
 	if pc == ClassTop {
 		return false
 	}
 	rc, rw := Classify(refined)
-	pr, rr := PrecisionRank(pc), PrecisionRank(rc)
-	if rr != pr {
-		return rr < pr
+	if rc != pc {
+		return rc < pc
 	}
 	return rw < pw
 }

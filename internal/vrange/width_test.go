@@ -35,8 +35,8 @@ func TestClassify(t *testing.T) {
 func TestPrecisionRankOrdersClasses(t *testing.T) {
 	order := []ValueClass{ClassInfeasible, ClassPoint, ClassNarrow, ClassWide, ClassSymbolic, ClassTop, ClassBottom}
 	for i := 1; i < len(order); i++ {
-		if PrecisionRank(order[i-1]) >= PrecisionRank(order[i]) {
-			t.Errorf("rank(%v)=%d not below rank(%v)=%d", order[i-1], PrecisionRank(order[i-1]), order[i], PrecisionRank(order[i]))
+		if order[i-1] >= order[i] {
+			t.Errorf("class %v (%d) not below %v (%d)", order[i-1], order[i-1], order[i], order[i])
 		}
 	}
 }

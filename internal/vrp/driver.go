@@ -3,7 +3,6 @@ package vrp
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"runtime/pprof"
 	"sort"
@@ -187,11 +186,9 @@ type driver struct {
 
 	// Non-convergence demotion accounting (filled single-threaded by
 	// demoteUnconverged): ⊤ cells demoted to ⊥, and range-certain branch
-	// predictions invalidated by the demotion and replaced by heuristics
-	// (per function in staleCertainFn, by function index).
-	demotedTop     int64
-	staleCertain   int64
-	staleCertainFn []int
+	// predictions invalidated by the demotion and replaced by heuristics.
+	demotedTop   int64
+	staleCertain int64
 
 	pass      int // current 0-based pass, for diagnostics
 	changed   atomic.Bool
@@ -221,7 +218,6 @@ func newDriver(p *ir.Program, cfg Config) *driver {
 		diags:      make([][]Diagnostic, n),
 		counts:     make([]funcCounts, n),
 	}
-	d.staleCertainFn = make([]int, n)
 	d.scratch = make([]*engineScratch, n)
 	d.records = make([]*StoredFunc, n)
 	d.settled = make([]*settled, n)
@@ -377,128 +373,40 @@ func (d *driver) finishTelemetry(res *Result, maxPasses int) {
 	}
 	snap.PassRuns = passRuns
 
-	q := d.buildQuality(snap)
+	q := d.buildQuality(snap, res.Stats.Converged)
 	snap.Quality = q
 	res.Quality = q
 	res.Telemetry = snap
 }
 
-// qualityClassBucket maps a ValueClass to its index in
-// telemetry.QualityClassLabels (point, narrow, wide, symbolic, top,
-// bottom, infeasible).
-func qualityClassBucket(c vrange.ValueClass) int {
-	switch c {
-	case vrange.ClassPoint:
-		return 0
-	case vrange.ClassNarrow:
-		return 1
-	case vrange.ClassWide:
-		return 2
-	case vrange.ClassSymbolic:
-		return 3
-	case vrange.ClassTop:
-		return 4
-	case vrange.ClassBottom:
-		return 5
-	}
-	return 6 // ClassInfeasible
-}
-
-// buildQuality assembles the prediction-quality digest from the final
-// results, and fills the snapshot's range-set-size and range-span
-// histograms in the same walk of the values. It runs single-threaded
-// after the fixpoint (and after the non-convergence demotion), reads only
-// final state, and takes the heuristic branches' Config.Evidence tallies
-// from each function's settled part — so the digest is bit-identical for
-// every worker count, costs nothing when telemetry is off, and a spliced
-// function's evidence is not recomputed.
-func (d *driver) buildQuality(snap *telemetry.Snapshot) *telemetry.Quality {
+// buildQuality sums the functions' settled censuses (the demoted ones
+// for functions the run demoted) into the prediction-quality digest and
+// the snapshot's range-set-size histogram, and adds the run-level loss
+// ledger. A census is settled once per result, or per store record, so
+// a spliced function is never classified again, and the digest is
+// bit-identical for every worker count and costs nothing when telemetry
+// is off.
+func (d *driver) buildQuality(snap *telemetry.Snapshot, converged bool) *telemetry.Quality {
 	q := telemetry.NewQuality()
 	setSize := telemetry.NewHistogram("range-set-size", "⊤", "⊥", "∅", "1", "2", "3", "4", "5+")
-	span := telemetry.NewHistogram("range-span", "point", "≤8", "≤64", "≤512", "≤4096", ">4096", "symbolic")
-	snap.RangeSetSize, snap.RangeSpan = setSize, span
-	var widthSum float64
-	var widthN int64
+	snap.RangeSetSize = setSize
+	var log2Sum float64
+	var measured int64
 	for fi, f := range d.cg.Funcs {
-		fr := d.results[fi]
-		if fr == nil {
+		if d.results[fi] == nil {
 			continue
 		}
-		fq := telemetry.FuncQuality{Func: f.Name}
-		for _, v := range fr.Val {
-			observeValue(setSize, span, v)
-			c, w := vrange.Classify(v)
-			q.Classes.Add(qualityClassBucket(c))
-			fq.Cells++
-			switch c {
-			case vrange.ClassPoint:
-				fq.Point++
-			case vrange.ClassNarrow:
-				fq.Narrow++
-			case vrange.ClassWide:
-				fq.Wide++
-			case vrange.ClassSymbolic:
-				fq.Symbolic++
-			case vrange.ClassTop:
-				fq.Top++
-			case vrange.ClassBottom:
-				fq.Bottom++
-			case vrange.ClassInfeasible:
-				fq.Infeasible++
-			}
-			if c == vrange.ClassPoint || c == vrange.ClassNarrow || c == vrange.ClassWide {
-				q.Width.Add(telemetry.WidthBucket(w))
-				widthSum += math.Log2(float64(w) + 1)
-				widthN++
-			}
+		st := d.settledFor(fi)
+		c := st.census
+		if !converged && st.demoted != nil {
+			c = st.demoted
 		}
-		var score float64
-		for _, b := range f.Blocks {
-			t := b.Terminator()
-			if t == nil || t.Op != ir.OpBr {
-				continue
-			}
-			p, src := fr.Branch(t)
-			q.Branches++
-			fq.Branches++
-			q.Confidence.Add(telemetry.ConfidenceBucket(p))
-			switch src {
-			case ByRange:
-				q.Evidence["range"]++
-				fq.Range++
-				if p == 0 || p == 1 {
-					q.Certain++
-					fq.Certain++
-					score += 1.0
-				} else {
-					score += 0.7
-				}
-			case ByHeuristic:
-				fq.Heuristic++
-				score += 0.4
-				if d.cfg.Evidence == nil {
-					q.Evidence["heuristic"]++
-				}
-			default:
-				q.Evidence["default"]++
-				fq.Default++
-			}
+		q.Add(f.Name, c)
+		for i, n := range c.SetSize {
+			setSize.Counts[i] += n
 		}
-		if d.cfg.Evidence != nil {
-			// The heuristic branches' evidence, tallied once per record:
-			// those the final run left heuristic, plus the stale ones when
-			// the demotion replaced them.
-			st := d.settledFor(fi)
-			st.heurEv.addTo(q.Evidence)
-			if d.staleCertainFn[fi] > 0 {
-				st.staleEv.addTo(q.Evidence)
-			}
-		}
-		fq.StaleCertain = int64(d.staleCertainFn[fi])
-		if fq.Branches > 0 {
-			fq.Score = score / float64(fq.Branches)
-		}
-		q.Funcs = append(q.Funcs, fq)
+		log2Sum += c.Log2Width
+		measured += c.Row.Point + c.Row.Narrow + c.Row.Wide
 	}
 	q.Loss["widen"] = snap.Totals.Widens
 	q.Loss["recursion-pin"] = d.ip.recWidens.Load()
@@ -511,57 +419,10 @@ func (d *driver) buildQuality(snap *telemetry.Snapshot) *telemetry.Quality {
 	if q.Branches > 0 {
 		q.CertainRatio = float64(q.Certain) / float64(q.Branches)
 	}
-	if widthN > 0 {
-		q.MeanLog2Width = widthSum / float64(widthN)
+	if measured > 0 {
+		q.MeanLog2Width = log2Sum / float64(measured)
 	}
 	return q
-}
-
-// observeValue buckets one final register value into the range-set-size
-// and range-span histograms. Its span bucketing differs from
-// vrange.Classify's on same-variable symbolic bounds, which both
-// histograms keep.
-func observeValue(setSize, span *telemetry.Histogram, v vrange.Value) {
-	switch {
-	case v.IsTop():
-		setSize.Add(0)
-		return
-	case v.IsBottom():
-		setSize.Add(1)
-		return
-	case v.IsInfeasible():
-		setSize.Add(2)
-		return
-	}
-	setSize.Add(2 + len(v.Ranges)) // "1" is bucket 3
-
-	width, symbolic := int64(0), false
-	for _, r := range v.Ranges {
-		w, ok := r.Hi.Diff(r.Lo)
-		if !ok {
-			symbolic = true
-			break
-		}
-		if w > width {
-			width = w
-		}
-	}
-	switch {
-	case symbolic:
-		span.Add(6)
-	case width == 0:
-		span.Add(0)
-	case width <= 8:
-		span.Add(1)
-	case width <= 64:
-		span.Add(2)
-	case width <= 512:
-		span.Add(3)
-	case width <= 4096:
-		span.Add(4)
-	default:
-		span.Add(5)
-	}
 }
 
 // fillStats sums the per-function effort slots into s.
@@ -629,7 +490,6 @@ func (d *driver) demoteUnconverged(passes int) {
 		fr.Val, fr.Prob, fr.Source, fr.EdgeFreq = val, st.prob, st.src, st.edgeFreq
 		d.demotedTop += int64(len(st.tops))
 		d.staleCertain += int64(st.stale)
-		d.staleCertainFn[fi] = st.stale
 		msg := fmt.Sprintf("fixpoint not reached after %d pass(es): %d optimistic ⊤ value(s) demoted to ⊥",
 			passes, len(st.tops))
 		if st.stale > 0 {
@@ -647,23 +507,23 @@ func (d *driver) demoteUnconverged(passes int) {
 
 // settledFor returns fi's settled part, computed at most once per run
 // and, with a store, at most once per record: a record's published part
-// is reused unless this run needs evidence tallies it lacks. It must be
-// first called before demoteUnconverged swaps fi's slices.
+// is reused unless this run has telemetry and the part lacks its census.
+// It must be first called before demoteUnconverged swaps fi's slices.
 func (d *driver) settledFor(fi int) *settled {
 	if st := d.settled[fi]; st != nil {
 		return st
 	}
-	withEv := d.cfg.Telemetry != nil && d.cfg.Evidence != nil
+	withCensus := d.cfg.Telemetry != nil
 	rec := d.records[fi]
 	var old *settled
 	if rec != nil {
 		old = rec.settled.Load()
-		if old != nil && (old.withEvidence || !withEv) {
+		if old != nil && (old.census != nil || !withCensus) {
 			d.settled[fi] = old
 			return old
 		}
 	}
-	st := d.settle(fi, withEv)
+	st := d.settle(fi, withCensus)
 	if rec != nil {
 		// A concurrent run may have published first; its part is
 		// bit-identical, so losing the race costs nothing.
@@ -674,20 +534,35 @@ func (d *driver) settledFor(fi int) *settled {
 }
 
 // settle computes fi's settled part from its final, not yet demoted,
-// result, without writing into it: the ⊤ cells and, when there are any
-// (the demotion's trigger), the demoted slices — the Fallback
-// probability of each range-certain branch and the edge frequencies
-// re-solved with them — and, when withEv is set, the Evidence tallies of
-// the heuristic and the stale branches. The re-solve reuses the
-// function's factored solver when this run's engine built one.
-func (d *driver) settle(fi int, withEv bool) *settled {
+// result, without writing into it, in one walk of its values and one of
+// its branches: the ⊤ cells and, when there are any (the demotion's
+// trigger), the demoted slices — the Fallback probability of each
+// range-certain branch and the edge frequencies re-solved with them —
+// and, when withCensus is set, the function's quality census before and
+// after the demotion. The re-solve reuses the function's factored solver
+// when this run's engine built one.
+func (d *driver) settle(fi int, withCensus bool) *settled {
 	fr := d.results[fi]
 	f := fr.Fn
-	st := &settled{withEvidence: withEv}
+	st := &settled{}
+	if withCensus {
+		st.census = &telemetry.FuncCensus{}
+	}
 	for j, v := range fr.Val {
 		if v.IsTop() {
 			st.tops = append(st.tops, int32(j))
 		}
+		if withCensus {
+			addCell(st.census, v)
+		}
+	}
+	if withCensus && len(st.tops) > 0 {
+		dc := *st.census
+		dc.Row.Bottom += dc.Row.Top
+		dc.Row.Top = 0
+		dc.SetSize[1] += dc.SetSize[0]
+		dc.SetSize[0] = 0
+		st.demoted = &dc
 	}
 	st.prob, st.src = fr.Prob, fr.Source
 	for _, b := range f.Blocks {
@@ -695,12 +570,9 @@ func (d *driver) settle(fi int, withEv bool) *settled {
 		if t == nil || t.Op != ir.OpBr {
 			continue
 		}
-		switch p, src := fr.Branch(t); {
-		case src == ByHeuristic:
-			if withEv {
-				st.heurEv.add(d.cfg.Evidence(f, t))
-			}
-		case src == ByRange && (p == 0 || p == 1) && len(st.tops) > 0:
+		p, src := fr.Branch(t)
+		stale := src == ByRange && (p == 0 || p == 1) && len(st.tops) > 0
+		if stale {
 			if st.stale == 0 {
 				st.prob = append([]float64(nil), fr.Prob...)
 				st.src = append([]PredictionSource(nil), fr.Source...)
@@ -710,10 +582,26 @@ func (d *driver) settle(fi int, withEv bool) *settled {
 			if d.cfg.Fallback != nil {
 				st.prob[b.ID] = d.cfg.Fallback(f, t)
 			}
-			if withEv {
-				st.staleEv.add(d.cfg.Evidence(f, t))
-			}
 		}
+		if !withCensus {
+			continue
+		}
+		var evs []EvidenceItem
+		if d.cfg.Evidence != nil && (src == ByHeuristic || stale) {
+			evs = d.cfg.Evidence(f, t)
+		}
+		d.addBranch(st.census, p, src, evs)
+		if st.demoted != nil {
+			d.addBranch(st.demoted, st.prob[b.ID], st.src[b.ID], evs)
+		}
+	}
+	for _, c := range []*telemetry.FuncCensus{st.census, st.demoted} {
+		if c != nil && c.Row.Branches > 0 {
+			c.Row.Score /= float64(c.Row.Branches)
+		}
+	}
+	if st.demoted != nil {
+		st.demoted.Row.StaleCertain = int64(st.stale)
 	}
 	st.edgeFreq = fr.EdgeFreq
 	if st.stale > 0 {

@@ -25,8 +25,7 @@ const analysisFingerprintFile = "testdata/analysis_fingerprints.txt"
 // analysisFingerprint hashes everything an analysis reports: every branch
 // prediction (function, block, probability bits, source), every
 // function's values and edge-frequency bits, Stats but FuncsSpliced, the
-// diagnostics, the quality digest and the range-set-size and range-span
-// histograms.
+// diagnostics, the quality digest and the range-set-size histogram.
 func analysisFingerprint(t *testing.T, res *Result) string {
 	t.Helper()
 	h := sha256.New()
@@ -54,7 +53,6 @@ func analysisFingerprint(t *testing.T, res *Result) string {
 	writeJSON(t, h, res.Quality)
 	if res.Telemetry != nil {
 		writeJSON(t, h, res.Telemetry.RangeSetSize)
-		writeJSON(t, h, res.Telemetry.RangeSpan)
 	}
 	return fmt.Sprintf("%x", h.Sum(nil))
 }

@@ -1,6 +1,7 @@
 package vrp
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -120,6 +121,67 @@ func TestWarmEditSettlesDirtyConeOnly(t *testing.T) {
 	if fact > 2*runs {
 		t.Errorf("%d frequency factorizations for %d engine runs; want at most %d", fact, runs, 2*runs)
 	}
+}
+
+// TestWarmEditCensusSplicedOnce: a warm edit takes the quality census of
+// every spliced function from the settled part its record published, so
+// it classifies only the values of the functions it re-ran. The second of
+// two stacked edits must keep each spliced function's published part,
+// pointer for pointer, settle a census only for the functions whose
+// records it stored, and report the digest of a cold run.
+func TestWarmEditCensusSplicedOnce(t *testing.T) {
+	base, edits := stackedEdits(t, 2)
+	st := newMemStore()
+	run := func(src string, st FuncStore) (*driver, *Result) {
+		p := compileSrc(t, "gen.mini", src)
+		cfg := DefaultConfig()
+		cfg.Workers = 1
+		cfg.FuncStore = st
+		cfg.Telemetry = telemetry.New()
+		d := newDriver(p, withBallLarus(cfg, p, nil))
+		res, err := d.run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d, res
+	}
+	run(base, st)
+	run(edits[0], st)
+	published := map[*StoredFunc]*settled{}
+	for _, bucket := range st.buckets {
+		for _, e := range bucket {
+			published[e.sf] = e.sf.settled.Load()
+		}
+	}
+
+	d, res := run(edits[1], st)
+	if res.Stats.Converged {
+		t.Fatal("edit converged; the census needs the demotion path")
+	}
+	spliced, censused := 0, 0
+	for fi, f := range d.cg.Funcs {
+		part := d.settled[fi]
+		if part == nil || part.census == nil {
+			t.Fatalf("%s: no census settled", f.Name)
+		}
+		if old, ok := published[d.records[fi]]; ok {
+			spliced++
+			if part != old {
+				t.Errorf("%s: spliced function settled anew (part %p, its record published %p)", f.Name, part, old)
+			}
+			continue
+		}
+		censused++
+		if d.records[fi] == nil || d.records[fi].settled.Load() != part {
+			t.Errorf("%s: re-ran function's census is not published on its new record", f.Name)
+		}
+	}
+	t.Logf("census settled for %d re-ran functions, %d spliced functions kept theirs", censused, spliced)
+	if spliced == 0 || censused == 0 || censused >= spliced {
+		t.Errorf("census settled for %d functions, %d spliced; want a warm edit's dirty cone", censused, spliced)
+	}
+	_, cold := run(edits[1], nil)
+	sameAnalysis(t, "warm edit", res, cold)
 }
 
 // sameAnalysis extends sameResult to the post-fixpoint outputs: the

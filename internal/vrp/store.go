@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"vrp/internal/ir"
+	"vrp/internal/telemetry"
 	"vrp/internal/vrange"
 )
 
@@ -114,12 +116,12 @@ func (k *FuncKey) Detach() *FuncKey {
 //
 // A record also carries a settled part: the post-fixpoint work the driver
 // does on the function's final result (its non-convergence demotion and
-// the heuristic evidence of the quality digest). It is a pure function of
-// the record and the Config's Fallback and Evidence hooks, so it is
-// computed at most once per record, by the first run that needs it, and
-// published for later runs to splice. The FuncStore contract on Fallback
-// and Evidence covers it. A store that hands out copies of its records
-// never caches it, which costs only speed.
+// its share of the quality digest). It is a pure function of the record
+// and the Config's Fallback and Evidence hooks, so it is computed at most
+// once per record, by the first run that needs it, and published for
+// later runs to splice. The FuncStore contract on Fallback and Evidence
+// covers it. A store that hands out copies of its records never caches
+// it, which costs only speed.
 type StoredFunc struct {
 	FuncResult           // Fn nil; Val detached
 	BlkFreq    []float64 // per Block.ID (pre-clamp; splice re-applies the maxFreq clamp)
@@ -154,51 +156,82 @@ type settled struct {
 	src      []PredictionSource
 	edgeFreq []float64
 
-	// heurEv and staleEv count the Evidence labels of the branches that
-	// are heuristic and of the stale branches, as the quality digest
-	// tallies them. They are filled only when withEvidence is set.
-	heurEv, staleEv evidenceCounts
-	withEvidence    bool
+	// census is the function's share of the quality digest as its final
+	// result stands, and demoted (set when there are ⊤ cells) as the
+	// demotion leaves it. A part settled for a run without telemetry has
+	// neither; a nil census marks it.
+	census, demoted *telemetry.FuncCensus
 }
 
-// evidenceCounts tallies quality-digest evidence keys in first-seen
-// order: heuristic names, plus "uniform" for a branch with no evidence
-// and "dempster-shafer" for one combining two or more.
-type evidenceCounts []evidenceCount
-
-type evidenceCount struct {
-	key string
-	n   int64
+// addCell classifies one final register value into c.
+func addCell(c *telemetry.FuncCensus, v vrange.Value) {
+	cl, w := vrange.Classify(v)
+	r := &c.Row
+	r.Cells++
+	set := 2 + min(len(v.Ranges), 5) // ∅ is bucket 2, "1" bucket 3
+	switch cl {
+	case vrange.ClassTop:
+		r.Top++
+		set = 0
+	case vrange.ClassBottom:
+		r.Bottom++
+		set = 1
+	case vrange.ClassInfeasible:
+		r.Infeasible++
+	case vrange.ClassSymbolic:
+		r.Symbolic++
+	case vrange.ClassPoint:
+		r.Point++
+	case vrange.ClassNarrow:
+		r.Narrow++
+	case vrange.ClassWide:
+		r.Wide++
+	}
+	c.SetSize[set]++
+	if cl == vrange.ClassPoint || cl == vrange.ClassNarrow || cl == vrange.ClassWide {
+		c.Width[telemetry.WidthBucket(w)]++
+		c.Log2Width += math.Log2(float64(w) + 1)
+	}
 }
 
-// add tallies one heuristic branch's evidence.
-func (c *evidenceCounts) add(evs []EvidenceItem) {
-	if len(evs) == 0 {
-		c.bump("uniform")
-		return
-	}
-	for _, ev := range evs {
-		c.bump(ev.Name)
-	}
-	if len(evs) >= 2 {
-		c.bump("dempster-shafer")
-	}
-}
-
-func (c *evidenceCounts) bump(key string) {
-	for i := range *c {
-		if (*c)[i].key == key {
-			(*c)[i].n++
-			return
+// addBranch counts one branch's prediction into c and credits its
+// evidence: "range" or "default", or for a heuristic branch each
+// Ball–Larus heuristic in evs, plus "dempster-shafer" for two or more
+// and "uniform" for none ("heuristic" without an Evidence hook).
+// Row.Score sums the branches' evidence weights until settle turns it
+// into their mean.
+func (d *driver) addBranch(c *telemetry.FuncCensus, p float64, src PredictionSource, evs []EvidenceItem) {
+	r := &c.Row
+	r.Branches++
+	c.Confidence[telemetry.ConfidenceBucket(p)]++
+	switch {
+	case src == ByRange && (p == 0 || p == 1):
+		r.Range++
+		r.Certain++
+		r.Score += 1.0
+		c.Credit("range")
+	case src == ByRange:
+		r.Range++
+		r.Score += 0.7
+		c.Credit("range")
+	case src == ByHeuristic:
+		r.Heuristic++
+		r.Score += 0.4
+		switch {
+		case d.cfg.Evidence == nil:
+			c.Credit("heuristic")
+		case len(evs) == 0:
+			c.Credit("uniform")
 		}
-	}
-	*c = append(*c, evidenceCount{key: key, n: 1})
-}
-
-// addTo adds the tallies into a quality digest's evidence map.
-func (c evidenceCounts) addTo(m map[string]int64) {
-	for _, e := range c {
-		m[e.key] += e.n
+		for _, ev := range evs {
+			c.Credit(ev.Name)
+		}
+		if len(evs) >= 2 {
+			c.Credit("dempster-shafer")
+		}
+	default:
+		r.Default++
+		c.Credit("default")
 	}
 }
 
@@ -270,8 +303,9 @@ func EncodeFuncBody(f *ir.Func, prog *ir.Program) []byte {
 // configFingerprint digests the Config fields that influence analysis
 // output bits. Workers, Telemetry and Trace/TraceParent are excluded
 // (bit-identical by contract — observers never feed back into the
-// lattice); a custom Fallback is marked but cannot be distinguished
-// from another custom Fallback — see the FuncStore contract. The package
+// lattice); a custom Fallback or Evidence hook is marked (a settled part
+// holds the answers of both) but cannot be distinguished from another
+// custom one — see the FuncStore contract. The package
 // constants (freqEpsilon, maxFreq) need no bits: store keys live only in
 // process memory, where one build's constants hold.
 func configFingerprint(cfg Config) uint64 {
@@ -292,6 +326,9 @@ func configFingerprint(cfg Config) uint64 {
 	}
 	if cfg.noSkip {
 		flags |= 16
+	}
+	if cfg.Evidence != nil {
+		flags |= 32
 	}
 	h.AddWord(flags)
 	h.AddWord(uint64(cfg.MaxPasses))

@@ -2,6 +2,7 @@ package vrp
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"reflect"
 	"sort"
@@ -36,19 +37,27 @@ func main() {
 // returns the result (its Telemetry snapshot set) and the span tree.
 func tracedRun(t *testing.T, workers int) (*Result, []telemetry.Span) {
 	t.Helper()
+	_, res, spans := tracedDriver(t, workers)
+	return res, spans
+}
+
+// tracedDriver is tracedRun returning the finished driver too.
+func tracedDriver(t *testing.T, workers int) (*driver, *Result, []telemetry.Span) {
+	t.Helper()
 	p := compile(t, telemetrySrc)
 	cfg := DefaultConfig()
 	cfg.Workers = workers
 	cfg.Telemetry = telemetry.New()
 	cfg.Trace = telemetry.NewTrace()
-	res, err := Analyze(p, cfg)
+	d := newDriver(p, cfg)
+	res, err := d.run(context.Background())
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
 	if res.Telemetry == nil {
 		t.Fatal("Result.Telemetry is nil with telemetry enabled")
 	}
-	return res, cfg.Trace.Spans()
+	return d, res, cfg.Trace.Spans()
 }
 
 // TestTelemetryDeterministicAcrossWorkers is the telemetry half of the
@@ -149,7 +158,7 @@ func TestSpanTreeDeterministicAcrossWorkers(t *testing.T) {
 // against the independently counted Stats: runs and skips must agree
 // exactly, and there is one "pass N" span per pass.
 func TestTelemetryMatchesStats(t *testing.T) {
-	res, spans := tracedRun(t, 1)
+	d, res, spans := tracedDriver(t, 1)
 	snap := res.Telemetry
 	if snap.Totals.Runs != res.Stats.FuncsAnalyzed {
 		t.Errorf("telemetry runs = %d, stats FuncsAnalyzed = %d", snap.Totals.Runs, res.Stats.FuncsAnalyzed)
@@ -182,10 +191,18 @@ func TestTelemetryMatchesStats(t *testing.T) {
 	if len(snap.Funcs) != len(res.Prog.Funcs) {
 		t.Errorf("snapshot has %d function slots, program has %d", len(snap.Funcs), len(res.Prog.Funcs))
 	}
-	// Histograms are populated and account for every final register value.
+	// Each function's settled census sizes every final register value of
+	// the function once, and the range-set-size histogram sums them.
 	total := 0
-	for _, fr := range res.Funcs {
-		total += len(fr.Val)
+	for fi, f := range d.cg.Funcs {
+		var got int64
+		for _, n := range d.settled[fi].census.SetSize {
+			got += n
+		}
+		if want := int64(len(res.Funcs[f].Val)); got != want {
+			t.Errorf("%s: census sizes %d values, function has %d registers", f.Name, got, want)
+		}
+		total += len(res.Funcs[f].Val)
 	}
 	if got := snap.RangeSetSize.Total(); got != int64(total) {
 		t.Errorf("range-set-size histogram totals %d values, program has %d registers", got, total)

@@ -330,7 +330,15 @@ type Result struct {
 // Branches returns every conditional branch prediction in deterministic
 // order (function order, block order).
 func (r *Result) Branches() []Branch {
-	var out []Branch
+	n := 0
+	for _, f := range r.Prog.Funcs {
+		for _, b := range f.Blocks {
+			if t := b.Terminator(); t != nil && t.Op == ir.OpBr {
+				n++
+			}
+		}
+	}
+	out := make([]Branch, 0, n)
 	for _, f := range r.Prog.Funcs {
 		fr := r.Funcs[f]
 		if fr == nil {

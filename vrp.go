@@ -340,8 +340,9 @@ func (a *Analysis) Diagnostics() []Diagnostic {
 // Predictions returns every conditional branch prediction in program
 // order.
 func (a *Analysis) Predictions() []Prediction {
-	var out []Prediction
-	for _, br := range a.Result.Branches() {
+	brs := a.Result.Branches()
+	out := make([]Prediction, 0, len(brs))
+	for _, br := range brs {
 		out = append(out, Prediction{
 			Func:   br.Fn.Name,
 			Pos:    br.Fn.Pos(br.Instr),
