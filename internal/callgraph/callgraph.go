@@ -33,6 +33,8 @@ type Graph struct {
 	Callees [][]int
 	// Callers[i] is the inverse adjacency, sorted ascending.
 	Callers [][]int
+	// Sites[i][k] holds function i's calls of its callee Callees[i][k].
+	Sites [][]CallSites
 
 	SCCID []int   // function index → SCC id
 	SCCs  [][]int // SCC id → member function indices, sorted ascending
@@ -44,7 +46,16 @@ type Graph struct {
 	Waves [][]int
 }
 
-// Build constructs the call graph, condensation and wave schedule.
+// CallSites is one caller's calls of one callee.
+type CallSites struct {
+	Callee int         // callee function index
+	Pos    int         // the caller's position in Callers[Callee]
+	Calls  []*ir.Instr // the call instructions, in block order
+}
+
+// Build constructs the call graph, condensation and wave schedule from
+// each function's call-site index (ir.Func.Calls). The adjacency and site
+// lists of all functions are carved from one array per kind.
 func Build(p *ir.Program) *Graph {
 	n := len(p.Funcs)
 	g := &Graph{
@@ -53,38 +64,82 @@ func Build(p *ir.Program) *Graph {
 		Index:   make(map[*ir.Func]int, n),
 		Callees: make([][]int, n),
 		Callers: make([][]int, n),
+		Sites:   make([][]CallSites, n),
 	}
 	for i, f := range p.Funcs {
 		g.Funcs[i] = f
 		g.Index[f] = i
 	}
+	// Resolve each call site's callee (-1: unknown name) and gather each
+	// function's distinct callees, sorted, into one array.
+	nsites := 0
+	for _, f := range p.Funcs {
+		nsites += len(f.Calls)
+	}
+	target := make([]int, 0, nsites)
+	callees := make([]int, 0, nsites)
+	start := make([]int, n+1)
+	mark := make([]int, n) // callee index → 1 + its latest caller; then its group
+	ncallers := make([]int, n)
+	known := 0
 	for i, f := range p.Funcs {
-		seen := map[int]bool{}
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				if in.Op != ir.OpCall {
-					continue
-				}
-				callee := p.ByName[in.Callee]
-				if callee == nil {
-					continue
-				}
-				ci := g.Index[callee]
-				if !seen[ci] {
-					seen[ci] = true
-					g.Callees[i] = append(g.Callees[i], ci)
+		start[i] = len(callees)
+		for _, in := range f.Calls {
+			ci := -1
+			if callee := p.ByName[in.Callee]; callee != nil {
+				ci = g.Index[callee]
+				known++
+				if mark[ci] != i+1 {
+					mark[ci] = i + 1
+					callees = append(callees, ci)
+					ncallers[ci]++
 				}
 			}
+			target = append(target, ci)
 		}
-		sort.Ints(g.Callees[i])
+		sort.Ints(callees[start[i]:])
 	}
-	for i, cs := range g.Callees {
-		for _, c := range cs {
-			g.Callers[c] = append(g.Callers[c], i)
+	start[n] = len(callees)
+	callerArr := make([]int, len(callees))
+	off := 0
+	for ci, k := range ncallers {
+		g.Callers[ci] = callerArr[off : off : off+k]
+		off += k
+	}
+	// Callers fill in ascending caller order, so they come out sorted and
+	// a caller's position in its callee's list is the list's length when
+	// the caller is appended. Each function's sites are grouped by callee
+	// with a counting sort, which keeps block order within a group.
+	siteArr := make([]CallSites, len(callees))
+	callArr := make([]*ir.Instr, known)
+	count := ncallers // reused: callee index → calls in the current caller
+	clear(count)
+	off = 0
+	for i, f := range p.Funcs {
+		cs := callees[start[i]:start[i+1]:start[i+1]]
+		sites := siteArr[start[i]:start[i+1]:start[i+1]]
+		targets := target[off : off+len(f.Calls)]
+		off += len(f.Calls)
+		for _, ci := range targets {
+			if ci >= 0 {
+				count[ci]++
+			}
 		}
-	}
-	for i := range g.Callers {
-		sort.Ints(g.Callers[i])
+		for k, ci := range cs {
+			mark[ci] = k
+			sites[k] = CallSites{Callee: ci, Pos: len(g.Callers[ci]), Calls: callArr[:0:count[ci]]}
+			callArr = callArr[count[ci]:]
+			count[ci] = 0
+			g.Callers[ci] = append(g.Callers[ci], i)
+		}
+		for j, ci := range targets {
+			if ci >= 0 {
+				s := &sites[mark[ci]]
+				s.Calls = append(s.Calls, f.Calls[j])
+			}
+		}
+		g.Callees[i] = cs
+		g.Sites[i] = sites
 	}
 	g.condense()
 	return g

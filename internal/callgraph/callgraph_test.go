@@ -2,13 +2,15 @@ package callgraph
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"vrp/internal/ir"
 )
 
 // synth builds a program whose functions (in the given order) call the
-// named callees; bodies are a single block of calls followed by a return.
+// named callees; bodies are a single block of calls followed by a return,
+// indexed by BuildDefUse as the SSA builder leaves them.
 func synth(order []string, calls map[string][]string) *ir.Program {
 	p := &ir.Program{ByName: map[string]*ir.Func{}}
 	for _, name := range order {
@@ -20,6 +22,9 @@ func synth(order []string, calls map[string][]string) *ir.Program {
 			b.Append(&ir.Instr{Op: ir.OpCall, Dst: r, Callee: callee})
 		}
 		b.Append(&ir.Instr{Op: ir.OpRet})
+		if err := f.BuildDefUse(); err != nil {
+			panic(err)
+		}
 		p.Funcs = append(p.Funcs, f)
 		p.ByName[name] = f
 	}
@@ -131,6 +136,45 @@ func TestDeepChain(t *testing.T) {
 	for w, ids := range g.Waves {
 		if len(ids) != 1 || len(g.SCCs[ids[0]]) != 1 {
 			t.Fatalf("wave %d not a singleton", w)
+		}
+	}
+}
+
+// TestCallSites: each function's calls of known callees are grouped by
+// callee in Callees order, keep block order within a group, and name
+// the caller's position in the callee's Callers list.
+func TestCallSites(t *testing.T) {
+	p := synth([]string{"main", "a", "b"}, map[string][]string{
+		"main": {"b", "a", "missing", "b", "a", "a"},
+		"a":    {"b"},
+		"b":    {"b"},
+	})
+	g := Build(p)
+	calls := p.ByName["main"].Calls
+	want := [][]*ir.Instr{{calls[1], calls[4], calls[5]}, {calls[0], calls[3]}}
+	got := g.Sites[g.Index[p.ByName["main"]]]
+	if len(got) != len(want) {
+		t.Fatalf("main has %d site groups, want %d", len(got), len(want))
+	}
+	for k := range want {
+		if !slices.Equal(got[k].Calls, want[k]) {
+			t.Errorf("main's group %d: %d calls, want %d in block order", k, len(got[k].Calls), len(want[k]))
+		}
+	}
+	for fi, sites := range g.Sites {
+		if len(sites) != len(g.Callees[fi]) {
+			t.Fatalf("%s: %d site groups for %d callees", g.Funcs[fi].Name, len(sites), len(g.Callees[fi]))
+		}
+		for k, s := range sites {
+			if s.Callee != g.Callees[fi][k] || g.Callers[s.Callee][s.Pos] != fi {
+				t.Errorf("%s group %d: callee %d at caller position %d, want callee %d naming the caller",
+					g.Funcs[fi].Name, k, s.Callee, s.Pos, g.Callees[fi][k])
+			}
+			for _, in := range s.Calls {
+				if in.Callee != g.Funcs[s.Callee].Name {
+					t.Errorf("%s group %d holds a call of %s", g.Funcs[fi].Name, k, in.Callee)
+				}
+			}
 		}
 	}
 }

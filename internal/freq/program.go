@@ -55,21 +55,16 @@ func ComputeProgram(p *ir.Program, prob func(f *ir.Func, br *ir.Instr) (float64,
 	outs := map[*ir.Func][]callEdge{}
 	for _, f := range p.Funcs {
 		local := pf.Local[f]
-		for _, b := range f.Blocks {
-			bw := local.Block[b.ID]
-			if b == f.Entry {
+		for _, in := range f.Calls {
+			bw := local.Block[in.Block.ID]
+			if in.Block == f.Entry {
 				bw = 1
 			}
 			if bw <= 0 {
 				continue
 			}
-			for _, in := range b.Instrs {
-				if in.Op != ir.OpCall {
-					continue
-				}
-				if callee := p.ByName[in.Callee]; callee != nil {
-					outs[f] = append(outs[f], callEdge{callee, bw})
-				}
+			if callee := p.ByName[in.Callee]; callee != nil {
+				outs[f] = append(outs[f], callEdge{callee, bw})
 			}
 		}
 	}
@@ -155,32 +150,27 @@ func (pf *ProgramFrequencies) InlineCandidates(p *ir.Program) []InlineCandidate 
 		if local == nil {
 			continue
 		}
-		for _, b := range f.Blocks {
-			bw := local.Block[b.ID]
-			if b == f.Entry {
+		for _, in := range f.Calls {
+			bw := local.Block[in.Block.ID]
+			if in.Block == f.Entry {
 				bw = 1
 			}
-			for _, in := range b.Instrs {
-				if in.Op != ir.OpCall {
-					continue
-				}
-				callee := p.ByName[in.Callee]
-				if callee == nil || callee == f {
-					continue
-				}
-				calls := inv * bw
-				size := float64(callee.NumInstrs())
-				if size <= 0 {
-					size = 1
-				}
-				out = append(out, InlineCandidate{
-					Caller: f,
-					Callee: callee,
-					Call:   in,
-					Calls:  calls,
-					Score:  calls / size,
-				})
+			callee := p.ByName[in.Callee]
+			if callee == nil || callee == f {
+				continue
 			}
+			calls := inv * bw
+			size := float64(callee.NumInstrs())
+			if size <= 0 {
+				size = 1
+			}
+			out = append(out, InlineCandidate{
+				Caller: f,
+				Callee: callee,
+				Call:   in,
+				Calls:  calls,
+				Score:  calls / size,
+			})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

@@ -144,22 +144,25 @@ func (f *Func) Renumber() {
 	f.Edges = edges
 }
 
-// BuildDefUse populates f.Defs and f.Uses from the instruction stream. It
-// requires (and checks) the single-assignment property; it is called by
-// ssaform.Build and may be re-invoked after IR surgery.
+// BuildDefUse populates f.Defs, f.Uses and f.Calls from the instruction
+// stream. It requires (and checks) the single-assignment property; it is
+// called by ssaform.Build and may be re-invoked after IR surgery.
 func (f *Func) BuildDefUse() error {
 	f.Defs = make([]*Instr, f.NumRegs)
 	f.Uses = make([][]*Instr, f.NumRegs)
-	// Count each register's uses first, then carve every use list from
-	// one array sized to the total.
+	// Count each register's uses and the calls first, then carve every
+	// use list from one array sized to the total.
 	uses := make([]int32, f.NumRegs)
-	total := 0
+	total, calls := 0, 0
 	var buf []Reg
 	idx := 0
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			in.Idx = idx
 			idx++
+			if in.Op == OpCall {
+				calls++
+			}
 			if in.Defines() {
 				if f.Defs[in.Dst] != nil {
 					return fmt.Errorf("ir: register r%d defined twice (%s and %s)", in.Dst, f.Defs[in.Dst], in)
@@ -181,8 +184,12 @@ func (f *Func) BuildDefUse() error {
 			off += int(n)
 		}
 	}
+	f.Calls = make([]*Instr, 0, calls)
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
+			if in.Op == OpCall {
+				f.Calls = append(f.Calls, in)
+			}
 			buf = in.UseRegs(buf[:0])
 			for _, r := range buf {
 				f.Uses[r] = append(f.Uses[r], in)

@@ -443,6 +443,10 @@ type Func struct {
 	// SSA metadata, valid when SSA is true.
 	Defs []*Instr   // Defs[r] is the unique defining instruction of r (nil for params of dead code)
 	Uses [][]*Instr // Uses[r] lists the instructions reading r ("SSA edges")
+	// Calls lists every OpCall of the function in block order: the call
+	// graph, the interprocedural jump functions and the program-level
+	// frequency and cloning passes read it instead of walking the body.
+	Calls []*Instr
 
 	// LineOffset shifts the line of every instruction position; read
 	// positions through Pos. A compile cache shares one compiled body

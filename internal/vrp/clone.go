@@ -63,15 +63,10 @@ func CloneProcedures(p *ir.Program, opts CloneOptions) *CloneReport {
 	}
 	sites := map[string][]*site{}
 	for _, f := range p.Funcs {
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				if in.Op != ir.OpCall {
-					continue
-				}
-				s := &site{caller: f, in: in}
-				s.sig, s.pinned = callSignature(f, in)
-				sites[in.Callee] = append(sites[in.Callee], s)
-			}
+		for _, in := range f.Calls {
+			s := &site{caller: f, in: in}
+			s.sig, s.pinned = callSignature(f, in)
+			sites[in.Callee] = append(sites[in.Callee], s)
 		}
 	}
 

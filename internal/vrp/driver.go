@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -45,14 +46,16 @@ import (
 // funcInputs freezes one function's interprocedural inputs for one engine
 // run (or one skip decision).
 type funcInputs struct {
-	params []vrange.Value            // merged formal-parameter values
-	rets   map[*ir.Func]vrange.Value // return range of every known callee
-	vec    []vrange.Value            // canonical vector: params, then callee returns in callee-index order
-	hash   uint64                    // vrange.Hasher over vec
+	vec     []vrange.Value // canonical vector: params, then callee returns in callee-index order
+	params  []vrange.Value // merged formal-parameter values: vec's head
+	rets    []vrange.Value // callee return ranges: vec's tail, parallel to callees
+	callees []int          // the function's callgraph.Graph.Callees
+	index   map[*ir.Func]int
+	hash    uint64 // vrange.Hasher over vec
 }
 
 // param returns the value of formal #i; a formal no caller has supplied is
-// ⊤ (the merge of nothing — optimistic, as in paramValue).
+// ⊤ (the merge of nothing — optimistic, as in interproc.formals).
 func (in *funcInputs) param(i int) vrange.Value {
 	if i >= 0 && i < len(in.params) {
 		return in.params[i]
@@ -62,8 +65,10 @@ func (in *funcInputs) param(i int) vrange.Value {
 
 // ret returns the frozen return range of a known callee.
 func (in *funcInputs) ret(callee *ir.Func) vrange.Value {
-	if v, ok := in.rets[callee]; ok {
-		return v
+	if ci, ok := in.index[callee]; ok {
+		if k, ok := slices.BinarySearch(in.callees, ci); ok {
+			return in.rets[k]
+		}
 	}
 	return vrange.BottomValue()
 }
@@ -234,13 +239,22 @@ func newDriver(p *ir.Program, cfg Config) *driver {
 	if d.workers > 1 {
 		d.internHint /= d.workers
 	}
-	pos := make([]int, n)
-	for i, f := range callOrder(p) {
-		pos[cg.Index[f]] = i
-	}
-	d.sccFuncs = make([][]int, len(cg.SCCs))
+	// Only cyclic SCCs of several members need the call order; the
+	// others share the graph's member lists.
+	d.sccFuncs = cg.SCCs
+	var pos []int
 	for s, members := range cg.SCCs {
-		ms := append([]int(nil), members...)
+		if len(members) == 1 {
+			continue
+		}
+		if pos == nil {
+			pos = make([]int, n)
+			for i, f := range callOrder(p) {
+				pos[cg.Index[f]] = i
+			}
+			d.sccFuncs = slices.Clone(cg.SCCs)
+		}
+		ms := slices.Clone(members)
 		sort.Slice(ms, func(a, b int) bool { return pos[ms[a]] < pos[ms[b]] })
 		d.sccFuncs[s] = ms
 	}
@@ -991,26 +1005,21 @@ func (d *driver) degradeFunc(fi int, calc *vrange.Calc, diag Diagnostic) {
 // computeInputs snapshots fi's interprocedural inputs and fingerprints
 // them. Merge sub-operations accrue to calc.
 func (d *driver) computeInputs(fi int, calc *vrange.Calc) *funcInputs {
-	f := d.cg.Funcs[fi]
+	np := len(d.cg.Funcs[fi].Params)
 	callees := d.cg.Callees[fi]
-	in := &funcInputs{
-		params: make([]vrange.Value, len(f.Params)),
-		vec:    make([]vrange.Value, 0, len(f.Params)+len(callees)),
+	vec := make([]vrange.Value, np+len(callees))
+	d.ip.formals(fi, vec[:np], calc)
+	for k, ci := range callees {
+		vec[np+k] = d.ip.retVals[ci]
 	}
-	for i := range in.params {
-		in.params[i] = d.ip.paramValue(fi, i, calc)
+	return &funcInputs{
+		vec:     vec,
+		params:  vec[:np:np],
+		rets:    vec[np:],
+		callees: callees,
+		index:   d.cg.Index,
+		hash:    vrange.HashValues(vec),
 	}
-	in.vec = append(in.vec, in.params...)
-	if len(callees) > 0 {
-		in.rets = make(map[*ir.Func]vrange.Value, len(callees))
-		for _, ci := range callees {
-			rv := d.ip.returnValue(ci)
-			in.rets[d.cg.Funcs[ci]] = rv
-			in.vec = append(in.vec, rv)
-		}
-	}
-	in.hash = vrange.HashValues(in.vec)
-	return in
 }
 
 // bitEqualVec confirms a fingerprint match exactly, making hash collisions

@@ -1,7 +1,7 @@
 package vrp
 
 import (
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"vrp/internal/callgraph"
@@ -33,6 +33,10 @@ type interproc struct {
 	args    [][]*callerArgs
 	retVals []vrange.Value // function index → merged return range
 
+	// scratch holds each function's working buffers and its last formal
+	// merge; scratch[f] is touched only by f's own task.
+	scratch []ipScratch
+
 	// drops counts symbolic values collapsed to ⊥ at function boundaries
 	// by sanitize — the telemetry layer's measure of interprocedural
 	// precision loss. Atomic because concurrent wave tasks fold results.
@@ -57,9 +61,28 @@ type interproc struct {
 	recWidens     atomic.Int64 // slots pinned; Stats.RecWidens
 }
 
+// callerArgs is one caller's jump function into one callee. Once
+// installed in args it is never written: update builds the next one in
+// scratch and installs a fresh copy only when it differs, so a pointer
+// into args identifies its contents.
 type callerArgs struct {
 	vals []vrange.Value
 	w    float64
+}
+
+// ipScratch is one function's interprocedural working state. The formal
+// merge fields record formals' last merge: the callerArgs it read
+// (args[f] at the time), the merged values, and the sub-operations and
+// set-cap widenings the merge cost, which a reuse replays.
+type ipScratch struct {
+	items []vrange.Weighted
+	w     []float64 // per call site of the current callee group
+	ca    callerArgs
+
+	merged         bool
+	from           []*callerArgs
+	formals        []vrange.Value
+	subOps, widens int64
 }
 
 func newInterproc(p *ir.Program, cfg Config, cg *callgraph.Graph) *interproc {
@@ -70,6 +93,7 @@ func newInterproc(p *ir.Program, cfg Config, cg *callgraph.Graph) *interproc {
 		cg:      cg,
 		args:    make([][]*callerArgs, n),
 		retVals: make([]vrange.Value, n),
+		scratch: make([]ipScratch, n),
 	}
 	ip.recWidenAfter = cfg.RecWidenAfter
 	ip.assumedMag = cfg.Range.AssumedVarValue
@@ -79,10 +103,17 @@ func newInterproc(p *ir.Program, cfg Config, cg *callgraph.Graph) *interproc {
 	ip.recursive = make([]bool, n)
 	ip.retPinned = make([]bool, n)
 	ip.argPinned = make([][]bool, n)
+	edges := 0
+	for _, callers := range cg.Callers {
+		edges += len(callers)
+	}
+	argArr := make([]*callerArgs, edges)
+	pinArr := make([]bool, edges)
 	for i := 0; i < n; i++ {
-		ip.args[i] = make([]*callerArgs, len(cg.Callers[i]))
+		k := len(cg.Callers[i])
+		ip.args[i], argArr = argArr[:k:k], argArr[k:]
+		ip.argPinned[i], pinArr = pinArr[:k:k], pinArr[k:]
 		ip.recursive[i] = cg.Recursive(cg.SCCID[i])
-		ip.argPinned[i] = make([]bool, len(cg.Callers[i]))
 		if cfg.Interprocedural {
 			ip.retVals[i] = vrange.TopValue()
 		} else {
@@ -210,48 +241,52 @@ func (ip *interproc) maybeWidenRet(fi int, v vrange.Value) vrange.Value {
 	return v
 }
 
-// callerPos locates caller fi in the sorted caller list of callee ci.
-func (ip *interproc) callerPos(ci, fi int) int {
-	callers := ip.cg.Callers[ci]
-	pos := sort.SearchInts(callers, fi)
-	if pos == len(callers) || callers[pos] != fi {
-		return -1
-	}
-	return pos
-}
-
-// paramValue returns the current value of formal #idx of function fi: the
-// weighted merge of the jump functions at the known call sites, iterated in
-// caller-index order. With no recorded caller yet it is ⊤ in
-// interprocedural mode (optimistic: unreached so far), ⊥ otherwise. main's
-// parameters are always ⊥ (program inputs). Sub-operations accrue to the
-// caller-supplied calc (the running engine's), so no counts are lost.
-func (ip *interproc) paramValue(fi, idx int, calc *vrange.Calc) vrange.Value {
+// formals writes the current values of fi's formals into dst: each the
+// weighted merge of the jump functions at the known call sites, iterated
+// in caller-index order. With no recorded caller yet a formal is ⊤ in
+// interprocedural mode (optimistic: unreached so far), ⊥ otherwise;
+// main's formals are always ⊥ (program inputs). Sub-operations accrue to
+// the caller-supplied calc (the running engine's), so no counts are lost.
+//
+// While every contribution is the callerArgs the previous merge read,
+// the merge would repeat bit for bit (installed callerArgs are never
+// written), so its values are reused and its sub-operations and set-cap
+// widenings replayed into calc, as the transfer memo replays a hit.
+func (ip *interproc) formals(fi int, dst []vrange.Value, calc *vrange.Calc) {
 	if !ip.cfg.Interprocedural || ip.cg.Funcs[fi].Name == "main" {
-		return vrange.BottomValue()
+		for i := range dst {
+			dst[i] = vrange.BottomValue()
+		}
+		return
 	}
-	var items []vrange.Weighted
-	any := false
-	for pos := range ip.cg.Callers[fi] {
-		ca := ip.args[fi][pos]
-		if ca == nil {
+	sc := &ip.scratch[fi]
+	args := ip.args[fi]
+	if sc.merged && slices.Equal(sc.from, args) {
+		copy(dst, sc.formals)
+		calc.SubOps += sc.subOps
+		calc.Widens += sc.widens
+		return
+	}
+	subOps0, widens0 := calc.SubOps, calc.Widens
+	reached := slices.ContainsFunc(args, func(ca *callerArgs) bool { return ca != nil })
+	for idx := range dst {
+		if !reached {
+			dst[idx] = vrange.TopValue()
 			continue
 		}
-		any = true
-		if idx < len(ca.vals) {
-			items = append(items, vrange.Weighted{Val: ca.vals[idx], W: ca.w})
+		items := sc.items[:0]
+		for _, ca := range args {
+			if ca != nil && idx < len(ca.vals) {
+				items = append(items, vrange.Weighted{Val: ca.vals[idx], W: ca.w})
+			}
 		}
+		sc.items = items
+		dst[idx] = calc.Merge(items)
 	}
-	if !any {
-		return vrange.TopValue()
-	}
-	return calc.Merge(items)
-}
-
-// returnValue returns the current return range of the callee with function
-// index ci.
-func (ip *interproc) returnValue(ci int) vrange.Value {
-	return ip.retVals[ci]
+	sc.merged = true
+	sc.from = append(sc.from[:0], args...)
+	sc.formals = append(sc.formals[:0], dst...)
+	sc.subOps, sc.widens = calc.SubOps-subOps0, calc.Widens-widens0
 }
 
 // sanitize strips caller-local symbolic bounds from a value crossing a
@@ -284,10 +319,11 @@ func (ip *interproc) update(fi int, vals []vrange.Value, blockFreq func(*ir.Bloc
 		return false
 	}
 	f := ip.cg.Funcs[fi]
+	sc := &ip.scratch[fi]
 	changed := false
 
 	// Return range of f.
-	var items []vrange.Weighted
+	items := sc.items[:0]
 	for _, b := range f.Blocks {
 		t := b.Terminator()
 		if t == nil || t.Op != ir.OpRet || t.A == ir.None {
@@ -307,55 +343,42 @@ func (ip *interproc) update(fi int, vals []vrange.Value, blockFreq func(*ir.Bloc
 
 	// Jump functions: actual argument values at every call site in f,
 	// weighted by call-site frequency, merged per callee (in callee-index
-	// order, for deterministic float accumulation).
-	type argAcc struct {
-		items [][]vrange.Weighted
-		w     float64
-	}
-	accs := map[int]*argAcc{}
-	for _, b := range f.Blocks {
-		w := blockFreq(b)
-		if w <= 0 {
+	// order, for deterministic float accumulation). A callee none of
+	// whose call sites runs keeps its previous contribution.
+	for _, cs := range ip.cg.Sites[fi] {
+		ci, pos := cs.Callee, cs.Pos
+		ws := sc.w[:0]
+		ca := &sc.ca
+		ca.w = 0
+		ran := false
+		for _, in := range cs.Calls {
+			w := blockFreq(in.Block)
+			ws = append(ws, w)
+			if w <= 0 {
+				continue
+			}
+			ca.w += w
+			ran = true
+		}
+		sc.w = ws
+		if !ran {
 			continue
 		}
-		for _, in := range b.Instrs {
-			if in.Op != ir.OpCall {
-				continue
-			}
-			callee := ip.prog.ByName[in.Callee]
-			if callee == nil {
-				continue
-			}
-			ci := ip.cg.Index[callee]
-			acc := accs[ci]
-			if acc == nil {
-				acc = &argAcc{items: make([][]vrange.Weighted, len(callee.Params))}
-				accs[ci] = acc
-			}
-			acc.w += w
-			for i := range callee.Params {
+		nparams := len(ip.cg.Funcs[ci].Params)
+		ca.vals = slices.Grow(ca.vals[:0], nparams)[:nparams]
+		for i := range ca.vals {
+			items = items[:0]
+			for j, in := range cs.Calls {
+				if ws[j] <= 0 {
+					continue
+				}
 				var av vrange.Value = vrange.BottomValue()
 				if i < len(in.Args) {
 					av = ip.sanitize(vals[in.Args[i]])
 				}
-				acc.items[i] = append(acc.items[i], vrange.Weighted{Val: av, W: w})
+				items = append(items, vrange.Weighted{Val: av, W: ws[j]})
 			}
-		}
-	}
-	touched := make([]int, 0, len(accs))
-	for ci := range accs {
-		touched = append(touched, ci)
-	}
-	sort.Ints(touched)
-	for _, ci := range touched {
-		acc := accs[ci]
-		ca := &callerArgs{vals: make([]vrange.Value, len(acc.items)), w: acc.w}
-		for i := range acc.items {
-			ca.vals[i] = calc.Merge(acc.items[i])
-		}
-		pos := ip.callerPos(ci, fi)
-		if pos < 0 {
-			continue // cannot happen: fi has a static call to ci
+			ca.vals[i] = calc.Merge(items)
 		}
 		prev := ip.args[ci][pos]
 		// Recursion widening on same-SCC call edges: an argument slot
@@ -393,10 +416,11 @@ func (ip *interproc) update(fi int, vals []vrange.Value, blockFreq func(*ir.Bloc
 			}
 		}
 		if prev == nil || !sameArgs(prev, ca) {
-			ip.args[ci][pos] = ca
+			ip.args[ci][pos] = &callerArgs{vals: slices.Clone(ca.vals), w: ca.w}
 			changed = true
 		}
 	}
+	sc.items = items
 	return changed
 }
 

@@ -3,6 +3,8 @@ package vrp
 import (
 	"math"
 	"testing"
+
+	"vrp/internal/vrange"
 )
 
 func TestInterprocRecursiveParamRanges(t *testing.T) {
@@ -143,5 +145,64 @@ func main() {
 		if br.Prob < 0 || br.Prob > 1 {
 			t.Errorf("prob = %v", br.Prob)
 		}
+	}
+}
+
+// TestInputSnapshotReplay: while every caller contribution of a function
+// is the callerArgs its last formal merge read, the next input snapshot
+// reuses the merged formals bit for bit, replays the merge's
+// sub-operations and set-cap widenings, and touches no cons table; once
+// a caller installs a new contribution the merge runs again.
+func TestInputSnapshotReplay(t *testing.T) {
+	p := compileSrc(t, "replay.mini", `
+func g(x) {
+	if (x > 3) { return 1; }
+	return 0;
+}
+func a() { return g(1); }
+func b() { return g(5); }
+func main() { print(a() + b()); }
+`)
+	cfg := DefaultConfig()
+	cfg.Range.MaxRanges = 1 // the two contributions' merge widens
+	d := newDriver(p, cfg)
+	gi := d.cg.Index[p.ByName["g"]]
+	if len(d.cg.Callers[gi]) != 2 {
+		t.Fatalf("g has %d callers, want 2", len(d.cg.Callers[gi]))
+	}
+	d.ip.args[gi][0] = &callerArgs{vals: []vrange.Value{hullRange(1, 1)}, w: 1}
+	d.ip.args[gi][1] = &callerArgs{vals: []vrange.Value{hullRange(5, 5)}, w: 3}
+	snapshot := func() (*funcInputs, *vrange.Calc) {
+		calc := vrange.NewCalcWith(cfg.Range, vrange.NewInternerSized(64))
+		return d.computeInputs(gi, calc), calc
+	}
+
+	first, c1 := snapshot()
+	if c1.SubOps == 0 || c1.Widens == 0 || c1.InternHits+c1.InternMisses == 0 {
+		t.Fatalf("first merge: %d sub-operations, %d widens, %d intern lookups; want all > 0",
+			c1.SubOps, c1.Widens, c1.InternHits+c1.InternMisses)
+	}
+	second, c2 := snapshot()
+	if !bitEqualVec(second.params, first.params) || second.hash != first.hash {
+		t.Errorf("reused formals %v, want %v", second.params, first.params)
+	}
+	if c2.SubOps != c1.SubOps || c2.Widens != c1.Widens {
+		t.Errorf("replay added %d sub-operations and %d widens, want %d and %d",
+			c2.SubOps, c2.Widens, c1.SubOps, c1.Widens)
+	}
+	if n := c2.InternHits + c2.InternMisses; n != 0 {
+		t.Errorf("replay made %d intern lookups, want 0", n)
+	}
+
+	d.ip.args[gi][0] = &callerArgs{vals: []vrange.Value{hullRange(2, 2)}, w: 1}
+	third, c3 := snapshot()
+	ref := vrange.NewCalcWith(cfg.Range, vrange.NewInternerSized(64))
+	want := ref.Merge([]vrange.Weighted{{Val: hullRange(2, 2), W: 1}, {Val: hullRange(5, 5), W: 3}})
+	if !third.params[0].BitEqual(want) || third.params[0].BitEqual(first.params[0]) {
+		t.Errorf("after a new contribution the formal is %v, want a fresh merge %v", third.params[0], want)
+	}
+	if c3.InternHits+c3.InternMisses == 0 || c3.SubOps != ref.SubOps || c3.Widens != ref.Widens {
+		t.Errorf("after a new contribution: %d sub-operations, %d widens, %d intern lookups; want %d, %d and a merge",
+			c3.SubOps, c3.Widens, c3.InternHits+c3.InternMisses, ref.SubOps, ref.Widens)
 	}
 }

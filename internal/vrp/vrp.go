@@ -386,16 +386,16 @@ func AnalyzeContext(ctx context.Context, p *ir.Program, cfg Config) (*Result, er
 
 // callOrder returns functions roughly callers-before-callees starting at
 // main, so parameter seeds are available early; unreached functions come
-// last in name order. The preorder DFS runs on an explicit stack so deep
-// call chains cannot overflow the goroutine stack.
+// last in name order. The preorder DFS walks each function's call-site
+// index on an explicit stack so deep call chains cannot overflow the
+// goroutine stack.
 func callOrder(p *ir.Program) []*ir.Func {
 	var order []*ir.Func
 	seen := map[*ir.Func]bool{}
-	// cursor is a suspended scan of one function's instructions.
+	// cursor is a suspended scan of one function's call sites.
 	type cursor struct {
-		f     *ir.Func
-		block int
-		instr int
+		f    *ir.Func
+		next int
 	}
 	if m := p.Main(); m != nil {
 		seen[m] = true
@@ -403,35 +403,20 @@ func callOrder(p *ir.Program) []*ir.Func {
 		stack := []cursor{{f: m}}
 		for len(stack) > 0 {
 			cur := &stack[len(stack)-1]
-			f := cur.f
-			pushed := false
-		scan:
-			for cur.block < len(f.Blocks) {
-				b := f.Blocks[cur.block]
-				for cur.instr < len(b.Instrs) {
-					in := b.Instrs[cur.instr]
-					cur.instr++
-					if in.Op != ir.OpCall {
-						continue
-					}
-					callee := p.ByName[in.Callee]
-					if callee == nil || seen[callee] {
-						continue
-					}
-					// First call of an unseen function: preorder-append it
-					// and descend (the parent cursor resumes afterwards).
-					seen[callee] = true
-					order = append(order, callee)
-					stack = append(stack, cursor{f: callee})
-					pushed = true
-					break scan
-				}
-				cur.block++
-				cur.instr = 0
-			}
-			if !pushed {
+			if cur.next == len(cur.f.Calls) {
 				stack = stack[:len(stack)-1]
+				continue
 			}
+			callee := p.ByName[cur.f.Calls[cur.next].Callee]
+			cur.next++
+			if callee == nil || seen[callee] {
+				continue
+			}
+			// First call of an unseen function: preorder-append it and
+			// descend (the parent cursor resumes afterwards).
+			seen[callee] = true
+			order = append(order, callee)
+			stack = append(stack, cursor{f: callee})
 		}
 	}
 	rest := make([]*ir.Func, 0)
