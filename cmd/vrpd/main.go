@@ -14,7 +14,7 @@
 //	-max-inflight 16       concurrent analyses before shedding with 429
 //	-max-source-bytes N    request body cap (default 1 MiB)
 //	-cache N               result-cache entries (0 disables)
-//	-funcstore N           per-function result-store buckets (0 disables it and the compile cache)
+//	-funcstore N           per-function result-store entries (0 disables it and the compile cache)
 //	-timeout D             per-analysis timeout (0 = none)
 //	-workers N             per-analysis engine parallelism (0 = one per CPU)
 //	-slo-latency D         latency target for vrpd_slo_* burn gauges
@@ -51,7 +51,7 @@ func main() {
 		inflight  = flag.Int("max-inflight", server.DefaultMaxInFlight, "concurrent analyses before 429 shedding")
 		maxSource = flag.Int64("max-source-bytes", server.DefaultMaxSourceBytes, "request body size cap in bytes")
 		cacheSize = flag.Int("cache", server.DefaultCacheEntries, "result cache entries (0 disables caching)")
-		storeSize = flag.Int("funcstore", server.DefaultFuncStoreEntries, "per-function result store buckets (0 disables incremental reuse: the store and the compile cache)")
+		storeSize = flag.Int("funcstore", server.DefaultFuncStoreEntries, "per-function result store entries (0 disables incremental reuse: the store and the compile cache)")
 		timeout   = flag.Duration("timeout", 0, "per-analysis timeout (0 = none)")
 		workers   = flag.Int("workers", 0, "per-analysis engine workers (0 = one per CPU)")
 		sloTarget = flag.Duration("slo-latency", server.DefaultSLOLatency, "latency target behind the vrpd_slo_* burn gauges (0 disables)")

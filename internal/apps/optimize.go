@@ -2,7 +2,6 @@ package apps
 
 import (
 	"vrp/internal/ir"
-	"vrp/internal/vrange"
 	corevrp "vrp/internal/vrp"
 )
 
@@ -218,12 +217,4 @@ func isDeadPure(f *ir.Func, in *ir.Instr) bool {
 		return len(f.Uses[in.Dst]) == 0
 	}
 	return false
-}
-
-// OptimizedValue re-exposes the constants the optimizer used (test hook).
-func OptimizedValue(fr *corevrp.FuncResult, r ir.Reg) (vrange.Value, bool) {
-	if int(r) >= len(fr.Val) {
-		return vrange.Value{}, false
-	}
-	return fr.Val[r], true
 }

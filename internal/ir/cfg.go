@@ -34,15 +34,6 @@ func (b *Block) Append(in *Instr) *Instr {
 	return in
 }
 
-// InsertAfterPhis inserts in just after b's φ instructions.
-func (b *Block) InsertAfterPhis(in *Instr) {
-	in.Block = b
-	n := len(b.Phis())
-	b.Instrs = append(b.Instrs, nil)
-	copy(b.Instrs[n+1:], b.Instrs[n:])
-	b.Instrs[n] = in
-}
-
 // SplitCriticalEdges inserts an empty jump block on every edge whose source
 // has multiple successors and whose target has multiple predecessors. With
 // critical edges split, each successor of a conditional branch has exactly
@@ -77,13 +68,6 @@ func (f *Func) SplitCriticalEdges() {
 		}
 		mid.Append(&Instr{Op: OpJmp})
 	}
-}
-
-// ReachableBlocks returns the blocks reachable from the entry in reverse
-// postorder.
-func (f *Func) ReachableBlocks() []*Block {
-	rpo, _ := f.reachable()
-	return rpo
 }
 
 // reachable returns the blocks reachable from the entry in reverse

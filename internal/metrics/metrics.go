@@ -185,21 +185,26 @@ func (v *GaugeVec) With(values ...string) *Gauge {
 	return v.f.add(renderLabels(v.labels, values), &Gauge{}).(*Gauge)
 }
 
-// gaugeFunc evaluates a callback at scrape time — for derived values
+// valueFunc evaluates a callback at scrape time — for derived values
 // (ratios over counters, runtime stats) that would be racy or stale as
-// stored gauges.
-type gaugeFunc struct {
+// stored gauges, and for counts another package keeps.
+type valueFunc struct {
 	fn func() float64
 }
 
-func (g gaugeFunc) render(w io.Writer, name, labels string) {
+func (g valueFunc) render(w io.Writer, name, labels string) {
 	fmt.Fprintf(w, "%s%s %s\n", name, labels, formatFloat(g.fn()))
 }
 
 // GaugeFunc registers a gauge whose value is computed at scrape time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	f := r.family(name, help, "gauge")
-	f.add("", gaugeFunc{fn: fn})
+	r.family(name, help, "gauge").add("", valueFunc{fn: fn})
+}
+
+// CounterFunc registers a counter whose value is read at scrape time;
+// fn must never decrease.
+func (r *Registry) CounterFunc(name, help string, fn func() float64) {
+	r.family(name, help, "counter").add("", valueFunc{fn: fn})
 }
 
 // ----------------------------------------------------------- histograms

@@ -29,6 +29,7 @@ func TestExpositionGolden(t *testing.T) {
 	g.Dec()
 
 	r.GaugeFunc("mm_ratio", "a derived ratio", func() float64 { return 0.25 })
+	r.CounterFunc("mm_read_total", "a count kept elsewhere", func() float64 { return 7 })
 
 	h := r.Histogram("hh_latency_seconds", "latency", []float64{0.1, 1, 10})
 	for _, o := range []float64{0.05, 0.5, 0.5, 5, 50} {
@@ -58,6 +59,9 @@ mm_inflight 2
 # HELP mm_ratio a derived ratio
 # TYPE mm_ratio gauge
 mm_ratio 0.25
+# HELP mm_read_total a count kept elsewhere
+# TYPE mm_read_total counter
+mm_read_total 7
 # HELP zz_simple_total an unlabelled counter
 # TYPE zz_simple_total counter
 zz_simple_total 42

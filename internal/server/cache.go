@@ -2,8 +2,8 @@ package server
 
 import (
 	"bytes"
-	"container/list"
-	"sync"
+
+	"vrp/internal/lru"
 )
 
 // resultCache is a bounded LRU over serialized analysis responses, keyed
@@ -25,97 +25,49 @@ import (
 // per-run payloads, so they bypass the cache entirely (counted by the
 // bypass metric, not as misses).
 type resultCache struct {
-	mu      sync.Mutex
-	max     int
-	entries map[uint64]*list.Element
-	order   *list.List // front = most recently used
-
-	evictions int64
+	entries *lru.Cache[uint64, cacheEntry]
 }
 
 type cacheEntry struct {
-	key  uint64
 	src  []byte // the fingerprinted source; confirmed on every hit
 	body []byte
 }
 
 // newResultCache returns a cache bounded to max entries; max <= 0
-// disables caching (every get misses, put is a no-op).
+// disables caching (New then leaves the server's field nil).
 func newResultCache(max int) *resultCache {
 	if max <= 0 {
 		return nil
 	}
-	return &resultCache{
-		max:     max,
-		entries: make(map[uint64]*list.Element, max),
-		order:   list.New(),
-	}
+	return &resultCache{entries: lru.New[uint64, cacheEntry](max)}
 }
 
 // get returns the cached body for key after confirming the stored source
-// equals src, promoting the entry to most recently used. collided
-// reports a fingerprint match whose source differed — a miss the caller
-// counts in vrpd_cache_collisions_total.
+// equals src. collided reports a fingerprint match whose source differed
+// — a miss the caller counts in vrpd_cache_collisions_total.
 func (c *resultCache) get(key uint64, src []byte) (body []byte, ok, collided bool) {
-	if c == nil {
-		return nil, false, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, found := c.entries[key]
+	ent, found := c.entries.Get(key)
 	if !found {
 		return nil, false, false
 	}
-	ent := el.Value.(*cacheEntry)
 	if !bytes.Equal(ent.src, src) {
 		return nil, false, true
 	}
-	c.order.MoveToFront(el)
 	return ent.body, true, false
 }
 
 // put stores body under (key, src), evicting the least recently used
-// entry when full. Returns the number of entries evicted (0 or 1) and
-// whether the slot held a colliding different-source entry (which the
-// new body replaces).
+// entry when full. Returns the number of entries evicted and whether the
+// slot held a colliding different-source entry (which the new body
+// replaces).
 func (c *resultCache) put(key uint64, src, body []byte) (evicted int, collided bool) {
-	if c == nil {
-		return 0, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		ent := el.Value.(*cacheEntry)
+	if ent, found := c.entries.Get(key); found {
 		if bytes.Equal(ent.src, src) {
 			// Same source analyzed concurrently by two requests: keep the
-			// first body (they are equal by determinism) and refresh.
-			c.order.MoveToFront(el)
+			// first body (they are equal by determinism).
 			return 0, false
 		}
-		// Fingerprint collision: the slot belongs to a different program.
-		// Replace it so the newer program gets its own confirmed entry.
-		ent.src = src
-		ent.body = body
-		c.order.MoveToFront(el)
-		return 0, true
+		collided = true
 	}
-	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, src: src, body: body})
-	for c.order.Len() > c.max {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheEntry).key)
-		c.evictions++
-		evicted++
-	}
-	return evicted, collided
-}
-
-// len returns the current entry count.
-func (c *resultCache) len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
+	return c.entries.Put(key, cacheEntry{src: src, body: body}, 1), collided
 }

@@ -1,9 +1,7 @@
 package server
 
 import (
-	"container/list"
-	"sync"
-
+	"vrp/internal/lru"
 	corevrp "vrp/internal/vrp"
 )
 
@@ -15,32 +13,22 @@ import (
 // function of a program the store has seen re-analyzes only the dirty
 // cone and splices everything else.
 //
-// Collision discipline matches the result cache and the interner: the
-// fingerprint triple only locates a bucket, and every candidate is
+// Collision discipline matches the result cache and the compile cache:
+// the fingerprint triple only locates an entry, and the entry is
 // confirmed with FuncKey.SameKey (body bytes, callee-name binding,
-// bit-equal input values) before it is served. True fingerprint
-// collisions coexist in one bucket — they are counted, never unified
-// and never evicted by each other.
+// bit-equal input values) before it is served. A failed confirm is a
+// counted miss, and a store under a colliding triple replaces the entry.
 type funcStore struct {
-	mu      sync.Mutex
-	max     int
-	entries map[funcStoreFP]*list.Element // fp triple → bucket element
-	order   *list.List                    // front = most recently used; values are *funcStoreBucket
+	entries *lru.Cache[funcStoreFP, funcStoreEntry]
 
-	m *serverMetrics // nil in unit tests
+	m *serverMetrics
 }
 
 type funcStoreFP struct{ body, input, config uint64 }
 
-// funcStoreBucket holds every entry sharing one fingerprint triple. One
-// entry is overwhelmingly the common case; extra slots exist only under
-// true 64-bit collisions. The bucket is the LRU unit: colliding entries
-// live and die together, which keeps the recency list simple without
-// letting a collision evict its sibling.
-type funcStoreBucket struct {
-	fp      funcStoreFP
-	keys    []*corevrp.FuncKey
-	results []*corevrp.StoredFunc
+type funcStoreEntry struct {
+	key *corevrp.FuncKey
+	sf  *corevrp.StoredFunc
 }
 
 // DefaultFuncStoreEntries bounds the store when Config.FuncStoreEntries
@@ -49,107 +37,50 @@ type funcStoreBucket struct {
 // generated program populates ~120 of them.
 const DefaultFuncStoreEntries = 4096
 
-// newFuncStore returns a store bounded to max buckets; max <= 0 disables
+// newFuncStore returns a store bounded to max entries; max <= 0 disables
 // the store (New then leaves the server's field nil).
 func newFuncStore(max int, m *serverMetrics) *funcStore {
 	if max <= 0 {
 		return nil
 	}
-	return &funcStore{
-		max:     max,
-		entries: make(map[funcStoreFP]*list.Element, max),
-		order:   list.New(),
-		m:       m,
-	}
+	return &funcStore{entries: lru.New[funcStoreFP, funcStoreEntry](max), m: m}
 }
 
-func (s *funcStore) fpOf(key *corevrp.FuncKey) funcStoreFP {
+func fpOf(key *corevrp.FuncKey) funcStoreFP {
 	return funcStoreFP{body: key.BodyFP, input: key.InputFP, config: key.ConfigFP}
 }
 
 // Lookup implements vrp.FuncStore: fingerprint probe, then full-key
-// confirmation of every bucket entry. A fingerprint match with no
-// confirmed entry counts as a collision and reports a miss.
+// confirmation. A fingerprint match that fails confirmation counts as a
+// collision and reports a miss.
 func (s *funcStore) Lookup(key *corevrp.FuncKey) (*corevrp.StoredFunc, bool) {
-	s.mu.Lock()
-	el, ok := s.entries[s.fpOf(key)]
-	if !ok {
-		s.mu.Unlock()
-		if s.m != nil {
-			s.m.funcstoreMisses.Inc()
-		}
-		return nil, false
+	e, found := s.entries.Get(fpOf(key))
+	if found && e.key.SameKey(key) {
+		s.m.funcstoreHits.Inc()
+		return e.sf, true
 	}
-	b := el.Value.(*funcStoreBucket)
-	for i, k := range b.keys {
-		if k.SameKey(key) {
-			sf := b.results[i]
-			s.order.MoveToFront(el)
-			s.mu.Unlock()
-			if s.m != nil {
-				s.m.funcstoreHits.Inc()
-			}
-			return sf, true
-		}
-	}
-	s.mu.Unlock()
-	if s.m != nil {
+	if found {
 		s.m.funcstoreCollisions.Inc()
-		s.m.funcstoreMisses.Inc()
 	}
+	s.m.funcstoreMisses.Inc()
 	return nil, false
 }
 
 // Store implements vrp.FuncStore. The driver hands over detached keys
-// and records, so retaining them is safe. A colliding same-fingerprint
-// different-key store appends to the bucket (counted); a same-key store
-// keeps the first record — by determinism the two are bit-identical.
+// and records, so retaining them is safe. A same-key store keeps the
+// first record: by determinism the two are bit-identical, and the first
+// may already carry its published settled part. A colliding store
+// (same fingerprints, different key) replaces the entry and is counted.
 func (s *funcStore) Store(key *corevrp.FuncKey, sf *corevrp.StoredFunc) {
-	var evicted int64
-	collided := false
-	s.mu.Lock()
-	fp := s.fpOf(key)
-	if el, ok := s.entries[fp]; ok {
-		b := el.Value.(*funcStoreBucket)
-		for _, k := range b.keys {
-			if k.SameKey(key) {
-				s.order.MoveToFront(el)
-				s.mu.Unlock()
-				return
-			}
-		}
-		b.keys = append(b.keys, key)
-		b.results = append(b.results, sf)
-		s.order.MoveToFront(el)
-		collided = true
-	} else {
-		b := &funcStoreBucket{fp: fp, keys: []*corevrp.FuncKey{key}, results: []*corevrp.StoredFunc{sf}}
-		s.entries[fp] = s.order.PushFront(b)
-		for s.order.Len() > s.max {
-			oldest := s.order.Back()
-			s.order.Remove(oldest)
-			ob := oldest.Value.(*funcStoreBucket)
-			delete(s.entries, ob.fp)
-			evicted += int64(len(ob.keys))
-		}
+	fp := fpOf(key)
+	e, found := s.entries.Get(fp)
+	if found && e.key.SameKey(key) {
+		return
 	}
-	s.mu.Unlock()
-	if s.m != nil {
-		if collided {
-			s.m.funcstoreCollisions.Inc()
-		}
-		if evicted > 0 {
-			s.m.funcstoreEvictions.Add(evicted)
-		}
+	if found {
+		s.m.funcstoreCollisions.Inc()
 	}
-}
-
-// len returns the current bucket count.
-func (s *funcStore) len() int {
-	if s == nil {
-		return 0
+	if n := s.entries.Put(fp, funcStoreEntry{key: key, sf: sf}, 1); n > 0 {
+		s.m.funcstoreEvictions.Add(int64(n))
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.order.Len()
 }

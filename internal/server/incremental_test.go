@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"vrp/internal/genprog"
 	corevrp "vrp/internal/vrp"
@@ -108,28 +109,68 @@ func TestCacheCollisionEndToEnd(t *testing.T) {
 
 // --------------------------------------------------- funcstore (server)
 
-// TestFuncStoreBucketCollision: handcrafted keys sharing one fingerprint
-// triple must coexist in a bucket, each serving only its own record.
-func TestFuncStoreBucketCollision(t *testing.T) {
-	fs := newFuncStore(8, nil)
+// TestFuncStoreCollisionReplaces: handcrafted keys sharing one
+// fingerprint triple are each confirmed before being served. A colliding
+// key is never served the other key's record, and a colliding store
+// replaces the entry, so only the newer key hits.
+func TestFuncStoreCollisionReplaces(t *testing.T) {
+	m := newServerMetrics(time.Now(), 0)
+	fs := newFuncStore(8, m)
 	keyA := &corevrp.FuncKey{BodyFP: 7, InputFP: 7, ConfigFP: 7, Body: []byte("body A")}
 	keyB := &corevrp.FuncKey{BodyFP: 7, InputFP: 7, ConfigFP: 7, Body: []byte("body B")}
 	sfA := &corevrp.StoredFunc{Effort: corevrp.Effort{SubOps: 1}}
 	sfB := &corevrp.StoredFunc{Effort: corevrp.Effort{SubOps: 2}}
 
 	fs.Store(keyA, sfA)
-	if _, ok := fs.Lookup(keyB); ok {
-		t.Fatal("colliding lookup served the other key's record")
+	if got, ok := fs.Lookup(keyB); ok || got != nil {
+		t.Fatalf("colliding lookup served (%v, %v)", got, ok)
 	}
 	fs.Store(keyB, sfB)
-	if fs.len() != 1 {
-		t.Fatalf("bucket count = %d, want 1 (collisions share a bucket)", fs.len())
+	if n := fs.entries.Len(); n != 1 {
+		t.Fatalf("entries = %d, want 1 (a colliding store replaces)", n)
 	}
-	if got, ok := fs.Lookup(keyA); !ok || got != sfA {
-		t.Fatalf("A lookup = (%v, %v)", got, ok)
+	if got, ok := fs.Lookup(keyA); ok || got != nil {
+		t.Fatalf("replaced key A lookup = (%v, %v), want a miss", got, ok)
 	}
 	if got, ok := fs.Lookup(keyB); !ok || got != sfB {
 		t.Fatalf("B lookup = (%v, %v)", got, ok)
+	}
+	// A same-key store keeps the first record.
+	fs.Store(keyB, &corevrp.StoredFunc{})
+	if got, _ := fs.Lookup(keyB); got != sfB {
+		t.Fatalf("same-key store replaced the record: %v", got)
+	}
+	// Collisions: A's lookup before B's store, B's colliding store, A's
+	// lookup after it.
+	if c := m.funcstoreCollisions.Value(); c != 3 {
+		t.Errorf("collisions = %d, want 3", c)
+	}
+	if h, mi := m.funcstoreHits.Value(), m.funcstoreMisses.Value(); h != 2 || mi != 2 {
+		t.Errorf("hits, misses = %d, %d, want 2, 2", h, mi)
+	}
+}
+
+// TestFuncStoreEvictionsCounted: a store capped by FuncStoreEntries
+// holds that many records of a program an uncapped store holds more of,
+// and counts every other record it stored as evicted.
+func TestFuncStoreEvictionsCounted(t *testing.T) {
+	const entries = 4
+	src := genprog.Source(genCfg)
+	stored := func(srv *Server) map[string]float64 {
+		t.Helper()
+		if rec := postAnalyze(t, srv.Handler(), "/v1/analyze", src); rec.Code != http.StatusOK {
+			t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
+		}
+		return scrape(t, srv.Handler())
+	}
+	uncapped, _ := newTestServer(t, nil)
+	capped, _ := newTestServer(t, func(c *Config) { c.FuncStoreEntries = entries })
+	all, m := stored(uncapped)["vrpd_funcstore_entries"], stored(capped)
+	if all <= entries || m["vrpd_funcstore_entries"] != entries {
+		t.Fatalf("entries: uncapped %v, capped %v (cap %d)", all, m["vrpd_funcstore_entries"], entries)
+	}
+	if got, want := m["vrpd_funcstore_evictions_total"], all-entries; got != want {
+		t.Errorf("vrpd_funcstore_evictions_total = %v, want %v", got, want)
 	}
 }
 

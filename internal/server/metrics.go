@@ -212,7 +212,7 @@ func newServerMetrics(start time.Time, sloTarget float64) *serverMetrics {
 
 		funcstoreHits:       reg.Counter("vrpd_funcstore_hits_total", "Function results spliced from the per-function store after full-key confirmation."),
 		funcstoreMisses:     reg.Counter("vrpd_funcstore_misses_total", "Per-function store lookups that required an engine run."),
-		funcstoreCollisions: reg.Counter("vrpd_funcstore_collisions_total", "Per-function store fingerprint matches whose stored key failed confirmation (counted as misses; colliding entries coexist, they are never unified)."),
+		funcstoreCollisions: reg.Counter("vrpd_funcstore_collisions_total", "Per-function store fingerprint matches whose stored key failed confirmation (counted as misses; a colliding store replaces the entry)."),
 		funcstoreEvictions:  reg.Counter("vrpd_funcstore_evictions_total", "Per-function store entries evicted by the LRU bound."),
 
 		latSteps:      reg.Counter("vrpd_lattice_steps_total", "Engine worklist steps across all analyses, including the replayed steps of spliced functions."),

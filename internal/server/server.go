@@ -101,10 +101,10 @@ type Config struct {
 	// 0 means DefaultCacheEntries.
 	CacheEntries int
 
-	// FuncStoreEntries bounds the cross-request per-function result
-	// store; negative disables it, 0 means DefaultFuncStoreEntries. The
-	// server has a per-function compile cache exactly when it has the
-	// store.
+	// FuncStoreEntries bounds the entries of the cross-request
+	// per-function result store; negative disables it, 0 means
+	// DefaultFuncStoreEntries. The server has a per-function compile
+	// cache exactly when it has the store.
 	FuncStoreEntries int
 
 	// AnalyzeTimeout cancels one analysis after this long (the request
@@ -207,8 +207,12 @@ func New(cfg Config) *Server {
 	}
 	if s.fstore != nil {
 		s.units = unitcache.New()
-		m.reg.GaugeFunc("vrpd_funcstore_entries", "Fingerprint buckets resident in the per-function result store.",
-			func() float64 { return float64(s.fstore.len()) })
+		m.reg.GaugeFunc("vrpd_funcstore_entries", "Entries resident in the per-function result store.",
+			func() float64 { return float64(s.fstore.entries.Len()) })
+		m.reg.CounterFunc("vrpd_unitcache_hits_total", "Functions the per-function compile cache served compiled.",
+			func() float64 { h, _ := s.units.Stats(); return float64(h) })
+		m.reg.CounterFunc("vrpd_unitcache_misses_total", "Functions the per-function compile cache compiled, of sources it could split into functions.",
+			func() float64 { _, mi := s.units.Stats(); return float64(mi) })
 	}
 	if s.recorder != nil {
 		m.reg.GaugeFunc("vrpd_recorder_entries", "Requests currently retained by the flight recorder.",

@@ -70,6 +70,11 @@ func TestCompileCacheEditCompilesOneUnit(t *testing.T) {
 	if funcs := int64(genprog.Default().Funcs + 1); compiled != 1 || h1-h0 != funcs-1 {
 		t.Errorf("the edit compiled %d units and reused %d, want 1 and %d", compiled, h1-h0, funcs-1)
 	}
+	hits, misses := warm.units.Stats()
+	if m := scrape(t, warm.Handler()); m["vrpd_unitcache_hits_total"] != float64(hits) || m["vrpd_unitcache_misses_total"] != float64(misses) {
+		t.Errorf("/metrics unit hits, misses = %v, %v, want %d, %d",
+			m["vrpd_unitcache_hits_total"], m["vrpd_unitcache_misses_total"], hits, misses)
+	}
 
 	// Explaining a branch of a function the edit moved down finds it at
 	// its new line and prints that line.

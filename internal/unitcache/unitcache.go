@@ -17,16 +17,15 @@
 package unitcache
 
 import (
-	"container/list"
-	"hash/maphash"
 	"strconv"
 	"strings"
-	"sync"
+	"sync/atomic"
 
 	"vrp/internal/ast"
 	"vrp/internal/ir"
 	"vrp/internal/irgen"
 	"vrp/internal/lexer"
+	"vrp/internal/lru"
 	"vrp/internal/parser"
 	"vrp/internal/sem"
 	"vrp/internal/source"
@@ -44,22 +43,22 @@ const MaxTextBytes = 1 << 20
 
 // Cache is a bounded LRU of compiled functions, at most one version per
 // function name. It is safe for concurrent use.
+//
+// The name only locates a unit; a probe confirms it by its column,
+// signature table, assertion setting and text before reusing it. A
+// failed confirm is a miss, and the unit compiled for it replaces the
+// older version.
 type Cache struct {
-	mu     sync.Mutex
-	byName map[string]*list.Element // function name → element holding *unit
-	order  *list.List               // front = most recently used
-	bytes  int                      // text bytes of the units held
-	sig    *string                  // the signature table of the last units compiled
-	seed   maphash.Seed
+	units *lru.Cache[string, *unit] // function name → its latest version; cost = text bytes
+	sig   atomic.Pointer[string]    // the signature table of the last units compiled
 
-	hits, misses int64
+	hits, misses atomic.Int64
 }
 
 // unit is one compiled function and the key it was compiled under. It
 // is immutable once in the cache.
 type unit struct {
 	name         string
-	hash         uint64  // of text
 	text         string  // a copy of the function's source text
 	col          int     // column of its 'func' keyword
 	sig          *string // the program's signature table, shared by the units compiled under it
@@ -70,15 +69,13 @@ type unit struct {
 
 // New returns an empty cache.
 func New() *Cache {
-	return &Cache{byName: map[string]*list.Element{}, order: list.New(), seed: maphash.MakeSeed()}
+	return &Cache{units: lru.New[string, *unit](MaxTextBytes)}
 }
 
 // Stats returns how many function units compiles found in the cache
 // (hits) and compiled (misses).
 func (c *Cache) Stats() (hits, misses int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
+	return c.hits.Load(), c.misses.Load()
 }
 
 // Compile compiles src as vrp.CompileWith does, reusing every function
@@ -107,30 +104,23 @@ func (c *Cache) Compile(name, src string, noAssertions bool, tr *telemetry.Trace
 	var missed []int
 	// Units compiled under one signature table share one pointer to it,
 	// so a unit's table is matched by a pointer compare.
-	c.mu.Lock()
 	st := &sig
-	if c.sig != nil && *c.sig == sig {
-		st = c.sig
+	if last := c.sig.Load(); last != nil && *last == sig {
+		st = last
 	}
 	for i, lu := range units {
 		pos := file.PosFor(lu.Start)
 		lines[i] = pos.Line
 		text := src[lu.Start:lu.End]
-		h := maphash.String(c.seed, text)
-		if el, ok := c.byName[lu.Name]; ok {
-			u := el.Value.(*unit)
-			if u.hash == h && u.col == pos.Col && u.noAssertions == noAssertions && u.sig == st && u.text == text {
-				got[i] = u
-				c.order.MoveToFront(el)
-				continue
-			}
+		if u, ok := c.units.Get(lu.Name); ok && u.col == pos.Col && u.sig == st && u.noAssertions == noAssertions && u.text == text {
+			got[i] = u
+			continue
 		}
-		got[i] = &unit{name: lu.Name, hash: h, text: text, col: pos.Col, sig: st, noAssertions: noAssertions}
+		got[i] = &unit{name: lu.Name, text: text, col: pos.Col, sig: st, noAssertions: noAssertions}
 		missed = append(missed, i)
 	}
-	c.hits += int64(len(units) - len(missed))
-	c.misses += int64(len(missed))
-	c.mu.Unlock()
+	c.hits.Add(int64(len(units) - len(missed)))
+	c.misses.Add(int64(len(missed)))
 	if tr != nil {
 		tr.Annotate(parseSpan, "units", strconv.Itoa(len(units)))
 		tr.Annotate(parseSpan, "compiled", strconv.Itoa(len(missed)))
@@ -179,35 +169,12 @@ func (c *Cache) Compile(name, src string, noAssertions bool, tr *telemetry.Trace
 		p.Funcs[i] = &f
 		p.ByName[u.name] = &f
 	}
-	c.insert(got, missed)
-	return p
-}
-
-// insert publishes the compiled units, each replacing its name's older
-// version, and evicts least recently used units past MaxTextBytes.
-func (c *Cache) insert(got []*unit, missed []int) {
-	if len(missed) == 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.sig = got[missed[0]].sig
+	// Publish the compiled units, each replacing its name's older version.
+	c.sig.Store(st)
 	for _, i := range missed {
-		u := got[i]
-		if el, ok := c.byName[u.name]; ok {
-			c.bytes -= len(el.Value.(*unit).text)
-			c.order.Remove(el)
-		}
-		c.byName[u.name] = c.order.PushFront(u)
-		c.bytes += len(u.text)
+		c.units.Put(got[i].name, got[i], len(got[i].text))
 	}
-	for c.bytes > MaxTextBytes {
-		el := c.order.Back()
-		u := el.Value.(*unit)
-		c.order.Remove(el)
-		delete(c.byName, u.name)
-		c.bytes -= len(u.text)
-	}
+	return p
 }
 
 // signatures returns the program's signature table, as a string of

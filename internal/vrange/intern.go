@@ -594,8 +594,8 @@ func (it *Interner) mergePut(k mergeKey, e memoEntry) {
 	it.merge[k] = e
 }
 
-// Size reports the number of distinct interned values (for benchmarks and
-// diagnostics).
+// Size reports the number of distinct interned values (for telemetry,
+// benchmarks and diagnostics).
 func (it *Interner) Size() int {
 	n := it.live + len(it.points) + len(it.bools)
 	for _, bucket := range it.overflow {
@@ -603,9 +603,6 @@ func (it *Interner) Size() int {
 	}
 	return n
 }
-
-// Live is Size under its telemetry name: the distinct interned values.
-func (it *Interner) Live() int { return it.Size() }
 
 // ArenaBytes reports the memory footprint of the arena slabs, rewound
 // ones included.

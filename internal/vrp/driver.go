@@ -372,7 +372,7 @@ func (d *driver) finishTelemetry(res *Result, maxPasses int) {
 		if it == nil {
 			continue
 		}
-		snap.InternLive += int64(it.Live())
+		snap.InternLive += int64(it.Size())
 		snap.InternArenaBytes += it.ArenaBytes()
 		snap.InternEvictions += it.Evictions()
 	}
@@ -773,7 +773,7 @@ func (d *driver) releaseTables() {
 		if it == nil || it.Footprint() > pooledTableMaxBytes {
 			continue
 		}
-		if it.Live() > pooledTableMaxLive || testHookReleaseTable != nil {
+		if it.Size() > pooledTableMaxLive || testHookReleaseTable != nil {
 			it.Reset()
 			if testHookReleaseTable != nil {
 				testHookReleaseTable(it)

@@ -165,15 +165,6 @@ func (ip *interproc) clampMag(v vrange.Value) vrange.Value {
 	return hullRange(min(max(lo, -m), m), min(max(hi, -m), m))
 }
 
-// widenPinned folds a freshly computed value into a pinned slot holding
-// prev. This is classic interval widening over the clamped hulls: a bound
-// that moved outward since prev jumps straight to ±assumedMag, a bound at
-// rest (or moving inward) keeps its previous position. The stored hull
-// therefore only ever grows, inside the finite ladder
-// {prev bound, ±assumedMag} — at most two more moves after the pin — which
-// is the termination guarantee for recursive fixpoints whose exact
-// descending chain (e.g. ackermann's argument ranges growing one value
-// per pass) would outlast MaxPasses.
 // pinValue is the value a slot takes at the moment it is pinned: the
 // full assumed hull. Saturating immediately — rather than letting
 // widenPinned walk the {bound, ±assumedMag} ladder over later passes —
@@ -189,6 +180,15 @@ func (ip *interproc) pinValue(cur vrange.Value) vrange.Value {
 	return hullRange(-ip.assumedMag, ip.assumedMag)
 }
 
+// widenPinned folds a freshly computed value into a pinned slot holding
+// prev. This is classic interval widening over the clamped hulls: a bound
+// that moved outward since prev jumps straight to ±assumedMag, a bound at
+// rest (or moving inward) keeps its previous position. The stored hull
+// therefore only ever grows, inside the finite ladder
+// {prev bound, ±assumedMag} — at most two more moves after the pin — which
+// is the termination guarantee for recursive fixpoints whose exact
+// descending chain (e.g. ackermann's argument ranges growing one value
+// per pass) would outlast MaxPasses.
 func (ip *interproc) widenPinned(prev, cur vrange.Value) vrange.Value {
 	cc := ip.clampMag(cur)
 	pl, ph, ok := numericHull(prev)
