@@ -39,12 +39,12 @@ func FindConstantsAndCopies(res *corevrp.Result) *ConstCopyReport {
 	for f, fr := range res.Funcs {
 		consts := map[ir.Reg]int64{}
 		copies := map[ir.Reg]ir.Reg{}
-		for r := ir.Reg(1); int(r) < len(fr.Val); r++ {
+		for r := ir.Reg(1); int(r) < f.NumRegs; r++ {
 			def := f.Defs[r]
 			if def == nil {
 				continue
 			}
-			v := fr.Val[r]
+			v := fr.Value(r)
 			if c, ok := v.AsConst(); ok && def.Op != ir.OpConst {
 				consts[r] = c
 			}
@@ -135,7 +135,7 @@ func EliminateBoundsChecks(res *corevrp.Result) *BoundsReport {
 
 // indexInBounds proves 0 <= index < length from the final ranges.
 func indexInBounds(f *ir.Func, fr *corevrp.FuncResult, in *ir.Instr) bool {
-	idx := fr.Val[in.A]
+	idx := fr.Value(in.A)
 	if idx.Kind() != vrange.Set || idx.IsInfeasible() {
 		return false
 	}
@@ -152,7 +152,7 @@ func indexInBounds(f *ir.Func, fr *corevrp.FuncResult, in *ir.Instr) bool {
 	if allocDef == nil || allocDef.Op != ir.OpAlloc {
 		return false
 	}
-	lenVal := fr.Val[allocDef.A]
+	lenVal := fr.Value(allocDef.A)
 	if lenVal.Kind() != vrange.Set || len(lenVal.Ranges) == 0 {
 		return false
 	}
@@ -218,7 +218,7 @@ func DisjointArrayAccesses(res *corevrp.Result) *AliasReport {
 					continue
 				}
 				p := AliasPair{Fn: f, A: a, B: b}
-				p.Disjoint = rangesDisjoint(fr.Val[a.A], fr.Val[b.A])
+				p.Disjoint = rangesDisjoint(fr.Value(a.A), fr.Value(b.A))
 				rep.Pairs = append(rep.Pairs, p)
 				rep.Total++
 				if p.Disjoint {

@@ -65,10 +65,10 @@ func optimizeFunc(f *ir.Func, fr *corevrp.FuncResult, rep *OptimizeReport) {
 			case ir.OpCall, ir.OpInput, ir.OpLoad, ir.OpAlloc:
 				continue
 			}
-			if int(in.Dst) >= len(fr.Val) {
+			if int(in.Dst) >= f.NumRegs {
 				continue
 			}
-			if c, ok := fr.Val[in.Dst].AsConst(); ok {
+			if c, ok := fr.Value(in.Dst).AsConst(); ok {
 				*in = ir.Instr{Op: ir.OpConst, Dst: in.Dst, Const: c, Block: in.Block, Pos: in.Pos}
 				rep.ConstantsMaterialized++
 			}
@@ -77,12 +77,12 @@ func optimizeFunc(f *ir.Func, fr *corevrp.FuncResult, rep *OptimizeReport) {
 
 	// 2. Copy forwarding: build the substitution map from final ranges.
 	subst := map[ir.Reg]ir.Reg{}
-	for r := ir.Reg(1); int(r) < len(fr.Val); r++ {
+	for r := ir.Reg(1); int(r) < f.NumRegs; r++ {
 		def := f.Defs[r]
 		if def == nil || def.Op != ir.OpCopy {
 			continue
 		}
-		if src, ok := fr.Val[r].AsCopyOf(); ok && src != r {
+		if src, ok := fr.Value(r).AsCopyOf(); ok && src != r {
 			subst[r] = resolveSubst(subst, src)
 			rep.CopiesForwarded++
 		}

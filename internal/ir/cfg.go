@@ -128,7 +128,7 @@ func (f *Func) Renumber() {
 	f.Edges = edges
 }
 
-// BuildDefUse populates f.Defs, f.Uses and f.Calls from the instruction
+// BuildDefUse populates f.Defs, f.Uses, f.Calls and f.Rets from the instruction
 // stream. It requires (and checks) the single-assignment property; it is
 // called by ssaform.Build and may be re-invoked after IR surgery.
 func (f *Func) BuildDefUse() error {
@@ -137,10 +137,13 @@ func (f *Func) BuildDefUse() error {
 	// Count each register's uses and the calls first, then carve every
 	// use list from one array sized to the total.
 	uses := make([]int32, f.NumRegs)
-	total, calls := 0, 0
+	total, calls, rets := 0, 0, 0
 	var buf []Reg
 	idx := 0
 	for _, b := range f.Blocks {
+		if t := b.Terminator(); t != nil && t.Op == OpRet {
+			rets++
+		}
 		for _, in := range b.Instrs {
 			in.Idx = idx
 			idx++
@@ -168,8 +171,12 @@ func (f *Func) BuildDefUse() error {
 			off += int(n)
 		}
 	}
-	f.Calls = make([]*Instr, 0, calls)
+	sites := make([]*Instr, 0, calls+rets)
+	f.Calls, f.Rets = sites[:0:calls], sites[calls:calls]
 	for _, b := range f.Blocks {
+		if t := b.Terminator(); t != nil && t.Op == OpRet {
+			f.Rets = append(f.Rets, t)
+		}
 		for _, in := range b.Instrs {
 			if in.Op == OpCall {
 				f.Calls = append(f.Calls, in)

@@ -447,6 +447,10 @@ type Func struct {
 	// graph, the interprocedural jump functions and the program-level
 	// frequency and cloning passes read it instead of walking the body.
 	Calls []*Instr
+	// Rets lists every block's OpRet terminator in block order: the
+	// interprocedural return-range merge reads it instead of walking the
+	// blocks.
+	Rets []*Instr
 
 	// LineOffset shifts the line of every instruction position; read
 	// positions through Pos. A compile cache shares one compiled body

@@ -35,42 +35,94 @@ type Unit struct {
 // comments. ok is false for anything else, a lexical error included;
 // only a whole-file parse can report what is wrong then.
 func Units(file *source.File) (units []Unit, ok bool) {
-	var errs source.ErrorList
-	l := New(file, &errs)
-	for t := l.Next(); t.Kind != token.EOF; t = l.Next() {
-		if t.Kind != token.KwFunc {
+	s := NewSplitter(file)
+	for {
+		u, done, ok := s.Head()
+		if done {
+			return units, s.OK()
+		}
+		if !ok || !s.Body(&u) {
 			return nil, false
 		}
-		u := Unit{Start: t.Offset}
-		name := l.Next()
-		if name.Kind != token.Ident || l.Next().Kind != token.LParen {
-			return nil, false
-		}
-		u.Name = name.Lit
-		for t = l.Next(); t.Kind == token.Ident; t = l.Next() { // as the parser: a trailing comma is allowed
-			u.Arity++
-			if t = l.Next(); t.Kind != token.Comma {
-				break
-			}
-		}
-		if t.Kind != token.RParen || l.Next().Kind != token.LBrace {
-			return nil, false
-		}
-		for depth := 1; depth > 0; {
-			switch l.Next().Kind {
-			case token.LBrace:
-				depth++
-			case token.RBrace:
-				depth--
-			case token.EOF:
-				return nil, false
-			}
-		}
-		u.End = l.offset
 		units = append(units, u)
 	}
-	return units, errs.Len() == 0
 }
+
+// Splitter is Units one unit at a time: Head reads a unit's 'func'
+// keyword and name, and then either Body lexes the rest of it or, when
+// the caller already knows where a unit with that text ends, Skip moves
+// past it unlexed.
+type Splitter struct {
+	l    Lexer
+	errs source.ErrorList
+}
+
+// NewSplitter returns a splitter at the start of file.
+func NewSplitter(file *source.File) *Splitter {
+	s := &Splitter{}
+	s.l = Lexer{file: file, errs: &s.errs, src: file.Src}
+	return s
+}
+
+// Head skips the space and comments before the next unit and reads its
+// 'func' keyword and name into u's Start and Name. done reports the end
+// of the file instead; ok is false when the next tokens are not 'func'
+// IDENT.
+func (s *Splitter) Head() (u Unit, done, ok bool) {
+	t := s.l.Next()
+	if t.Kind == token.EOF {
+		return u, true, true
+	}
+	if t.Kind != token.KwFunc {
+		return u, false, false
+	}
+	u.Start = t.Offset
+	name := s.l.Next()
+	if name.Kind != token.Ident {
+		return u, false, false
+	}
+	u.Name = name.Lit
+	return u, false, true
+}
+
+// Body lexes the rest of the unit Head began, its parameter list and
+// brace-balanced block, into u's Arity and End. It reports whether
+// they are well formed.
+func (s *Splitter) Body(u *Unit) bool {
+	l := &s.l
+	if l.Next().Kind != token.LParen {
+		return false
+	}
+	var t token.Token
+	for t = l.Next(); t.Kind == token.Ident; t = l.Next() { // as the parser: a trailing comma is allowed
+		u.Arity++
+		if t = l.Next(); t.Kind != token.Comma {
+			break
+		}
+	}
+	if t.Kind != token.RParen || l.Next().Kind != token.LBrace {
+		return false
+	}
+	for depth := 1; depth > 0; {
+		switch l.Next().Kind {
+		case token.LBrace:
+			depth++
+		case token.RBrace:
+			depth--
+		case token.EOF:
+			return false
+		}
+	}
+	u.End = l.offset
+	return true
+}
+
+// Skip moves past the unit Head began without lexing the rest of it.
+// end must be where Body would end it.
+func (s *Splitter) Skip(end int) { s.l.offset = end }
+
+// OK reports whether everything lexed so far lexed without error.
+func (s *Splitter) OK() bool { return s.errs.Len() == 0 }
 
 func (l *Lexer) errorf(offset int, format string, args ...any) {
 	l.errs.Add(l.file.Name, l.file.PosFor(offset), format, args...)

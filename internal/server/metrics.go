@@ -78,7 +78,7 @@ type serverMetrics struct {
 	// cumulative eviction count (memo epoch evictions and resets).
 	internLive      *metrics.Gauge // vrpd_lattice_intern_live_entries
 	internArena     *metrics.Gauge // vrpd_lattice_intern_arena_bytes
-	internEvictions *metrics.Gauge // vrpd_lattice_intern_evictions_total
+	internEvictions *metrics.Gauge // vrpd_lattice_intern_evictions
 
 	// Per-phase latency, derived from each request's span tree — the
 	// histograms and /debug/vrpd/trace/{id} are two views of the same
@@ -232,7 +232,7 @@ func newServerMetrics(start time.Time, sloTarget float64) *serverMetrics {
 
 		internLive:      reg.Gauge("vrpd_lattice_intern_live_entries", "Live hash-cons representatives in the last analysis's tables (pooled tables carry entries across runs)."),
 		internArena:     reg.Gauge("vrpd_lattice_intern_arena_bytes", "Arena slab bytes held by the run's tables in the last analysis, rewound slabs included."),
-		internEvictions: reg.Gauge("vrpd_lattice_intern_evictions_total", "Lifetime entries dropped by memo epoch evictions and table resets in the last analysis's tables."),
+		internEvictions: reg.Gauge("vrpd_lattice_intern_evictions", "Entries the last analysis's tables have dropped by memo epoch evictions and table resets over their lifetime (a gauge: a run may draw another pooled table, so it can fall)."),
 	}
 
 	// Per-phase latency histograms share the request-latency buckets; the

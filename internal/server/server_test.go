@@ -208,13 +208,13 @@ func TestMetricsGoldenScrape(t *testing.T) {
 		t.Errorf("intern hit ratio = %v, want in (0, 1]", r)
 	}
 	// Interner-economics gauges: live entries must be positive after an
-	// interning analysis; arena bytes and the eviction total are present
+	// interning analysis; arena bytes and the eviction count are present
 	// but may legitimately be zero (point-only values live in the exact
 	// tables, and nothing evicts until a memo fills or a table resets).
 	if v, ok := m["vrpd_lattice_intern_live_entries"]; !ok || v <= 0 {
 		t.Errorf("vrpd_lattice_intern_live_entries = %v, %v; want present and > 0", v, ok)
 	}
-	for _, series := range []string{"vrpd_lattice_intern_arena_bytes", "vrpd_lattice_intern_evictions_total"} {
+	for _, series := range []string{"vrpd_lattice_intern_arena_bytes", "vrpd_lattice_intern_evictions"} {
 		if v, ok := m[series]; !ok || v < 0 {
 			t.Errorf("%s = %v, %v; want present and >= 0", series, v, ok)
 		}

@@ -46,12 +46,14 @@ type File struct {
 // NewFile records the line structure of src for position translation.
 func NewFile(name, src string) *File {
 	f := &File{Name: name, Src: src, lineStarts: make([]int, 1, strings.Count(src, "\n")+1)}
-	for i := 0; i < len(src); i++ {
-		if src[i] == '\n' {
-			f.lineStarts = append(f.lineStarts, i+1)
+	for off := 0; ; {
+		i := strings.IndexByte(src[off:], '\n')
+		if i < 0 {
+			return f
 		}
+		off += i + 1
+		f.lineStarts = append(f.lineStarts, off)
 	}
-	return f
 }
 
 // NewFileAt is NewFile for a text that starts at column col of its first

@@ -12,27 +12,37 @@ import (
 )
 
 // checkCalls reports every function of p whose call-site index differs
-// from a fresh block-order walk of its OpCall instructions.
+// from a fresh block-order walk of its OpCall instructions, or whose
+// return-site index differs from a fresh walk of its blocks' OpRet
+// terminators.
 func checkCalls(t *testing.T, what string, p *ir.Program) {
 	t.Helper()
 	for _, f := range p.Funcs {
-		var want []*ir.Instr
+		var want, rets []*ir.Instr
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
 				if in.Op == ir.OpCall {
 					want = append(want, in)
 				}
 			}
+			if term := b.Terminator(); term != nil && term.Op == ir.OpRet {
+				rets = append(rets, term)
+			}
 		}
 		if !slices.Equal(f.Calls, want) {
 			t.Errorf("%s: %s.Calls lists %d calls, its blocks hold %d (or in another order)",
 				what, f.Name, len(f.Calls), len(want))
 		}
+		if !slices.Equal(f.Rets, rets) {
+			t.Errorf("%s: %s.Rets lists %d returns, its blocks end in %d (or in another order)",
+				what, f.Name, len(f.Rets), len(rets))
+		}
 	}
 }
 
-// TestCallsMatchInstrs: ir.Func.Calls lists exactly the function's calls
-// in block order wherever the SSA metadata is refreshed — after a whole
+// TestCallsMatchInstrs: ir.Func.Calls lists exactly the function's calls,
+// and ir.Func.Rets its return terminators, in block order wherever the
+// SSA metadata is refreshed — after a whole
 // compile of every program of the IR stability gate, after procedure
 // cloning, after the VRP optimizer's rewrites, and for functions a
 // compile cache compiles or serves from its store.

@@ -44,8 +44,8 @@ const MaxTextBytes = 1 << 20
 // Cache is a bounded LRU of compiled functions, at most one version per
 // function name. It is safe for concurrent use.
 //
-// The name only locates a unit; a probe confirms it by its column,
-// signature table, assertion setting and text before reusing it. A
+// The name only locates a unit; a probe confirms it by its text and
+// column, signature table and assertion setting before reusing it. A
 // failed confirm is a miss, and the unit compiled for it replaces the
 // older version.
 type Cache struct {
@@ -61,6 +61,7 @@ type unit struct {
 	name         string
 	text         string  // a copy of the function's source text
 	col          int     // column of its 'func' keyword
+	arity        int     // its number of parameters
 	sig          *string // the program's signature table, shared by the units compiled under it
 	noAssertions bool
 
@@ -82,14 +83,16 @@ func (c *Cache) Stats() (hits, misses int64) {
 // the cache holds under the same key and caching the ones it compiles.
 // Its IR, read through ir.Func.Pos, equals a fresh compile's. It returns
 // nil when src does not compile, or does not split into function units
-// (lexer.Units); only a whole-program compile reports the errors then.
+// (lexer.Units; split gives the same answer lexing only the units the
+// cache does not hold); only a whole-program compile reports the errors
+// then.
 // tr, when non-nil, gets "parse" (splitting, parsing and checking) and
 // "ssa" (lowering and SSA conversion) spans under parent.
 func (c *Cache) Compile(name, src string, noAssertions bool, tr *telemetry.Trace, parent telemetry.SpanID) *ir.Program {
 	parseSpan := tr.Start(parent, "phase", "parse")
 	defer tr.End(parseSpan) // End is idempotent
 	file := source.NewFile(name, src)
-	units, ok := lexer.Units(file)
+	units, got, pos, ok := c.split(file)
 	if !ok {
 		return nil
 	}
@@ -98,9 +101,8 @@ func (c *Cache) Compile(name, src string, noAssertions bool, tr *telemetry.Trace
 		return nil
 	}
 
-	// Probe every unit; those that miss are compiled outside the lock.
-	got := make([]*unit, len(units))
-	lines := make([]int, len(units))
+	// Confirm every unit split found in the cache; the others are
+	// compiled below.
 	var missed []int
 	// Units compiled under one signature table share one pointer to it,
 	// so a unit's table is matched by a pointer compare.
@@ -109,14 +111,10 @@ func (c *Cache) Compile(name, src string, noAssertions bool, tr *telemetry.Trace
 		st = last
 	}
 	for i, lu := range units {
-		pos := file.PosFor(lu.Start)
-		lines[i] = pos.Line
-		text := src[lu.Start:lu.End]
-		if u, ok := c.units.Get(lu.Name); ok && u.col == pos.Col && u.sig == st && u.noAssertions == noAssertions && u.text == text {
-			got[i] = u
+		if u := got[i]; u != nil && u.sig == st && u.noAssertions == noAssertions {
 			continue
 		}
-		got[i] = &unit{name: lu.Name, text: text, col: pos.Col, sig: st, noAssertions: noAssertions}
+		got[i] = &unit{name: lu.Name, text: src[lu.Start:lu.End], col: pos[i].Col, arity: lu.Arity, sig: st, noAssertions: noAssertions}
 		missed = append(missed, i)
 	}
 	c.hits.Add(int64(len(units) - len(missed)))
@@ -165,7 +163,7 @@ func (c *Cache) Compile(name, src string, noAssertions bool, tr *telemetry.Trace
 	}
 	for i, u := range got {
 		f := *u.fn
-		f.LineOffset = lines[i] - 1
+		f.LineOffset = pos[i].Line - 1
 		p.Funcs[i] = &f
 		p.ByName[u.name] = &f
 	}
@@ -175,6 +173,38 @@ func (c *Cache) Compile(name, src string, noAssertions bool, tr *telemetry.Trace
 		c.units.Put(got[i].name, got[i], len(got[i].text))
 	}
 	return p
+}
+
+// split splits file into its units as lexer.Units does, but takes a
+// unit whose text the cache holds, byte for byte at the same offset and
+// column, without lexing it. That text split as a unit when it was
+// compiled, and a unit starts at a token boundary and ends at a '}'
+// that nothing glues to, so the same bytes lex to the same tokens
+// wherever they stand. cached[i] is the cache's version of units[i]
+// when it was taken so, nil otherwise; pos[i] is where units[i] starts.
+func (c *Cache) split(file *source.File) (units []lexer.Unit, cached []*unit, pos []source.Pos, ok bool) {
+	s := lexer.NewSplitter(file)
+	for {
+		lu, done, ok := s.Head()
+		if done {
+			return units, cached, pos, s.OK()
+		}
+		if !ok {
+			return nil, nil, nil, false
+		}
+		p := file.PosFor(lu.Start)
+		u, hit := c.units.Get(lu.Name)
+		if hit && u.col == p.Col && strings.HasPrefix(file.Src[lu.Start:], u.text) {
+			lu.Arity, lu.End = u.arity, lu.Start+len(u.text)
+			s.Skip(lu.End)
+		} else {
+			u = nil
+			if !s.Body(&lu) {
+				return nil, nil, nil, false
+			}
+		}
+		units, cached, pos = append(units, lu), append(cached, u), append(pos, p)
+	}
 }
 
 // signatures returns the program's signature table, as a string of

@@ -84,9 +84,10 @@ func NewCalc(cfg Config) *Calc {
 }
 
 // NewCalcWith returns a Calc sharing an existing Interner, so intern and
-// memo state persists across many short-lived Calcs (the driver keeps one
-// Interner per worker slot across passes while creating a fresh Calc per
-// function run for exact per-run accounting). it must not be nil.
+// memo state persists across many Calcs (the driver keeps one Interner
+// and one Calc per worker slot across passes, and resets the Calc's
+// counters per function run for exact per-run accounting). it must not
+// be nil.
 func NewCalcWith(cfg Config, it *Interner) *Calc {
 	if cfg.MaxRanges <= 0 {
 		cfg.MaxRanges = 1
@@ -95,6 +96,12 @@ func NewCalcWith(cfg Config, it *Interner) *Calc {
 		cfg.AssumedVarValue = 10
 	}
 	return &Calc{Cfg: cfg, in: it}
+}
+
+// ResetCounts zeroes c's counters and keeps its table and scratch
+// buffers, so one Calc serves many runs with per-run accounting.
+func (c *Calc) ResetCounts() {
+	*c = Calc{Cfg: c.Cfg, in: c.in, buf1: c.buf1, buf2: c.buf2}
 }
 
 // minProb drops ranges whose probability falls below this threshold during

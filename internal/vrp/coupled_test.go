@@ -30,7 +30,7 @@ func main() {
 			if in.Op != ir.OpPhi || len(f.Names[in.Dst]) == 0 || f.Names[in.Dst][0] != 's' {
 				continue
 			}
-			v := fr.Val[in.Dst]
+			v := fr.Value(in.Dst)
 			if v.Kind() != vrange.Set || len(v.Ranges) != 1 {
 				t.Fatalf("s φ = %v", v)
 			}
@@ -100,8 +100,8 @@ func main() {
 	for _, b := range f.Blocks {
 		for _, in := range b.Phis() {
 			if in.Op == ir.OpPhi && len(f.Names[in.Dst]) > 0 && f.Names[in.Dst][0] == 's' {
-				if !fr.Val[in.Dst].IsBottom() {
-					t.Errorf("unbounded s φ = %v, want ⊥", fr.Val[in.Dst])
+				if !fr.Value(in.Dst).IsBottom() {
+					t.Errorf("unbounded s φ = %v, want ⊥", fr.Value(in.Dst))
 				}
 			}
 		}

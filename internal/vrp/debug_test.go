@@ -29,7 +29,7 @@ func TestDebugDump(t *testing.T) {
 		return fmt.Sprintf("r%d", r)
 	}
 	for r := ir.Reg(1); int(r) < f.NumRegs; r++ {
-		v := fr.Val[r]
+		v := fr.Value(r)
 		if v.Kind() == vrange.Top {
 			continue
 		}

@@ -35,7 +35,7 @@ func phiValueOf(t *testing.T, src, varName string) (vrange.Value, *Result) {
 			}
 			n := f.Names[in.Dst]
 			if len(n) > len(varName) && n[:len(varName)] == varName && n[len(varName)] == '.' {
-				return fr.Val[in.Dst], res
+				return fr.Value(in.Dst), res
 			}
 		}
 	}

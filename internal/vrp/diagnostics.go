@@ -138,7 +138,7 @@ func degradedResult(f *ir.Func, cfg Config) (*FuncResult, []float64) {
 	})
 	return &FuncResult{
 		Fn:       f,
-		Val:      vals,
+		val:      vals,
 		EdgeFreq: sol.Edge,
 		Prob:     prob,
 		Source:   src,

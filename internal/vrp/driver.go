@@ -127,8 +127,13 @@ type driver struct {
 	// ownResults copies them out, and the function's next engine run
 	// overwrites their slices.
 	fromEngine []bool
-	prevIn     [][]vrange.Value // function index → input vector of the last engine run (nil: never ran)
+	prevIn     [][]vrange.Value // function index → input vector of the last engine run or splice (once results is set)
 	prevFP     []uint64         // fingerprint of prevIn
+	// inputs holds each function's input snapshot. Its vector is scratch
+	// that computeInputs refills on every visit, so a skip allocates
+	// nothing; a run or splice keeps it by swapping it with prevIn. Both
+	// vectors of every function are carved from one slab.
+	inputs []funcInputs
 
 	// poisoned marks functions whose engine panicked or ran out of step
 	// budget: their results are the degraded ⊥/heuristic fallback and
@@ -219,9 +224,19 @@ func newDriver(p *ir.Program, cfg Config) *driver {
 		fromEngine: make([]bool, n),
 		prevIn:     make([][]vrange.Value, n),
 		prevFP:     make([]uint64, n),
+		inputs:     make([]funcInputs, n),
 		poisoned:   make([]bool, n),
 		diags:      make([][]Diagnostic, n),
 		counts:     make([]funcCounts, n),
+	}
+	width := 0
+	for fi, f := range cg.Funcs {
+		width += len(f.Params) + len(cg.Callees[fi])
+	}
+	slab := make([]vrange.Value, 2*width)
+	for fi, f := range cg.Funcs {
+		k := len(f.Params) + len(cg.Callees[fi])
+		d.inputs[fi].vec, d.prevIn[fi], slab = slab[:k:k], slab[k:k:2*k], slab[2*k:]
 	}
 	d.scratch = make([]*engineScratch, n)
 	d.records = make([]*StoredFunc, n)
@@ -340,7 +355,7 @@ func (d *driver) run(ctx context.Context) (*Result, error) {
 func (d *driver) ownResults() {
 	for fi, fr := range d.results {
 		if d.fromEngine[fi] {
-			vrange.DetachAll(fr.Val)
+			vrange.DetachAll(fr.val)
 		}
 	}
 }
@@ -482,9 +497,10 @@ func (d *driver) collectDiags() []Diagnostic {
 // consumers stay consistent with what is now claimed. Softer range
 // predictions are kept — they degrade gracefully — but certainty is
 // all-or-nothing. The function's settled part holds the ⊤ cells and the
-// demoted slices, which the result takes in place of its own; its values
-// are demoted in place unless a store record shares them, in which case
-// the result takes a demoted copy.
+// demoted slices, which the result takes in place of its own. The values
+// are demoted as a view: the result (the run's own copy, never a record)
+// is marked demoted and FuncResult.Value reads its ⊤ cells as ⊥, so no
+// value is copied or written, whether a store record shares them or not.
 func (d *driver) demoteUnconverged(passes int) {
 	for fi, fr := range d.results {
 		if fr == nil {
@@ -494,14 +510,8 @@ func (d *driver) demoteUnconverged(passes int) {
 		if len(st.tops) == 0 {
 			continue
 		}
-		val := fr.Val
-		if !d.fromEngine[fi] {
-			val = append([]vrange.Value(nil), val...) // shared with a record
-		}
-		for _, j := range st.tops {
-			val[j] = vrange.DemoteTop(val[j])
-		}
-		fr.Val, fr.Prob, fr.Source, fr.EdgeFreq = val, st.prob, st.src, st.edgeFreq
+		fr.demoted = true
+		fr.Prob, fr.Source, fr.EdgeFreq = st.prob, st.src, st.edgeFreq
 		d.demotedTop += int64(len(st.tops))
 		d.staleCertain += int64(st.stale)
 		msg := fmt.Sprintf("fixpoint not reached after %d pass(es): %d optimistic ⊤ value(s) demoted to ⊥",
@@ -562,7 +572,7 @@ func (d *driver) settle(fi int, withCensus bool) *settled {
 	if withCensus {
 		st.census = &telemetry.FuncCensus{}
 	}
-	for j, v := range fr.Val {
+	for j, v := range fr.val {
 		if v.IsTop() {
 			st.tops = append(st.tops, int32(j))
 		}
@@ -641,12 +651,12 @@ func (d *driver) runWave(wave []int, waveSpan telemetry.SpanID) {
 		nw = len(wave)
 	}
 	if nw <= 1 {
-		it := d.table(0)
+		calc := vrange.NewCalcWith(d.cfg.Range, d.table(0))
 		for _, scc := range wave {
 			if d.cancelled.Load() {
 				return
 			}
-			d.runSCC(scc, it, waveSpan, 1)
+			d.runSCC(scc, calc, waveSpan, 1)
 		}
 		return
 	}
@@ -656,7 +666,7 @@ func (d *driver) runWave(wave []int, waveSpan telemetry.SpanID) {
 	for w := 0; w < nw; w++ {
 		// Resolve the slot's table on the driver goroutine (lazy creation
 		// must not race); the barrier below ends the slot's ownership.
-		it := d.table(w)
+		calc := vrange.NewCalcWith(d.cfg.Range, d.table(w))
 		lane := int32(w + 1)
 		go func() {
 			defer wg.Done()
@@ -665,7 +675,7 @@ func (d *driver) runWave(wave []int, waveSpan telemetry.SpanID) {
 				if i >= len(wave) || d.cancelled.Load() {
 					return
 				}
-				d.runSCC(wave[i], it, waveSpan, lane)
+				d.runSCC(wave[i], calc, waveSpan, lane)
 			}
 		}()
 	}
@@ -785,11 +795,12 @@ func (d *driver) releaseTables() {
 
 // runSCC analyzes one SCC's functions sequentially (mutual recursion needs
 // each member to observe the previous member's update within the pass),
-// with a per-run calc so sub-operation counts merge exactly. Each engine
-// run is panic-isolated: a panic (or an exhausted step budget) degrades
-// that one function to the ⊥/heuristic fallback and quarantines it,
-// instead of killing the process from a worker goroutine.
-func (d *driver) runSCC(scc int, it *vrange.Interner, waveSpan telemetry.SpanID, lane int32) {
+// on the worker slot's calc, whose counters restart for every function so
+// sub-operation counts merge exactly. Each engine run is panic-isolated:
+// a panic (or an exhausted step budget) degrades that one function to
+// the ⊥/heuristic fallback and quarantines it, instead of killing the
+// process from a worker goroutine.
+func (d *driver) runSCC(scc int, calc *vrange.Calc, waveSpan telemetry.SpanID, lane int32) {
 	for _, fi := range d.sccFuncs[scc] {
 		if d.poisoned[fi] {
 			continue // quarantined: degraded result is already a fixpoint
@@ -802,9 +813,9 @@ func (d *driver) runSCC(scc int, it *vrange.Interner, waveSpan telemetry.SpanID,
 			return
 		}
 		c := &d.counts[fi]
-		calc := vrange.NewCalcWith(d.cfg.Range, it)
+		calc.ResetCounts()
 		in := d.computeInputs(fi, calc)
-		if !d.cfg.noSkip && d.results[fi] != nil && d.prevIn[fi] != nil &&
+		if !d.cfg.noSkip && d.results[fi] != nil &&
 			in.hash == d.prevFP[fi] && bitEqualVec(in.vec, d.prevIn[fi]) {
 			// Clean: the previous run saw bit-identical inputs, so a re-run
 			// would reproduce the stored result and table updates exactly.
@@ -837,9 +848,8 @@ func (d *driver) runSCC(scc int, it *vrange.Interner, waveSpan telemetry.SpanID,
 					d.results[fi] = fr
 					d.fromEngine[fi] = false
 					d.records[fi] = sf
-					d.update(fi, fr.Val, bf, calc)
-					d.prevIn[fi] = in.vec
-					d.prevFP[fi] = in.hash
+					d.update(fi, fr.val, bf, calc)
+					d.keepInputs(fi, in)
 					c.runs++
 					c.spliced++
 					c.eff.add(&sf.Effort)
@@ -910,21 +920,20 @@ func (d *driver) runSCC(scc int, it *vrange.Interner, waveSpan telemetry.SpanID,
 		eff.SubOps = calc.SubOps - subOps0
 		eff.Widens += calc.Widens - widens0
 		fr := eng.result()
-		d.update(fi, fr.Val, eng.blockFreq, eng.calc)
+		d.update(fi, fr.val, eng.blockFreq, eng.calc)
 		d.results[fi] = fr
 		d.fromEngine[fi] = sKey == nil
 		if sKey != nil {
 			// The record is the result, its values detached from the
 			// table's arena. If this run's result is the final one,
 			// settledFor attaches its settled part to the record.
-			vrange.DetachAll(fr.Val)
+			vrange.DetachAll(fr.val)
 			rec := &StoredFunc{FuncResult: *fr, BlkFreq: append([]float64(nil), eng.blkFreq...), Effort: eff}
 			rec.Fn = nil
 			d.cfg.FuncStore.Store(sKey.Detach(), rec)
 			d.records[fi] = rec
 		}
-		d.prevIn[fi] = in.vec
-		d.prevFP[fi] = in.hash
+		d.keepInputs(fi, in)
 		c.runs++
 		c.eff.add(&eng.stats)
 		c.addLive(calc)
@@ -993,8 +1002,7 @@ func (d *driver) degradeFunc(fi int, calc *vrange.Calc, diag Diagnostic) {
 	d.fromEngine[fi] = false
 	d.records[fi] = nil
 	d.poisoned[fi] = true
-	d.prevIn[fi] = nil
-	d.update(fi, fr.Val, blockFreqOf(f, blkFreq), calc)
+	d.update(fi, fr.val, blockFreqOf(f, blkFreq), calc)
 	d.diags[fi] = append(d.diags[fi], diag)
 	c := &d.counts[fi]
 	c.runs++
@@ -1002,17 +1010,20 @@ func (d *driver) degradeFunc(fi int, calc *vrange.Calc, diag Diagnostic) {
 	c.addLive(calc)
 }
 
-// computeInputs snapshots fi's interprocedural inputs and fingerprints
-// them. Merge sub-operations accrue to calc.
+// computeInputs snapshots fi's interprocedural inputs into its scratch
+// snapshot and fingerprints them. Merge sub-operations accrue to calc.
+// The snapshot is valid until fi's next visit; keepInputs keeps its
+// vector.
 func (d *driver) computeInputs(fi int, calc *vrange.Calc) *funcInputs {
 	np := len(d.cg.Funcs[fi].Params)
 	callees := d.cg.Callees[fi]
-	vec := make([]vrange.Value, np+len(callees))
+	in := &d.inputs[fi]
+	vec := in.vec[:np+len(callees)] // both of fi's vectors have this capacity
 	d.ip.formals(fi, vec[:np], calc)
 	for k, ci := range callees {
 		vec[np+k] = d.ip.retVals[ci]
 	}
-	return &funcInputs{
+	*in = funcInputs{
 		vec:     vec,
 		params:  vec[:np:np],
 		rets:    vec[np:],
@@ -1020,6 +1031,15 @@ func (d *driver) computeInputs(fi int, calc *vrange.Calc) *funcInputs {
 		index:   d.cg.Index,
 		hash:    vrange.HashValues(vec),
 	}
+	return in
+}
+
+// keepInputs makes in, fi's snapshot of a run or splice, the inputs of
+// fi's last run: its vector becomes prevIn[fi], and the vector that
+// replaces becomes the scratch of fi's next snapshot.
+func (d *driver) keepInputs(fi int, in *funcInputs) {
+	d.prevIn[fi], in.vec = in.vec, d.prevIn[fi]
+	d.prevFP[fi] = in.hash
 }
 
 // bitEqualVec confirms a fingerprint match exactly, making hash collisions

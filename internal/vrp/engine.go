@@ -192,7 +192,7 @@ func newEngine(ctx context.Context, f *ir.Func, cfg Config, calc *vrange.Calc, p
 		clear(out.Derived)
 	} else {
 		out = FuncResult{
-			Val:      make([]vrange.Value, f.NumRegs),
+			val:      make([]vrange.Value, f.NumRegs),
 			EdgeFreq: make([]float64, len(f.Edges)),
 			Prob:     make([]float64, len(f.Blocks)),
 			Source:   make([]PredictionSource, len(f.Blocks)),
@@ -206,7 +206,7 @@ func newEngine(ctx context.Context, f *ir.Func, cfg Config, calc *vrange.Calc, p
 		irProg:        prog,
 		in:            in,
 		ctx:           ctx,
-		val:           out.Val,
+		val:           out.val,
 		edgeFreq:      out.EdgeFreq,
 		prob:          out.Prob,
 		src:           out.Source,
@@ -804,7 +804,7 @@ func (e *engine) finalize() {
 func (e *engine) result() *FuncResult {
 	return &FuncResult{
 		Fn:       e.f,
-		Val:      e.val,
+		val:      e.val,
 		EdgeFreq: e.edgeFreq,
 		Prob:     e.prob,
 		Source:   e.src,

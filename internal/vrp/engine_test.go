@@ -313,7 +313,7 @@ func main() {
 			if in.Op != ir.OpPhi || len(f.Names[in.Dst]) == 0 || f.Names[in.Dst][0] != 'x' {
 				continue
 			}
-			v := fr.Val[in.Dst]
+			v := fr.Value(in.Dst)
 			if v.Kind() != vrange.Set || len(v.Ranges) != 1 {
 				t.Fatalf("x φ = %v", v)
 			}
@@ -382,13 +382,13 @@ func main() {
 	fr := res.Funcs[f]
 	for r, name := range f.Names {
 		if name == "b.0" {
-			if c, ok := fr.Val[r].AsConst(); !ok || c != 42 {
-				t.Errorf("b.0 = %v, want {42}", fr.Val[r])
+			if c, ok := fr.Value(r).AsConst(); !ok || c != 42 {
+				t.Errorf("b.0 = %v, want {42}", fr.Value(r))
 			}
 		}
 		if name == "x.3" { // join: else arm unreachable
-			if c, ok := fr.Val[r].AsConst(); !ok || c != 42 {
-				t.Errorf("x at join = %v, want {42}", fr.Val[r])
+			if c, ok := fr.Value(r).AsConst(); !ok || c != 42 {
+				t.Errorf("x at join = %v, want {42}", fr.Value(r))
 			}
 		}
 	}

@@ -70,8 +70,8 @@ func (r *Result) ExplainBranch(f *ir.Func, br *ir.Instr) (*Explanation, error) {
 	}
 	ex := &Explanation{Fn: f, Branch: br, Degraded: fr.Degraded}
 	ex.Prob, ex.Source = fr.Branch(br)
-	if int(br.A) < len(fr.Val) {
-		ex.Cond = fr.Val[br.A]
+	if int(br.A) < f.NumRegs {
+		ex.Cond = fr.Value(br.A)
 	}
 
 	type item struct {
@@ -93,8 +93,8 @@ func (r *Result) ExplainBranch(f *ir.Func, br *ir.Instr) (*Explanation, error) {
 			break
 		}
 		step := ExplainStep{Reg: it.reg, Instr: d, Depth: it.depth, Kind: stepKind(fr, d)}
-		if int(it.reg) < len(fr.Val) {
-			step.Value = fr.Val[it.reg]
+		if int(it.reg) < f.NumRegs {
+			step.Value = fr.Value(it.reg)
 		}
 		ex.Steps = append(ex.Steps, step)
 		if it.depth >= explainMaxDepth {

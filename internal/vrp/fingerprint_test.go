@@ -38,7 +38,7 @@ func analysisFingerprint(t *testing.T, res *Result) string {
 			fmt.Fprintf(h, "func %s none\n", f.Name)
 			continue
 		}
-		fmt.Fprintf(h, "func %s vals=%x degraded=%v freq", f.Name, vrange.HashValues(fr.Val), fr.Degraded)
+		fmt.Fprintf(h, "func %s vals=%x degraded=%v freq", f.Name, vrange.HashValues(values(fr)), fr.Degraded)
 		for _, x := range fr.EdgeFreq {
 			fmt.Fprintf(h, " %x", math.Float64bits(x))
 		}

@@ -324,12 +324,11 @@ func (ip *interproc) update(fi int, vals []vrange.Value, blockFreq func(*ir.Bloc
 
 	// Return range of f.
 	items := sc.items[:0]
-	for _, b := range f.Blocks {
-		t := b.Terminator()
-		if t == nil || t.Op != ir.OpRet || t.A == ir.None {
+	for _, t := range f.Rets {
+		if t.A == ir.None {
 			continue
 		}
-		w := blockFreq(b)
+		w := blockFreq(t.Block)
 		if w <= 0 {
 			continue
 		}

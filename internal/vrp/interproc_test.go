@@ -2,6 +2,7 @@ package vrp
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"vrp/internal/vrange"
@@ -172,9 +173,13 @@ func main() { print(a() + b()); }
 	}
 	d.ip.args[gi][0] = &callerArgs{vals: []vrange.Value{hullRange(1, 1)}, w: 1}
 	d.ip.args[gi][1] = &callerArgs{vals: []vrange.Value{hullRange(5, 5)}, w: 3}
-	snapshot := func() (*funcInputs, *vrange.Calc) {
+	// A snapshot lives until the function's next visit (computeInputs
+	// refills its scratch), so each one is copied out.
+	snapshot := func() (funcInputs, *vrange.Calc) {
 		calc := vrange.NewCalcWith(cfg.Range, vrange.NewInternerSized(64))
-		return d.computeInputs(gi, calc), calc
+		in := *d.computeInputs(gi, calc)
+		in.params = slices.Clone(in.params)
+		return in, calc
 	}
 
 	first, c1 := snapshot()

@@ -52,10 +52,10 @@ func TestNestedLoopDerivation(t *testing.T) {
 			return fmt.Sprintf("r%d", r)
 		}
 		for r := ir.Reg(1); int(r) < f.NumRegs; r++ {
-			if fr.Val[r].Kind() == vrange.Top {
+			if fr.Value(r).Kind() == vrange.Top {
 				continue
 			}
-			fmt.Printf("%-8s = %s\n", name(r), fr.Val[r].Format(name))
+			fmt.Printf("%-8s = %s\n", name(r), fr.Value(r).Format(name))
 		}
 		for _, br := range res2.Branches() {
 			fmt.Printf("branch %v p=%.4f src=%v\n", br.Instr, br.Prob, br.Source)

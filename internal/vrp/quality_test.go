@@ -47,7 +47,7 @@ func TestQualityDigestPopulated(t *testing.T) {
 	}
 	var cells int64
 	for _, fr := range res.Funcs {
-		cells += int64(len(fr.Val))
+		cells += int64(fr.Fn.NumRegs)
 	}
 	if q.Classes.Total() != cells {
 		t.Errorf("class histogram totals %d cells, program has %d registers", q.Classes.Total(), cells)

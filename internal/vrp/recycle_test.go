@@ -38,8 +38,8 @@ type resultSnapshot struct {
 func snapshotResult(r *Result) *resultSnapshot {
 	s := &resultSnapshot{vals: map[*ir.Func][]vrange.Value{}, branches: r.Branches(), stats: r.Stats}
 	for f, fr := range r.Funcs {
-		vs := make([]vrange.Value, len(fr.Val))
-		for i, v := range fr.Val {
+		vs := values(fr)
+		for i, v := range vs {
 			vs[i] = idFreeCopy(v)
 		}
 		s.vals[f] = vs
@@ -63,7 +63,7 @@ func idFreeCopy(v vrange.Value) vrange.Value {
 func (s *resultSnapshot) check(t *testing.T, label string, r *Result) {
 	t.Helper()
 	for f, want := range s.vals {
-		got := r.Funcs[f].Val
+		got := values(r.Funcs[f])
 		for i := range want {
 			if !want[i].BitEqual(got[i]) {
 				t.Fatalf("%s: %s r%d changed: %v, snapshot %v", label, f.Name, i, got[i], want[i])
@@ -85,14 +85,14 @@ type vectorOwners map[*vrange.Value]string
 func (o vectorOwners) add(t *testing.T, label string, r *Result) {
 	t.Helper()
 	for f, fr := range r.Funcs {
-		if len(fr.Val) == 0 {
+		if len(fr.val) == 0 {
 			continue
 		}
 		owner := label + " " + f.Name
-		if prev, ok := o[&fr.Val[0]]; ok {
+		if prev, ok := o[&fr.val[0]]; ok {
 			t.Fatalf("%s shares its value vector with %s", owner, prev)
 		}
-		o[&fr.Val[0]] = owner
+		o[&fr.val[0]] = owner
 	}
 }
 

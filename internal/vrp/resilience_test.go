@@ -37,13 +37,22 @@ func countTops(res *Result) int {
 		if fr == nil {
 			continue
 		}
-		for _, v := range fr.Val {
+		for _, v := range values(fr) {
 			if v.IsTop() {
 				tops++
 			}
 		}
 	}
 	return tops
+}
+
+// values returns every register's value as fr reports it (Value).
+func values(fr *FuncResult) []vrange.Value {
+	vs := make([]vrange.Value, fr.Fn.NumRegs)
+	for r := range vs {
+		vs[r] = fr.Value(ir.Reg(r))
+	}
+	return vs
 }
 
 func diagsOfKind(ds []Diagnostic, k DiagKind) []Diagnostic {
@@ -67,12 +76,13 @@ func valsEqual(t *testing.T, label string, prog *ir.Program, a, b *Result) {
 		if fa == nil {
 			continue
 		}
-		if len(fa.Val) != len(fb.Val) {
+		va, vb := values(fa), values(fb)
+		if len(va) != len(vb) {
 			t.Fatalf("%s: %s value table length differs", label, f.Name)
 		}
-		for r := range fa.Val {
-			if !fa.Val[r].BitEqual(fb.Val[r]) {
-				t.Errorf("%s: %s r%d = %v vs %v", label, f.Name, r, fa.Val[r], fb.Val[r])
+		for r := range va {
+			if !va[r].BitEqual(vb[r]) {
+				t.Errorf("%s: %s r%d = %v vs %v", label, f.Name, r, va[r], vb[r])
 			}
 		}
 	}
@@ -278,7 +288,7 @@ func main() {
 	if fr == nil || !fr.Degraded {
 		t.Fatal("panicking function has no degraded result")
 	}
-	for r, v := range fr.Val {
+	for r, v := range values(fr) {
 		if !v.IsBottom() {
 			t.Errorf("bad r%d = %v, want ⊥", r, v)
 		}
@@ -369,7 +379,7 @@ func TestStepBudgetDegrades(t *testing.T) {
 		if !fr.Degraded {
 			continue
 		}
-		for r, v := range fr.Val {
+		for r, v := range values(fr) {
 			if !v.IsBottom() {
 				t.Errorf("%s r%d = %v after budget degradation, want ⊥", fr.Fn.Name, r, v)
 			}

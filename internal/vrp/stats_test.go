@@ -155,7 +155,7 @@ func main() {
 	}
 	// Demotion: no reported value may remain ⊤.
 	for f, fr := range res.Funcs {
-		for i, v := range fr.Val {
+		for i, v := range values(fr) {
 			if v.IsTop() {
 				t.Errorf("%s r%d still ⊤ after non-converged run", f.Name, i)
 			}

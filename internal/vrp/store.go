@@ -123,7 +123,7 @@ func (k *FuncKey) Detach() *FuncKey {
 // covers it. A store that hands out copies of its records never caches
 // it, which costs only speed.
 type StoredFunc struct {
-	FuncResult           // Fn nil; Val detached
+	FuncResult           // Fn nil; values detached
 	BlkFreq    []float64 // per Block.ID (pre-clamp; splice re-applies the maxFreq clamp)
 
 	// Effort is the engine run's work, replayed into the splicing run's
@@ -387,7 +387,7 @@ func (d *driver) funcKey(fi int, in *funcInputs) *FuncKey {
 func (d *driver) spliceStored(fi int, sf *StoredFunc) (*FuncResult, func(*ir.Block) float64, bool) {
 	f := d.cg.Funcs[fi]
 	nb := len(f.Blocks)
-	if len(sf.Val) != f.NumRegs || len(sf.EdgeFreq) != len(f.Edges) || len(sf.BlkFreq) != nb ||
+	if len(sf.val) != f.NumRegs || len(sf.EdgeFreq) != len(f.Edges) || len(sf.BlkFreq) != nb ||
 		len(sf.Prob) != nb || len(sf.Source) != nb || len(sf.Derived) != f.NumInstrs() {
 		return nil, nil, false
 	}

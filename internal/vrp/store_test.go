@@ -1,6 +1,7 @@
 package vrp
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"vrp/internal/genprog"
+	"vrp/internal/ir"
 	"vrp/internal/telemetry"
 	"vrp/internal/vrange"
 )
@@ -139,12 +141,13 @@ func sameResult(t *testing.T, label string, got, want *Result) {
 		if wr == nil {
 			continue
 		}
-		if len(gr.Val) != len(wr.Val) {
-			t.Fatalf("%s: %s has %d regs, want %d", label, wf.Name, len(gr.Val), len(wr.Val))
+		gv, wv := values(gr), values(wr)
+		if len(gv) != len(wv) {
+			t.Fatalf("%s: %s has %d regs, want %d", label, wf.Name, len(gv), len(wv))
 		}
-		for i := range wr.Val {
-			if !gr.Val[i].BitEqual(wr.Val[i]) {
-				t.Errorf("%s: %s r%d = %v, want %v", label, wf.Name, i, gr.Val[i], wr.Val[i])
+		for i := range wv {
+			if !gv[i].BitEqual(wv[i]) {
+				t.Errorf("%s: %s r%d = %v, want %v", label, wf.Name, i, gv[i], wv[i])
 			}
 		}
 		if len(gr.EdgeFreq) != len(wr.EdgeFreq) {
@@ -340,14 +343,14 @@ type copyingStore struct {
 func (s *copyingStore) Store(key *FuncKey, sf *StoredFunc) {
 	c := recordCopy{
 		sf:       sf,
-		val:      make([]vrange.Value, len(sf.Val)),
+		val:      make([]vrange.Value, len(sf.val)),
 		edgeFreq: append([]float64(nil), sf.EdgeFreq...),
 		blkFreq:  append([]float64(nil), sf.BlkFreq...),
 		prob:     append([]float64(nil), sf.Prob...),
 		src:      append([]PredictionSource(nil), sf.Source...),
 		derived:  append([]bool(nil), sf.Derived...),
 	}
-	for i, v := range sf.Val {
+	for i, v := range sf.val {
 		c.val[i] = idFreeCopy(v)
 	}
 	s.memStore.Store(key, sf)
@@ -362,8 +365,8 @@ func (c *recordCopy) check(t *testing.T) (tops int) {
 	t.Helper()
 	sf := c.sf
 	for i, v := range c.val {
-		if !v.BitEqual(sf.Val[i]) {
-			t.Fatalf("record r%d changed: %v, stored %v", i, sf.Val[i], v)
+		if !v.BitEqual(sf.val[i]) {
+			t.Fatalf("record r%d changed: %v, stored %v", i, sf.val[i], v)
 		}
 		if v.IsTop() {
 			tops++
@@ -392,7 +395,8 @@ func readTestdata(t *testing.T, name string) string {
 
 // TestStoredRecordsNeverWritten: a record shares its slices with every
 // result spliced from it, and a non-converged run demotes functions by
-// swapping in their settled slices. After warm analyses of the
+// swapping in their settled slices and reading their values through
+// Value. After warm analyses of the
 // unconverged program, its edit and the program again, which splice and
 // demote functions, every record must still hold its ⊤ cells and its
 // original values, predictions and frequencies.
@@ -428,6 +432,63 @@ func TestStoredRecordsNeverWritten(t *testing.T) {
 	}
 	if withTop == 0 {
 		t.Fatalf("none of %d records holds a ⊤ cell; nothing was demoted from a record", len(st.copies))
+	}
+}
+
+// TestDemotionIsAView: a non-converged run demotes a function without
+// copying or writing its values. After a warm edit of the unconverged
+// program, every demoted function with a store record (spliced from it,
+// or stored by this run) shares the record's value vector, and Value
+// reads ⊥ at each of the function's ⊤ cells and the stored value
+// everywhere else.
+func TestDemotionIsAView(t *testing.T) {
+	st := newMemStore()
+	var d *driver
+	var res *Result
+	for _, name := range []string{"unconverged.mini", "unconverged-edit.mini"} {
+		p := compileSrc(t, name, readTestdata(t, name))
+		cfg := DefaultConfig()
+		cfg.Workers = 1
+		cfg.FuncStore = st
+		d = newDriver(p, withBallLarus(cfg, p, nil))
+		var err error
+		if res, err = d.run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Converged {
+			t.Fatalf("%s converged; the test needs the demotion path", name)
+		}
+	}
+	demoted, spliced := 0, 0
+	for fi, fr := range d.results {
+		tops := d.settled[fi].tops
+		if len(tops) == 0 {
+			continue
+		}
+		demoted++
+		rec := d.records[fi]
+		if rec == nil {
+			t.Fatalf("%s: demoted without a store record", fr.Fn.Name)
+		}
+		if d.counts[fi].spliced > 0 {
+			spliced++
+		}
+		if &fr.val[0] != &rec.val[0] {
+			t.Errorf("%s: demoted result does not share its record's value vector", fr.Fn.Name)
+		}
+		for r := range fr.Fn.NumRegs {
+			got, stored := fr.Value(ir.Reg(r)), rec.val[r]
+			if slices.Contains(tops, int32(r)) {
+				if !got.IsBottom() || !stored.IsTop() {
+					t.Errorf("%s r%d: Value %v, stored %v; want ⊥ over a stored ⊤", fr.Fn.Name, r, got, stored)
+				}
+			} else if !got.BitEqual(stored) {
+				t.Errorf("%s r%d: Value %v, want the stored %v", fr.Fn.Name, r, got, stored)
+			}
+		}
+	}
+	if demoted == 0 || spliced == 0 {
+		t.Fatalf("the warm edit demoted %d functions, %d of them spliced; want both", demoted, spliced)
 	}
 }
 

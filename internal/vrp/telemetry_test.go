@@ -199,10 +199,10 @@ func TestTelemetryMatchesStats(t *testing.T) {
 		for _, n := range d.settled[fi].census.SetSize {
 			got += n
 		}
-		if want := int64(len(res.Funcs[f].Val)); got != want {
+		if want := int64(f.NumRegs); got != want {
 			t.Errorf("%s: census sizes %d values, function has %d registers", f.Name, got, want)
 		}
-		total += len(res.Funcs[f].Val)
+		total += f.NumRegs
 	}
 	if got := snap.RangeSetSize.Total(); got != int64(total) {
 		t.Errorf("range-set-size histogram totals %d values, program has %d registers", got, total)

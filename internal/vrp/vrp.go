@@ -274,8 +274,11 @@ type Branch struct {
 // store's record and with every later result spliced from it, so nothing
 // writes into them afterwards.
 type FuncResult struct {
-	Fn  *ir.Func
-	Val []vrange.Value // per register
+	Fn *ir.Func
+
+	// val holds the value of each register (read through Value) as the
+	// function's final engine run left it.
+	val []vrange.Value
 
 	// EdgeFreq is the expected executions of each edge per invocation of
 	// the function (entry = 1); Edge.ID-indexed.
@@ -295,8 +298,24 @@ type FuncResult struct {
 	Derived []bool
 
 	// Degraded marks a function whose engine panicked or ran out of step
-	// budget: Val is all ⊥ and every branch probability is heuristic.
+	// budget: every value is ⊥ and every branch probability is heuristic.
 	Degraded bool
+
+	// demoted marks a result of a non-converged run whose ⊤ values Value
+	// reports as ⊥.
+	demoted bool
+}
+
+// Value returns register r's final value range. In a function the
+// non-convergence demotion covers, a surviving optimistic ⊤ reads as ⊥:
+// the demotion is this view, so the stored vector, which a FuncStore
+// record may share, is never copied or written.
+func (fr *FuncResult) Value(r ir.Reg) vrange.Value {
+	v := fr.val[r]
+	if fr.demoted {
+		return vrange.DemoteTop(v)
+	}
+	return v
 }
 
 // Branch returns the prediction of br, a conditional branch of fr.Fn: the

@@ -477,8 +477,8 @@ func (a *Analysis) ValueString(fn, varName string) (string, bool) {
 		return "", false
 	}
 	for r, n := range f.Names {
-		if n == varName && int(r) < len(fr.Val) {
-			return fr.Val[r].Format(func(rr ir.Reg) string {
+		if n == varName && int(r) < f.NumRegs {
+			return fr.Value(r).Format(func(rr ir.Reg) string {
 				if nn, ok := f.Names[rr]; ok {
 					return nn
 				}
