@@ -128,21 +128,27 @@ func (f *Func) Renumber() {
 	f.Edges = edges
 }
 
-// BuildDefUse populates f.Defs, f.Uses, f.Calls and f.Rets from the instruction
-// stream. It requires (and checks) the single-assignment property; it is
-// called by ssaform.Build and may be re-invoked after IR surgery.
+// BuildDefUse populates f.Defs, f.Uses, f.Calls, f.Rets and f.Branches from
+// the instruction stream. It requires (and checks) the single-assignment
+// property; it is called by ssaform.Build and may be re-invoked after IR
+// surgery.
 func (f *Func) BuildDefUse() error {
 	f.Defs = make([]*Instr, f.NumRegs)
 	f.Uses = make([][]*Instr, f.NumRegs)
 	// Count each register's uses and the calls first, then carve every
 	// use list from one array sized to the total.
 	uses := make([]int32, f.NumRegs)
-	total, calls, rets := 0, 0, 0
+	total, calls, rets, brs := 0, 0, 0, 0
 	var buf []Reg
 	idx := 0
 	for _, b := range f.Blocks {
-		if t := b.Terminator(); t != nil && t.Op == OpRet {
-			rets++
+		if t := b.Terminator(); t != nil {
+			switch t.Op {
+			case OpRet:
+				rets++
+			case OpBr:
+				brs++
+			}
 		}
 		for _, in := range b.Instrs {
 			in.Idx = idx
@@ -171,11 +177,16 @@ func (f *Func) BuildDefUse() error {
 			off += int(n)
 		}
 	}
-	sites := make([]*Instr, 0, calls+rets)
-	f.Calls, f.Rets = sites[:0:calls], sites[calls:calls]
+	sites := make([]*Instr, 0, calls+rets+brs)
+	f.Calls, f.Rets, f.Branches = sites[:0:calls], sites[calls:calls:calls+rets], sites[calls+rets:calls+rets]
 	for _, b := range f.Blocks {
-		if t := b.Terminator(); t != nil && t.Op == OpRet {
-			f.Rets = append(f.Rets, t)
+		if t := b.Terminator(); t != nil {
+			switch t.Op {
+			case OpRet:
+				f.Rets = append(f.Rets, t)
+			case OpBr:
+				f.Branches = append(f.Branches, t)
+			}
 		}
 		for _, in := range b.Instrs {
 			if in.Op == OpCall {

@@ -451,6 +451,9 @@ type Func struct {
 	// interprocedural return-range merge reads it instead of walking the
 	// blocks.
 	Rets []*Instr
+	// Branches lists every block's OpBr terminator in block order: branch
+	// predictions are read from it instead of walking the blocks.
+	Branches []*Instr
 
 	// LineOffset shifts the line of every instruction position; read
 	// positions through Pos. A compile cache shares one compiled body

@@ -224,8 +224,8 @@ func newServerMetrics(start time.Time, sloTarget float64) *serverMetrics {
 		latBoundary:   reg.Counter("vrpd_lattice_boundary_drops_total", "Symbolic values collapsed to bottom crossing a function boundary."),
 		internHits:    reg.Counter("vrpd_lattice_intern_hits_total", "Hash-cons lookups that found an existing representative."),
 		internMisses:  reg.Counter("vrpd_lattice_intern_misses_total", "Hash-cons lookups that created a new representative."),
-		memoHits:      reg.Counter("vrpd_lattice_memo_hits_total", "Transfer-function memo hits."),
-		memoMisses:    reg.Counter("vrpd_lattice_memo_misses_total", "Transfer-function recomputations."),
+		memoHits:      reg.Counter("vrpd_lattice_memo_hits_total", "Transfer-function memo hits. Only analyses on a warm pooled cons table consult the memo; a new or reset table computes directly and counts nothing."),
+		memoMisses:    reg.Counter("vrpd_lattice_memo_misses_total", "Transfer-function memo misses (recomputed and stored). Only analyses on a warm pooled cons table consult the memo; a new or reset table computes directly and counts nothing."),
 		funcsRun:      reg.Counter("vrpd_lattice_funcs_analyzed_total", "Per-function engine runs across all analyses, counting each function spliced from the per-function store as the run it replays."),
 		funcsSkipped:  reg.Counter("vrpd_lattice_funcs_skipped_total", "Engine runs elided by the driver's dirty-set skip."),
 		funcsDegraded: reg.Counter("vrpd_lattice_funcs_degraded_total", "Engine runs degraded to the bottom/heuristic fallback (never spliced: degraded runs are not stored)."),
@@ -303,7 +303,7 @@ func newServerMetrics(start time.Time, sloTarget float64) *serverMetrics {
 	// drift from them.
 	reg.GaugeFunc("vrpd_lattice_intern_hit_ratio", "Hash-cons hit ratio over all analyses (0 before any intern traffic).",
 		func() float64 { return ratio(m.internHits.Value(), m.internMisses.Value()) })
-	reg.GaugeFunc("vrpd_lattice_memo_hit_ratio", "Transfer-function memo hit ratio over all analyses.",
+	reg.GaugeFunc("vrpd_lattice_memo_hit_ratio", "Transfer-function memo hit ratio over the analyses that ran on a warm pooled cons table (0 before any memo traffic).",
 		func() float64 { return ratio(m.memoHits.Value(), m.memoMisses.Value()) })
 	reg.GaugeFunc("vrpd_cache_hit_ratio", "Result-cache hit ratio over cacheable requests.",
 		func() float64 { return ratio(m.cacheHits.Value(), m.cacheMisses.Value()) })

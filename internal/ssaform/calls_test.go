@@ -13,20 +13,25 @@ import (
 
 // checkCalls reports every function of p whose call-site index differs
 // from a fresh block-order walk of its OpCall instructions, or whose
-// return-site index differs from a fresh walk of its blocks' OpRet
-// terminators.
+// return-site or branch index differs from a fresh walk of its blocks'
+// OpRet or OpBr terminators.
 func checkCalls(t *testing.T, what string, p *ir.Program) {
 	t.Helper()
 	for _, f := range p.Funcs {
-		var want, rets []*ir.Instr
+		var want, rets, brs []*ir.Instr
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
 				if in.Op == ir.OpCall {
 					want = append(want, in)
 				}
 			}
-			if term := b.Terminator(); term != nil && term.Op == ir.OpRet {
-				rets = append(rets, term)
+			if term := b.Terminator(); term != nil {
+				switch term.Op {
+				case ir.OpRet:
+					rets = append(rets, term)
+				case ir.OpBr:
+					brs = append(brs, term)
+				}
 			}
 		}
 		if !slices.Equal(f.Calls, want) {
@@ -37,11 +42,16 @@ func checkCalls(t *testing.T, what string, p *ir.Program) {
 			t.Errorf("%s: %s.Rets lists %d returns, its blocks end in %d (or in another order)",
 				what, f.Name, len(f.Rets), len(rets))
 		}
+		if !slices.Equal(f.Branches, brs) {
+			t.Errorf("%s: %s.Branches lists %d branches, its blocks end in %d (or in another order)",
+				what, f.Name, len(f.Branches), len(brs))
+		}
 	}
 }
 
 // TestCallsMatchInstrs: ir.Func.Calls lists exactly the function's calls,
-// and ir.Func.Rets its return terminators, in block order wherever the
+// ir.Func.Rets its return terminators and ir.Func.Branches its
+// conditional-branch terminators, in block order wherever the
 // SSA metadata is refreshed — after a whole
 // compile of every program of the IR stability gate, after procedure
 // cloning, after the VRP optimizer's rewrites, and for functions a

@@ -173,15 +173,14 @@ type memoEntry struct {
 
 // memoCap bounds the live entries of the transfer-function memo. When the
 // table fills up it is cleared (epoch eviction): O(1) bookkeeping, no
-// recency tracking on the hot path, and the steady-state working set of a
-// function's fixpoint easily fits. Eviction only ever costs recomputation,
-// never correctness: entries replay exact result/counter deltas, so hit
-// rates change wall-clock only. memoCap is therefore scaled with the
-// size hint (memoCapMin for unhinted tables, up to memoCapMax for
-// million-instruction programs, where a fixed 16k cap thrashes).
+// recency tracking on the hot path. Eviction only ever costs
+// recomputation, never correctness: entries replay exact result/counter
+// deltas, so hit rates change wall-clock only. The driver runs the memos
+// only on warm pooled tables, which hold at most its 2¹⁵-value pool bound
+// when handed out, so one fixed bound serves every table. Slots are
+// allocated on the first store.
 const (
-	memoCapMin    = 1 << 14
-	memoCapMax    = 1 << 20
+	memoCap       = 1 << 14
 	memoInitSlots = 256
 )
 
@@ -230,8 +229,12 @@ type boolKey struct{ q, p uint64 }
 var oneProbBits = math.Float64bits(1)
 
 // Interner is a hash-cons table plus the transfer-function and loop-header
-// merge memo caches keyed on interned ids. The zero value is not ready;
-// use NewInterner.
+// merge memo caches keyed on interned ids. Like any expression table the
+// memos pay only when expressions recur, so each table has a switch
+// (SetMemo): the driver turns them on only for a warm pooled table, where
+// they hit on every lookup on the corpus and vrpd's edit loop, and off
+// for a new or Reset one, where the transfer memo hit 19–23% of gen-10k
+// lookups. The zero value is not ready; use NewInterner.
 type Interner struct {
 	// Open-addressed fingerprint table: tags[i] == 0 means slot i is
 	// empty; otherwise tags[i] == tagOf(slots[i].fp). Linear probing,
@@ -251,15 +254,20 @@ type Interner struct {
 	points map[Bound]Value   // {1[b:b:0]} — constants, symbols, refined points
 	bools  map[boolKey]Value // {q[0:0:0], p[1:1:0]} — comparison results
 
-	// Transfer-function memo, open-addressed like the cons table.
+	// memo switches both memos: when false, Calc.memoized and
+	// Calc.MergeLoopHeader compute directly, neither looking up nor
+	// storing.
+	memo bool
+
+	// Transfer-function memo, open-addressed like the cons table; no
+	// slots until the first store.
 	memoTags  []uint8
 	memoSlots []memoSlot
 	memoMask  uint64
 	memoLive  int
 	memoGrow  int
-	memoCap   int // live-entry bound (hint-scaled at construction)
 
-	merge map[mergeKey]memoEntry // loop-header φ merge memo
+	merge map[mergeKey]memoEntry // loop-header φ merge memo (nil until the first store)
 
 	ar valueArena
 
@@ -280,15 +288,20 @@ func NewInterner() *Interner {
 // undersized table still grows normally.
 func NewInternerSized(hint int) *Interner {
 	it := &Interner{
-		points:  make(map[Bound]Value, 64),
-		bools:   make(map[boolKey]Value, 16),
-		merge:   make(map[mergeKey]memoEntry, 16),
-		memoCap: sizeFor(hint, memoCapMin, memoCapMax),
+		points: make(map[Bound]Value, 64),
+		bools:  make(map[boolKey]Value, 16),
+		memo:   true,
 	}
 	it.initTable(sizeFor(hint+hint/3, internInitSlots, 1<<22))
-	it.initMemo(sizeFor(hint, memoInitSlots, 2*it.memoCap))
 	return it
 }
+
+// SetMemo switches the transfer-function and loop-header merge memos on
+// or off for every Calc sharing the table. Off, they compute directly and
+// allocate nothing; entries already held stay for a later switch on.
+// Results and SubOps/Widens accounting are the same either way; only the
+// memo traffic counters differ. A new table starts with its memos on.
+func (it *Interner) SetMemo(on bool) { it.memo = on }
 
 // sizeFor rounds want up to a power of two within [min, max]. min and max
 // must themselves be powers of two.
@@ -311,10 +324,7 @@ func (it *Interner) initMemo(n int) {
 	it.memoTags = make([]uint8, n)
 	it.memoSlots = make([]memoSlot, n)
 	it.memoMask = uint64(n - 1)
-	it.memoGrow = n - n/4
-	if it.memoGrow > it.memoCap {
-		it.memoGrow = it.memoCap
-	}
+	it.memoGrow = min(n-n/4, memoCap)
 }
 
 // growTable doubles the cons table and rehashes the occupied slots.
@@ -523,6 +533,9 @@ func memoHash(k memoKey) uint64 {
 
 // memoGet looks up a fixed-arity transfer-function application.
 func (it *Interner) memoGet(k memoKey) (memoEntry, bool) {
+	if it.memoLive == 0 {
+		return memoEntry{}, false // also: no slots before the first store
+	}
 	h := memoHash(k)
 	tag := tagOf(h)
 	i := h & it.memoMask
@@ -538,13 +551,13 @@ func (it *Interner) memoGet(k memoKey) (memoEntry, bool) {
 	}
 }
 
-// memoPut stores a fixed-arity result, growing the table up to its cap and
-// epoch-evicting beyond it. Stale slots left behind by an eviction are
-// unreachable (probes are gated by the cleared tags) and get overwritten
-// as the table refills.
+// memoPut stores a fixed-arity result, allocating the slots on the first
+// store, growing the table up to its cap and epoch-evicting beyond it.
+// Stale slots left behind by an eviction are unreachable (probes are
+// gated by the cleared tags) and get overwritten as the table refills.
 func (it *Interner) memoPut(k memoKey, e memoEntry) {
 	if it.memoLive >= it.memoGrow {
-		if len(it.memoSlots) < 2*it.memoCap {
+		if len(it.memoSlots) < 2*memoCap {
 			it.growMemo()
 		} else {
 			it.evictions += int64(it.memoLive)
@@ -564,7 +577,7 @@ func (it *Interner) memoPut(k memoKey, e memoEntry) {
 
 func (it *Interner) growMemo() {
 	oldTags, oldSlots := it.memoTags, it.memoSlots
-	it.initMemo(len(oldSlots) * 2)
+	it.initMemo(max(2*len(oldSlots), memoInitSlots))
 	for idx, t := range oldTags {
 		if t == 0 {
 			continue
@@ -585,9 +598,12 @@ func (it *Interner) mergeGet(k mergeKey) (memoEntry, bool) {
 	return e, ok
 }
 
-// mergePut stores a loop-header φ merge, epoch-evicting at the cap.
+// mergePut stores a loop-header φ merge, creating the map on the first
+// store and epoch-evicting at the cap.
 func (it *Interner) mergePut(k mergeKey, e memoEntry) {
-	if len(it.merge) >= mergeMemoCap {
+	if it.merge == nil {
+		it.merge = make(map[mergeKey]memoEntry, 16)
+	} else if len(it.merge) >= mergeMemoCap {
 		it.evictions += int64(len(it.merge))
 		clear(it.merge)
 	}
@@ -677,12 +693,13 @@ func (c *Calc) PointVal(b Bound) Value {
 // memoized wraps a fixed-arity transfer function: operands must both be
 // interned (nonzero id) for the cache to apply — an id uniquely identifies
 // content, so the key needs no verification; otherwise the computation
-// runs directly. Unary operations pass TopValue() as the b sentinel (their
-// op codes are disjoint from the binary ones, so no key can collide). On a
-// hit the stored SubOps/Widens deltas are replayed so the accounting is
-// identical to a recomputation.
+// runs directly, as it does on a table whose memos are off (SetMemo).
+// Unary operations pass TopValue() as the b sentinel (their op codes are
+// disjoint from the binary ones, so no key can collide). On a hit the
+// stored SubOps/Widens deltas are replayed so the accounting is identical
+// to a recomputation.
 func (c *Calc) memoized(op uint32, a, b Value, compute func() Value) Value {
-	if a.id == 0 || b.id == 0 {
+	if !c.in.memo || a.id == 0 || b.id == 0 {
 		return compute()
 	}
 	k := memoKey{op: op, a: a.id, b: b.id}
@@ -707,9 +724,9 @@ func (c *Calc) memoized(op uint32, a, b Value, compute func() Value) Value {
 // engine step of the loop body. The exact key (ids + raw weight bits)
 // makes a hit provably identical to recomputation, and the stored
 // SubOps/Widens deltas are replayed, so results and accounting are
-// bit-identical whether the memo hits or misses.
+// bit-identical whether the memo hits or misses, or is off (SetMemo).
 func (c *Calc) MergeLoopHeader(items []Weighted) Value {
-	if len(items) != 2 || items[0].Val.id == 0 || items[1].Val.id == 0 {
+	if !c.in.memo || len(items) != 2 || items[0].Val.id == 0 || items[1].Val.id == 0 {
 		return c.Merge(items)
 	}
 	k := mergeKey{

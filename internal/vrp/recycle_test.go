@@ -3,13 +3,16 @@ package vrp
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"vrp/internal/corpus"
 	"vrp/internal/genprog"
 	"vrp/internal/ir"
+	"vrp/internal/telemetry"
 	"vrp/internal/vrange"
 )
 
@@ -273,5 +276,83 @@ func TestTablePoolBounds(t *testing.T) {
 	}
 	if got := pooledTables(cfg.Range); len(got) != 0 {
 		t.Fatalf("a table of %d bytes, above the %d-byte ceiling, was pooled", got[0].Footprint(), pooledTableMaxBytes)
+	}
+}
+
+// TestMemoOnlyOnWarmTables pins the warm-table rule of the transfer and
+// loop-header merge memos: a run on a new or Reset table never consults
+// them, a run on a table pooled warm does (and, re-analyzing the same
+// program, hits on every lookup), and forcing them on or off changes no
+// result, Stats field or canonical telemetry.
+func TestMemoOnlyOnWarmTables(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	analyze := func(label string, prog *ir.Program) *Result {
+		t.Helper()
+		c := cfg
+		c.Telemetry = telemetry.New()
+		res, err := Analyze(prog, c)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		return res
+	}
+	gcfg, _ := genprog.Preset("10k")
+	gen10k := compileSrc(t, "gen-10k.mini", genprog.Source(gcfg))
+
+	// A gen-10k table ends far above pooledTableMaxLive, so the second
+	// run takes it back Reset: cold both times.
+	drainTables(cfg.Range)
+	for i, label := range []string{"gen-10k on a new table", "gen-10k on a Reset table"} {
+		if pooled := pooledTables(cfg.Range); i == 1 && (len(pooled) != 1 || pooled[0].Size() != 0) {
+			t.Fatalf("%s: the pool holds %d tables, want the first run's, Reset", label, len(pooled))
+		}
+		tot := analyze(label, gen10k).Telemetry.Totals
+		if n := tot.MemoHits + tot.MemoMisses; n != 0 {
+			t.Errorf("%s: %d transfer-memo lookups, want 0", label, n)
+		}
+		if n := tot.MergeMemoHits + tot.MergeMemoMiss; n != 0 {
+			t.Errorf("%s: %d merge-memo lookups, want 0", label, n)
+		}
+	}
+
+	def := compileSrc(t, "default.mini", genprog.Source(genprog.Default()))
+	drainTables(cfg.Range)
+	for i := 1; i <= 3; i++ {
+		tot := analyze("default", def).Telemetry.Totals
+		lookups := tot.MemoHits + tot.MemoMisses
+		switch {
+		case i == 1 && lookups != 0:
+			t.Errorf("default, analysis 1 (new table): %d transfer-memo lookups, want 0", lookups)
+		case i == 3 && (tot.MemoHits == 0 || tot.MemoMisses != 0):
+			t.Errorf("default, analysis 3 (warm table): %d transfer-memo hits and %d misses, want every lookup a hit",
+				tot.MemoHits, tot.MemoMisses)
+		}
+	}
+
+	defer func() { testHookMemo = nil }()
+	forced := func(label string, prog *ir.Program, on bool) *Result {
+		t.Helper()
+		testHookMemo = &on
+		res := analyze(label, prog)
+		tot := res.Telemetry.Totals
+		if lookups := tot.MemoHits + tot.MemoMisses; (lookups > 0) != on {
+			t.Fatalf("%s with the memos forced on=%v: %d transfer-memo lookups", label, on, lookups)
+		}
+		return res
+	}
+	// sameResult compares Stats too (all of it: no store, so nothing
+	// is spliced).
+	check := func(name string, prog *ir.Program) {
+		t.Helper()
+		on, off := forced(name, prog, true), forced(name, prog, false)
+		sameResult(t, name+" memos off vs on", off, on)
+		if a, b := off.Telemetry.Canon(), on.Telemetry.Canon(); !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: canonical telemetry differs with the memos off:\n%swith them on:\n%s", name, a.Summary(), b.Summary())
+		}
+	}
+	check("gen-10k", gen10k)
+	for _, cp := range corpus.All() {
+		check(cp.Name, compileSrc(t, cp.Name+".mini", cp.Source))
 	}
 }

@@ -351,11 +351,7 @@ type Result struct {
 func (r *Result) Branches() []Branch {
 	n := 0
 	for _, f := range r.Prog.Funcs {
-		for _, b := range f.Blocks {
-			if t := b.Terminator(); t != nil && t.Op == ir.OpBr {
-				n++
-			}
-		}
+		n += len(f.Branches)
 	}
 	out := make([]Branch, 0, n)
 	for _, f := range r.Prog.Funcs {
@@ -363,11 +359,7 @@ func (r *Result) Branches() []Branch {
 		if fr == nil {
 			continue
 		}
-		for _, b := range f.Blocks {
-			t := b.Terminator()
-			if t == nil || t.Op != ir.OpBr {
-				continue
-			}
+		for _, t := range f.Branches {
 			p, src := fr.Branch(t)
 			out = append(out, Branch{Fn: f, Instr: t, Prob: p, Source: src})
 		}
