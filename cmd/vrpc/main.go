@@ -17,7 +17,7 @@
 //	-profile     with -run (required), print observed branch probabilities
 //	             next to the predictions
 //	-trace FILE  write the span tree of compilation and analysis (parse,
-//	             ssa, callgraph, passes, waves, engine runs) as a Chrome
+//	             ssa, callgraph, passes, engine runs) as a Chrome
 //	             trace_event JSON file (open in chrome://tracing or
 //	             Perfetto)
 //	-telemetry   run with telemetry and print the run summary (engine
@@ -173,11 +173,9 @@ func main() {
 		fmt.Printf("output: %v (result %d, %d steps)\n", prof.Output, prof.Result, prof.Steps)
 		if *profile {
 			for _, f := range prog.IR.Funcs {
-				for _, b := range f.Blocks {
-					if t := b.Terminator(); t != nil && t.Op == ir.OpBr {
-						if p, ok := prof.BranchProb(f, t); ok {
-							observed[t] = p
-						}
+				for _, t := range f.Branches {
+					if p, ok := prof.BranchProb(f, t); ok {
+						observed[t] = p
 					}
 				}
 			}

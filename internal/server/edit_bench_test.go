@@ -15,23 +15,25 @@ import (
 )
 
 // editAllocMax bounds BenchmarkEditRequest's alloc-B/instr, which reads
-// about 83–88 on linux/amd64 now that the non-convergence demotion is a
-// view (no value vector is copied), input snapshots are built in
+// about 78 on linux/amd64 now that the driver traces only timed work (the
+// callgraph, each pass and each engine run), the non-convergence demotion
+// is a view (no value vector is copied), input snapshots are built in
 // per-function scratch with one calculator per worker slot, and the
 // compile cache splits the source without lexing the units it holds.
-// It read about 163 while every demoted function shared with a store
-// record got a fresh copy of its values and every function visit
-// allocated its input vector and calculator; about 196 while every
-// update and input snapshot walked the function's instructions and
-// allocated its merges afresh, about 215 while the request body and the
-// prediction slices grew by doubling. Before the server's compile cache
-// compiled only the functions an edit changes (two per edit here: the
-// edited kernel, and the one the previous edit changed, which this edit
-// reverts) it read about 562, and about 605 while splices rebuilt each
-// result from the store record; before spliced functions took their
-// settled post-fixpoint work from the store records, and before
-// Ball–Larus built its structures on demand, about 730.
-const editAllocMax = 100
+// It read about 87 while the driver also opened a span for every skip,
+// splice and wave of the request's trace; about 163 while every demoted
+// function shared with a store record got a fresh copy of its values and
+// every function visit allocated its input vector and calculator; about
+// 196 while every update and input snapshot walked the function's
+// instructions and allocated its merges afresh, about 215 while the
+// request body and the prediction slices grew by doubling. Before the
+// server's compile cache compiled only the functions an edit changes (two
+// per edit here: the edited kernel, and the one the previous edit
+// changed, which this edit reverts) it read about 562, and about 605
+// while splices rebuilt each result from the store record; before spliced
+// functions took their settled post-fixpoint work from the store records,
+// and before Ball–Larus built its structures on demand, about 730.
+const editAllocMax = 84
 
 // BenchmarkEditRequest measures vrpd's incremental path: a server warmed
 // with the genprog default program (which stops unconverged, so every

@@ -620,9 +620,9 @@ func (s *Server) cacheFill(key uint64, src, body []byte) {
 	}
 }
 
-// marshalBody serializes a response value exactly as writeJSON does
-// (compact JSON plus trailing newline), so cached bodies, batch items and
-// direct writes are all byte-identical.
+// marshalBody serializes a response value as compact JSON plus a trailing
+// newline. Every body goes through it (writeJSON included), so cached
+// bodies, batch items and direct writes are all byte-identical.
 func marshalBody(v any) []byte {
 	body, err := json.Marshal(v)
 	if err != nil { // cannot happen for these types; fail loudly anyway
@@ -964,12 +964,7 @@ func (s *Server) writeError(w http.ResponseWriter, status int, stage, msg string
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	s.writeBody(w, status, append(body, '\n'))
+	s.writeBody(w, status, marshalBody(v))
 }
 
 func (s *Server) writeBody(w http.ResponseWriter, status int, body []byte) {

@@ -12,8 +12,10 @@ import (
 // one request end to end: the server opens the root over the whole
 // handler, hangs one phase span per pipeline stage off it (validate,
 // cache probe, parse, SSA, render), and the analysis driver fills the
-// "vrp" phase with callgraph/pass/wave/engine/skip/splice children — so
-// a single artifact answers "which phase ate the time" for any request.
+// "vrp" phase with callgraph and pass children, each pass parenting its
+// engine runs — so a single artifact answers "which phase ate the time"
+// for any request. Only timed work opens a span: counts of work spared
+// (skips, splices) live in the Snapshot, not on the tree.
 // The span tree is the pipeline's only timeline: the Snapshot holds
 // counters, never timings.
 //
@@ -168,8 +170,7 @@ func (t *Trace) Spans() []Span {
 }
 
 // PhaseDurations sums the direct children of root by name: the request's
-// phase breakdown. Children sharing a name (several "splice" spans, say)
-// accumulate into one figure.
+// phase breakdown. Children sharing a name accumulate into one figure.
 func PhaseDurations(spans []Span, root SpanID) map[string]int64 {
 	out := make(map[string]int64)
 	for _, sp := range spans {

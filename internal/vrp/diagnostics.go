@@ -123,14 +123,11 @@ func degradedResult(f *ir.Func, cfg Config) (*FuncResult, []float64) {
 	}
 	prob := make([]float64, len(f.Blocks))
 	src := make([]PredictionSource, len(f.Blocks))
-	for _, b := range f.Blocks {
-		t := b.Terminator()
-		if t == nil || t.Op != ir.OpBr {
-			continue
-		}
-		prob[b.ID], src[b.ID] = 0.5, ByHeuristic
+	for _, t := range f.Branches {
+		id := t.Block.ID
+		prob[id], src[id] = 0.5, ByHeuristic
 		if cfg.Fallback != nil {
-			prob[b.ID] = cfg.Fallback(f, t)
+			prob[id] = cfg.Fallback(f, t)
 		}
 	}
 	sol := solveFreqs(f, nil, func(br *ir.Instr) (float64, bool) {

@@ -302,17 +302,12 @@ func (d *driver) run(ctx context.Context) (*Result, error) {
 		if d.cfg.Trace != nil {
 			passSpan = d.cfg.Trace.Start(d.cfg.TraceParent, "driver", "pass "+strconv.Itoa(pass))
 		}
-		for wi, wave := range d.cg.Waves {
+		for _, wave := range d.cg.Waves {
 			if d.cancelled.Load() || ctx.Err() != nil {
 				d.cancelled.Store(true)
 				break
 			}
-			var waveSpan telemetry.SpanID = telemetry.NoSpan
-			if d.cfg.Trace != nil {
-				waveSpan = d.cfg.Trace.Start(passSpan, "driver", "wave "+strconv.Itoa(wi))
-			}
-			d.runWave(wave, waveSpan)
-			d.cfg.Trace.End(waveSpan)
+			d.runWave(wave, passSpan)
 		}
 		if d.cfg.Trace != nil {
 			d.cfg.Trace.Annotate(passSpan, "changed", strconv.FormatBool(d.changed.Load()))
@@ -589,11 +584,8 @@ func (d *driver) settle(fi int, withCensus bool) *settled {
 		st.demoted = &dc
 	}
 	st.prob, st.src = fr.Prob, fr.Source
-	for _, b := range f.Blocks {
-		t := b.Terminator()
-		if t == nil || t.Op != ir.OpBr {
-			continue
-		}
+	for _, t := range f.Branches {
+		id := t.Block.ID
 		p, src := fr.Branch(t)
 		stale := src == ByRange && (p == 0 || p == 1) && len(st.tops) > 0
 		if stale {
@@ -602,9 +594,9 @@ func (d *driver) settle(fi int, withCensus bool) *settled {
 				st.src = append([]PredictionSource(nil), fr.Source...)
 			}
 			st.stale++
-			st.prob[b.ID], st.src[b.ID] = 0.5, ByHeuristic
+			st.prob[id], st.src[id] = 0.5, ByHeuristic
 			if d.cfg.Fallback != nil {
-				st.prob[b.ID] = d.cfg.Fallback(f, t)
+				st.prob[id] = d.cfg.Fallback(f, t)
 			}
 		}
 		if !withCensus {
@@ -616,7 +608,7 @@ func (d *driver) settle(fi int, withCensus bool) *settled {
 		}
 		d.addBranch(st.census, p, src, evs)
 		if st.demoted != nil {
-			d.addBranch(st.demoted, st.prob[b.ID], st.src[b.ID], evs)
+			d.addBranch(st.demoted, st.prob[id], st.src[id], evs)
 		}
 	}
 	for _, c := range []*telemetry.FuncCensus{st.census, st.demoted} {
@@ -642,10 +634,10 @@ func (d *driver) settle(fi int, withCensus bool) *settled {
 }
 
 // runWave analyzes every SCC of one wave, concurrently when the pool and
-// the wave allow it. waveSpan parents the per-SCC engine/splice spans;
-// each worker slot draws its own trace lane so concurrent engine runs
-// render on separate rows.
-func (d *driver) runWave(wave []int, waveSpan telemetry.SpanID) {
+// the wave allow it. passSpan parents the engine spans; each worker slot
+// draws its own trace lane so concurrent engine runs render on separate
+// rows.
+func (d *driver) runWave(wave []int, passSpan telemetry.SpanID) {
 	nw := d.workers
 	if nw > len(wave) {
 		nw = len(wave)
@@ -656,7 +648,7 @@ func (d *driver) runWave(wave []int, waveSpan telemetry.SpanID) {
 			if d.cancelled.Load() {
 				return
 			}
-			d.runSCC(scc, calc, waveSpan, 1)
+			d.runSCC(scc, calc, passSpan, 1)
 		}
 		return
 	}
@@ -675,7 +667,7 @@ func (d *driver) runWave(wave []int, waveSpan telemetry.SpanID) {
 				if i >= len(wave) || d.cancelled.Load() {
 					return
 				}
-				d.runSCC(wave[i], calc, waveSpan, lane)
+				d.runSCC(wave[i], calc, passSpan, lane)
 			}
 		}()
 	}
@@ -821,7 +813,7 @@ func (d *driver) releaseTables() {
 // a panic (or an exhausted step budget) degrades that one function to
 // the ⊥/heuristic fallback and quarantines it, instead of killing the
 // process from a worker goroutine.
-func (d *driver) runSCC(scc int, calc *vrange.Calc, waveSpan telemetry.SpanID, lane int32) {
+func (d *driver) runSCC(scc int, calc *vrange.Calc, passSpan telemetry.SpanID, lane int32) {
 	for _, fi := range d.sccFuncs[scc] {
 		if d.poisoned[fi] {
 			continue // quarantined: degraded result is already a fixpoint
@@ -845,9 +837,6 @@ func (d *driver) runSCC(scc int, calc *vrange.Calc, waveSpan telemetry.SpanID, l
 			c.skips++
 			c.eff.SubOps += calc.SubOps
 			c.eff.Widens += calc.Widens
-			if d.cfg.Trace != nil {
-				d.cfg.Trace.End(d.cfg.Trace.StartLane(waveSpan, lane, "skip", d.cg.Funcs[fi].Name))
-			}
 			continue
 		}
 		// Cross-request store: a hit with a confirmed key (same body, same
@@ -861,10 +850,6 @@ func (d *driver) runSCC(scc int, calc *vrange.Calc, waveSpan telemetry.SpanID, l
 		if d.cfg.FuncStore != nil {
 			sKey = d.funcKey(fi, in)
 			if sf, ok := d.cfg.FuncStore.Lookup(sKey); ok {
-				var spliceSpan telemetry.SpanID = telemetry.NoSpan
-				if d.cfg.Trace != nil {
-					spliceSpan = d.cfg.Trace.StartLane(waveSpan, lane, "splice", d.cg.Funcs[fi].Name)
-				}
 				if fr, bf, ok := d.spliceStored(fi, sf); ok {
 					d.results[fi] = fr
 					d.fromEngine[fi] = false
@@ -875,20 +860,16 @@ func (d *driver) runSCC(scc int, calc *vrange.Calc, waveSpan telemetry.SpanID, l
 					c.spliced++
 					c.eff.add(&sf.Effort)
 					c.addLive(calc)
-					d.cfg.Trace.End(spliceSpan)
 					continue
 				}
 				// Confirmed lookup that failed reconstruction: the engine
-				// runs below; close the splice span so the trace shows the
-				// attempt without claiming the time.
-				d.cfg.Trace.Annotate(spliceSpan, "outcome", "fallthrough")
-				d.cfg.Trace.End(spliceSpan)
+				// runs below.
 			}
 		}
 		subOps0, widens0 := calc.SubOps, calc.Widens
 		var engSpan telemetry.SpanID = telemetry.NoSpan
 		if d.cfg.Trace != nil {
-			engSpan = d.cfg.Trace.StartLane(waveSpan, lane, "engine", d.cg.Funcs[fi].Name)
+			engSpan = d.cfg.Trace.StartLane(passSpan, lane, "engine", d.cg.Funcs[fi].Name)
 		}
 		eng, panicked := d.runEngine(fi, calc, in)
 		endSpan := func(outcome string) {

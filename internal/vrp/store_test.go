@@ -507,43 +507,32 @@ func (s shortStore) Lookup(key *FuncKey) (*StoredFunc, bool) {
 }
 
 // TestSpliceShapeMismatchFallsThrough: a confirmed record whose slices
-// do not fit the function is a miss. The engine runs instead, the splice
-// span says so, and the output equals a cold analysis.
+// do not fit the function is a miss. The engine runs instead, and the
+// output equals a cold analysis.
 func TestSpliceShapeMismatchFallsThrough(t *testing.T) {
 	src := readTestdata(t, "unconverged.mini")
-	analyze := func(st FuncStore, tr *telemetry.Trace) *Result {
+	analyze := func(st FuncStore) *Result {
 		p := compileSrc(t, "unconverged.mini", src)
 		cfg := DefaultConfig()
 		cfg.Workers = 1
 		cfg.FuncStore = st
 		cfg.Telemetry = telemetry.New()
-		cfg.Trace = tr
 		res, err := Analyze(p, withBallLarus(cfg, p, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	cold := analyze(nil, nil)
+	cold := analyze(nil)
 	st := shortStore{newMemStore()}
-	analyze(st, nil)
-	tr := telemetry.NewTrace()
-	warm := analyze(st, tr)
+	analyze(st)
+	confirmed := st.hits
+	warm := analyze(st)
 	if warm.Stats.FuncsSpliced != 0 {
 		t.Errorf("spliced %d functions from misshapen records", warm.Stats.FuncsSpliced)
 	}
-	splices := 0
-	for _, sp := range tr.Spans() {
-		if sp.Cat != "splice" {
-			continue
-		}
-		splices++
-		if sp.Args["outcome"] != "fallthrough" {
-			t.Errorf("splice span %s: outcome %q, want fallthrough", sp.Name, sp.Args["outcome"])
-		}
-	}
-	if splices == 0 {
-		t.Fatal("no splice attempts; the store served nothing")
+	if st.hits == confirmed {
+		t.Fatal("no confirmed lookups; the store served nothing")
 	}
 	sameAnalysis(t, "misshapen store vs cold", warm, cold)
 }

@@ -101,7 +101,7 @@ func spanKeys(spans []telemetry.Span) []string {
 	return keys
 }
 
-// countCat counts the span keys of category cat below a wave.
+// countCat counts the span keys of category cat below a pass.
 func countCat(keys []string, cat string) int {
 	n := 0
 	for _, k := range keys {
@@ -113,11 +113,12 @@ func countCat(keys []string, cat string) int {
 }
 
 // TestSpanTreeDeterministicAcrossWorkers is the timeline half of the
-// bit-identity contract: the span tree — every pass, wave, engine run,
-// skip and splice with its labels — must be the same multiset for
-// Workers 1 and 8, both cold and against a warm FuncStore (so splice
-// spans are covered). Each worker count warms its own store with the
-// base program, then analyzes a one-function edit of it.
+// bit-identity contract: the span tree — every pass and engine run with
+// its labels — must be the same multiset for Workers 1 and 8, both cold
+// and against a warm FuncStore (where most functions splice and only the
+// edit's cone runs the engine). Each worker count warms its own store
+// with the base program, then analyzes a one-function edit of it. Skips,
+// splices and waves are bookkeeping, not timed work: they open no span.
 func TestSpanTreeDeterministicAcrossWorkers(t *testing.T) {
 	gcfg := genprog.Config{Seed: 7, Funcs: 12, Diamonds: 2, LoopDepth: 2}
 	base := genprog.Source(gcfg)
@@ -145,12 +146,45 @@ func TestSpanTreeDeterministicAcrossWorkers(t *testing.T) {
 		if !reflect.DeepEqual(seq, par) {
 			t.Errorf("warm=%v: span trees differ between Workers=1 and Workers=8:\nseq: %q\npar: %q", warm, seq, par)
 		}
-		if countCat(seq, "engine") == 0 || countCat(seq, "skip") == 0 {
-			t.Errorf("warm=%v: want engine and skip spans, got %q", warm, seq)
+		if countCat(seq, "engine") == 0 {
+			t.Errorf("warm=%v: want engine spans, got %q", warm, seq)
 		}
-		if got := countCat(seq, "splice"); (got > 0) != warm {
-			t.Errorf("warm=%v: %d splice spans", warm, got)
+		for _, k := range seq {
+			if strings.Contains(k, "/skip:") || strings.Contains(k, "/splice:") || strings.Contains(k, ":wave ") {
+				t.Errorf("warm=%v: bookkeeping span %q", warm, k)
+			}
 		}
+	}
+}
+
+// TestWarmEditTracesOnlyWork: the driver's trace holds one span per unit
+// of timed work — the callgraph condensation, each pass and each engine
+// run — so a warm one-kernel edit of the genprog default program, which
+// skips or splices nearly every function, traces a handful of spans
+// rather than one per function per pass.
+func TestWarmEditTracesOnlyWork(t *testing.T) {
+	base, edits := stackedEdits(t, 1)
+	st := newMemStore()
+	run := func(src string, tr *telemetry.Trace) *Result {
+		cfg := DefaultConfig()
+		cfg.FuncStore = st
+		cfg.Trace = tr
+		res, err := Analyze(compileSrc(t, "gen.mini", src), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	run(base, nil)
+	tr := telemetry.NewTrace()
+	s := run(edits[0], tr).Stats
+	if s.FuncsSpliced == 0 || s.FuncsSkipped == 0 {
+		t.Fatalf("edit spliced %d and skipped %d functions; want a warm edit", s.FuncsSpliced, s.FuncsSkipped)
+	}
+	want := 1 + int64(s.Passes) + s.FuncsAnalyzed - s.FuncsSpliced
+	if got := int64(len(tr.Spans())); got != want {
+		t.Errorf("warm edit traced %d spans; want 1 callgraph + %d passes + %d engine runs = %d",
+			got, s.Passes, s.FuncsAnalyzed-s.FuncsSpliced, want)
 	}
 }
 

@@ -121,10 +121,10 @@ type Config struct {
 	Telemetry *telemetry.Recorder
 
 	// Trace, when non-nil, receives the run's request-scoped span tree:
-	// a "callgraph" span for condensation, one span per fixpoint pass
-	// and wave, and one per engine run, fingerprint skip and store
-	// splice (on the worker's lane), all parented under TraceParent.
-	// It is the run's only timeline. Unlike Telemetry,
+	// a "callgraph" span for condensation and one span per fixpoint pass,
+	// both parented under TraceParent, and under each pass one span per
+	// engine run (on the worker's lane). Skipped and spliced functions
+	// open no span. It is the run's only timeline. Unlike Telemetry,
 	// spans carry only wall-clock timings and labels — nothing reads
 	// them back, so tracing can never perturb analysis results. nil —
 	// the default — disables tracing at zero cost on the hot path.

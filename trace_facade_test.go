@@ -10,7 +10,7 @@ import (
 
 // TestWithTraceSpans: compiling and analyzing under one trace yields a
 // well-formed span tree — compile phases under the caller's parent,
-// driver structure (callgraph → pass → wave → engine) under the span
+// driver structure (callgraph, pass → engine) under the span
 // passed to WithTrace — and bit-identical predictions to an untraced run.
 func TestWithTraceSpans(t *testing.T) {
 	tr := telemetry.NewTrace()
@@ -30,12 +30,10 @@ func TestWithTraceSpans(t *testing.T) {
 	spans := tr.Spans()
 
 	byName := map[string][]telemetry.Span{}
-	index := map[string]telemetry.SpanID{}
-	for i, sp := range spans {
+	for _, sp := range spans {
 		byName[sp.Name] = append(byName[sp.Name], sp)
-		index[sp.Name] = telemetry.SpanID(i)
 	}
-	for _, name := range []string{"parse", "ssa", "vrp", "callgraph", "pass 0", "wave 0"} {
+	for _, name := range []string{"parse", "ssa", "vrp", "callgraph", "pass 0"} {
 		if len(byName[name]) == 0 {
 			t.Fatalf("no %q span recorded; have %v", name, names(spans))
 		}
@@ -49,11 +47,8 @@ func TestWithTraceSpans(t *testing.T) {
 	if got := byName["pass 0"][0].Parent; got != vrpSpan {
 		t.Errorf("pass 0 span parent = %d, want the WithTrace parent %d", got, vrpSpan)
 	}
-	if got := byName["wave 0"][0].Parent; got != index["pass 0"] {
-		t.Errorf("wave 0 span parent = %d, want pass 0 (%d)", got, index["pass 0"])
-	}
 
-	// One engine span per function run, parented on a wave, on a worker
+	// One engine span per function run, parented on a pass, on a worker
 	// lane (never lane 0, the request goroutine's row).
 	engines := 0
 	for _, sp := range spans {
@@ -62,8 +57,8 @@ func TestWithTraceSpans(t *testing.T) {
 		}
 		engines++
 		parent := spans[sp.Parent]
-		if !strings.HasPrefix(parent.Name, "wave ") {
-			t.Errorf("engine span %q parented on %q, want a wave", sp.Name, parent.Name)
+		if parent.Cat != "driver" || !strings.HasPrefix(parent.Name, "pass ") {
+			t.Errorf("engine span %q parented on %q, want a pass", sp.Name, parent.Name)
 		}
 		if sp.Lane < 1 {
 			t.Errorf("engine span %q on lane %d, want a worker lane >= 1", sp.Name, sp.Lane)

@@ -227,18 +227,19 @@ type TelemetrySnapshot = telemetry.Snapshot
 type TraceSpanID = telemetry.SpanID
 
 // RequestTrace is the request-scoped span tree: a timed tree of phases
-// (parse, SSA, driver passes/waves, per-function engine runs, skips and
-// store splices) exportable as a Chrome trace. It is the pipeline's only
-// timeline. See telemetry.Trace.
+// (parse, SSA, driver callgraph and passes, per-function engine runs)
+// exportable as a Chrome trace. It is the pipeline's only timeline. See
+// telemetry.Trace.
 type RequestTrace = telemetry.Trace
 
 // NoTraceSpan is the absent parent span (roots the tree).
 const NoTraceSpan = telemetry.NoSpan
 
 // WithTrace attaches a request-scoped span tree to the analysis: the
-// driver records callgraph condensation, every fixpoint pass and wave,
-// and every per-function engine run, fingerprint skip and store splice
-// (on its worker's lane) as spans under parent. The span tree is the
+// driver records the work that takes time as spans under parent — the
+// callgraph condensation, every fixpoint pass, and under each pass every
+// per-function engine run (on its worker's lane). Fingerprint skips and
+// store splices open no span; Stats counts them. The span tree is the
 // run's only timeline. Unlike WithTelemetry the spans carry only
 // wall-clock timings and labels — nothing reads them back, so tracing
 // never perturbs analysis results — and a nil tr is the disabled state
