@@ -140,21 +140,18 @@ func scoreBranches(p *vrp.Program, ref *interp.Profile, a *vrp.Analysis, others 
 	vrpPred := predictionMap(a)
 	rangePredicted := 0
 	for _, f := range p.IR.Funcs {
-		for _, b := range f.Blocks {
-			t := b.Terminator()
-			if t == nil || t.Op != ir.OpBr {
-				continue
-			}
+		for _, t := range f.Branches {
 			actual, ran := ref.BranchProb(f, t)
 			if !ran {
 				continue // never executed on the reference input
 			}
 			ec := ref.EdgeCount[f]
 			vp := vrpPred[t]
+			succs := t.Block.Succs
 			rec := BranchRecord{
 				Func:   f.Name,
 				Actual: actual,
-				Weight: float64(ec[b.Succs[0].ID] + ec[b.Succs[1].ID]),
+				Weight: float64(ec[succs[0].ID] + ec[succs[1].ID]),
 				Pred:   map[string]float64{PredVRP: vp.prob},
 				Source: vp.source,
 			}

@@ -76,20 +76,16 @@ func (m *RunMetrics) Add(o *RunMetrics) {
 
 // LatticeCounters is the hash-cons and memo traffic of a function's range
 // calculators: intern table lookups that found an existing representative
-// vs. created one, transfer-function memo hits vs. recomputations, intern
-// lookups that needed no range-walk confirm, and loop-header φ merge-memo
-// traffic. Unlike RunMetrics these are table-warmth measurements, so they
+// vs. created one, and transfer-function memo hits vs. recomputations.
+// Unlike RunMetrics these are table-warmth measurements, so they
 // depend on which worker's table served the lookup: they are counted live
 // only (a splice never replays them) and Canon zeroes them (see
 // Snapshot.Canon).
 type LatticeCounters struct {
-	InternHits    int64
-	InternMiss    int64
-	MemoHits      int64
-	MemoMisses    int64
-	ConfirmSkips  int64
-	MergeMemoHits int64
-	MergeMemoMiss int64
+	InternHits int64
+	InternMiss int64
+	MemoHits   int64
+	MemoMisses int64
 }
 
 // add sums another function's traffic into l.
@@ -98,9 +94,6 @@ func (l *LatticeCounters) add(o *LatticeCounters) {
 	l.InternMiss += o.InternMiss
 	l.MemoHits += o.MemoHits
 	l.MemoMisses += o.MemoMisses
-	l.ConfirmSkips += o.ConfirmSkips
-	l.MergeMemoHits += o.MergeMemoHits
-	l.MergeMemoMiss += o.MergeMemoMiss
 }
 
 // FuncMetrics aggregates every run of one function across all passes.
@@ -238,13 +231,13 @@ func NewSnapshot(funcs []FuncMetrics) *Snapshot {
 // Canon returns a deep copy with every schedule-dependent field zeroed,
 // leaving exactly the data that must be bit-identical across worker
 // counts. The zeroed fields are the lattice table-warmth counters
-// (intern/memo hit-miss traffic, confirm skips, merge-memo traffic, and
-// the end-of-run interner state), which became schedule-dependent
+// (intern and transfer-memo hit-miss traffic, and the end-of-run
+// interner state), which became schedule-dependent
 // when intern tables moved from per-SCC to per-worker ownership: with
 // work stealing, which table serves a lookup — and therefore whether it
 // hits — depends on the schedule. Analysis results, Stats, and every
 // other counter remain bit-identical: interning only dedups bit-equal
-// values and the memos replay their counter deltas exactly.
+// values and the transfer memo replays its counter deltas exactly.
 func (s *Snapshot) Canon() *Snapshot {
 	c := *s
 	c.Funcs = append([]FuncMetrics(nil), s.Funcs...)
@@ -281,8 +274,8 @@ func (s *Snapshot) Summary() string {
 		t.Steps, t.FlowPushes, t.FlowPeak, t.SSAPushes, t.SSAPeak)
 	fmt.Fprintf(&b, "  lattice: phi-merges=%d widens=%d asserts=%d derive-hits=%d derive-misses=%d boundary-drops=%d\n",
 		t.PhiMerges, t.Widens, t.Asserts, t.DeriveHits, t.DeriveMiss, s.BoundaryDrops)
-	fmt.Fprintf(&b, "  interning: intern-hits=%d intern-misses=%d memo-hits=%d memo-misses=%d confirm-skips=%d merge-memo=%d/%d\n",
-		t.InternHits, t.InternMiss, t.MemoHits, t.MemoMisses, t.ConfirmSkips, t.MergeMemoHits, t.MergeMemoMiss)
+	fmt.Fprintf(&b, "  interning: intern-hits=%d intern-misses=%d memo-hits=%d memo-misses=%d\n",
+		t.InternHits, t.InternMiss, t.MemoHits, t.MemoMisses)
 	if s.InternLive > 0 || s.InternEvictions > 0 {
 		fmt.Fprintf(&b, "  interner: live=%d arena-bytes=%d evictions=%d\n",
 			s.InternLive, s.InternArenaBytes, s.InternEvictions)

@@ -110,8 +110,7 @@ func TestFuncMetricsJSONKeys(t *testing.T) {
 		"Func", "Runs", "Skips", "Degraded",
 		"Steps", "FlowPushes", "SSAPushes", "FlowPeak", "SSAPeak", "PhiMerges",
 		"Widens", "DeriveHits", "DeriveMiss", "Asserts", "PhiHulls", "AssertTightens",
-		"InternHits", "InternMiss", "MemoHits", "MemoMisses", "ConfirmSkips",
-		"MergeMemoHits", "MergeMemoMiss",
+		"InternHits", "InternMiss", "MemoHits", "MemoMisses",
 	}
 	if !reflect.DeepEqual(keys, want) {
 		t.Errorf("FuncMetrics JSON keys:\n got %v\nwant %v", keys, want)

@@ -1,10 +1,6 @@
 package vrange
 
-import (
-	"math"
-
-	"vrp/internal/ir"
-)
+import "vrp/internal/ir"
 
 // Apply evaluates a binary operator over two values, dispatching to the
 // arithmetic or comparison implementation. Applications over interned
@@ -374,12 +370,6 @@ func (c *Calc) Bool(p float64) Value {
 	}
 	if p > 1 {
 		p = 1
-	}
-	if q := 1 - p; p >= minProb && q >= minProb {
-		// Both points survive: the exact two-point boolean shape, served
-		// straight from the interner's content-keyed table.
-		return c.in.internBool(boolKey{q: math.Float64bits(q), p: math.Float64bits(p)},
-			&c.InternHits, &c.InternMisses, &c.ConfirmSkips)
 	}
 	rs := c.small[:0]
 	if 1-p >= minProb {

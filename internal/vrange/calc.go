@@ -50,18 +50,12 @@ type Calc struct {
 	// allocates.
 	Widens int64
 
-	// Intern and memo traffic of this Calc's lifetime (one engine run in
-	// the driver), folded into telemetry by the caller. ConfirmSkips
-	// counts intern lookups resolved without a range-by-range confirm walk
-	// (exact-key fast tables and empty-slot misses); MergeMemoHits/Misses
-	// count the loop-header φ merge memo.
-	InternHits      int64
-	InternMisses    int64
-	MemoHits        int64
-	MemoMisses      int64
-	ConfirmSkips    int64
-	MergeMemoHits   int64
-	MergeMemoMisses int64
+	// Intern and transfer-memo traffic of this Calc's lifetime (one
+	// engine run in the driver), folded into telemetry by the caller.
+	InternHits   int64
+	InternMisses int64
+	MemoHits     int64
+	MemoMisses   int64
 
 	// in is the hash-cons table.
 	in *Interner
@@ -69,7 +63,7 @@ type Calc struct {
 	// Scratch buffers. buf1 collects transfer-function output ranges
 	// (binary, Merge, Refine, Neg); buf2 is Canonicalize's working set
 	// (Canonicalize nests inside the buf1 users, so the two never alias).
-	// small backs the 1–2 range constructors (ConstVal, Bool). Interning
+	// small backs the 1–2 range constructors (PointVal, Bool). Interning
 	// copies ranges out of scratch on a table miss, so no returned value
 	// ever aliases these buffers.
 	buf1  []Range
@@ -335,8 +329,9 @@ type Weighted struct {
 // as the single largest allocator of the whole analysis before it was
 // removed. The result still goes through Canonicalize → intern, so
 // repeated merges of the same operands return the same representative
-// without allocating. Loop-header φs, whose weights do stabilize, get the
-// exact-key memo of MergeLoopHeader (intern.go).
+// without allocating. Loop-header φs, whose weights do stabilize, are not
+// memoized either: a memo keyed on their weight bits saved no measurable
+// time.
 func (c *Calc) Merge(items []Weighted) Value {
 	totalW := 0.0
 	for _, it := range items {

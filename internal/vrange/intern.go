@@ -27,13 +27,9 @@ import (
 //     fingerprint plus a kind/length header gate the range walk, and
 //     genuine 64-bit fingerprint collisions spill into a lazily created
 //     overflow map so a collision can never unify two values.
-//   - The hottest shapes — single-point probability-1 values (constants,
-//     symbols) and the two-point boolean of comparisons — bypass hashing
-//     entirely through exact-content-keyed side tables, where the key *is*
-//     the content and therefore no BitEqual confirm is needed at all.
-//     ("Skip the confirm when the table is collision-free" is unsound as
-//     stated — collision-freedom is only known after confirming — so the
-//     fast path instead uses keys for which confirmation is vacuous.)
+//   - Every value goes through that one table, constants, symbols and
+//     the two-point boolean of comparisons included, so equal content
+//     gets one representative whichever constructor built it.
 //
 // Soundness rules:
 //
@@ -175,7 +171,7 @@ type memoEntry struct {
 // table fills up it is cleared (epoch eviction): O(1) bookkeeping, no
 // recency tracking on the hot path. Eviction only ever costs
 // recomputation, never correctness: entries replay exact result/counter
-// deltas, so hit rates change wall-clock only. The driver runs the memos
+// deltas, so hit rates change wall-clock only. The driver runs the memo
 // only on warm pooled tables, which hold at most its 2¹⁵-value pool bound
 // when handed out, so one fixed bound serves every table. Slots are
 // allocated on the first store.
@@ -188,19 +184,6 @@ type memoSlot struct {
 	key memoKey
 	ent memoEntry
 }
-
-// mergeKey identifies a two-operand loop-header φ merge exactly: operand
-// ids plus the raw bit patterns of the in-edge weights. Exact keys make a
-// hit provably identical to a recomputation.
-type mergeKey struct {
-	a, b   uint64 // operand ids, in φ-operand order
-	wa, wb uint64 // Float64bits of the edge weights
-}
-
-// mergeMemoCap bounds the loop-header merge memo (same epoch-eviction
-// policy as the transfer-function memo; loop headers are few, so this is
-// rarely reached).
-const mergeMemoCap = 1 << 12
 
 // ---------------------------------------------------------------- tables
 
@@ -218,23 +201,13 @@ type internSlot struct {
 
 const internInitSlots = 256
 
-// boolKey is the exact content of the two-point boolean shape
-// {q[0:0:0], p[1:1:0]}: the raw probability bits. Two boolean values are
-// bit-equal iff their keys are equal, so the bools table needs no confirm.
-type boolKey struct{ q, p uint64 }
-
-// oneProbBits is the bit pattern of probability 1, the exactness gate for
-// the single-point fast path (a point whose probability merely rounds to 1
-// must not unify with an exact one).
-var oneProbBits = math.Float64bits(1)
-
-// Interner is a hash-cons table plus the transfer-function and loop-header
-// merge memo caches keyed on interned ids. Like any expression table the
-// memos pay only when expressions recur, so each table has a switch
-// (SetMemo): the driver turns them on only for a warm pooled table, where
-// they hit on every lookup on the corpus and vrpd's edit loop, and off
-// for a new or Reset one, where the transfer memo hit 19–23% of gen-10k
-// lookups. The zero value is not ready; use NewInterner.
+// Interner is a hash-cons table plus the transfer-function memo keyed on
+// interned ids. Like any expression table the memo pays only when
+// expressions recur, so each table has a switch (SetMemo): the driver
+// turns it on only for a warm pooled table, where it hits on every lookup
+// on the corpus and vrpd's edit loop, and off for a new or Reset one,
+// where it hit 19–23% of gen-10k lookups. The zero value is not ready;
+// use NewInterner.
 type Interner struct {
 	// Open-addressed fingerprint table: tags[i] == 0 means slot i is
 	// empty; otherwise tags[i] == tagOf(slots[i].fp). Linear probing,
@@ -249,14 +222,8 @@ type Interner struct {
 
 	overflow map[uint64][]Value // extra values per truly colliding fingerprint
 
-	// Exact-content-keyed fast tables for the hottest shapes; see the
-	// package comment on why these may skip the BitEqual confirm.
-	points map[Bound]Value   // {1[b:b:0]} — constants, symbols, refined points
-	bools  map[boolKey]Value // {q[0:0:0], p[1:1:0]} — comparison results
-
-	// memo switches both memos: when false, Calc.memoized and
-	// Calc.MergeLoopHeader compute directly, neither looking up nor
-	// storing.
+	// memo switches the transfer memo: when false, Calc.memoized computes
+	// directly, neither looking up nor storing.
 	memo bool
 
 	// Transfer-function memo, open-addressed like the cons table; no
@@ -266,8 +233,6 @@ type Interner struct {
 	memoMask  uint64
 	memoLive  int
 	memoGrow  int
-
-	merge map[mergeKey]memoEntry // loop-header φ merge memo (nil until the first store)
 
 	ar valueArena
 
@@ -287,20 +252,16 @@ func NewInterner() *Interner {
 // count) skips all of it. The hint is a capacity, not a limit — an
 // undersized table still grows normally.
 func NewInternerSized(hint int) *Interner {
-	it := &Interner{
-		points: make(map[Bound]Value, 64),
-		bools:  make(map[boolKey]Value, 16),
-		memo:   true,
-	}
+	it := &Interner{memo: true}
 	it.initTable(sizeFor(hint+hint/3, internInitSlots, 1<<22))
 	return it
 }
 
-// SetMemo switches the transfer-function and loop-header merge memos on
-// or off for every Calc sharing the table. Off, they compute directly and
+// SetMemo switches the transfer-function memo on or off for every Calc
+// sharing the table. Off, transfer functions compute directly and
 // allocate nothing; entries already held stay for a later switch on.
 // Results and SubOps/Widens accounting are the same either way; only the
-// memo traffic counters differ. A new table starts with its memos on.
+// memo traffic counters differ. A new table starts with its memo on.
 func (it *Interner) SetMemo(on bool) { it.memo = on }
 
 // sizeFor rounds want up to a power of two within [min, max]. min and max
@@ -348,96 +309,16 @@ func (it *Interner) growTable() {
 // intern returns the canonical representative of v, creating one (with a
 // fresh global id and an arena-owned copy of the ranges) on first sight.
 // v's Ranges may alias caller scratch: they are only read, and copied on a
-// miss. skips counts lookups resolved without a range-by-range confirm.
-func (it *Interner) intern(v Value, hits, misses, skips *int64) Value {
-	if v.id != 0 {
-		return v // already a representative
-	}
-	if r, ok := it.fastShape(v, hits, misses, skips); ok {
-		return r
-	}
-	return it.probeFP(v, fingerprintRaw(v), hits, misses, skips)
+// miss.
+func (it *Interner) intern(v Value, hits, misses *int64) Value {
+	return it.probeFP(v, fingerprintRaw(v), hits, misses)
 }
 
-// internFP is intern for callers that already hold the fingerprint (the
-// fused hash accumulated during Canonicalize).
-func (it *Interner) internFP(v Value, fp uint64, hits, misses, skips *int64) Value {
-	if v.id != 0 {
-		return v
-	}
-	if r, ok := it.fastShape(v, hits, misses, skips); ok {
-		return r
-	}
-	return it.probeFP(v, fp, hits, misses, skips)
-}
-
-// fastShape routes the exact-content-keyed shapes around the fingerprint
-// table. The guards are exact (bit patterns, not tolerances): a key match
-// implies bit equality by construction.
-func (it *Interner) fastShape(v Value, hits, misses, skips *int64) (Value, bool) {
-	if v.kind != Set {
-		return Value{}, false
-	}
-	switch len(v.Ranges) {
-	case 1:
-		r := v.Ranges[0]
-		if r.Lo == r.Hi && r.Stride == 0 && math.Float64bits(r.Prob) == oneProbBits {
-			return it.internPoint(r.Lo, hits, misses, skips), true
-		}
-	case 2:
-		if k, ok := boolKeyOf(v.Ranges); ok {
-			return it.internBool(k, hits, misses, skips), true
-		}
-	}
-	return Value{}, false
-}
-
-// boolKeyOf recognizes the canonical boolean shape {q[0:0:0], p[1:1:0]}.
-func boolKeyOf(rs []Range) (boolKey, bool) {
-	r0, r1 := rs[0], rs[1]
-	zero, one := Num(0), Num(1)
-	if r0.Lo != zero || r0.Hi != zero || r0.Stride != 0 ||
-		r1.Lo != one || r1.Hi != one || r1.Stride != 0 {
-		return boolKey{}, false
-	}
-	return boolKey{q: math.Float64bits(r0.Prob), p: math.Float64bits(r1.Prob)}, true
-}
-
-// internPoint interns {1[b:b:0]} through the exact-key side table.
-func (it *Interner) internPoint(b Bound, hits, misses, skips *int64) Value {
-	*skips++ // key == content: no confirm walk, by construction
-	if v, ok := it.points[b]; ok {
-		*hits++
-		return v
-	}
-	*misses++
-	rs := it.ar.alloc(1)
-	rs[0] = Point(1, b)
-	v := Value{kind: Set, Ranges: rs, id: idCounter.Add(1)}
-	it.points[b] = v
-	return v
-}
-
-// internBool interns the boolean shape through the exact-key side table.
-func (it *Interner) internBool(k boolKey, hits, misses, skips *int64) Value {
-	*skips++
-	if v, ok := it.bools[k]; ok {
-		*hits++
-		return v
-	}
-	*misses++
-	rs := it.ar.alloc(2)
-	rs[0] = Point(math.Float64frombits(k.q), Num(0))
-	rs[1] = Point(math.Float64frombits(k.p), Num(1))
-	v := Value{kind: Set, Ranges: rs, id: idCounter.Add(1)}
-	it.bools[k] = v
-	return v
-}
-
-// probeFP is the general cons-table path: tag-byte linear probing on the
+// probeFP is the cons-table path: tag-byte linear probing on the
 // fingerprint, header (kind, length) rejection, then the range walk only
-// on a surviving candidate.
-func (it *Interner) probeFP(v Value, fp uint64, hits, misses, skips *int64) Value {
+// on a surviving candidate. fp is v's fingerprint, computed by intern or
+// accumulated while Canonicalize built the ranges.
+func (it *Interner) probeFP(v Value, fp uint64, hits, misses *int64) Value {
 	if testFingerprintHook != nil {
 		if hfp, ok := testFingerprintHook(v); ok {
 			fp = hfp
@@ -445,7 +326,6 @@ func (it *Interner) probeFP(v Value, fp uint64, hits, misses, skips *int64) Valu
 	}
 	tag := tagOf(fp)
 	i := fp & it.mask
-	walked := false
 	for {
 		t := it.tags[i]
 		if t == 0 {
@@ -453,28 +333,21 @@ func (it *Interner) probeFP(v Value, fp uint64, hits, misses, skips *int64) Valu
 		}
 		if t == tag && it.slots[i].fp == fp {
 			cand := it.slots[i].val
-			if cand.kind == v.kind && len(cand.Ranges) == len(v.Ranges) {
-				walked = true
-				if rangesBitEqual(cand.Ranges, v.Ranges) {
-					*hits++
-					return cand
-				}
+			if cand.kind == v.kind && len(cand.Ranges) == len(v.Ranges) &&
+				rangesBitEqual(cand.Ranges, v.Ranges) {
+				*hits++
+				return cand
 			}
 			for _, c2 := range it.overflow[fp] {
-				if c2.kind == v.kind && len(c2.Ranges) == len(v.Ranges) {
-					walked = true
-					if rangesBitEqual(c2.Ranges, v.Ranges) {
-						*hits++
-						return c2
-					}
+				if c2.kind == v.kind && len(c2.Ranges) == len(v.Ranges) &&
+					rangesBitEqual(c2.Ranges, v.Ranges) {
+					*hits++
+					return c2
 				}
 			}
 			// True 64-bit collision: the new representative joins the
 			// overflow bucket; the inline slot keeps its first owner.
 			*misses++
-			if !walked {
-				*skips++
-			}
 			owned := it.own(v)
 			if it.overflow == nil {
 				it.overflow = make(map[uint64][]Value)
@@ -485,9 +358,6 @@ func (it *Interner) probeFP(v Value, fp uint64, hits, misses, skips *int64) Valu
 		i = (i + 1) & it.mask
 	}
 	*misses++
-	if !walked {
-		*skips++ // resolved by an empty slot: no confirm walk ran
-	}
 	owned := it.own(v)
 	if it.live >= it.grow {
 		it.growTable()
@@ -592,28 +462,10 @@ func (it *Interner) growMemo() {
 	}
 }
 
-// mergeGet looks up a loop-header φ merge.
-func (it *Interner) mergeGet(k mergeKey) (memoEntry, bool) {
-	e, ok := it.merge[k]
-	return e, ok
-}
-
-// mergePut stores a loop-header φ merge, creating the map on the first
-// store and epoch-evicting at the cap.
-func (it *Interner) mergePut(k mergeKey, e memoEntry) {
-	if it.merge == nil {
-		it.merge = make(map[mergeKey]memoEntry, 16)
-	} else if len(it.merge) >= mergeMemoCap {
-		it.evictions += int64(len(it.merge))
-		clear(it.merge)
-	}
-	it.merge[k] = e
-}
-
 // Size reports the number of distinct interned values (for telemetry,
 // benchmarks and diagnostics).
 func (it *Interner) Size() int {
-	n := it.live + len(it.points) + len(it.bools)
+	n := it.live
 	for _, bucket := range it.overflow {
 		n += len(bucket)
 	}
@@ -644,15 +496,12 @@ func (it *Interner) Evictions() int64 { return it.evictions }
 // will be overwritten; the driver resets a table only after the run's
 // results own their ranges (DetachAll).
 func (it *Interner) Reset() {
-	it.evictions += int64(it.Size()) + int64(it.memoLive) + int64(len(it.merge))
+	it.evictions += int64(it.Size()) + int64(it.memoLive)
 	clear(it.tags)
 	it.live = 0
 	it.overflow = nil
-	clear(it.points)
-	clear(it.bools)
 	clear(it.memoTags)
 	it.memoLive = 0
-	clear(it.merge)
 	it.ar.rewind()
 }
 
@@ -663,37 +512,34 @@ func (c *Calc) intern(v Value) Value {
 	if v.kind == Set && len(v.Ranges) == 0 {
 		return Infeasible()
 	}
-	return c.in.intern(v, &c.InternHits, &c.InternMisses, &c.ConfirmSkips)
+	return c.in.intern(v, &c.InternHits, &c.InternMisses)
 }
 
 // internFused is intern for the fused-hash path: fp is the fingerprint
 // already accumulated while the ranges were built (Canonicalize). Only
-// called with a nonempty Set.
+// called with a nonempty, not yet interned Set.
 func (c *Calc) internFused(v Value, fp uint64) Value {
-	return c.in.internFP(v, fp, &c.InternHits, &c.InternMisses, &c.ConfirmSkips)
+	return c.in.probeFP(v, fp, &c.InternHits, &c.InternMisses)
 }
 
 // ConstVal is the interned form of Const: the hot path for OpConst
-// evaluation and assertion constants. It hits the exact-key point table
-// directly — no range build, no hash, no confirm.
-func (c *Calc) ConstVal(k int64) Value {
-	return c.in.internPoint(Num(k), &c.InternHits, &c.InternMisses, &c.ConfirmSkips)
-}
+// evaluation and assertion constants.
+func (c *Calc) ConstVal(k int64) Value { return c.PointVal(Num(k)) }
 
-// SymbolicVal is the interned form of Symbolic; see ConstVal.
-func (c *Calc) SymbolicVal(v ir.Reg) Value {
-	return c.in.internPoint(Sym(v, 0), &c.InternHits, &c.InternMisses, &c.ConfirmSkips)
-}
+// SymbolicVal is the interned form of Symbolic.
+func (c *Calc) SymbolicVal(v ir.Reg) Value { return c.PointVal(Sym(v, 0)) }
 
-// PointVal is the interned single-point value {1[b:b:0]}.
+// PointVal is the interned single-point value {1[b:b:0]}, built in
+// scratch and copied out only on a table miss.
 func (c *Calc) PointVal(b Bound) Value {
-	return c.in.internPoint(b, &c.InternHits, &c.InternMisses, &c.ConfirmSkips)
+	c.small[0] = Point(1, b)
+	return c.intern(Value{kind: Set, Ranges: c.small[:1]})
 }
 
 // memoized wraps a fixed-arity transfer function: operands must both be
 // interned (nonzero id) for the cache to apply — an id uniquely identifies
 // content, so the key needs no verification; otherwise the computation
-// runs directly, as it does on a table whose memos are off (SetMemo).
+// runs directly, as it does on a table whose memo is off (SetMemo).
 // Unary operations pass TopValue() as the b sentinel (their op codes are
 // disjoint from the binary ones, so no key can collide). On a hit the
 // stored SubOps/Widens deltas are replayed so the accounting is identical
@@ -713,35 +559,5 @@ func (c *Calc) memoized(op uint32, a, b Value, compute func() Value) Value {
 	s0, w0 := c.SubOps, c.Widens
 	v := compute()
 	c.in.memoPut(k, memoEntry{result: v, subOps: c.SubOps - s0, widens: c.Widens - w0})
-	return v
-}
-
-// MergeLoopHeader is Merge for loop-header φs, memoized on the exact
-// operand ids and weight bit patterns. The general Merge is deliberately
-// not memoized — φ edge weights drift on nearly every propagation step, so
-// a cache almost never hits — but loop-header weights freeze once their
-// loop's frequencies converge, and the header φ is re-merged on every
-// engine step of the loop body. The exact key (ids + raw weight bits)
-// makes a hit provably identical to recomputation, and the stored
-// SubOps/Widens deltas are replayed, so results and accounting are
-// bit-identical whether the memo hits or misses, or is off (SetMemo).
-func (c *Calc) MergeLoopHeader(items []Weighted) Value {
-	if !c.in.memo || len(items) != 2 || items[0].Val.id == 0 || items[1].Val.id == 0 {
-		return c.Merge(items)
-	}
-	k := mergeKey{
-		a: items[0].Val.id, b: items[1].Val.id,
-		wa: math.Float64bits(items[0].W), wb: math.Float64bits(items[1].W),
-	}
-	if e, ok := c.in.mergeGet(k); ok {
-		c.MergeMemoHits++
-		c.SubOps += e.subOps
-		c.Widens += e.widens
-		return e.result
-	}
-	c.MergeMemoMisses++
-	s0, w0 := c.SubOps, c.Widens
-	v := c.Merge(items)
-	c.in.mergePut(k, memoEntry{result: v, subOps: c.SubOps - s0, widens: c.Widens - w0})
 	return v
 }

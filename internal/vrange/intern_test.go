@@ -1,6 +1,7 @@
 package vrange
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -8,46 +9,61 @@ import (
 )
 
 // TestForcedCollisionNotUnified pins the cons table's collision safety:
-// two structurally different values whose fingerprints are forced equal
-// via testFingerprintHook must stay distinct representatives. A hash
-// collision may cost an overflow-bucket scan, never a wrong unification.
+// structurally different values whose fingerprints are forced equal via
+// testFingerprintHook must stay distinct representatives. A hash collision
+// may cost an overflow-bucket scan, never a wrong unification. Single
+// points and booleans take the same fingerprint path as any other shape,
+// so they share the forced bucket too.
 func TestForcedCollisionNotUnified(t *testing.T) {
-	a := FromRanges(Range{Prob: 1, Lo: Num(0), Hi: Num(9), Stride: 1})
-	b := FromRanges(Range{Prob: 1, Lo: Num(100), Hi: Num(200), Stride: 1})
-	if a.BitEqual(b) {
-		t.Fatal("test values must differ structurally")
+	vals := []Value{
+		FromRanges(Range{Prob: 1, Lo: Num(0), Hi: Num(9), Stride: 1}),
+		FromRanges(Range{Prob: 1, Lo: Num(100), Hi: Num(200), Stride: 1}),
+		FromRanges(Point(1, Num(5))),
+		FromRanges(Point(0.25, Num(0)), Point(0.75, Num(1))),
+	}
+	for i := range vals {
+		for j := i + 1; j < len(vals); j++ {
+			if vals[i].BitEqual(vals[j]) {
+				t.Fatalf("test values %d and %d must differ structurally", i, j)
+			}
+		}
 	}
 
 	testFingerprintHook = func(Value) (uint64, bool) { return 0xdeadbeef, true }
 	defer func() { testFingerprintHook = nil }()
 
 	it := NewInterner()
-	var hits, misses, skips int64
-	ia := it.intern(a, &hits, &misses, &skips)
-	ib := it.intern(b, &hits, &misses, &skips)
-	if hits != 0 || misses != 2 {
-		t.Fatalf("hits=%d misses=%d, want 0 and 2", hits, misses)
+	var hits, misses int64
+	reps := make([]Value, len(vals))
+	for i, v := range vals {
+		reps[i] = it.intern(v, &hits, &misses)
+		if !reps[i].BitEqual(v) {
+			t.Errorf("representative %d must be bit-equal to its source", i)
+		}
 	}
-	if ia.id == ib.id {
-		t.Fatalf("colliding values were unified: id=%d", ia.id)
+	if hits != 0 || misses != int64(len(vals)) {
+		t.Fatalf("hits=%d misses=%d, want 0 and %d", hits, misses, len(vals))
 	}
-	if !ia.BitEqual(a) || !ib.BitEqual(b) {
-		t.Error("representatives must be bit-equal to their sources")
+	for i := range reps {
+		for j := i + 1; j < len(reps); j++ {
+			if reps[i].id == reps[j].id {
+				t.Fatalf("colliding values %d and %d were unified: id=%d", i, j, reps[i].id)
+			}
+		}
 	}
 
 	// Re-interning under the same forced collision must hit the existing
 	// representatives, in both the inline slot and the overflow bucket.
-	if r := it.intern(a, &hits, &misses, &skips); r.id != ia.id {
-		t.Errorf("re-intern of a: id %d, want %d", r.id, ia.id)
+	for i, v := range vals {
+		if r := it.intern(v, &hits, &misses); r.id != reps[i].id {
+			t.Errorf("re-intern of value %d: id %d, want %d", i, r.id, reps[i].id)
+		}
 	}
-	if r := it.intern(b, &hits, &misses, &skips); r.id != ib.id {
-		t.Errorf("re-intern of b: id %d, want %d", r.id, ib.id)
+	if hits != int64(len(vals)) || misses != int64(len(vals)) {
+		t.Errorf("after re-intern: hits=%d misses=%d, want %d and %d", hits, misses, len(vals), len(vals))
 	}
-	if hits != 2 || misses != 2 {
-		t.Errorf("after re-intern: hits=%d misses=%d, want 2 and 2", hits, misses)
-	}
-	if it.Size() != 2 {
-		t.Errorf("Size() = %d, want 2", it.Size())
+	if it.Size() != len(vals) {
+		t.Errorf("Size() = %d, want %d", it.Size(), len(vals))
 	}
 }
 
@@ -69,6 +85,60 @@ func TestInternIdentity(t *testing.T) {
 	}
 }
 
+// TestInternOneIDPerContent pins the single intern path: a point or a
+// boolean gets one representative whichever constructor or transfer
+// function produced it, and content that differs only in a probability
+// bit gets its own.
+func TestInternOneIDPerContent(t *testing.T) {
+	c := NewCalc(DefaultConfig())
+	x := c.Canonicalize(FromRanges(numRange(1, 0, 9, 1)))
+	mixed := c.Canonicalize(FromRanges(Point(0.25, Num(0)), Point(0.75, Num(5))))
+	groups := []struct {
+		name string
+		vals []Value
+	}{
+		{"point 7", []Value{
+			c.ConstVal(7),
+			c.PointVal(Num(7)),
+			c.Canonicalize(FromRanges(Point(1, Num(7)))),
+			c.Apply(ir.BinAdd, c.ConstVal(3), c.ConstVal(4)),
+			c.Refine(x, ir.BinEq, c.ConstVal(7)),
+		}},
+		{"symbol r3", []Value{
+			c.SymbolicVal(ir.Reg(3)),
+			c.PointVal(Sym(ir.Reg(3), 0)),
+			c.Canonicalize(FromRanges(Point(1, Sym(ir.Reg(3), 0)))),
+			c.Apply(ir.BinAdd, c.SymbolicVal(ir.Reg(3)), c.ConstVal(0)),
+		}},
+		{"boolean 0.25", []Value{
+			c.Bool(0.25),
+			c.Canonicalize(FromRanges(Point(0.75, Num(0)), Point(0.25, Num(1)))),
+			c.Apply(ir.BinLt, mixed, c.ConstVal(3)),
+			c.Not(c.Bool(0.75)),
+		}},
+	}
+	ids := map[uint64]string{}
+	for _, g := range groups {
+		want := g.vals[0]
+		if want.id == 0 {
+			t.Fatalf("%s: first value %v is not interned", g.name, want)
+		}
+		for i, v := range g.vals[1:] {
+			if v.id != want.id {
+				t.Errorf("%s: value %d is %v with id %d, want %v with id %d", g.name, i+1, v, v.id, want, want.id)
+			}
+		}
+		if other, dup := ids[want.id]; dup {
+			t.Errorf("%s and %s share id %d", g.name, other, want.id)
+		}
+		ids[want.id] = g.name
+	}
+	near := c.intern(FromRanges(Point(math.Nextafter(1, 0), Num(7))))
+	if near.id == c.ConstVal(7).id {
+		t.Error("a point of probability just below 1 was unified with the exact point")
+	}
+}
+
 // TestInternSteadyStateAllocFree pins the allocation contract: once a
 // transfer function's operands and result are in the tables, re-running it
 // performs zero heap allocations.
@@ -84,6 +154,8 @@ func TestInternSteadyStateAllocFree(t *testing.T) {
 	c.Refine(x, ir.BinLt, y)
 	c.Merge(items)
 	c.ConstVal(42)
+	c.PointVal(Sym(ir.Reg(5), 0))
+	c.Bool(0.3)
 
 	cases := []struct {
 		name string
@@ -93,6 +165,8 @@ func TestInternSteadyStateAllocFree(t *testing.T) {
 		{"Refine", func() { c.Refine(x, ir.BinLt, y) }},
 		{"Merge", func() { c.Merge(items) }},
 		{"ConstVal", func() { c.ConstVal(42) }},
+		{"PointVal", func() { c.PointVal(Sym(ir.Reg(5), 0)) }},
+		{"Bool", func() { c.Bool(0.3) }},
 	}
 	for _, tc := range cases {
 		if n := testing.AllocsPerRun(50, tc.fn); n != 0 {
@@ -101,15 +175,15 @@ func TestInternSteadyStateAllocFree(t *testing.T) {
 	}
 
 	// A Reset + re-intern cycle carves the rewound slabs and refills the
-	// cleared (bucket-keeping) tables: once slab sizes and map buckets
-	// have reached their steady state, it allocates nothing either.
+	// cleared table: once slab sizes have reached their steady state, it
+	// allocates nothing either.
 	it := NewInterner()
-	var hits, misses, skips int64
+	var hits, misses int64
 	vals := resetTestValues()
 	cycle := func() {
 		it.Reset()
 		for _, v := range vals {
-			it.intern(v, &hits, &misses, &skips)
+			it.intern(v, &hits, &misses)
 		}
 	}
 	cycle()
@@ -119,8 +193,8 @@ func TestInternSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// resetTestValues is a mix of arena-backed multi-range values, exact-key
-// points and booleans for the Reset tests.
+// resetTestValues is a mix of multi-range values, single points and
+// booleans for the Reset tests.
 func resetTestValues() []Value {
 	var vals []Value
 	for i := 0; i < 600; i++ {
@@ -146,7 +220,7 @@ func TestInternReset(t *testing.T) {
 	old := map[uint64]bool{}
 	var reps []Value
 	for _, v := range vals {
-		r := it.intern(v, &c.InternHits, &c.InternMisses, &c.ConfirmSkips)
+		r := it.intern(v, &c.InternHits, &c.InternMisses)
 		old[r.id] = true
 		reps = append(reps, r)
 	}
@@ -179,7 +253,7 @@ func TestInternReset(t *testing.T) {
 	}
 
 	for i, v := range vals {
-		r := it.intern(v, &c.InternHits, &c.InternMisses, &c.ConfirmSkips)
+		r := it.intern(v, &c.InternHits, &c.InternMisses)
 		if old[r.id] {
 			t.Fatalf("value %d re-interned after Reset with reused id %d", i, r.id)
 		}
@@ -215,7 +289,6 @@ func TestInternWarmTableBitIdentical(t *testing.T) {
 			c.Refine(x, ir.BinLt, y),
 			c.Refine(y, ir.BinGe, c.ConstVal(4)),
 			c.Merge([]Weighted{{Val: x, W: 0.25}, {Val: y, W: 0.75}}),
-			c.MergeLoopHeader([]Weighted{{Val: x, W: 0.9375}, {Val: y, W: 0.0625}}),
 			c.Neg(y),
 			c.Apply(ir.BinAdd, s, y),
 			c.Bool(0.3),
@@ -240,12 +313,11 @@ func TestInternWarmTableBitIdentical(t *testing.T) {
 	}
 	// The comparison is only meaningful if the cold run missed and the
 	// warm run hit, and the widening replay only if something widened.
-	if cold.MemoMisses == 0 || cold.MergeMemoMisses == 0 || warm.MemoHits == 0 || warm.MergeMemoHits == 0 {
-		t.Errorf("memo traffic: cold misses %d+%d, warm hits %d+%d, want all > 0",
-			cold.MemoMisses, cold.MergeMemoMisses, warm.MemoHits, warm.MergeMemoHits)
+	if cold.MemoMisses == 0 || warm.MemoHits == 0 {
+		t.Errorf("memo traffic: cold misses %d, warm hits %d, want both > 0", cold.MemoMisses, warm.MemoHits)
 	}
-	if warm.MemoMisses != 0 || warm.MergeMemoMisses != 0 {
-		t.Errorf("warm run missed the memo %d+%d times, want 0", warm.MemoMisses, warm.MergeMemoMisses)
+	if warm.MemoMisses != 0 {
+		t.Errorf("warm run missed the memo %d times, want 0", warm.MemoMisses)
 	}
 	if cold.Widens == 0 {
 		t.Error("no transfer function widened; the Widens replay is untested")
@@ -262,8 +334,6 @@ func TestForcedCollisionConcurrentTables(t *testing.T) {
 	testFingerprintHook = func(Value) (uint64, bool) { return 42, true }
 	defer func() { testFingerprintHook = nil }()
 
-	// Multi-range, non-boolean shapes: the exact-content-keyed fast tables
-	// bypass the fingerprint path (and so the hook) by design.
 	mk := func(i int) Value {
 		lo := int64(i * 100)
 		return FromRanges(
@@ -279,10 +349,10 @@ func TestForcedCollisionConcurrentTables(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			it := NewInterner()
-			var hits, misses, skips int64
+			var hits, misses int64
 			ids[w] = make([]uint64, vals)
 			for i := 0; i < vals; i++ {
-				v := it.intern(mk(i), &hits, &misses, &skips)
+				v := it.intern(mk(i), &hits, &misses)
 				if !v.BitEqual(mk(i)) {
 					t.Errorf("worker %d: representative %d not bit-equal to source", w, i)
 				}
@@ -290,7 +360,7 @@ func TestForcedCollisionConcurrentTables(t *testing.T) {
 			}
 			// Second pass must hit the existing representatives.
 			for i := 0; i < vals; i++ {
-				if r := it.intern(mk(i), &hits, &misses, &skips); r.id != ids[w][i] {
+				if r := it.intern(mk(i), &hits, &misses); r.id != ids[w][i] {
 					t.Errorf("worker %d: re-intern of %d got id %d, want %d", w, i, r.id, ids[w][i])
 				}
 			}
@@ -317,39 +387,6 @@ func TestForcedCollisionConcurrentTables(t *testing.T) {
 			}
 			seen[id] = true
 		}
-	}
-}
-
-// TestMergeLoopHeaderBitIdentical pins the loop-header merge memo's
-// equivalence contract: MergeLoopHeader, whether it misses or hits the
-// memo, produces values and accounting bit-identical to plain Merge on a
-// fresh table.
-func TestMergeLoopHeaderBitIdentical(t *testing.T) {
-	memo := NewCalc(DefaultConfig())
-	plain := NewCalc(DefaultConfig())
-
-	mkItems := func(c *Calc) []Weighted {
-		x := c.Canonicalize(FromRanges(Range{Prob: 0.7, Lo: Num(0), Hi: Num(63), Stride: 1},
-			Range{Prob: 0.3, Lo: Num(100), Hi: Num(120), Stride: 2}))
-		y := c.Canonicalize(FromRanges(Range{Prob: 1, Lo: Num(1), Hi: Num(31), Stride: 2}))
-		return []Weighted{{Val: x, W: 0.9375}, {Val: y, W: 0.0625}}
-	}
-	memoItems, plainItems := mkItems(memo), mkItems(plain)
-
-	var got, want Value
-	for i := 0; i < 3; i++ { // first call misses the memo, the rest hit
-		got = memo.MergeLoopHeader(memoItems)
-		want = plain.Merge(plainItems)
-		if !got.BitEqual(want) {
-			t.Fatalf("round %d: MergeLoopHeader %v, plain Merge %v", i, got, want)
-		}
-	}
-	if memo.MergeMemoHits == 0 || memo.MergeMemoMisses == 0 {
-		t.Errorf("memo traffic hits=%d misses=%d, want both > 0", memo.MergeMemoHits, memo.MergeMemoMisses)
-	}
-	if memo.SubOps != plain.SubOps || memo.Widens != plain.Widens {
-		t.Errorf("stats drift: memo SubOps=%d Widens=%d, plain Merge SubOps=%d Widens=%d",
-			memo.SubOps, memo.Widens, plain.SubOps, plain.Widens)
 	}
 }
 

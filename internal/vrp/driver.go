@@ -98,9 +98,6 @@ func (c *funcCounts) addLive(calc *vrange.Calc) {
 	l.InternMiss += calc.InternMisses
 	l.MemoHits += calc.MemoHits
 	l.MemoMisses += calc.MemoMisses
-	l.ConfirmSkips += calc.ConfirmSkips
-	l.MergeMemoHits += calc.MergeMemoHits
-	l.MergeMemoMiss += calc.MergeMemoMisses
 }
 
 type driver struct {
@@ -697,14 +694,13 @@ func (d *driver) runWave(wave []int, passSpan telemetry.SpanID) {
 //     before it is pooled, keeping its grown slots and arena slabs.
 //     Resetting is safe because ownResults has already copied every
 //     returned value out of the arenas.
-//   - Only a warm table, one pooled without Reset, runs the transfer and
-//     loop-header merge memos (table decides when a run takes it). The
-//     memos pay only when expressions recur: on the corpus's and vrpd's
-//     edit loop's warm tables they hit on every lookup, but on a new or
-//     Reset table the transfer memo hit only 19–23% of gen-10k lookups
-//     (3.3k–4.2k of 24k–28k for the merge memo), and computing directly
-//     there made gen-10k faster, while a 2¹⁷–2¹⁸-entry memo hit more and
-//     saved nothing. On cold corpus tables the two are within noise.
+//   - Only a warm table, one pooled without Reset, runs the transfer memo
+//     (table decides when a run takes it). The memo pays only when
+//     expressions recur: on the corpus's and vrpd's edit loop's warm
+//     tables it hits on every lookup, but on a new or Reset table it hit
+//     only 19–23% of gen-10k lookups, and computing directly there made
+//     gen-10k faster, while a 2¹⁷–2¹⁸-entry memo hit more and saved
+//     nothing. On cold corpus tables the two are within noise.
 var tablePool = struct {
 	sync.Mutex
 	free map[vrange.Config][]*vrange.Interner
@@ -737,8 +733,8 @@ var pooledTableMaxBytes int64 = 64 << 20
 var testHookReleaseTable func(*vrange.Interner)
 
 // testHookMemo, when set, overrides the warm-table rule: every table a
-// run takes runs its memos exactly when *testHookMemo (test-only: the
-// bit-identity tests force the memos on and off).
+// run takes runs its memo exactly when *testHookMemo (test-only: the
+// bit-identity tests force the memo on and off).
 var testHookMemo *bool
 
 // takeTable pops a pooled table for cfg; nil when there is none.
@@ -767,7 +763,7 @@ func putTable(cfg vrange.Config, it *vrange.Interner) {
 
 // table returns worker slot w's persistent interner, taking a pooled one
 // or building one on first use. It decides once for the whole analysis
-// whether the table runs its memos: only a table that still holds the
+// whether the table runs its memo: only a table that still holds the
 // last analysis's values does (see tablePool).
 func (d *driver) table(w int) *vrange.Interner {
 	if d.tables[w] == nil {

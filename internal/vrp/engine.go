@@ -691,14 +691,7 @@ func (e *engine) evalPhi(phi *ir.Instr) {
 		items = append(items, vrange.Weighted{Val: e.val[o.reg], W: o.w})
 	}
 	e.phiItems = items
-	var nv vrange.Value
-	if hasBack {
-		// Loop-header φ: weights freeze once the loop's frequencies
-		// converge, so the exact-key merge memo hits on every body step.
-		nv = e.calc.MergeLoopHeader(items)
-	} else {
-		nv = e.calc.Merge(items)
-	}
+	nv := e.calc.Merge(items)
 	if vrange.MergeLoss(nv, items) {
 		e.stats.PhiHulls++
 	}

@@ -279,11 +279,11 @@ func TestTablePoolBounds(t *testing.T) {
 	}
 }
 
-// TestMemoOnlyOnWarmTables pins the warm-table rule of the transfer and
-// loop-header merge memos: a run on a new or Reset table never consults
-// them, a run on a table pooled warm does (and, re-analyzing the same
-// program, hits on every lookup), and forcing them on or off changes no
-// result, Stats field or canonical telemetry.
+// TestMemoOnlyOnWarmTables pins the warm-table rule of the transfer memo:
+// a run on a new or Reset table never consults it, a run on a table pooled
+// warm does (and, re-analyzing the same program, hits on every lookup),
+// and forcing it on or off changes no result, Stats field or canonical
+// telemetry.
 func TestMemoOnlyOnWarmTables(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Workers = 1
@@ -310,9 +310,6 @@ func TestMemoOnlyOnWarmTables(t *testing.T) {
 		tot := analyze(label, gen10k).Telemetry.Totals
 		if n := tot.MemoHits + tot.MemoMisses; n != 0 {
 			t.Errorf("%s: %d transfer-memo lookups, want 0", label, n)
-		}
-		if n := tot.MergeMemoHits + tot.MergeMemoMiss; n != 0 {
-			t.Errorf("%s: %d merge-memo lookups, want 0", label, n)
 		}
 	}
 

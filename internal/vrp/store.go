@@ -356,7 +356,8 @@ func (d *driver) bodyKey(fi int) ([]byte, uint64) {
 
 // funcKey assembles fi's store key for the input snapshot in. The input
 // fingerprint binds callee names to their positions, so positional
-// aliasing across differently-ordered programs is impossible.
+// aliasing across differently-ordered programs is impossible, and folds
+// in the snapshot's value hash rather than hashing the values again.
 func (d *driver) funcKey(fi int, in *funcInputs) *FuncKey {
 	body, bodyFP := d.bodyKey(fi)
 	callees := d.cg.Callees[fi]
@@ -366,9 +367,7 @@ func (d *driver) funcKey(fi int, in *funcInputs) *FuncKey {
 		names[i] = d.cg.Funcs[ci].Name
 		h.AddBytes([]byte(names[i]))
 	}
-	for _, v := range in.vec {
-		h.Add(v)
-	}
+	h.AddWord(in.hash)
 	return &FuncKey{
 		BodyFP:   bodyFP,
 		InputFP:  h.Sum(),

@@ -434,11 +434,7 @@ func (a *Analysis) ExplainBranch(fn string, line int) (*BranchExplanation, error
 	}
 	var br *ir.Instr
 	var lines []string
-	for _, b := range f.Blocks {
-		t := b.Terminator()
-		if t == nil || t.Op != ir.OpBr {
-			continue
-		}
+	for _, t := range f.Branches {
 		l := f.Pos(t).Line
 		lines = append(lines, fmt.Sprint(l))
 		if l == line || (line == 0 && br == nil) {
