@@ -273,20 +273,20 @@ func FindLoops(f *ir.Func, t *Tree) *LoopInfo {
 	return li
 }
 
-// BackEdges returns every back edge of f (targets dominate sources). The
-// paper identifies these with a depth-first traversal from the start node;
-// the dominator criterion is equivalent on the reducible graphs irgen
-// produces.
-func BackEdges(f *ir.Func, t *Tree) map[*ir.Edge]bool {
-	m := map[*ir.Edge]bool{}
+// BackEdges marks every back edge of f (targets dominate sources), as a
+// dense slice indexed by edge ID. The paper identifies these with a
+// depth-first traversal from the start node; the dominator criterion is
+// equivalent on the reducible graphs irgen produces.
+func BackEdges(f *ir.Func, t *Tree) []bool {
+	back := make([]bool, len(f.Edges))
 	for _, b := range f.Blocks {
 		for _, e := range b.Succs {
 			if t.Dominates(e.To.ID, b.ID) {
-				m[e] = true
+				back[e.ID] = true
 			}
 		}
 	}
-	return m
+	return back
 }
 
 // ---------------------------------------------------------- postdominance

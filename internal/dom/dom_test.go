@@ -205,13 +205,20 @@ func TestBackEdges(t *testing.T) {
 	f := buildMain(t, nestedLoopSrc)
 	tr := New(f)
 	be := BackEdges(f, tr)
-	if len(be) != 2 {
-		t.Errorf("back edges = %d, want 2", len(be))
+	if len(be) != len(f.Edges) {
+		t.Fatalf("BackEdges has %d entries, want one per edge (%d)", len(be), len(f.Edges))
 	}
-	for e := range be {
-		if !tr.Dominates(e.To.ID, e.From.ID) {
-			t.Errorf("back edge %s target does not dominate source", e)
+	n := 0
+	for _, e := range f.Edges {
+		if be[e.ID] != tr.Dominates(e.To.ID, e.From.ID) {
+			t.Errorf("edge %s: back = %v, want target-dominates-source", e, be[e.ID])
 		}
+		if be[e.ID] {
+			n++
+		}
+	}
+	if n != 2 {
+		t.Errorf("back edges = %d, want 2", n)
 	}
 }
 

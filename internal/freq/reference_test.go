@@ -11,7 +11,7 @@ import (
 // differential-testing oracle for the CSR solver: Compute must match it
 // bit-for-bit on every function (freq_diff_test.go), since both run the
 // identical floating-point operation sequence.
-func (s *Solver) ReferenceCompute(back map[*ir.Edge]bool, prob BranchProbFunc) *Frequencies {
+func (s *Solver) ReferenceCompute(back []bool, prob BranchProbFunc) *Frequencies {
 	fr := &Frequencies{
 		Block: make([]float64, len(s.f.Blocks)),
 		Edge:  make([]float64, len(s.f.Edges)),
@@ -34,7 +34,7 @@ func (s *Solver) ReferenceCompute(back map[*ir.Edge]bool, prob BranchProbFunc) *
 
 // refPropagate runs one acyclic propagation by scanning every block of
 // the function and filtering by loop membership.
-func (s *Solver) refPropagate(back map[*ir.Edge]bool, prob BranchProbFunc, fr *Frequencies, cp []float64, head *ir.Block, region *dom.Loop) {
+func (s *Solver) refPropagate(back []bool, prob BranchProbFunc, fr *Frequencies, cp []float64, head *ir.Block, region *dom.Loop) {
 	for _, b := range s.f.Blocks {
 		if region != nil && !region.Contains(b.ID) {
 			continue
@@ -44,7 +44,7 @@ func (s *Solver) refPropagate(back map[*ir.Edge]bool, prob BranchProbFunc, fr *F
 			freqv = 1
 		} else {
 			for _, pe := range b.Preds {
-				if back[pe] || (region != nil && !region.Contains(pe.From.ID)) {
+				if back[pe.ID] || (region != nil && !region.Contains(pe.From.ID)) {
 					continue
 				}
 				freqv += fr.Edge[pe.ID]

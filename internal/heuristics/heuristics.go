@@ -39,7 +39,7 @@ type funcInfo struct {
 	once  sync.Once
 	post  *dom.PostTree
 	loops *dom.LoopInfo
-	back  map[*ir.Edge]bool
+	back  []bool // by edge ID
 }
 
 // BallLarus predicts branches with the combined Ball–Larus heuristics.
@@ -135,15 +135,15 @@ func (h *BallLarus) evidence(f *ir.Func, fi *funcInfo, br *ir.Instr) []Evidence 
 
 	// Loop branch heuristic: the edge back to the loop head is taken.
 	switch {
-	case fi.back[tEdge] && !fi.back[fEdge]:
+	case fi.back[tEdge.ID] && !fi.back[fEdge.ID]:
 		add("loop-branch", probLoopBranch)
-	case fi.back[fEdge] && !fi.back[tEdge]:
+	case fi.back[fEdge.ID] && !fi.back[tEdge.ID]:
 		add("loop-branch", 1-probLoopBranch)
 	}
 
 	// Loop exit heuristic: inside a loop, a comparison whose successors
 	// are not the loop head rarely leaves the loop.
-	if loop != nil && !fi.back[tEdge] && !fi.back[fEdge] {
+	if loop != nil && !fi.back[tEdge.ID] && !fi.back[fEdge.ID] {
 		tExits := !loop.Contains(tEdge.To.ID)
 		fExits := !loop.Contains(fEdge.To.ID)
 		if tExits && !fExits {

@@ -77,7 +77,7 @@ func (e *engine) derive(phi *ir.Instr) (vrange.Value, deriveStatus) {
 	initRegs := sc.dvRegs[:0]
 	backOps := sc.dvBack[:0]
 	for i, pe := range b.Preds {
-		if e.backEdges[pe] {
+		if e.backEdges[pe.ID] {
 			backOps = append(backOps, phi.Args[i])
 			continue
 		}

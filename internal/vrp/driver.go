@@ -169,6 +169,10 @@ type driver struct {
 	// id short-circuit to a structural compare, never correctness.
 	tables []*vrange.Interner
 
+	// memos holds one engine run memo per worker slot, owned like the
+	// slot's table and taken from memoPool.
+	memos []*runMemo
+
 	// scratch holds one recycled engine allocation pool per function
 	// (dominator structures plus zeroed-on-reuse working arrays), created
 	// lazily under the same ownership discipline as interners: one task
@@ -247,6 +251,10 @@ func newDriver(p *ir.Program, cfg Config) *driver {
 		d.workers = runtime.GOMAXPROCS(0)
 	}
 	d.tables = make([]*vrange.Interner, d.workers)
+	d.memos = make([]*runMemo, d.workers)
+	for w := range d.memos {
+		d.memos[w] = memoPool.Get().(*runMemo)
+	}
 	d.internHint = p.NumInstrs() + p.NumInstrs()/4
 	if d.workers > 1 {
 		d.internHint /= d.workers
@@ -336,6 +344,9 @@ func (d *driver) run(ctx context.Context) (*Result, error) {
 	d.finishTelemetry(res, passes)
 	d.ownResults()
 	d.releaseTables()
+	for _, m := range d.memos {
+		m.release()
+	}
 	return res, nil
 }
 
@@ -867,7 +878,7 @@ func (d *driver) runSCC(scc int, calc *vrange.Calc, passSpan telemetry.SpanID, l
 		if d.cfg.Trace != nil {
 			engSpan = d.cfg.Trace.StartLane(passSpan, lane, "engine", d.cg.Funcs[fi].Name)
 		}
-		eng, panicked := d.runEngine(fi, calc, in)
+		eng, panicked := d.runEngine(fi, calc, in, d.memos[lane-1])
 		endSpan := func(outcome string) {
 			if d.cfg.Trace != nil {
 				d.cfg.Trace.Annotate(engSpan, "outcome", outcome)
@@ -926,7 +937,7 @@ func (d *driver) runSCC(scc int, calc *vrange.Calc, passSpan telemetry.SpanID, l
 			// table's arena. If this run's result is the final one,
 			// settledFor attaches its settled part to the record.
 			vrange.DetachAll(fr.val)
-			rec := &StoredFunc{FuncResult: *fr, BlkFreq: append([]float64(nil), eng.blkFreq...), Effort: eff}
+			rec := &StoredFunc{FuncResult: *fr, BlkFreq: append([]float64(nil), eng.fr.Block...), Effort: eff}
 			rec.Fn = nil
 			d.cfg.FuncStore.Store(sKey.Detach(), rec)
 			d.records[fi] = rec
@@ -953,7 +964,7 @@ func (d *driver) update(fi int, val []vrange.Value, bf func(*ir.Block) float64, 
 // discarded. When telemetry is on, the run carries the pprof goroutine
 // labels vrp_func and vrp_pass so CPU profiles attribute samples to the
 // function and pass under analysis.
-func (d *driver) runEngine(fi int, calc *vrange.Calc, in *funcInputs) (eng *engine, panicked any) {
+func (d *driver) runEngine(fi int, calc *vrange.Calc, in *funcInputs, memo *runMemo) (eng *engine, panicked any) {
 	defer func() {
 		if r := recover(); r != nil {
 			eng, panicked = nil, r
@@ -975,7 +986,7 @@ func (d *driver) runEngine(fi int, calc *vrange.Calc, in *funcInputs) (eng *engi
 		if d.fromEngine[fi] {
 			prev = d.results[fi]
 		}
-		eng = newEngine(d.ctx, d.cg.Funcs[fi], d.cfg, calc, d.prog, in, sc, prev)
+		eng = newEngine(d.ctx, d.cg.Funcs[fi], d.cfg, calc, d.prog, in, sc, memo, prev)
 		eng.run()
 	}
 	if d.cfg.Telemetry != nil {

@@ -3,6 +3,8 @@ package vrp
 import (
 	"context"
 	"math"
+	"slices"
+	"sync"
 
 	"vrp/internal/dom"
 	"vrp/internal/freq"
@@ -35,7 +37,7 @@ type engine struct {
 
 	tree      *dom.Tree
 	loops     *dom.LoopInfo
-	backEdges map[*ir.Edge]bool
+	backEdges []bool // by edge ID
 
 	// The result's dense slices, written in place (see FuncResult): prob
 	// holds NaN for a branch not yet evaluated until finalize.
@@ -43,18 +45,21 @@ type engine struct {
 	edgeFreq []float64      // per edge ID; solved by the freq package
 	prob     []float64      // per block ID
 	src      []PredictionSource
-	derived  []bool    // per Instr.Idx
-	blkFreq  []float64 // per block ID
-	visited  []bool    // per block ID
+	derived  []bool // per Instr.Idx
+	visited  []bool // per block ID
+
+	// fr is the solver's solution, from the run's first (full) solve on;
+	// nil before it. Later solves update it in place.
+	fr *freq.Frequencies
 
 	// Per-instruction counters and marks, indexed by Instr.Idx (dense,
 	// assigned by BuildDefUse) — flat arrays instead of maps, so the
 	// membership tests and budget bumps on the propagation hot path never
 	// hash or allocate.
-	evalCount     []int  // structural changes (widening budget)
-	probCount     []int  // probability-only changes (churn budget)
-	brUpdates     []int  // accepted branch probability updates
-	derivedStrict []bool // constraint-derived with all-nonzero increments
+	evalCount     []int32 // structural changes (widening budget)
+	probCount     []int32 // probability-only changes (churn budget)
+	brUpdates     []int32 // per block ID: accepted branch probability updates
+	derivedStrict []bool  // constraint-derived with all-nonzero increments
 	deriveFailed  []bool
 	deriveDeps    map[ir.Reg][]*ir.Instr // value → derived φs consulting it
 
@@ -75,8 +80,10 @@ type engine struct {
 
 	// sc is the recycled allocation pool this run borrowed its working
 	// arrays from; solver and probFn re-solve frequencies without
-	// per-solve allocations.
+	// per-solve allocations. memo holds the point values the run
+	// derives once.
 	sc     *engineScratch
+	memo   *runMemo
 	solver *freq.Solver
 	probFn freq.BranchProbFunc
 
@@ -105,14 +112,14 @@ type phiOp struct {
 type engineScratch struct {
 	tree      *dom.Tree
 	loops     *dom.LoopInfo
-	backEdges map[*ir.Edge]bool
+	backEdges []bool // by edge ID
 	solver    *freq.Solver
 
-	blkFreq       []float64
 	visited       []bool
-	evalCount     []int
-	probCount     []int
-	brUpdates     []int
+	fallback      []float64 // by block ID: Config.Fallback's answer; NaN: not asked yet
+	evalCount     []int32
+	probCount     []int32
+	brUpdates     []int32
 	derivedStrict []bool
 	deriveFailed  []bool
 	deriveDeps    map[ir.Reg][]*ir.Instr
@@ -136,16 +143,16 @@ func newEngineScratch(f *ir.Func) *engineScratch {
 	tree := dom.New(f)
 	loops := dom.FindLoops(f, tree)
 	back := dom.BackEdges(f, tree)
-	return &engineScratch{
+	sc := &engineScratch{
 		tree:          tree,
 		loops:         loops,
 		backEdges:     back,
 		solver:        freq.NewSolver(f, tree, loops, back),
-		blkFreq:       make([]float64, len(f.Blocks)),
 		visited:       make([]bool, len(f.Blocks)),
-		evalCount:     make([]int, n),
-		probCount:     make([]int, n),
-		brUpdates:     make([]int, n),
+		fallback:      make([]float64, len(f.Blocks)),
+		evalCount:     make([]int32, n),
+		probCount:     make([]int32, n),
+		brUpdates:     make([]int32, len(f.Blocks)),
 		derivedStrict: make([]bool, n),
 		deriveFailed:  make([]bool, n),
 		deriveDeps:    map[ir.Reg][]*ir.Instr{},
@@ -153,12 +160,16 @@ func newEngineScratch(f *ir.Func) *engineScratch {
 		inSSA:         make([]bool, n),
 		dw:            walker{onPath: make([]bool, f.NumRegs)},
 	}
+	for i := range sc.fallback {
+		sc.fallback[i] = math.NaN()
+	}
+	return sc
 }
 
 // reset zeroes every borrowed array so a fresh run starts from the same
-// state a fresh allocation would.
+// state a fresh allocation would. The Fallback answers stay: the hook is
+// a pure function of the function and the branch.
 func (sc *engineScratch) reset() {
-	clear(sc.blkFreq)
 	clear(sc.visited)
 	clear(sc.evalCount)
 	clear(sc.probCount)
@@ -175,15 +186,50 @@ func (sc *engineScratch) reset() {
 	clear(sc.dw.onPath)
 }
 
+// runMemo caches, for one engine run, the interned point values a ⊥
+// operand's symbolic substitute (rootOf + SymbolicVal, by register) and
+// an assertion's constant bound (ConstVal, by instruction) stand for,
+// which the run would otherwise re-derive at every evaluation. Each is a
+// pure function of the body and the run's table, so a hit returns
+// exactly what a fresh derivation would. One memo serves every run of a
+// driver worker slot, and memoPool recycles memos across analyses, so
+// their slices grow to the largest function seen, not once per function
+// or per analysis.
+type runMemo struct {
+	point  []int32        // by register, then NumRegs+Instr.Idx: index+1 into points, 0 = not derived
+	points []vrange.Value // the run's derived point values
+}
+
+// reset sizes the memo to f and forgets the previous run.
+func (m *runMemo) reset(f *ir.Func) {
+	np := f.NumRegs + f.NumInstrs()
+	m.point = slices.Grow(m.point[:0], np)[:np]
+	clear(m.point)
+	clear(m.points)
+	m.points = m.points[:0]
+}
+
+// memoPool recycles run memos across analyses.
+var memoPool = sync.Pool{New: func() any { return new(runMemo) }}
+
+// release forgets the last run's point values, so a pooled memo pins no
+// table's arena, and returns the memo to memoPool.
+func (m *runMemo) release() {
+	clear(m.points)
+	m.points = m.points[:0]
+	memoPool.Put(m)
+}
+
 // newEngine prepares one run over f. prev, when non-nil, is a superseded
 // result whose slices the run may overwrite; otherwise the run allocates
-// its own.
-func newEngine(ctx context.Context, f *ir.Func, cfg Config, calc *vrange.Calc, prog *ir.Program, in *funcInputs, sc *engineScratch, prev *FuncResult) *engine {
+// its own. sc, when nil, is allocated for the run.
+func newEngine(ctx context.Context, f *ir.Func, cfg Config, calc *vrange.Calc, prog *ir.Program, in *funcInputs, sc *engineScratch, memo *runMemo, prev *FuncResult) *engine {
 	if sc == nil {
 		sc = newEngineScratch(f)
 	} else {
 		sc.reset()
 	}
+	memo.reset(f)
 	var out FuncResult
 	if prev != nil {
 		out = *prev
@@ -211,7 +257,6 @@ func newEngine(ctx context.Context, f *ir.Func, cfg Config, calc *vrange.Calc, p
 		prob:          out.Prob,
 		src:           out.Source,
 		derived:       out.Derived,
-		blkFreq:       sc.blkFreq,
 		visited:       sc.visited,
 		evalCount:     sc.evalCount,
 		probCount:     sc.probCount,
@@ -226,6 +271,7 @@ func newEngine(ctx context.Context, f *ir.Func, cfg Config, calc *vrange.Calc, p
 		phiOps:        sc.phiOps,
 		phiItems:      sc.phiItems,
 		sc:            sc,
+		memo:          memo,
 		solver:        sc.solver,
 	}
 	for i := range e.val {
@@ -265,31 +311,49 @@ func (e *engine) blockFreq(b *ir.Block) float64 {
 	if b == e.f.Entry {
 		return 1
 	}
-	s := e.blkFreq[b.ID]
+	if e.fr == nil {
+		return 0 // not solved yet: nothing is executable
+	}
+	s := e.fr.Block[b.ID]
 	if s > maxFreq {
 		return maxFreq
 	}
 	return s
 }
 
-// recomputeFreqs re-solves block/edge frequencies after a branch
-// probability change, scheduling every materially changed edge. The
-// solver's result buffers are copied into the engine's own arrays
-// (edgeFreq is the result's; the solver buffers are reused by the next
-// solve).
-func (e *engine) recomputeFreqs() {
-	fr := e.solver.Compute(e.probFn)
-	for i, nv := range fr.Edge {
-		if nv > maxFreq {
-			nv = maxFreq
+// recomputeFreqs re-solves block/edge frequencies after b's branch
+// probability changed, scheduling every materially changed edge. The
+// run's first solve is a full Compute that visits every edge; every later
+// one is an Update from b that visits only the edges whose bits moved, in
+// ascending edge ID as the full scan would (an unvisited edge's clamped
+// frequency already equals the copy in edgeFreq, so it would push
+// nothing). Block frequencies are read from the solver's buffer (fr);
+// edgeFreq is the result's own, clamped copy.
+func (e *engine) recomputeFreqs(b *ir.Block) {
+	if e.fr == nil {
+		e.fr = e.solver.Compute(e.probFn)
+		for i := range e.fr.Edge {
+			e.setEdgeFreq(i)
 		}
-		old := e.edgeFreq[i]
-		if math.Abs(nv-old) > freqEpsilon*math.Max(1, old) {
-			e.pushFlow(e.f.Edges[i])
-		}
-		e.edgeFreq[i] = nv
+		return
 	}
-	copy(e.blkFreq, fr.Block)
+	for _, id := range e.solver.Update(b) {
+		e.setEdgeFreq(int(id))
+	}
+}
+
+// setEdgeFreq copies edge id's solved frequency into edgeFreq, clamped to
+// maxFreq, and schedules the edge when it changed materially.
+func (e *engine) setEdgeFreq(id int) {
+	nv := e.fr.Edge[id]
+	if nv > maxFreq {
+		nv = maxFreq
+	}
+	old := e.edgeFreq[id]
+	if math.Abs(nv-old) > freqEpsilon*math.Max(1, old) {
+		e.pushFlow(e.f.Edges[id])
+	}
+	e.edgeFreq[id] = nv
 }
 
 func (e *engine) pushFlow(ed *ir.Edge) {
@@ -351,9 +415,12 @@ func (e *engine) run() {
 	}
 	// Step 1: the entry node is executable with probability 1; evaluate it
 	// and seed the FlowWorkList with its out-edges via the first frequency
-	// solve.
+	// solve (the entry's own branch, if it has one, may already have
+	// solved: nothing changed since).
 	e.visitBlock(e.f.Entry)
-	e.recomputeFreqs()
+	if e.fr == nil {
+		e.recomputeFreqs(nil)
+	}
 
 	// Step 2: drain the lists, preferring the configured one.
 	for e.flowHead < len(e.flowWL) || e.ssaHead < len(e.ssaWL) {
@@ -430,7 +497,7 @@ func (e *engine) setValue(in *ir.Instr, nv vrange.Value) {
 	}
 	if !nv.SameShape(old) {
 		e.evalCount[in.Idx]++
-		if e.evalCount[in.Idx] > e.cfg.MaxEvals {
+		if int(e.evalCount[in.Idx]) > e.cfg.MaxEvals {
 			e.stats.Widens++
 			nv = vrange.BottomValue()
 			if nv.Equal(old) {
@@ -441,8 +508,11 @@ func (e *engine) setValue(in *ir.Instr, nv vrange.Value) {
 		// Probability-only refinement. The branch-prob → frequency →
 		// φ-weight feedback can oscillate without ever changing range
 		// structure; a generous churn budget lets genuine refinements
-		// settle and then freezes the value near its fixpoint.
-		e.probCount[in.Idx]++
+		// settle and then freezes the value near its fixpoint. The
+		// counter saturates one past the budget.
+		if e.probCount[in.Idx] <= probChurnBudget {
+			e.probCount[in.Idx]++
+		}
 		if e.probCount[in.Idx] > probChurnBudget {
 			e.val[in.Dst] = nv
 			return // keep the latest value, stop propagating the ripple
@@ -461,12 +531,26 @@ const (
 
 // symVal returns the operand's value, substituting the symbolic point
 // range {1[r:r:0]} for ⊥ operands when symbolic ranges are enabled — this
-// is how values "specified relative to others" (§3.4) arise.
+// is how values "specified relative to others" (§3.4) arise. The
+// substitute of each register is derived once per run.
 func (e *engine) symVal(r ir.Reg) vrange.Value {
 	v := e.val[r]
 	if v.IsBottom() && e.cfg.Range.Symbolic {
-		return e.calc.SymbolicVal(e.rootOf(r))
+		return e.point(int(r), func() vrange.Value { return e.calc.SymbolicVal(e.rootOf(r)) })
 	}
+	return v
+}
+
+// point returns the run's memoized point value under key, deriving it on
+// the first call.
+func (e *engine) point(key int, derive func() vrange.Value) vrange.Value {
+	m := e.memo
+	if i := m.point[key]; i > 0 {
+		return m.points[i-1]
+	}
+	v := derive()
+	m.points = append(m.points, v)
+	m.point[key] = int32(len(m.points))
 	return v
 }
 
@@ -586,9 +670,11 @@ func (e *engine) evalInstr(in *ir.Instr) {
 		nv = e.calc.Apply(in.BinOp, a, b)
 	case ir.OpAssert:
 		e.stats.Asserts++
-		other := e.calc.ConstVal(in.Const)
+		var other vrange.Value
 		if in.B != ir.None {
 			other = e.symVal(in.B)
+		} else {
+			other = e.point(e.f.NumRegs+in.Idx, func() vrange.Value { return e.calc.ConstVal(in.Const) })
 		}
 		parent := e.val[in.A]
 		nv = e.calc.Refine(parent, in.BinOp, other)
@@ -617,7 +703,7 @@ func (e *engine) evalPhi(phi *ir.Instr) {
 
 	hasBack := false
 	for _, pe := range b.Preds {
-		if e.backEdges[pe] {
+		if e.backEdges[pe.ID] {
 			hasBack = true
 			break
 		}
@@ -724,9 +810,11 @@ func (e *engine) assertOrigin(r ir.Reg) ir.Reg {
 }
 
 // updateOutEdges re-examines a block's conditional branch (step 7). A
-// materially changed probability triggers a whole-function frequency
-// re-solve, which schedules every affected flow edge. Jump frequencies
-// need no separate handling: the solver owns them.
+// materially changed probability triggers a frequency update from the
+// block, which schedules every flow edge whose frequency moved; past the
+// update budget the probability is kept but only marked for the next
+// update. Jump frequencies need no separate handling: the solver owns
+// them.
 func (e *engine) updateOutEdges(b *ir.Block) {
 	t := b.Terminator()
 	if t == nil || t.Op != ir.OpBr {
@@ -741,13 +829,14 @@ func (e *engine) updateOutEdges(b *ir.Block) {
 	if math.Abs(old-p) <= 1e-9 {
 		return
 	}
-	if e.brUpdates[t.Idx] > branchUpdateBudget {
+	if e.brUpdates[b.ID] > branchUpdateBudget {
 		e.prob[b.ID] = p // keep the freshest value, stop re-solving
+		e.solver.Mark(b)
 		return
 	}
-	e.brUpdates[t.Idx]++
+	e.brUpdates[b.ID]++
 	e.prob[b.ID] = p
-	e.recomputeFreqs()
+	e.recomputeFreqs(b)
 }
 
 // branchProb determines the probability of taking the branch by examining
@@ -771,11 +860,19 @@ func (e *engine) branchProb(t *ir.Instr) (float64, PredictionSource, bool) {
 	return p, ByRange, true
 }
 
+// fallback is the heuristic probability of branch t, asked of
+// Config.Fallback at most once per analysis: the hook is a pure function
+// of the function and the branch, and the answer stays in the function's
+// scratch across its runs.
 func (e *engine) fallback(t *ir.Instr) float64 {
-	if e.cfg.Fallback != nil {
-		return e.cfg.Fallback(e.f, t)
+	if e.cfg.Fallback == nil {
+		return 0.5
 	}
-	return 0.5
+	p := &e.sc.fallback[t.Block.ID]
+	if math.IsNaN(*p) {
+		*p = e.cfg.Fallback(e.f, t)
+	}
+	return *p
 }
 
 // finalize assigns heuristic probabilities to branches that never received

@@ -25,7 +25,10 @@ import (
 
 // FallbackFunc supplies a heuristic probability for the true out-edge of a
 // conditional branch whose controlling range is ⊥ (§3.5: "heuristics
-// similar to those in [BallLarus93] must be used").
+// similar to those in [BallLarus93] must be used"). It must be a pure
+// function of (f, br): the engine asks it at most once per branch per
+// analysis and reuses the answer in every later run, and a FuncStore
+// record caches its answers across analyses.
 type FallbackFunc func(f *ir.Func, br *ir.Instr) float64
 
 // EvidenceItem names one heuristic that contributed to a fallback
@@ -82,7 +85,8 @@ type Config struct {
 	// more quickly" (§3.3 step 2).
 	FlowFirst bool
 
-	// Fallback predicts ⊥-controlled branches; nil means 0.5.
+	// Fallback predicts ⊥-controlled branches; nil means 0.5. It must be
+	// a pure function of the function and the branch (see FallbackFunc).
 	Fallback FallbackFunc
 
 	// Evidence attributes fallback predictions to individual heuristics

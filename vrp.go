@@ -206,7 +206,9 @@ func WithMaxEvals(n int) Option {
 }
 
 // WithFallback overrides the heuristic used for ⊥-controlled branches.
-// The default is the Ball–Larus predictor.
+// The default is the Ball–Larus predictor. fb must be a pure function of
+// the function and the branch: the engine asks it at most once per
+// branch per analysis and may reuse answers across analyses.
 func WithFallback(fb corevrp.FallbackFunc) Option {
 	return func(c *corevrp.Config) { c.Fallback = fb }
 }
